@@ -19,6 +19,7 @@ from .complementarity import (
     build_joint_lp,
     build_primal_interior_lp,
     dual_optimal_face,
+    joint_optimal_face,
     optimal_partitions,
     primal_optimal_face,
     recover_dual_interior,

@@ -228,7 +228,7 @@ def _emit(report: RunReport, fmt: str, stream) -> None:
 
 def _run_approach(runner, problem, opts, pos_tol, report, name, **kwargs):
     started = time.perf_counter()
-    solution = runner(problem, opts, pos_tol, **kwargs)
+    solution = runner(problem, opts, **kwargs)
     report.timings[f"approach_{name}"] = time.perf_counter() - started
     csc = verify_csc(solution)
     scsc = verify_scsc(solution, pos_tol)

@@ -9,8 +9,11 @@ supports induce the unique optimal partition of the variable and row index
 sets: sigma_x / sigma_v split {1..n}, sigma_u / sigma_y split {1..m}.
 
 Finding one reduces to finding relative interior points of the optimal faces
-of the transformed LP and its dual, which the support-maximizing LP of the
-`interior` module does.  Two routes are provided:
+of the transformed LP and its dual.  Each face is written once, as an
+`interior.Polyhedron` whose coordinate order its constructor documents; the
+one support-maximizing LP of `interior` is built over it, its optimum is
+normalized back onto the face by `interior`, and the face point is cut into
+named blocks.  Two routes are provided:
 
 * `approach_one` pins the optimal value theta_star first (one stage-1 solve),
   then solves one support-maximizing LP per face, two LPs in total.  Prefer
@@ -18,9 +21,6 @@ of the transformed LP and its dual, which the support-maximizing LP of the
 * `approach_two` couples both faces through the optimality row
   c.xbar + alpha t - z = 0 and solves a single, larger LP; no prior
   theta_star is needed and the optimal value falls out as the recovered z.
-
-Column orders inside the auxiliary LPs are fixed and documented on each
-builder, and the recover_* helpers rely on them.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import TransformedPoint, charnes_cooper_inverse, solve_theta_star
-from .errors import DegenerateNormalizer, IterationLimitError, NumericalWarning, PartitionViolation
-from .interior import Polyhedron
-from .lp import Bound, LinearProgram, LPOutcome, Relation, Sense, SolveStatus, SolverOptions, solve_lp
+from .errors import DegenerateNormalizer, EmptyPolyhedron, IterationLimitError, NumericalWarning, PartitionViolation
+from .interior import Polyhedron, build_maximal_element_lp, recover_maximal_element
+from .lp import LinearProgram, LPOutcome, SolverOptions, solve_lp
 from .problem import DualPoint, LFPProblem, PrimalPoint
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "optimal_partitions",
     "primal_optimal_face",
     "dual_optimal_face",
+    "joint_optimal_face",
 ]
 
 DEFAULT_POS_TOL = 1e-7
@@ -121,229 +122,116 @@ class ScscReport:
 
 
 # ---------------------------------------------------------------------------
-# Auxiliary LP builders.  All three are homogeneous feasibility systems with
-# capped second copies, patterned on the support-maximizing LP of `interior`.
+# The optimal faces as polyhedra, and the support-maximizing LPs over them.
 # ---------------------------------------------------------------------------
 
 
-def build_primal_interior_lp(problem: LFPProblem, theta_star: float) -> LinearProgram:
-    """Support-maximizing LP for the primal optimal face.
+def primal_optimal_face(problem: LFPProblem, theta_star: float) -> Polyhedron:
+    """Optimal face of the transformed LP, coordinates (xbar_1..xbar_n, t, ubar_1..ubar_m):
 
-    Columns: (x1_1..x1_n, p, u1_1..u1_m, w1, x2_1..x2_n, u2_1..u2_m, w2),
-    2n + 2m + 3 in total; p is the homogenized scaling variable and is not
-    doubled because t is positive on the whole face.  Rows (m + 2):
+        A xbar - b t + ubar = 0,  d.xbar + beta t = 1,  c.xbar + alpha t = theta_star.
+    """
+    A, b, c, d = problem.A, problem.b, problem.c, problem.d
+    m = problem.num_rows
+    M = np.vstack([
+        np.hstack([A, -b.reshape(m, 1), np.eye(m)]),
+        np.concatenate([d, [problem.beta], np.zeros(m)]),
+        np.concatenate([c, [problem.alpha], np.zeros(m)]),
+    ])
+    return Polyhedron(M, np.concatenate([np.zeros(m), [1.0, float(theta_star)]]))
 
-        A (x1+x2) - b p + (u1+u2)            = 0
-        d.(x1+x2) + beta p - (w1+w2)         = 0
-        c.(x1+x2) + alpha p - theta* (w1+w2) = 0
+
+def dual_optimal_face(problem: LFPProblem, theta_star: float) -> Polyhedron:
+    """Optimal face of the dual LP, coordinates (y_1..y_m, z, v_1..v_n) with z free:
+
+        A'y + d z - v = c,  -b.y + beta z = alpha,  z = theta_star.
     """
     A, b, c, d = problem.A, problem.b, problem.c, problem.d
     m, n = A.shape
-    total = 2 * n + 2 * m + 3
-    x1 = slice(0, n)
-    p = n
-    u1 = slice(n + 1, n + 1 + m)
-    w1 = n + 1 + m
-    x2 = slice(n + 2 + m, 2 * n + 2 + m)
-    u2 = slice(2 * n + 2 + m, 2 * n + 2 + 2 * m)
-    w2 = 2 * n + 2 * m + 2
-
-    rows = []
-    for i in range(m):
-        coeffs = np.zeros(total)
-        coeffs[x1] = A[i]
-        coeffs[x2] = A[i]
-        coeffs[p] = -b[i]
-        coeffs[u1.start + i] = 1.0
-        coeffs[u2.start + i] = 1.0
-        rows.append((coeffs, Relation.EQ, 0.0))
-    for vec, scalar, w_coeff in (
-        (d, problem.beta, -1.0),
-        (c, problem.alpha, -float(theta_star)),
-    ):
-        coeffs = np.zeros(total)
-        coeffs[x1] = vec
-        coeffs[x2] = vec
-        coeffs[p] = scalar
-        coeffs[w1] = w_coeff
-        coeffs[w2] = w_coeff
-        rows.append((coeffs, Relation.EQ, 0.0))
-
-    objective = np.zeros(total)
-    objective[x2] = 1.0
-    objective[u2] = 1.0
-    objective[w2] = 1.0
-    bounds = [Bound.nonnegative()] * (n + 1 + m + 1) + [Bound.box(0.0, 1.0)] * (n + m + 1)
-    return LinearProgram(Sense.MAXIMIZE, objective, rows=rows, bounds=bounds)
+    M = np.vstack([
+        np.hstack([A.T, d.reshape(n, 1), -np.eye(n)]),
+        np.concatenate([-b, [problem.beta], np.zeros(n)]),
+        np.concatenate([np.zeros(m), [1.0], np.zeros(n)]),
+    ])
+    free = np.concatenate([np.zeros(m, dtype=bool), [True], np.zeros(n, dtype=bool)])
+    return Polyhedron(M, np.concatenate([c, [problem.alpha, float(theta_star)]]), free)
 
 
-def build_dual_interior_lp(problem: LFPProblem, theta_star: float) -> LinearProgram:
-    """Support-maximizing LP for the dual optimal face.
+def joint_optimal_face(problem: LFPProblem) -> Polyhedron:
+    """Both optimal faces at once, coordinates (xbar, t, ubar, y, z, v) with z free.
 
-    Columns: (y1_1..y1_m, q, v1_1..v1_n, w1, y2_1..y2_m, v2_1..v2_n, w2),
-    2m + 2n + 3 in total; q is the homogenized dual objective and the one
-    free variable.  Rows (n + 2):
-
-        A'(y1+y2) + d q - (v1+v2) - c (w1+w2) = 0
-        -b.(y1+y2) + beta q - alpha (w1+w2)   = 0
-        q - theta* (w1+w2)                    = 0
+    The primal and the dual face side by side, except that their two
+    theta_star rows are replaced by their difference, the optimality coupling
+    c.xbar + alpha t - z = 0; no theta_star is needed.
     """
-    A, b, c, d = problem.A, problem.b, problem.c, problem.d
-    m, n = A.shape
-    total = 2 * m + 2 * n + 3
-    y1 = slice(0, m)
-    q = m
-    v1 = slice(m + 1, m + 1 + n)
-    w1 = m + 1 + n
-    y2 = slice(m + 2 + n, 2 * m + 2 + n)
-    v2 = slice(2 * m + 2 + n, 2 * m + 2 + 2 * n)
-    w2 = 2 * m + 2 * n + 2
-
-    rows = []
-    for j in range(n):
-        coeffs = np.zeros(total)
-        coeffs[y1] = A[:, j]
-        coeffs[y2] = A[:, j]
-        coeffs[q] = d[j]
-        coeffs[v1.start + j] = -1.0
-        coeffs[v2.start + j] = -1.0
-        coeffs[w1] = -c[j]
-        coeffs[w2] = -c[j]
-        rows.append((coeffs, Relation.EQ, 0.0))
-    coeffs = np.zeros(total)
-    coeffs[y1] = -b
-    coeffs[y2] = -b
-    coeffs[q] = problem.beta
-    coeffs[w1] = -problem.alpha
-    coeffs[w2] = -problem.alpha
-    rows.append((coeffs, Relation.EQ, 0.0))
-    coeffs = np.zeros(total)
-    coeffs[q] = 1.0
-    coeffs[w1] = -float(theta_star)
-    coeffs[w2] = -float(theta_star)
-    rows.append((coeffs, Relation.EQ, 0.0))
-
-    objective = np.zeros(total)
-    objective[y2] = 1.0
-    objective[v2] = 1.0
-    objective[w2] = 1.0
-    bounds = (
-        [Bound.nonnegative()] * m
-        + [Bound.free()]
-        + [Bound.nonnegative()] * (n + 1)
-        + [Bound.box(0.0, 1.0)] * (m + n + 1)
-    )
-    return LinearProgram(Sense.MAXIMIZE, objective, rows=rows, bounds=bounds)
+    # theta_star enters only the two value rows, which the coupling replaces.
+    primal, dual = primal_optimal_face(problem, 0.0), dual_optimal_face(problem, 0.0)
+    P, D = primal.A_eq, dual.A_eq
+    M = np.vstack([
+        np.hstack([P[:-1], np.zeros((P.shape[0] - 1, D.shape[1]))]),
+        np.hstack([np.zeros((D.shape[0] - 1, P.shape[1])), D[:-1]]),
+        np.hstack([P[-1:], -D[-1:]]),
+    ])
+    rhs = np.concatenate([primal.b_eq[:-1], dual.b_eq[:-1], [0.0]])
+    return Polyhedron(M, rhs, np.concatenate([primal.free, dual.free]))
 
 
-def build_joint_lp(problem: LFPProblem) -> LinearProgram:
-    """One support-maximizing LP over both faces at once; no theta_star needed.
-
-    Columns: (x1, p, u1, y1, q, v1, w1, x2, u2, y2, v2, w2) with the first
-    block sized n+1+m+m+1+n+1 and the capped second block n+m+m+n+1, for
-    4n + 4m + 4 in total.  Rows (m + n + 3): the two primal face rows and the
-    two dual face rows sharing w1/w2, plus the optimality coupling
-
-        c.(x1+x2) + alpha p - q = 0,
-
-    which replaces the two theta_star rows of the single-face builders.
-    """
-    A, b, c, d = problem.A, problem.b, problem.c, problem.d
-    m, n = A.shape
-    first = 2 * n + 2 * m + 3  # x1, p, u1, y1, q, v1, w1
-    total = first + 2 * n + 2 * m + 1
-    x1 = slice(0, n)
-    p = n
-    u1 = slice(n + 1, n + 1 + m)
-    y1 = slice(n + 1 + m, n + 1 + 2 * m)
-    q = n + 1 + 2 * m
-    v1 = slice(n + 2 + 2 * m, 2 * n + 2 + 2 * m)
-    w1 = 2 * n + 2 + 2 * m
-    x2 = slice(first, first + n)
-    u2 = slice(first + n, first + n + m)
-    y2 = slice(first + n + m, first + n + 2 * m)
-    v2 = slice(first + n + 2 * m, first + 2 * n + 2 * m)
-    w2 = total - 1
-
-    rows = []
-    for i in range(m):
-        coeffs = np.zeros(total)
-        coeffs[x1] = A[i]
-        coeffs[x2] = A[i]
-        coeffs[p] = -b[i]
-        coeffs[u1.start + i] = 1.0
-        coeffs[u2.start + i] = 1.0
-        rows.append((coeffs, Relation.EQ, 0.0))
-    coeffs = np.zeros(total)
-    coeffs[x1] = d
-    coeffs[x2] = d
-    coeffs[p] = problem.beta
-    coeffs[w1] = -1.0
-    coeffs[w2] = -1.0
-    rows.append((coeffs, Relation.EQ, 0.0))
-    for j in range(n):
-        coeffs = np.zeros(total)
-        coeffs[y1] = A[:, j]
-        coeffs[y2] = A[:, j]
-        coeffs[q] = d[j]
-        coeffs[v1.start + j] = -1.0
-        coeffs[v2.start + j] = -1.0
-        coeffs[w1] = -c[j]
-        coeffs[w2] = -c[j]
-        rows.append((coeffs, Relation.EQ, 0.0))
-    coeffs = np.zeros(total)
-    coeffs[y1] = -b
-    coeffs[y2] = -b
-    coeffs[q] = problem.beta
-    coeffs[w1] = -problem.alpha
-    coeffs[w2] = -problem.alpha
-    rows.append((coeffs, Relation.EQ, 0.0))
-    coeffs = np.zeros(total)
-    coeffs[x1] = c
-    coeffs[x2] = c
-    coeffs[p] = problem.alpha
-    coeffs[q] = -1.0
-    rows.append((coeffs, Relation.EQ, 0.0))
-
-    objective = np.zeros(total)
-    for block in (x2, u2, y2, v2):
-        objective[block] = 1.0
-    objective[w2] = 1.0
-    bounds = (
-        [Bound.nonnegative()] * (n + 1 + 2 * m)
-        + [Bound.free()]
-        + [Bound.nonnegative()] * (n + 1)
-        + [Bound.box(0.0, 1.0)] * (2 * n + 2 * m + 1)
-    )
-    return LinearProgram(Sense.MAXIMIZE, objective, rows=rows, bounds=bounds)
+def _uncapped_t(face: Polyhedron, problem: LFPProblem) -> np.ndarray:
+    # t = 1/(d.x + beta) is positive on the whole face, so it gets no capped
+    # copy; it follows the n coordinates of xbar.
+    capped = ~face.free
+    capped[problem.num_vars] = False
+    return capped
 
 
-# ---------------------------------------------------------------------------
-# Recovery: add the copies back together and divide by the scaling weight.
-# ---------------------------------------------------------------------------
+def _blocks(point: np.ndarray, *sizes: int) -> list:
+    """Cut a face point into consecutive blocks of the given sizes."""
+    return np.split(point, np.cumsum(sizes)[:-1])
 
 
-def _normalizer(w_total: float, feas_tol: float) -> float:
-    if w_total <= feas_tol:
+def _face_point(face: Polyhedron, outcome: LPOutcome, capped, feas_tol: float) -> np.ndarray:
+    try:
+        return recover_maximal_element(outcome, face, feas_tol=feas_tol, capped=capped).point
+    except EmptyPolyhedron:
         raise DegenerateNormalizer(
             "zero scaling weight while recovering an interior point of an optimal "
             "face that should be non-empty"
-        )
-    return w_total
+        ) from None
+
+
+def build_primal_interior_lp(problem: LFPProblem, theta_star: float) -> LinearProgram:
+    """Support-maximizing LP of the primal optimal face, t uncapped.
+
+    Columns: (x1_1..x1_n, p, u1_1..u1_m, w1, x2_1..x2_n, u2_1..u2_m, w2).
+    """
+    face = primal_optimal_face(problem, theta_star)
+    return build_maximal_element_lp(face, _uncapped_t(face, problem))
+
+
+def build_dual_interior_lp(problem: LFPProblem, theta_star: float) -> LinearProgram:
+    """Support-maximizing LP of the dual optimal face, q the free z column.
+
+    Columns: (y1_1..y1_m, q, v1_1..v1_n, w1, y2_1..y2_m, v2_1..v2_n, w2).
+    """
+    return build_maximal_element_lp(dual_optimal_face(problem, theta_star))
+
+
+def build_joint_lp(problem: LFPProblem) -> LinearProgram:
+    """Support-maximizing LP of the joint optimal face, t uncapped.
+
+    Columns: (x1, p, u1, y1, q, v1, w1, x2, u2, y2, v2, w2).
+    """
+    face = joint_optimal_face(problem)
+    return build_maximal_element_lp(face, _uncapped_t(face, problem))
 
 
 def recover_primal_interior(
     problem: LFPProblem, outcome: LPOutcome, feas_tol: float = 1e-9
 ) -> TransformedPoint:
     """Interior point of the primal optimal face from an optimal builder outcome."""
-    if not outcome.is_optimal:
-        raise ValueError(f"expected an optimal outcome, got {outcome.status}")
-    m, n = problem.num_rows, problem.num_vars
-    z = outcome.point
-    w_total = _normalizer(float(z[n + 1 + m] + z[2 * n + 2 * m + 2]), feas_tol)
-    x_bar = (z[0:n] + z[n + 2 + m : 2 * n + 2 + m]) / w_total
-    t = float(z[n]) / w_total
-    u_bar = (z[n + 1 : n + 1 + m] + z[2 * n + 2 + m : 2 * n + 2 + 2 * m]) / w_total
+    face = primal_optimal_face(problem, 0.0)  # theta_star only sets a right-hand side
+    point = _face_point(face, outcome, _uncapped_t(face, problem), feas_tol)
+    x_bar, (t,), u_bar = _blocks(point, problem.num_vars, 1, problem.num_rows)
     return TransformedPoint(x_bar, t, u_bar)
 
 
@@ -351,29 +239,23 @@ def recover_dual_interior(
     problem: LFPProblem, outcome: LPOutcome, feas_tol: float = 1e-9
 ) -> DualPoint:
     """Interior point of the dual optimal face from an optimal builder outcome."""
-    if not outcome.is_optimal:
-        raise ValueError(f"expected an optimal outcome, got {outcome.status}")
-    m, n = problem.num_rows, problem.num_vars
-    z = outcome.point
-    w_total = _normalizer(float(z[m + 1 + n] + z[2 * m + 2 * n + 2]), feas_tol)
-    y = (z[0:m] + z[m + 2 + n : 2 * m + 2 + n]) / w_total
-    zed = float(z[m]) / w_total
-    v = (z[m + 1 : m + 1 + n] + z[2 * m + 2 + n : 2 * m + 2 + 2 * n]) / w_total
-    return DualPoint(y, zed, v)
+    point = _face_point(dual_optimal_face(problem, 0.0), outcome, None, feas_tol)
+    y, (z,), v = _blocks(point, problem.num_rows, 1, problem.num_vars)
+    return DualPoint(y, z, v)
 
 
-def _require_optimal(outcome: LPOutcome, label: str) -> LPOutcome:
-    # The auxiliary LPs are feasible (zero) and bounded (capped objective), so
-    # anything but OPTIMAL is a numerical breakdown.
+def _solve_face(face: Polyhedron, capped, label: str, opts: SolverOptions) -> np.ndarray:
+    # The support-maximizing LPs are feasible (zero) and bounded (capped
+    # objective), so anything but OPTIMAL is a numerical breakdown.
+    outcome = solve_lp(build_maximal_element_lp(face, capped), opts)
     if not outcome.is_optimal:
         raise IterationLimitError(f"{label} solve ended with status {outcome.status.value}")
-    return outcome
+    return _face_point(face, outcome, capped, opts.feas_tol)
 
 
 def approach_one(
     problem: LFPProblem,
     opts: SolverOptions | None = None,
-    pos_tol: float = DEFAULT_POS_TOL,
     theta_star: float | None = None,
 ) -> StrictComplementarySolution:
     """Two-LP route: pin theta_star, then one interior LP per optimal face.
@@ -385,43 +267,36 @@ def approach_one(
         opts = SolverOptions()
     if theta_star is None:
         theta_star = solve_theta_star(problem, opts)
-    out_p = _require_optimal(solve_lp(build_primal_interior_lp(problem, theta_star), opts), "primal face")
-    tp = recover_primal_interior(problem, out_p, opts.feas_tol)
-    out_d = _require_optimal(solve_lp(build_dual_interior_lp(problem, theta_star), opts), "dual face")
-    dual = recover_dual_interior(problem, out_d, opts.feas_tol)
-    primal = charnes_cooper_inverse(tp, opts.feas_tol)
-    return StrictComplementarySolution(primal, tp.t, dual, theta_star)
+    m, n = problem.num_rows, problem.num_vars
+    face = primal_optimal_face(problem, theta_star)
+    x_bar, (t,), u_bar = _blocks(_solve_face(face, _uncapped_t(face, problem), "primal face", opts), n, 1, m)
+    y, (z,), v = _blocks(_solve_face(dual_optimal_face(problem, theta_star), None, "dual face", opts), m, 1, n)
+    primal = charnes_cooper_inverse(TransformedPoint(x_bar, t, u_bar), opts.feas_tol)
+    return StrictComplementarySolution(primal, t, DualPoint(y, z, v), theta_star)
 
 
 def approach_two(
     problem: LFPProblem,
     opts: SolverOptions | None = None,
-    pos_tol: float = DEFAULT_POS_TOL,
 ) -> StrictComplementarySolution:
     """Single-LP route over the coupled faces; theta_star falls out as z."""
     if opts is None:
         opts = SolverOptions()
-    out = _require_optimal(solve_lp(build_joint_lp(problem), opts), "joint face")
-    m, n = problem.num_rows, problem.num_vars
-    first = 2 * n + 2 * m + 3
-    z = out.point
-    w_total = float(z[first - 1] + z[-1])
-    if w_total <= opts.feas_tol:
+    face = joint_optimal_face(problem)
+    try:
+        point = _solve_face(face, _uncapped_t(face, problem), "joint face", opts)
+    except DegenerateNormalizer:
         # No optimal pair scaled into view: either the problem itself is bad
         # (raised by the stage-1 classification below) or numerics collapsed.
         solve_theta_star(problem, opts)
         raise DegenerateNormalizer(
             "joint face recovery found a zero scaling weight although stage 1 "
             "proves an optimal pair exists"
-        )
-    x_bar = (z[0:n] + z[first : first + n]) / w_total
-    t = float(z[n]) / w_total
-    u_bar = (z[n + 1 : n + 1 + m] + z[first + n : first + n + m]) / w_total
-    y = (z[n + 1 + m : n + 1 + 2 * m] + z[first + n + m : first + n + 2 * m]) / w_total
-    zed = float(z[n + 1 + 2 * m]) / w_total
-    v = (z[n + 2 + 2 * m : 2 * n + 2 + 2 * m] + z[first + n + 2 * m : first + 2 * n + 2 * m]) / w_total
+        ) from None
+    m, n = problem.num_rows, problem.num_vars
+    x_bar, (t,), u_bar, y, (z,), v = _blocks(point, n, 1, m, m, 1, n)
     primal = charnes_cooper_inverse(TransformedPoint(x_bar, t, u_bar), opts.feas_tol)
-    return StrictComplementarySolution(primal, t, DualPoint(y, zed, v), zed)
+    return StrictComplementarySolution(primal, t, DualPoint(y, z, v), z)
 
 
 # ---------------------------------------------------------------------------
@@ -495,45 +370,3 @@ def optimal_partitions(
     if problems:
         raise PartitionViolation("; ".join(problems))
     return OptimalPartition(sigma_x, sigma_v, sigma_u, sigma_y)
-
-
-# ---------------------------------------------------------------------------
-# The optimal faces as standard-form polyhedra (mainly for oracle tests).
-# ---------------------------------------------------------------------------
-
-
-def primal_optimal_face(problem: LFPProblem, theta_star: float) -> Polyhedron:
-    """Optimal face of the transformed LP, coordinates (xbar_1..xbar_n, t, ubar_1..ubar_m)."""
-    A, b, c, d = problem.A, problem.b, problem.c, problem.d
-    m, n = A.shape
-    M = np.zeros((m + 2, n + 1 + m))
-    M[:m, :n] = A
-    M[:m, n] = -b
-    M[:m, n + 1 :] = np.eye(m)
-    M[m, :n] = d
-    M[m, n] = problem.beta
-    M[m + 1, :n] = c
-    M[m + 1, n] = problem.alpha
-    rhs = np.concatenate([np.zeros(m), [1.0, float(theta_star)]])
-    return Polyhedron(M, rhs)
-
-
-def dual_optimal_face(problem: LFPProblem, theta_star: float) -> Polyhedron:
-    """Optimal face of the dual LP, coordinates (y_1..y_m, z, v_1..v_n).
-
-    Standard form forces z >= 0, so this representation is only faithful for
-    theta_star >= 0; a negative optimum would need a sign-flipped z column.
-    """
-    if theta_star < 0:
-        raise ValueError("the standard-form dual face requires a nonnegative optimal value")
-    A, b, c = problem.A, problem.b, problem.c
-    m, n = A.shape
-    M = np.zeros((n + 2, m + 1 + n))
-    M[:n, :m] = A.T
-    M[:n, m] = problem.d
-    M[:n, m + 1 :] = -np.eye(n)
-    M[n, :m] = -b
-    M[n, m] = problem.beta
-    M[n + 1, m] = 1.0
-    rhs = np.concatenate([c, [problem.alpha, float(theta_star)]])
-    return Polyhedron(M, rhs)

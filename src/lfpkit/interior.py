@@ -1,13 +1,19 @@
-"""Relative interior points of standard-form polyhedra P = {x | Ax = b, x >= 0}.
+"""Relative interior points of polyhedra P = {x | Ax = b, x_j >= 0 unless j is free}.
 
 A relative interior point of P is exactly a maximal element: a point whose
-set of positive coordinates is as large as possible.  One LP finds it.  Write
-each coordinate as x1_j + x2_j and the scaling as w1 + w2, cap the second
-copies at one, and maximize their total:
+set of positive sign-constrained coordinates is as large as possible.  One LP
+finds it.  Write each coordinate as x1_j + x2_j and the scaling as w1 + w2,
+cap the second copies at one, and maximize their total:
 
     max  1.x2 + w2
     s.t. [A, -b] (x1 + x2, w1 + w2) = 0
          x1 >= 0, w1 >= 0,  0 <= x2 <= 1,  0 <= w2 <= 1.
+
+Free coordinates (a Polyhedron's `free` mask) have a free x1 column, no
+capped copy and are never in a support.  The builder and the recovery also
+take the set of `capped` coordinates (all sign-constrained ones by default):
+an uncapped coordinate stays >= 0 but does not count towards the support,
+which suits one known to be positive on all of P.
 
 The homogenized system always admits zero, so the LP is feasible and (being
 capped) bounded.  When P is non-empty the optimal w1 + w2 is positive and
@@ -45,22 +51,27 @@ DEFAULT_POS_TOL = 1e-7
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Standard form data: {x | A_eq x = b_eq, x >= 0}."""
+    """{x | A_eq x = b_eq, x_j >= 0 unless free[j]}; no coordinate is free by default."""
 
     A_eq: np.ndarray
     b_eq: np.ndarray
+    free: np.ndarray | None = None
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A_eq, dtype=float))
         b = np.asarray(self.b_eq, dtype=float).ravel()
         if A.shape[0] != b.size:
             raise ValueError(f"A_eq has {A.shape[0]} rows but b_eq has {b.size} entries")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("polyhedron data has a non-finite entry")
-        A.setflags(write=False)
-        b.setflags(write=False)
+        free = np.array(np.zeros(A.shape[1]) if self.free is None else self.free, dtype=bool)
+        if free.shape != (A.shape[1],):
+            raise ValueError(f"free mask has shape {free.shape}, expected ({A.shape[1]},)")
+        for array in (A, b, free):
+            array.setflags(write=False)
         object.__setattr__(self, "A_eq", A)
         object.__setattr__(self, "b_eq", b)
+        object.__setattr__(self, "free", free)
 
     @property
     def num_coords(self) -> int:
@@ -69,7 +80,7 @@ class Polyhedron:
 
 @dataclass(frozen=True)
 class MaximalElement:
-    """A relative interior point and its support (1-based coordinate indices)."""
+    """A relative interior point and its support (1-based, sign-constrained coordinates)."""
 
     point: np.ndarray
     support: frozenset
@@ -81,18 +92,37 @@ class MaximalElement:
         object.__setattr__(self, "support", frozenset(int(j) for j in self.support))
 
 
-def _support(values, pos_tol) -> frozenset:
-    return frozenset(int(j) + 1 for j in np.nonzero(values > pos_tol)[0])
+def _support(values, pos_tol, free) -> frozenset:
+    return frozenset(int(j) + 1 for j in np.nonzero((values > pos_tol) & ~free)[0])
 
 
-def build_maximal_element_lp(poly: Polyhedron) -> LinearProgram:
-    """The support-maximizing LP; columns are (x1_1..x1_n, w1, x2_1..x2_n, w2)."""
-    A, b = poly.A_eq, poly.b_eq
-    m, n = A.shape
-    half = np.hstack([A, -b.reshape(m, 1)])
-    rows = [(np.concatenate([half[i], half[i]]), Relation.EQ, 0.0) for i in range(m)]
-    objective = np.concatenate([np.zeros(n + 1), np.ones(n + 1)])
-    bounds = [Bound.nonnegative()] * (n + 1) + [Bound.box(0.0, 1.0)] * (n + 1)
+def _capped_mask(poly: Polyhedron, capped) -> np.ndarray:
+    if capped is None:
+        return ~poly.free
+    capped = np.asarray(capped, dtype=bool)
+    if capped.shape != poly.free.shape:
+        raise ValueError(f"capped mask has shape {capped.shape}, expected {poly.free.shape}")
+    if (capped & poly.free).any():
+        raise ValueError("a free coordinate cannot have a capped copy")
+    return capped
+
+
+def build_maximal_element_lp(poly: Polyhedron, capped=None) -> LinearProgram:
+    """The support-maximizing LP.
+
+    Columns are (x1_1..x1_n, w1, x2_j for each capped j in order, w2).
+    `capped` is a boolean mask over the coordinates; it defaults to every
+    sign-constrained coordinate and must not include a free one.
+    """
+    capped = _capped_mask(poly, capped)
+    m, n = poly.A_eq.shape
+    half = np.hstack([poly.A_eq, -poly.b_eq.reshape(m, 1)])
+    matrix = np.hstack([half, half[:, np.append(capped, True)]])
+    k = int(capped.sum())
+    objective = np.concatenate([np.zeros(n + 1), np.ones(k + 1)])
+    free, nonnegative = Bound.free(), Bound.nonnegative()
+    bounds = [free if f else nonnegative for f in poly.free] + [nonnegative] + [Bound.box(0.0, 1.0)] * (k + 1)
+    rows = [(row, Relation.EQ, 0.0) for row in matrix]
     return LinearProgram(Sense.MAXIMIZE, objective, rows=rows, bounds=bounds)
 
 
@@ -101,21 +131,26 @@ def recover_maximal_element(
     poly: Polyhedron,
     pos_tol: float = DEFAULT_POS_TOL,
     feas_tol: float = 1e-9,
+    capped=None,
 ) -> MaximalElement:
     """Normalize an optimal solution of the support-maximizing LP back into P.
 
-    Raises EmptyPolyhedron when the optimal scaling weight is zero, which is
-    the LP's certificate that P has no points at all.
+    `capped` must be the mask the LP was built with.  Raises EmptyPolyhedron
+    when the optimal scaling weight is zero, which is the LP's certificate
+    that P has no points at all.
     """
     if not outcome.is_optimal:
         raise ValueError(f"expected an optimal outcome, got {outcome.status}")
+    capped = _capped_mask(poly, capped)
     n = poly.num_coords
     z = outcome.point
-    w_total = float(z[n] + z[2 * n + 1])
+    w_total = float(z[n] + z[-1])
     if w_total <= feas_tol:
         raise EmptyPolyhedron("the polyhedron is empty (zero scaling weight at optimum)")
-    point = (z[:n] + z[n + 1 : 2 * n + 1]) / w_total
-    return MaximalElement(point, _support(point, pos_tol))
+    point = z[:n].copy()
+    point[capped] += z[n + 1 : -1]
+    point /= w_total
+    return MaximalElement(point, _support(point, pos_tol, poly.free))
 
 
 def find_relative_interior_point(
@@ -142,24 +177,26 @@ def coordinate_support_oracle(
     Maximizes each coordinate separately over P; by convexity the set of
     coordinates with positive maximum (unbounded counts as positive) equals
     the support of every relative interior point.  Much slower than the
-    single-LP route, deliberately so.
+    single-LP route, deliberately so.  Free coordinates are neither probed
+    nor reported.
     """
     if opts is None:
         opts = SolverOptions()
     n = poly.num_coords
     rows = [(poly.A_eq[i], Relation.EQ, poly.b_eq[i]) for i in range(poly.A_eq.shape[0])]
+    bounds = [Bound.free() if f else Bound.nonnegative() for f in poly.free]
 
-    probe = solve_lp(LinearProgram(Sense.MAXIMIZE, np.zeros(n), rows=rows), opts)
+    probe = solve_lp(LinearProgram(Sense.MAXIMIZE, np.zeros(n), rows=rows, bounds=bounds), opts)
     if probe.status is SolveStatus.INFEASIBLE:
         raise EmptyPolyhedron("the polyhedron is empty")
     if probe.status is SolveStatus.ITERATION_LIMIT:
         raise IterationLimitError("feasibility probe hit the iteration cap")
 
     support = set()
-    for j in range(n):
+    for j in np.flatnonzero(~poly.free).tolist():
         objective = np.zeros(n)
         objective[j] = 1.0
-        out = solve_lp(LinearProgram(Sense.MAXIMIZE, objective, rows=rows), opts)
+        out = solve_lp(LinearProgram(Sense.MAXIMIZE, objective, rows=rows, bounds=bounds), opts)
         if out.status is SolveStatus.UNBOUNDED:
             support.add(j + 1)
         elif out.status is SolveStatus.OPTIMAL:

@@ -332,7 +332,7 @@ def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floo
                 bland = True
 
 
-def _drive_out_artificials(A, b, cost, lo, hi, basis, stat, n_real):
+def _drive_out_artificials(A, lo, hi, basis, stat, n_real):
     """Swap basic artificial variables for real columns where a pivot exists.
 
     Every swap is a zero-step pivot (the artificial sits at value zero), so
@@ -425,7 +425,7 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions | None = None) -> LPOutcome:
     if float(cost1 @ x) > opts.feas_tol:
         return LPOutcome(SolveStatus.INFEASIBLE)
 
-    _drive_out_artificials(A1, b, cost1, lo1, hi1, basis, stat1, N)
+    _drive_out_artificials(A1, lo1, hi1, basis, stat1, N)
     lo1[N:] = 0.0
     hi1[N:] = 0.0  # artificials are frozen out of phase 2
     cost2 = np.concatenate([cost, np.zeros(m)])

@@ -17,8 +17,7 @@ def random_instance(seed, max_dim=6, total_cap=None, nonneg_objective=False):
     """A feasible, bounded, denominator-positive problem.
 
     `total_cap` limits n + m; `nonneg_objective` draws c >= 0 and alpha > 0,
-    which keeps the optimal value nonnegative (needed by the standard-form
-    dual face).
+    which keeps the optimal value positive.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, max_dim + 1))

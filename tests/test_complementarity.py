@@ -312,15 +312,30 @@ class TestRandomInstances:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_partition_matches_face_oracles(self, seed):
-        problem = random_instance(seed, total_cap=8, nonneg_objective=True)
-        m, n = problem.num_rows, problem.num_vars
-        sol = approach_one(problem)
-        partition = optimal_partitions(sol)
-        theta = sol.theta_star
-        primal_support = coordinate_support_oracle(primal_optimal_face(problem, theta))
-        dual_support = coordinate_support_oracle(dual_optimal_face(problem, theta))
-        assert partition.sigma_x == {j for j in primal_support if j <= n}
-        assert n + 1 in primal_support  # t is positive on the whole face
-        assert partition.sigma_u == {j - n - 1 for j in primal_support if j > n + 1}
-        assert partition.sigma_y == {i for i in dual_support if i <= m}
-        assert partition.sigma_v == {j - m - 1 for j in dual_support if j > m + 1}
+        assert_partition_matches_face_oracles(random_instance(seed, total_cap=8, nonneg_objective=True))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_partition_matches_face_oracles_negative_theta(self, seed):
+        # The numerator -(c.x + alpha) is negative on the whole region, so
+        # theta_star < 0 and the dual face's z coordinate is negative.
+        base = random_instance(seed, total_cap=8, nonneg_objective=True)
+        problem = LFPProblem(
+            A=base.A, b=base.b, c=-base.c, d=base.d, alpha=-base.alpha, beta=base.beta
+        )
+        assert solve_theta_star(problem) < 0
+        assert_partition_matches_face_oracles(problem)
+
+
+def assert_partition_matches_face_oracles(problem):
+    m, n = problem.num_rows, problem.num_vars
+    sol = approach_one(problem)
+    partition = optimal_partitions(sol)
+    theta = sol.theta_star
+    primal_support = coordinate_support_oracle(primal_optimal_face(problem, theta))
+    dual_support = coordinate_support_oracle(dual_optimal_face(problem, theta))
+    assert partition.sigma_x == {j for j in primal_support if j <= n}
+    assert n + 1 in primal_support  # t is positive on the whole face
+    assert partition.sigma_u == {j - n - 1 for j in primal_support if j > n + 1}
+    assert partition.sigma_y == {i for i in dual_support if i <= m}
+    assert m + 1 not in dual_support  # z is free, so never part of a support
+    assert partition.sigma_v == {j - m - 1 for j in dual_support if j > m + 1}

@@ -30,6 +30,8 @@ RAY = Polyhedron([[1.0, -1.0]], [0.0])  # {x >= 0 | x1 = x2}, unbounded
 ORIGIN_ONLY = Polyhedron(np.eye(2), np.zeros(2))  # {0}
 EMPTY = Polyhedron([[1.0]], [-1.0])  # x = -1 with x >= 0
 SIMPLEX3 = Polyhedron([[1.0, 1.0, 1.0]], [1.0])
+# {x1 - x2 + z = 0, z = -1} with z free: the ray x1 = x2 + 1, x2 >= 0.
+WITH_FREE = Polyhedron([[1.0, -1.0, 1.0], [0.0, 0.0, 1.0]], [0.0, -1.0], free=[False, False, True])
 
 
 class TestBuilder:
@@ -50,22 +52,45 @@ class TestBuilder:
             assert row.rhs == 0.0
 
     def test_matches_dedicated_face_builder(self, golden):
-        # Building the support-maximizing LP from the primal optimal face is
-        # the same construction as the dedicated builder, except the generic
-        # route also doubles the scaling coordinate t.  Dropping that one
-        # capped copy must reproduce the dedicated LP column for column.
+        # The dedicated builder is the support-maximizing LP of the primal
+        # optimal face with every coordinate but t capped: column for column.
         theta = solve_theta_star(golden)
         n, m = golden.num_vars, golden.num_rows
-        generic = build_maximal_element_lp(primal_optimal_face(golden, theta))
+        capped = np.ones(n + 1 + m, dtype=bool)
+        capped[n] = False
+        generic = build_maximal_element_lp(primal_optimal_face(golden, theta), capped)
         dedicated = build_primal_interior_lp(golden, theta)
-        coords = n + 1 + m
-        keep = [j for j in range(2 * coords + 2) if j != coords + 1 + n]
-        assert_allclose(generic.objective[keep], dedicated.objective)
+        assert generic.num_vars == dedicated.num_vars == 2 * (n + m) + 3
+        assert_allclose(generic.objective, dedicated.objective)
         assert len(generic.rows) == len(dedicated.rows)
         for g_row, d_row in zip(generic.rows, dedicated.rows):
-            assert_allclose(g_row.coeffs[keep], d_row.coeffs, atol=1e-12)
+            assert_allclose(g_row.coeffs, d_row.coeffs, atol=1e-12)
             assert g_row.relation is d_row.relation and g_row.rhs == d_row.rhs
-        assert tuple(generic.bounds[j] for j in keep) == dedicated.bounds
+        assert generic.bounds == dedicated.bounds
+
+    def test_free_coordinate_has_free_column_and_no_copy(self):
+        lp = build_maximal_element_lp(WITH_FREE)
+        assert lp.num_vars == 7  # (x1_1, x1_2, z, w1, x2_1, x2_2, w2)
+        assert lp.bounds[2] == Bound.free()
+        assert_allclose(lp.objective, [0, 0, 0, 0, 1, 1, 1])
+        assert_allclose(lp.rows[0].coeffs, [1, -1, 1, 0, 1, -1, 0])
+
+    def test_rejects_capped_free_coordinate(self):
+        with pytest.raises(ValueError, match="free coordinate"):
+            build_maximal_element_lp(WITH_FREE, capped=[True, True, True])
+
+    def test_rejects_capped_mask_of_wrong_length(self):
+        with pytest.raises(ValueError, match="capped mask"):
+            build_maximal_element_lp(SEGMENT, capped=[True])
+
+
+class TestPolyhedron:
+    def test_no_coordinate_free_by_default(self):
+        assert SEGMENT.free.tolist() == [False, False]
+
+    def test_rejects_free_mask_of_wrong_length(self):
+        with pytest.raises(ValueError, match="free mask"):
+            Polyhedron([[1.0, 1.0]], [1.0], free=[True])
 
 
 class TestRecover:
@@ -103,6 +128,12 @@ class TestFinder:
         assert element.point[0] > 0
         assert element.support == coordinate_support_oracle(RAY)
 
+    def test_free_coordinate_is_not_in_the_support(self):
+        element = find_relative_interior_point(WITH_FREE)
+        assert element.support == {1, 2}
+        assert element.point[2] == pytest.approx(-1.0, abs=1e-9)
+        assert element.point[0] - element.point[1] == pytest.approx(1.0, abs=1e-9)
+
     def test_origin_only(self):
         element = find_relative_interior_point(ORIGIN_ONLY)
         assert_allclose(element.point, [0.0, 0.0], atol=1e-12)
@@ -119,6 +150,9 @@ class TestOracle:
     def test_empty(self):
         with pytest.raises(EmptyPolyhedron):
             coordinate_support_oracle(EMPTY)
+
+    def test_free_coordinate_not_probed(self):
+        assert coordinate_support_oracle(WITH_FREE) == {1, 2}
 
     def test_golden_primal_face_blocks(self, golden):
         # Face coordinates are (xbar_1, xbar_2, t, ubar_1, ubar_2).
