@@ -5,8 +5,8 @@ approach(es), verifies complementarity and strictness, and writes one report
 to standard output, as text or as JSON.  Diagnostics go to standard error.
 
 Exit codes: 0 success, 2 empty region, 3 unbounded objective or failed
-denominator assumption, 4 input error, 5 numerical failure (iteration cap,
-degenerate recovery, failed verification).
+denominator assumption, 4 input error, 5 numerical failure (iteration cap or
+other simplex breakdown, degenerate recovery, failed verification).
 """
 
 from __future__ import annotations

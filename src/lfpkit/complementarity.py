@@ -249,7 +249,10 @@ def _solve_face(face: Polyhedron, capped, label: str, opts: SolverOptions) -> np
     # objective), so anything but OPTIMAL is a numerical breakdown.
     outcome = solve_lp(build_maximal_element_lp(face, capped), opts)
     if not outcome.is_optimal:
-        raise IterationLimitError(f"{label} solve ended with status {outcome.status.value}")
+        reason = outcome.detail or "a numerical breakdown, as the LP is feasible and bounded"
+        raise IterationLimitError(
+            f"{label} solve ended with status {outcome.status.value}: {reason}"
+        )
     return _face_point(face, outcome, capped, opts.feas_tol)
 
 

@@ -136,5 +136,5 @@ def solve_theta_star(problem: LFPProblem, opts: SolverOptions | None = None) -> 
     if out.status is SolveStatus.UNBOUNDED:
         raise UnboundedObjective("the ratio objective grows without bound")
     if out.status is SolveStatus.ITERATION_LIMIT:
-        raise IterationLimitError("the stage-1 solve hit the iteration cap")
+        raise IterationLimitError(f"the stage-1 solve stopped early: {out.detail}")
     return float(out.objective)

@@ -49,7 +49,8 @@ class PartitionViolation(LfpError):
 
 
 class IterationLimitError(LfpError):
-    """An internal LP solve hit its iteration cap."""
+    """An internal LP solve stopped without a verdict: it hit its iteration cap,
+    met a singular basis, or otherwise broke down numerically."""
 
 
 class NumericalWarning(UserWarning):

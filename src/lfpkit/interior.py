@@ -163,7 +163,7 @@ def find_relative_interior_point(
         opts = SolverOptions()
     out = solve_lp(build_maximal_element_lp(poly), opts)
     if out.status is SolveStatus.ITERATION_LIMIT:
-        raise IterationLimitError("maximal-element solve hit the iteration cap")
+        raise IterationLimitError(f"maximal-element solve stopped early: {out.detail}")
     return recover_maximal_element(out, poly, pos_tol, opts.feas_tol)
 
 
@@ -190,7 +190,7 @@ def coordinate_support_oracle(
     if probe.status is SolveStatus.INFEASIBLE:
         raise EmptyPolyhedron("the polyhedron is empty")
     if probe.status is SolveStatus.ITERATION_LIMIT:
-        raise IterationLimitError("feasibility probe hit the iteration cap")
+        raise IterationLimitError(f"feasibility probe stopped early: {probe.detail}")
 
     support = set()
     for j in np.flatnonzero(~poly.free).tolist():
@@ -203,5 +203,7 @@ def coordinate_support_oracle(
             if out.objective > pos_tol:
                 support.add(j + 1)
         else:
-            raise IterationLimitError(f"coordinate {j + 1} probe hit the iteration cap")
+            raise IterationLimitError(
+                f"coordinate {j + 1} probe ended with status {out.status.value}: {out.detail}"
+            )
     return frozenset(support)

@@ -12,6 +12,11 @@ Bland's rule once 2 * (rows + cols) degenerate steps have accumulated, which
 guarantees termination on the highly degenerate homogeneous systems this
 package builds.  All choices are index-deterministic: the same program and
 options always produce the same outcome.
+
+Pricing, the ratio test and the drive-out of artificials are numpy mask
+operations over whole columns and basic rows, with the tie-breaks a scan in
+index order would give.  The main cost per pivot is three dense solves with
+the basis matrix, which is factorized from scratch for each of them.
 """
 
 from __future__ import annotations
@@ -175,11 +180,18 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class LPOutcome:
-    """Solver verdict; `point` and `objective` are present iff OPTIMAL."""
+    """Solver verdict; `point` and `objective` are present iff OPTIMAL.
+
+    `detail` says why an ITERATION_LIMIT solve stopped: "iteration cap of N
+    reached", "singular basis after k pivots", or (a numerical breakdown, as
+    phase-1 objectives are bounded) "unbounded phase-1 ray after k pivots";
+    k counts the pivots of both phases.
+    """
 
     status: SolveStatus
     point: np.ndarray | None = None
     objective: float | None = None
+    detail: str | None = None
 
     @property
     def is_optimal(self) -> bool:
@@ -194,15 +206,9 @@ _PIVOT_TOL = 1e-10
 
 
 def _initial_status(lo, hi):
-    stat = np.empty(lo.size, dtype=np.int8)
-    for j in range(lo.size):
-        if math.isfinite(lo[j]):
-            stat[j] = _AT_LOWER
-        elif math.isfinite(hi[j]):
-            stat[j] = _AT_UPPER
-        else:
-            stat[j] = _AT_ZERO
-    return stat
+    return np.where(
+        np.isfinite(lo), _AT_LOWER, np.where(np.isfinite(hi), _AT_UPPER, _AT_ZERO)
+    ).astype(np.int8)
 
 
 def _nonbasic_point(lo, hi, stat):
@@ -215,78 +221,72 @@ def _nonbasic_point(lo, hi, stat):
     return x
 
 
-def _choose_entering(reduced, stat, lo, hi, opt_tol, bland):
+def _choose_entering(reduced, stat, fixed, opt_tol, bland):
     """Return (column, direction) of the entering variable, or (None, 0).
 
     Direction is the sign in which the entering variable moves.  Dantzig mode
     picks the largest optimality violation (lowest index on ties); Bland mode
-    picks the lowest eligible index.
+    picks the lowest eligible index.  Columns marked in `fixed` never enter.
     """
-    best_j, best_dir, best_viol = None, 0, opt_tol
-    for j in range(reduced.size):
-        s = stat[j]
-        if s == _BASIC or hi[j] - lo[j] <= 0.0:
-            continue
-        r = reduced[j]
-        if s == _AT_LOWER:
-            viol, direction = -r, 1
-        elif s == _AT_UPPER:
-            viol, direction = r, -1
-        else:  # free at zero: either sign of reduced cost is usable
-            viol, direction = abs(r), (1 if r < 0 else -1)
-        if viol <= (opt_tol if bland else best_viol):
-            continue
-        if bland:
-            return j, direction
-        best_j, best_dir, best_viol = j, direction, viol
-    return best_j, best_dir
+    # Violation by status: -r at a lower bound, r at an upper bound, |r| for a
+    # free variable at zero.
+    viol = np.where(stat == _AT_UPPER, reduced, -reduced)
+    np.abs(viol, out=viol, where=stat == _AT_ZERO)
+    viol[(stat == _BASIC) | fixed] = -math.inf
+    j = int((viol > opt_tol).argmax() if bland else viol.argmax())
+    if not viol[j] > opt_tol:
+        return None, 0
+    return j, (1 if reduced[j] < 0 else -1)
 
 
-def _ratio_test(x, w, basis, lo, hi, enter, direction, bland):
+def _ratio_test(xb, w, basis, lo, hi, enter, direction, bland):
     """Largest admissible step for the entering variable.
 
-    Returns (step, leave_pos, leave_to): `leave_pos` indexes into `basis`, or
-    is -1 for a bound flip of the entering variable itself; `step` is inf when
-    nothing blocks the move.
+    `xb` holds the values of the basic variables, in `basis` order.  Returns
+    (step, leave_pos, leave_to): `leave_pos` indexes into `basis`, or is -1
+    for a bound flip of the entering variable itself; `step` is inf when
+    nothing blocks the move.  Ties within 1e-11 relative of the minimum ratio
+    go to the largest |pivot| and then the lowest column index (Dantzig mode),
+    or to the lowest column index alone (Bland mode).
     """
     own = hi[enter] - lo[enter]  # inf unless the entering variable is boxed
-    limits = np.full(basis.size, math.inf)
-    targets = np.zeros(basis.size, dtype=np.int8)
-    for i in range(basis.size):
-        k = basis[i]
-        g = direction * w[i]  # rate at which x[k] decreases per unit step
-        if g > _PIVOT_TOL:
-            if math.isfinite(lo[k]):
-                limits[i] = max((x[k] - lo[k]) / g, 0.0)
-                targets[i] = _AT_LOWER
-        elif g < -_PIVOT_TOL:
-            if math.isfinite(hi[k]):
-                limits[i] = max((hi[k] - x[k]) / (-g), 0.0)
-                targets[i] = _AT_UPPER
+    g = w if direction > 0 else -w  # rate at which each basic variable decreases
+    mag = np.abs(g)
+    blocking = mag > _PIVOT_TOL
+    room = np.where(g > 0, xb - lo[basis], hi[basis] - xb)  # inf for an infinite bound
+    limits = np.where(blocking, room, math.inf) / np.where(blocking, mag, 1.0)
+    limits[limits < 0.0] = 0.0
     row_min = limits.min() if basis.size else math.inf
 
     if own <= row_min:
-        if math.isinf(own):
-            return math.inf, -1, 0
-        return own, -1, 0  # entering variable flips to its other bound
+        return own, -1, 0  # entering variable flips to its other bound, or inf
 
     tie = row_min + 1e-11 * (1.0 + row_min)
-    candidates = np.nonzero(limits <= tie)[0]
-    if bland:
-        pos = min(candidates, key=lambda i: basis[i])
+    candidates = (limits <= tie).nonzero()[0]
+    if candidates.size > 1:
+        if not bland:
+            top = mag[candidates]
+            candidates = candidates[top == top.max()]
+        pos = int(candidates[basis[candidates].argmin()])
     else:
-        pos = max(candidates, key=lambda i: (abs(w[i]), -basis[i]))
-    return row_min, pos, targets[pos]
+        pos = int(candidates[0])
+    return row_min, pos, (_AT_LOWER if g[pos] > 0 else _AT_UPPER)
 
 
 def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floor=None):
     """Iterate to optimality on one phase.  Mutates basis and stat.
 
     Returns (verdict, point, iterations_used) with verdict in "optimal",
-    "unbounded", "iteration_limit".  `phase1_floor` enables the early exit for
+    "unbounded", "iteration_limit", "singular" (a basis matrix that
+    np.linalg.solve rejects).  `phase1_floor` enables the early exit for
     phase-1 objectives, which are bounded below by zero.
+
+    Pricing and the ratio test are numpy mask operations over all columns and
+    basic rows, with index-deterministic tie-breaks; the three dense solves
+    with B per pivot are the main cost.
     """
     m = A.shape[0]
+    fixed = hi - lo <= 0.0
     bland = False
     degenerate = 0
     bland_trigger = 2 * (m + A.shape[1])
@@ -296,25 +296,24 @@ def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floo
         if m:
             B = A[:, basis]
             try:
-                x[basis] = np.linalg.solve(B, b - A @ x)
+                x[basis] = xb = np.linalg.solve(B, b - A @ x)
                 y = np.linalg.solve(B.T, cost[basis])
             except np.linalg.LinAlgError:
-                return "iteration_limit", x, used
+                return "singular", x, used
             reduced = cost - A.T @ y
         else:
-            B = None
-            reduced = cost.copy()
+            xb, reduced = x[basis], cost
 
         if phase1_floor is not None and float(cost @ x) <= phase1_floor:
             return "optimal", x, used
-        enter, direction = _choose_entering(reduced, stat, lo, hi, opts.opt_tol, bland)
+        enter, direction = _choose_entering(reduced, stat, fixed, opts.opt_tol, bland)
         if enter is None:
             return "optimal", x, used
         if used >= iter_budget:
             return "iteration_limit", x, used
 
         w = np.linalg.solve(B, A[:, enter]) if m else np.empty(0)
-        step, leave_pos, leave_to = _ratio_test(x, w, basis, lo, hi, enter, direction, bland)
+        step, leave_pos, leave_to = _ratio_test(xb, w, basis, lo, hi, enter, direction, bland)
         if math.isinf(step):
             return "unbounded", x, used
 
@@ -337,8 +336,10 @@ def _drive_out_artificials(A, lo, hi, basis, stat, n_real):
 
     Every swap is a zero-step pivot (the artificial sits at value zero), so
     feasibility is untouched.  Artificials left behind mark redundant rows and
-    stay basic, pinned at zero by their bounds.
+    stay basic, pinned at zero by their bounds.  Each swap takes the movable
+    nonbasic real column with the largest |pivot|, the lowest index on ties.
     """
+    fixed = hi[:n_real] - lo[:n_real] <= 0.0
     for pos in range(basis.size):
         if basis[pos] < n_real:
             continue
@@ -349,17 +350,24 @@ def _drive_out_artificials(A, lo, hi, basis, stat, n_real):
             g = np.linalg.solve(B.T, e)
         except np.linalg.LinAlgError:
             continue
-        row = g @ A[:, :n_real]
-        best, best_mag = -1, _PIVOT_TOL
-        for j in range(n_real):
-            if stat[j] == _BASIC or hi[j] - lo[j] <= 0.0:
-                continue
-            if abs(row[j]) > best_mag:
-                best, best_mag = j, abs(row[j])
-        if best >= 0:
+        mag = np.abs(g @ A[:, :n_real])
+        mag[fixed | (stat[:n_real] == _BASIC)] = 0.0
+        best = int(mag.argmax())
+        if mag[best] > _PIVOT_TOL:
             stat[best] = _BASIC
             stat[basis[pos]] = _AT_LOWER
             basis[pos] = best
+
+
+def _stopped(verdict, pivots, iter_budget) -> LPOutcome:
+    """The ITERATION_LIMIT outcome of a simplex run that ended without a verdict."""
+    if verdict == "singular":
+        detail = f"singular basis after {pivots} pivots"
+    elif verdict == "iteration_limit":
+        detail = f"iteration cap of {iter_budget} reached"
+    else:  # a ray in phase 1, whose objective is bounded below by zero
+        detail = f"unbounded phase-1 ray after {pivots} pivots"
+    return LPOutcome(SolveStatus.ITERATION_LIMIT, detail=detail)
 
 
 def solve_lp(lp: LinearProgram, opts: SolverOptions | None = None) -> LPOutcome:
@@ -419,9 +427,7 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions | None = None) -> LPOutcome:
         phase1_floor=opts.feas_tol * 1e-3,
     )
     if verdict != "optimal":
-        # Phase-1 objectives are bounded below by zero, so "unbounded" here is
-        # as much a numerical breakdown as hitting the cap.
-        return LPOutcome(SolveStatus.ITERATION_LIMIT)
+        return _stopped(verdict, used, iter_budget)
     if float(cost1 @ x) > opts.feas_tol:
         return LPOutcome(SolveStatus.INFEASIBLE)
 
@@ -433,10 +439,10 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions | None = None) -> LPOutcome:
     verdict, x, more = _run_simplex(
         A1, b, cost2, lo1, hi1, basis, stat1, opts, iter_budget - used,
     )
-    if verdict == "iteration_limit":
-        return LPOutcome(SolveStatus.ITERATION_LIMIT)
     if verdict == "unbounded":
         return LPOutcome(SolveStatus.UNBOUNDED)
+    if verdict != "optimal":
+        return _stopped(verdict, used + more, iter_budget)
 
     point = x[:n].copy()
     point.setflags(write=False)

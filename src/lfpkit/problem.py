@@ -162,7 +162,7 @@ def validate_denominator(problem: LFPProblem, opts: SolverOptions | None = None)
     if out.status is SolveStatus.UNBOUNDED:
         raise UnboundedValidation("the denominator has no lower bound on the region")
     if out.status is SolveStatus.ITERATION_LIMIT:
-        raise IterationLimitError("denominator validation hit the iteration cap")
+        raise IterationLimitError(f"denominator validation stopped early: {out.detail}")
     return float(out.objective + problem.beta)
 
 

@@ -1,0 +1,47 @@
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("compare_reports", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_dumps_of_one_checkout_do_not_differ(tmp_path):
+    tool = load_tool()
+    for name in ("a.json", "b.json"):
+        args = ["dump", "--workloads", "batch-small", "--seeds", "1", "--limit", "5"]
+        assert tool.main([*args, "--out", str(tmp_path / name)]) == 0
+    records = json.loads((tmp_path / "a.json").read_text())
+    assert [r["name"] for r in records] == [f"small-{k:03d}" for k in range(5)]
+    assert all("timings" not in r["report"] for r in records)
+    assert tool.main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
+
+
+def test_diff_counts_every_kind_of_difference():
+    tool = load_tool()
+    report = {"status": "ok", "theta_star": 1.0}
+    before = [
+        {"workload": "w", "seed": 1, "name": "same", "code": 0, "report": report},
+        {"workload": "w", "seed": 1, "name": "error", "code": 5,
+         "report": {"status": "numerical_failure", "error": "old"}},
+        {"workload": "w", "seed": 1, "name": "value", "code": 0, "report": report},
+        {"workload": "w", "seed": 1, "name": "gone", "code": 0, "report": report},
+    ]
+    after = [
+        before[0],
+        {**before[1], "report": {"status": "numerical_failure", "error": "new"}},
+        {**before[2], "code": 5, "report": {**report, "theta_star": 2.0}},
+    ]
+    out = io.StringIO()
+    assert tool.diff(before, after, out) == 4
+    text = out.getvalue()
+    assert "only in before: w/1/gone" in text
+    assert "w: 3 compared, 2 reports differ (1 only in error text), 1 exit-code changes" in text
+    assert "failures 1 -> 2" in text

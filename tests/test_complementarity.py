@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lfpkit.complementarity as complementarity_module
 from lfpkit import (
     Bound,
     DualPoint,
+    IterationLimitError,
     LFPProblem,
+    LPOutcome,
     NumericalWarning,
     PartitionViolation,
     PrimalPoint,
+    SolveStatus,
     StrictComplementarySolution,
     approach_one,
     approach_two,
@@ -183,6 +187,25 @@ class TestApproachOne:
         theta = solve_theta_star(golden)
         sol = approach_one(golden, theta_star=theta)
         assert sol.theta_star == theta
+
+    @pytest.mark.parametrize(
+        "outcome, message",
+        [
+            (
+                LPOutcome(SolveStatus.ITERATION_LIMIT, detail="singular basis after 7 pivots"),
+                "primal face solve ended with status iteration_limit: "
+                "singular basis after 7 pivots",
+            ),
+            (
+                LPOutcome(SolveStatus.UNBOUNDED),
+                "primal face solve ended with status unbounded: a numerical breakdown",
+            ),
+        ],
+    )
+    def test_face_solve_failure_names_its_cause(self, golden, monkeypatch, outcome, message):
+        monkeypatch.setattr(complementarity_module, "solve_lp", lambda lp, opts: outcome)
+        with pytest.raises(IterationLimitError, match=message):
+            approach_one(golden, theta_star=THETA_GOLDEN)
 
 
 class TestApproachTwo:

@@ -8,8 +8,10 @@ from lfpkit import (
     Bound,
     DegenerateT,
     InfeasibleRegion,
+    IterationLimitError,
     LFPProblem,
     Relation,
+    SolverOptions,
     TransformedPoint,
     build_dual_lp,
     build_transformed_lp,
@@ -131,6 +133,11 @@ class TestThetaStar:
             alpha=golden.beta, beta=golden.beta,
         )
         assert solve_theta_star(problem) == pytest.approx(1.0, abs=1e-9)
+
+    def test_iteration_cap_is_named(self, golden):
+        message = "stage-1 solve stopped early: iteration cap of 1 reached"
+        with pytest.raises(IterationLimitError, match=message):
+            solve_theta_star(golden, SolverOptions(max_iters=1))
 
     def test_empty_region(self):
         problem = LFPProblem(A=[[1.0]], b=[-1.0], c=[1.0], d=[1.0], alpha=0.0, beta=1.0)

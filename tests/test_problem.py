@@ -9,10 +9,12 @@ from numpy.testing import assert_allclose
 from lfpkit import (
     DimensionError,
     InfeasibleRegion,
+    IterationLimitError,
     LFPProblem,
     NonpositiveDenominator,
     ParseError,
     PrimalPoint,
+    SolverOptions,
     UnboundedValidation,
     evaluate_objective,
     parse_problem,
@@ -77,6 +79,11 @@ class TestValidateDenominator:
     def test_constant_denominator(self):
         problem = LFPProblem(A=[[1.0]], b=[1.0], c=[1.0], d=[0.0], alpha=0.0, beta=1.0)
         assert validate_denominator(problem) == pytest.approx(1.0)
+
+    def test_iteration_cap_is_named(self, golden):
+        message = "validation stopped early: iteration cap of 1 reached"
+        with pytest.raises(IterationLimitError, match=message):
+            validate_denominator(golden, SolverOptions(max_iters=1))
 
     def test_empty_region(self):
         problem = LFPProblem(A=[[1.0]], b=[-1.0], c=[1.0], d=[1.0], alpha=0.0, beta=1.0)

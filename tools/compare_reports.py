@@ -1,0 +1,132 @@
+"""Same-behaviour check for `lfp-solve`: dump its reports at one checkout, diff two dumps.
+
+    python3 tools/compare_reports.py dump --workloads batch-small joint-medium \\
+        degenerate-mixed --seeds 1 2 3 --out before.json [--limit N]
+    python3 tools/compare_reports.py diff before.json after.json
+
+`dump` writes the instances that `perfbench/generate.py` makes for each
+workload and seed (the first N of each with `--limit`), runs
+`lfpkit.cli.run` on each with `--approach both --format json
+--validate-denominator`, and records the exit code and the JSON report minus
+its `timings`.  The package is imported from the `src/` next to this script,
+so run the script of the checkout you want to measure.
+
+`diff` matches instances by workload, seed and name and prints, per workload,
+the instances compared, the reports that differ (and how many of those differ
+only in their `error` text), the exit-code changes and the failures (nonzero
+exits) on each side.  It exits 1 on any difference, 0 otherwise.
+"""
+
+import os
+
+# One BLAS thread, as in the benchmark, before numpy is imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import generate  # noqa: E402
+from lfpkit import cli  # noqa: E402
+
+CLI_ARGS = ("--approach", "both", "--format", "json", "--validate-denominator")
+
+
+def run_instance(path: Path) -> dict:
+    """Exit code and JSON report (without `timings`) of one `lfp-solve` call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(["--input", str(path), *CLI_ARGS])
+    report = json.loads(out.getvalue())
+    report.pop("timings", None)
+    return {"code": code, "report": report}
+
+
+def dump(workloads, seeds, limit=None) -> list:
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in workloads:
+            for seed in seeds:
+                for name, data in generate.instances(workload, seed)[:limit]:
+                    path = Path(tmp) / f"{name}.json"
+                    path.write_text(generate.to_json(data))
+                    records.append({"workload": workload, "seed": seed, "name": name,
+                                    **run_instance(path)})
+    return records
+
+
+def diff(before: list, after: list, out=sys.stdout) -> int:
+    """Print per-workload differences between two dumps; returns the number found."""
+    key = lambda r: (r["workload"], r["seed"], r["name"])  # noqa: E731
+    old = {key(r): r for r in before}
+    new = {key(r): r for r in after}
+    differences = 0
+    for k in sorted(old.keys() ^ new.keys()):
+        print(f"only in {'before' if k in old else 'after'}: {'/'.join(map(str, k))}", file=out)
+        differences += 1
+    for workload in sorted({k[0] for k in old.keys() | new.keys()}):
+        shared = sorted(k for k in old.keys() & new.keys() if k[0] == workload)
+        reports = errors_only = codes = 0
+        for k in shared:
+            a, b = old[k], new[k]
+            if a["code"] != b["code"]:
+                codes += 1
+                print(f"  exit code {a['code']} -> {b['code']}: {'/'.join(map(str, k))}", file=out)
+            if _canonical(a["report"]) != _canonical(b["report"]):
+                reports += 1
+                a_rest = {f: v for f, v in a["report"].items() if f != "error"}
+                b_rest = {f: v for f, v in b["report"].items() if f != "error"}
+                if _canonical(a_rest) == _canonical(b_rest):
+                    errors_only += 1
+                else:
+                    print(f"  report differs: {'/'.join(map(str, k))}", file=out)
+        failed_before = sum(old[k]["code"] != 0 for k in shared)
+        failed_after = sum(new[k]["code"] != 0 for k in shared)
+        print(
+            f"{workload}: {len(shared)} compared, {reports} reports differ "
+            f"({errors_only} only in error text), {codes} exit-code changes, "
+            f"failures {failed_before} -> {failed_after}",
+            file=out,
+        )
+        differences += reports + codes
+    return differences
+
+
+def _canonical(doc) -> str:
+    # Text, so that a NaN compares equal to itself.
+    return json.dumps(doc, sort_keys=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    d = sub.add_parser("dump", help="run lfp-solve on generated instances and save the reports")
+    d.add_argument("--workloads", nargs="+", choices=generate.WORKLOADS, required=True)
+    d.add_argument("--seeds", nargs="+", type=int, required=True)
+    d.add_argument("--limit", type=int, help="first N instances of each workload and seed")
+    d.add_argument("--out", type=Path, required=True)
+    c = sub.add_parser("diff", help="compare two dumps; exit 1 on any difference")
+    c.add_argument("before", type=Path)
+    c.add_argument("after", type=Path)
+    args = parser.parse_args(argv)
+
+    if args.command == "dump":
+        records = dump(args.workloads, args.seeds, args.limit)
+        args.out.write_text(json.dumps(records, sort_keys=True) + "\n")
+        print(f"{len(records)} instances written to {args.out}")
+        return 0
+    before = json.loads(args.before.read_text())
+    after = json.loads(args.after.read_text())
+    return 1 if diff(before, after) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
