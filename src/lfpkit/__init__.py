@@ -59,11 +59,8 @@ from .interior import (
     recover_maximal_element,
 )
 from .lp import (
-    Bound,
     LinearProgram,
     LPOutcome,
-    Relation,
-    Row,
     Sense,
     SolveStatus,
     SolverOptions,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import warnings
@@ -42,6 +43,7 @@ from .errors import (
     UnboundedObjective,
     UnboundedValidation,
 )
+from .interior import DEFAULT_POS_TOL
 from .lp import SolverOptions
 from .problem import load_problem, validate_denominator
 
@@ -212,8 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--approach", choices=("one", "two", "both"), default="both",
         help="which solution procedure to run (default: both, with a partition cross-check)",
     )
-    parser.add_argument("--tol", type=float, default=1e-9, help="feasibility/optimality tolerance (default 1e-9)")
-    parser.add_argument("--pos-tol", type=float, default=1e-7, help="support positivity threshold (default 1e-7)")
+    parser.add_argument(
+        "--tol", type=float, default=SolverOptions.feas_tol,
+        help="feasibility/optimality tolerance (default %(default)g)",
+    )
+    parser.add_argument(
+        "--pos-tol", type=float, default=DEFAULT_POS_TOL,
+        help="support positivity threshold (default %(default)g)",
+    )
     parser.add_argument("--format", choices=("text", "json"), default="text", help="report format (default text)")
     parser.add_argument(
         "--validate-denominator", action="store_true",
@@ -260,6 +268,8 @@ def run(argv) -> int:
         except OSError as exc:
             raise ParseError(f"cannot read {args.input}: {exc}") from None
         opts = SolverOptions(feas_tol=args.tol, opt_tol=args.tol)
+        if not (math.isfinite(args.pos_tol) and args.pos_tol > 0):
+            raise ValueError(f"--pos-tol must be finite and positive, got {args.pos_tol!r}")
 
         if args.validate_denominator:
             report.denominator_min = validate_denominator(problem, opts)

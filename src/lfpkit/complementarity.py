@@ -32,7 +32,7 @@ import numpy as np
 
 from .duality import TransformedPoint, charnes_cooper_inverse, solve_theta_star
 from .errors import DegenerateNormalizer, EmptyPolyhedron, IterationLimitError, NumericalWarning, PartitionViolation
-from .interior import Polyhedron, build_maximal_element_lp, recover_maximal_element
+from .interior import DEFAULT_POS_TOL, Polyhedron, build_maximal_element_lp, recover_maximal_element
 from .lp import LinearProgram, LPOutcome, SolverOptions, solve_lp
 from .problem import DualPoint, LFPProblem, PrimalPoint
 
@@ -56,7 +56,6 @@ __all__ = [
     "joint_optimal_face",
 ]
 
-DEFAULT_POS_TOL = 1e-7
 DEFAULT_CSC_TOL = 1e-7
 
 

@@ -30,7 +30,7 @@ from .errors import (
     NonpositiveDenominator,
     UnboundedObjective,
 )
-from .lp import Bound, LinearProgram, Relation, Sense, SolveStatus, SolverOptions, solve_lp
+from .lp import LinearProgram, Sense, SolveStatus, SolverOptions, solve_lp
 from .problem import LFPProblem, PrimalPoint
 
 __all__ = [
@@ -83,40 +83,35 @@ def charnes_cooper_inverse(tp: TransformedPoint, feas_tol: float = 1e-9) -> Prim
 
 def build_transformed_lp(problem: LFPProblem) -> LinearProgram:
     """LP over (xbar_1..xbar_n, t): maximize c.xbar + alpha t on the scaled region."""
-    n = problem.num_vars
-    rows = [
-        (np.concatenate([problem.A[i], [-problem.b[i]]]), Relation.LE, 0.0)
-        for i in range(problem.num_rows)
-    ]
-    rows.append((np.concatenate([problem.d, [problem.beta]]), Relation.EQ, 1.0))
     return LinearProgram(
         Sense.MAXIMIZE,
-        np.concatenate([problem.c, [problem.alpha]]),
-        rows=rows,
-        bounds=[Bound.nonnegative()] * (n + 1),
+        np.append(problem.c, problem.alpha),
+        A_ub=np.hstack([problem.A, -problem.b[:, None]]),
+        b_ub=np.zeros(problem.num_rows),
+        A_eq=np.append(problem.d, problem.beta)[None, :],
+        b_eq=[1.0],
     )
 
 
 def build_dual_lp(problem: LFPProblem) -> LinearProgram:
     """LP over (y_1..y_m, z): minimize z subject to dual feasibility.
 
-    The normalization row -b.y + beta z = alpha is kept as an equality: its
+    The rows A'y + d z >= c are stored negated, as -(A'y + d z) <= -c.  The
+    normalization row -b.y + beta z = alpha is kept as an equality: its
     primal counterpart t is positive at optimality, so the inequality form
     would be tight anyway.
     """
     m = problem.num_rows
-    rows = [
-        (np.concatenate([problem.A[:, j], [problem.d[j]]]), Relation.GE, problem.c[j])
-        for j in range(problem.num_vars)
-    ]
-    rows.append((np.concatenate([-problem.b, [problem.beta]]), Relation.EQ, problem.alpha))
     objective = np.zeros(m + 1)
     objective[m] = 1.0
     return LinearProgram(
         Sense.MINIMIZE,
         objective,
-        rows=rows,
-        bounds=[Bound.nonnegative()] * m + [Bound.free()],
+        A_ub=-np.hstack([problem.A.T, problem.d[:, None]]),
+        b_ub=-problem.c,
+        A_eq=np.append(-problem.b, problem.beta)[None, :],
+        b_eq=[problem.alpha],
+        lo=np.append(np.zeros(m), -np.inf),
     )
 
 

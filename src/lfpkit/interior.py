@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPolyhedron, IterationLimitError
-from .lp import Bound, LinearProgram, LPOutcome, Relation, Sense, SolveStatus, SolverOptions, solve_lp
+from .lp import LinearProgram, LPOutcome, Sense, SolveStatus, SolverOptions, solve_lp
 
 __all__ = [
     "Polyhedron",
@@ -117,13 +117,15 @@ def build_maximal_element_lp(poly: Polyhedron, capped=None) -> LinearProgram:
     capped = _capped_mask(poly, capped)
     m, n = poly.A_eq.shape
     half = np.hstack([poly.A_eq, -poly.b_eq.reshape(m, 1)])
-    matrix = np.hstack([half, half[:, np.append(capped, True)]])
     k = int(capped.sum())
-    objective = np.concatenate([np.zeros(n + 1), np.ones(k + 1)])
-    free, nonnegative = Bound.free(), Bound.nonnegative()
-    bounds = [free if f else nonnegative for f in poly.free] + [nonnegative] + [Bound.box(0.0, 1.0)] * (k + 1)
-    rows = [(row, Relation.EQ, 0.0) for row in matrix]
-    return LinearProgram(Sense.MAXIMIZE, objective, rows=rows, bounds=bounds)
+    return LinearProgram(
+        Sense.MAXIMIZE,
+        np.concatenate([np.zeros(n + 1), np.ones(k + 1)]),
+        A_eq=np.hstack([half, half[:, np.append(capped, True)]]),
+        b_eq=np.zeros(m),
+        lo=np.concatenate([np.where(poly.free, -np.inf, 0.0), np.zeros(k + 2)]),
+        hi=np.concatenate([np.full(n + 1, np.inf), np.ones(k + 1)]),
+    )
 
 
 def recover_maximal_element(
@@ -183,10 +185,12 @@ def coordinate_support_oracle(
     if opts is None:
         opts = SolverOptions()
     n = poly.num_coords
-    rows = [(poly.A_eq[i], Relation.EQ, poly.b_eq[i]) for i in range(poly.A_eq.shape[0])]
-    bounds = [Bound.free() if f else Bound.nonnegative() for f in poly.free]
+    lo = np.where(poly.free, -np.inf, 0.0)
 
-    probe = solve_lp(LinearProgram(Sense.MAXIMIZE, np.zeros(n), rows=rows, bounds=bounds), opts)
+    def maximize(objective):
+        return solve_lp(LinearProgram(Sense.MAXIMIZE, objective, A_eq=poly.A_eq, b_eq=poly.b_eq, lo=lo), opts)
+
+    probe = maximize(np.zeros(n))
     if probe.status is SolveStatus.INFEASIBLE:
         raise EmptyPolyhedron("the polyhedron is empty")
     if probe.status is SolveStatus.ITERATION_LIMIT:
@@ -196,7 +200,7 @@ def coordinate_support_oracle(
     for j in np.flatnonzero(~poly.free).tolist():
         objective = np.zeros(n)
         objective[j] = 1.0
-        out = solve_lp(LinearProgram(Sense.MAXIMIZE, objective, rows=rows, bounds=bounds), opts)
+        out = maximize(objective)
         if out.status is SolveStatus.UNBOUNDED:
             support.add(j + 1)
         elif out.status is SolveStatus.OPTIMAL:

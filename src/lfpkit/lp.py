@@ -1,11 +1,15 @@
 """Dense two-phase simplex solver for small linear programs.
 
-The solver accepts equality and inequality rows together with per-variable
-bounds (nonnegative, boxed, or free).  Free variables are kept as single
-columns that may move in either direction; box bounds are handled with the
-usual bounded-variable ratio test (including bound flips) instead of extra
-rows.  Phase 1 minimizes the total artificial infeasibility; phase 2 then
-optimizes the real objective from the feasible basis phase 1 produced.
+A `LinearProgram` holds its data as arrays in scipy `linprog`'s layout: an
+inequality block `A_ub x <= b_ub`, an equality block `A_eq x = b_eq` and
+per-variable bounds `lo <= x <= hi` (nonnegative by default; boxed, one-sided
+or free as given).  `solve_lp` stacks them into `[[A_ub, I], [A_eq, 0]]`,
+one slack column per inequality row, with inequality rows first.  Free
+variables are kept as single columns that may move in either direction; box
+bounds are handled with the usual bounded-variable ratio test (including
+bound flips) instead of extra rows.  Phase 1 minimizes the total artificial
+infeasibility; phase 2 then optimizes the real objective from the feasible
+basis phase 1 produced.
 
 Pivoting uses Dantzig's rule with a largest-pivot tie-break, switching to
 Bland's rule once 2 * (rows + cols) degenerate steps have accumulated, which
@@ -29,9 +33,6 @@ import numpy as np
 
 __all__ = [
     "Sense",
-    "Relation",
-    "Bound",
-    "Row",
     "LinearProgram",
     "SolverOptions",
     "SolveStatus",
@@ -45,98 +46,70 @@ class Sense(Enum):
     MINIMIZE = "min"
 
 
-class Relation(Enum):
-    LE = "<="
-    EQ = "="
-    GE = ">="
-
-
-@dataclass(frozen=True)
-class Bound:
-    """Closed interval a single variable must stay in; infinities allowed."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("bounds must not be NaN")
-        if self.lo > self.hi:
-            raise ValueError(f"empty bound interval [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def nonnegative(cls) -> "Bound":
-        return cls(0.0, math.inf)
-
-    @classmethod
-    def box(cls, lo: float, hi: float) -> "Bound":
-        return cls(float(lo), float(hi))
-
-    @classmethod
-    def free(cls) -> "Bound":
-        return cls(-math.inf, math.inf)
-
-    @property
-    def is_fixed(self) -> bool:
-        return self.lo == self.hi
-
-
-@dataclass(frozen=True)
-class Row:
-    """One linear constraint: coeffs . x  <relation>  rhs."""
-
-    coeffs: np.ndarray
-    relation: Relation
-    rhs: float
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "relation", Relation(self.relation))
-        object.__setattr__(self, "rhs", float(self.rhs))
+def _frozen(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """A dense LP: optimize `objective . x` subject to rows and variable bounds.
+    """A dense LP in scipy `linprog`'s layout: optimize `objective . x` subject to
 
-    `rows` may be given as Row objects or (coeffs, relation, rhs) tuples, with
-    the relation as a Relation or one of "<=", "=", ">=".  `bounds` defaults to
-    nonnegative for every variable.
+        A_ub x <= b_ub,   A_eq x = b_eq,   lo <= x <= hi.
+
+    A block that is not given is stored as a (0, n) array with an empty
+    right-hand side; `lo` defaults to 0 and `hi` to +inf for every variable.
+    A `>=` row is written as its negation.  Every array is stored as a
+    read-only float copy.
     """
 
     sense: Sense
     objective: np.ndarray
-    rows: tuple
-    bounds: tuple | None = None
+    A_ub: np.ndarray | None = None
+    b_ub: np.ndarray | None = None
+    A_eq: np.ndarray | None = None
+    b_eq: np.ndarray | None = None
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
 
     def __post_init__(self):
-        objective = np.asarray(self.objective, dtype=float)
+        objective = _frozen(self.objective)
         if objective.ndim != 1 or objective.size == 0:
             raise ValueError("objective must be a non-empty vector")
-        if not np.all(np.isfinite(objective)):
+        if not np.isfinite(objective).all():
             raise ValueError("objective has a non-finite entry")
-        objective.setflags(write=False)
         object.__setattr__(self, "objective", objective)
-
-        rows = tuple(r if isinstance(r, Row) else Row(*r) for r in self.rows)
         n = objective.size
-        for i, row in enumerate(rows):
-            if row.coeffs.shape != (n,):
-                raise ValueError(f"row {i} has {row.coeffs.size} coefficients, expected {n}")
-            if not np.all(np.isfinite(row.coeffs)) or not math.isfinite(row.rhs):
-                raise ValueError(f"row {i} has a non-finite entry")
-        object.__setattr__(self, "rows", rows)
 
-        bounds = self.bounds
-        if bounds is None:
-            bounds = tuple(Bound.nonnegative() for _ in range(n))
-        else:
-            bounds = tuple(bounds)
-            if len(bounds) != n:
-                raise ValueError(f"{len(bounds)} bounds for {n} variables")
-        object.__setattr__(self, "bounds", bounds)
+        for block, rhs in (("A_ub", "b_ub"), ("A_eq", "b_eq")):
+            A, b = getattr(self, block), getattr(self, rhs)
+            if b is None and A is not None:
+                raise ValueError(f"{block} is given without {rhs}")
+            A = _frozen(np.empty((0, n)) if A is None else A)
+            b = _frozen(() if b is None else b)
+            if A.ndim != 2 or A.shape[1] != n:
+                raise ValueError(f"{block} has shape {A.shape}, expected (rows, {n})")
+            if b.shape != (A.shape[0],):
+                raise ValueError(f"{rhs} has shape {b.shape}, expected ({A.shape[0]},)")
+            if not (np.isfinite(A).all() and np.isfinite(b).all()):
+                raise ValueError(f"{block} or {rhs} has a non-finite entry")
+            object.__setattr__(self, block, A)
+            object.__setattr__(self, rhs, b)
+
+        lo = _frozen(np.zeros(n) if self.lo is None else self.lo)
+        hi = _frozen(np.full(n, math.inf) if self.hi is None else self.hi)
+        for name, bound in (("lo", lo), ("hi", hi)):
+            if bound.shape != (n,):
+                raise ValueError(f"{name} has shape {bound.shape}, expected ({n},)")
+            if np.isnan(bound).any():
+                raise ValueError(f"{name} has a NaN entry")
+        empty = np.flatnonzero(lo > hi)
+        if empty.size:
+            j = int(empty[0])
+            raise ValueError(f"empty bound interval [{lo[j]}, {hi[j]}] for variable {j}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def num_vars(self) -> int:
@@ -144,7 +117,7 @@ class LinearProgram:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return self.b_ub.size + self.b_eq.size
 
 
 @dataclass(frozen=True)
@@ -160,8 +133,9 @@ class SolverOptions:
     max_iters: int | None = None
 
     def __post_init__(self):
-        if not self.feas_tol > 0 or not self.opt_tol > 0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.feas_tol, self.opt_tol):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"tolerances must be finite and positive, got {tol!r}")
         if self.max_iters is not None and self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
 
@@ -382,28 +356,17 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions | None = None) -> LPOutcome:
         opts = SolverOptions()
     n = lp.num_vars
     m = lp.num_rows
-    n_slack = sum(1 for r in lp.rows if r.relation is not Relation.EQ)
+    n_slack = lp.b_ub.size
     N = n + n_slack
 
+    # [[A_ub, I], [A_eq, 0]]: one slack column per inequality row.
     A = np.zeros((m, N))
-    b = np.empty(m)
-    lo = np.empty(N)
-    hi = np.empty(N)
-    for j, bd in enumerate(lp.bounds):
-        lo[j], hi[j] = bd.lo, bd.hi
-    lo[n:] = 0.0
-    hi[n:] = math.inf
-
-    slack = n
-    for i, row in enumerate(lp.rows):
-        coeffs, rhs = row.coeffs, row.rhs
-        if row.relation is Relation.GE:  # normalize to <= by negation
-            coeffs, rhs = -coeffs, -rhs
-        A[i, :n] = coeffs
-        b[i] = rhs
-        if row.relation is not Relation.EQ:
-            A[i, slack] = 1.0
-            slack += 1
+    A[:n_slack, :n] = lp.A_ub
+    A[n_slack:, :n] = lp.A_eq
+    A[:n_slack, n:] = np.eye(n_slack)
+    b = np.concatenate([lp.b_ub, lp.b_eq])
+    lo = np.concatenate([lp.lo, np.zeros(n_slack)])
+    hi = np.concatenate([lp.hi, np.full(n_slack, math.inf)])
 
     cost = np.zeros(N)
     cost[:n] = lp.objective if lp.sense is Sense.MINIMIZE else -lp.objective
@@ -412,10 +375,7 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions | None = None) -> LPOutcome:
     # Phase 1: artificial column per row, signed so artificials start >= 0.
     stat = _initial_status(lo, hi)
     resid = b - A @ _nonbasic_point(lo, hi, stat)
-    art = np.zeros((m, m))
-    for i in range(m):
-        art[i, i] = 1.0 if resid[i] >= 0 else -1.0
-    A1 = np.hstack([A, art])
+    A1 = np.hstack([A, np.diag(np.where(resid >= 0, 1.0, -1.0))])
     lo1 = np.concatenate([lo, np.zeros(m)])
     hi1 = np.concatenate([hi, np.full(m, math.inf)])
     cost1 = np.concatenate([np.zeros(N), np.ones(m)])

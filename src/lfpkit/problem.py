@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     UnboundedValidation,
 )
-from .lp import LinearProgram, Relation, Sense, SolveStatus, SolverOptions, solve_lp
+from .lp import LinearProgram, Sense, SolveStatus, SolverOptions, solve_lp
 
 __all__ = [
     "LFPProblem",
@@ -151,12 +151,7 @@ def validate_denominator(problem: LFPProblem, opts: SolverOptions | None = None)
     """
     if opts is None:
         opts = SolverOptions()
-    lp = LinearProgram(
-        Sense.MINIMIZE,
-        problem.d,
-        rows=[(problem.A[i], Relation.LE, problem.b[i]) for i in range(problem.num_rows)],
-    )
-    out = solve_lp(lp, opts)
+    out = solve_lp(LinearProgram(Sense.MINIMIZE, problem.d, A_ub=problem.A, b_ub=problem.b), opts)
     if out.status is SolveStatus.INFEASIBLE:
         raise InfeasibleRegion("the constraint region is empty")
     if out.status is SolveStatus.UNBOUNDED:

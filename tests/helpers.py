@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from lfpkit import Bound, LFPProblem, LinearProgram, Polyhedron, Relation, Sense
+from lfpkit import LFPProblem, LinearProgram, Polyhedron, Sense
 
 
 def random_instance(seed, max_dim=6, total_cap=None, nonneg_objective=False):
@@ -56,15 +56,13 @@ def random_box_lp(seed, max_vars=5, max_rows=4):
     n = int(rng.integers(1, max_vars + 1))
     m = int(rng.integers(0, max_rows + 1))
     caps = rng.uniform(0.5, 3.0, size=n)
-    rows = [
-        (rng.uniform(-1.0, 2.0, size=n), Relation.LE, float(rng.uniform(0.5, 4.0)))
-        for _ in range(m)
-    ]
+    rows = [(rng.uniform(-1.0, 2.0, size=n), rng.uniform(0.5, 4.0)) for _ in range(m)]
     return LinearProgram(
         Sense.MAXIMIZE,
         rng.uniform(-2.0, 2.0, size=n),
-        rows=rows,
-        bounds=[Bound.box(0.0, cap) for cap in caps],
+        A_ub=np.array([coeffs for coeffs, _ in rows]).reshape(m, n),
+        b_ub=np.array([rhs for _, rhs in rows]),
+        hi=caps,
     )
 
 
@@ -88,28 +86,11 @@ def enumerate_vertices(G, h, tol=1e-7):
 
 def lp_inequalities(lp):
     """(G, h) with {x | Gx <= h} equal to lp's feasible set (finite bounds only)."""
-    n = lp.num_vars
-    G_rows, h_vals = [], []
-    for row in lp.rows:
-        if row.relation is Relation.LE:
-            G_rows.append(row.coeffs)
-            h_vals.append(row.rhs)
-        elif row.relation is Relation.GE:
-            G_rows.append(-row.coeffs)
-            h_vals.append(-row.rhs)
-        else:
-            G_rows.extend([row.coeffs, -row.coeffs])
-            h_vals.extend([row.rhs, -row.rhs])
-    for j, bound in enumerate(lp.bounds):
-        e = np.zeros(n)
-        e[j] = 1.0
-        if np.isfinite(bound.hi):
-            G_rows.append(e)
-            h_vals.append(bound.hi)
-        if np.isfinite(bound.lo):
-            G_rows.append(-e)
-            h_vals.append(-bound.lo)
-    return np.array(G_rows), np.array(h_vals)
+    eye = np.eye(lp.num_vars)
+    upper, lower = np.isfinite(lp.hi), np.isfinite(lp.lo)
+    G = np.vstack([lp.A_ub, lp.A_eq, -lp.A_eq, eye[upper], -eye[lower]])
+    h = np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq, lp.hi[upper], -lp.lo[lower]])
+    return G, h
 
 
 def region_vertices(problem):

@@ -206,10 +206,8 @@ def test_criterion_6_interior_unit_suite():
                 LinearProgram(
                     Sense.MAXIMIZE,
                     np.zeros(poly.num_coords),
-                    rows=[
-                        (poly.A_eq[i], "=", poly.b_eq[i])
-                        for i in range(poly.A_eq.shape[0])
-                    ],
+                    A_eq=poly.A_eq,
+                    b_eq=poly.b_eq,
                 )
             )
             raised = False

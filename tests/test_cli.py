@@ -142,6 +142,23 @@ class TestFlags:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--pos-tol", "nan"),
+            ("--pos-tol", "-1"),
+            ("--pos-tol", "0"),
+            ("--pos-tol", "inf"),
+            ("--tol", "inf"),
+            ("--tol", "nan"),
+        ],
+    )
+    def test_bad_tolerance_is_an_input_error(self, golden_file, capsys, flag, value):
+        code, out, err = run_cli(capsys, "--input", golden_file, flag, value, "--format", "json")
+        assert code == 4
+        assert json.loads(out)["status"] == "input_error"
+        assert "finite and positive" in err
+
     def test_numerical_failure_exits_five(self, golden_file, capsys, monkeypatch):
         from lfpkit import IterationLimitError
         import lfpkit.cli as cli_module

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 import lfpkit.complementarity as complementarity_module
 from lfpkit import (
-    Bound,
     DualPoint,
     IterationLimitError,
     LFPProblem,
@@ -62,18 +61,17 @@ class TestBuilders:
         lp = build_primal_interior_lp(golden, THETA_GOLDEN)
         assert lp.num_rows == golden.num_rows + 2 == 4
         assert lp.num_vars == 2 * (golden.num_vars + golden.num_rows) + 3 == 11
-        for row in lp.rows:
-            assert row.rhs == 0.0  # the zero assignment is always feasible
+        assert np.all(lp.b_ub == 0.0) and np.all(lp.b_eq == 0.0)  # the zero assignment is always feasible
 
     def test_primal_scaling_row_coefficients(self, golden):
         # Columns: (x1_1, x1_2, p, u1_1, u1_2, w1, x2_1, x2_2, u2_1, u2_2, w2).
         lp = build_primal_interior_lp(golden, THETA_GOLDEN)
-        assert_allclose(lp.rows[2].coeffs, [5, 2, 5, 0, 0, -1, 5, 2, 0, 0, -1])
+        assert_allclose(lp.A_eq[2], [5, 2, 5, 0, 0, -1, 5, 2, 0, 0, -1])
 
     def test_primal_value_row_uses_theta(self, golden):
         lp = build_primal_interior_lp(golden, THETA_GOLDEN)
         assert_allclose(
-            lp.rows[3].coeffs,
+            lp.A_eq[3],
             [6, 3, 6, 0, 0, -THETA_GOLDEN, 6, 3, 0, 0, -THETA_GOLDEN],
         )
 
@@ -81,27 +79,25 @@ class TestBuilders:
         lp = build_dual_interior_lp(golden, THETA_GOLDEN)
         assert lp.num_rows == golden.num_vars + 2 == 4
         assert lp.num_vars == 11
-        free = [j for j, b in enumerate(lp.bounds) if b == Bound.free()]
+        free = np.flatnonzero((lp.lo == -np.inf) & (lp.hi == np.inf)).tolist()
         assert free == [golden.num_rows]  # q, right after the y1 block
-        for row in lp.rows:
-            assert row.rhs == 0.0
+        assert np.all(lp.b_ub == 0.0) and np.all(lp.b_eq == 0.0)
 
     def test_dual_rows_golden(self, golden):
         # Columns: (y1_1, y1_2, q, v1_1, v1_2, w1, y2_1, y2_2, v2_1, v2_2, w2).
         lp = build_dual_interior_lp(golden, THETA_GOLDEN)
-        assert_allclose(lp.rows[0].coeffs, [2, -2, 5, -1, 0, -6, 2, -2, -1, 0, -6])
-        assert_allclose(lp.rows[2].coeffs, [-6, -2, 5, 0, 0, -6, -6, -2, 0, 0, -6])
-        assert_allclose(lp.rows[3].coeffs, [0, 0, 1, 0, 0, -THETA_GOLDEN, 0, 0, 0, 0, -THETA_GOLDEN])
+        assert_allclose(lp.A_eq[0], [2, -2, 5, -1, 0, -6, 2, -2, -1, 0, -6])
+        assert_allclose(lp.A_eq[2], [-6, -2, 5, 0, 0, -6, -6, -2, 0, 0, -6])
+        assert_allclose(lp.A_eq[3], [0, 0, 1, 0, 0, -THETA_GOLDEN, 0, 0, 0, 0, -THETA_GOLDEN])
 
     def test_joint_shape_golden(self, golden):
         lp = build_joint_lp(golden)
         m, n = golden.num_rows, golden.num_vars
         assert lp.num_rows == m + n + 3 == 7
         assert lp.num_vars == 4 * (m + n) + 4 == 20
-        free = [j for j, b in enumerate(lp.bounds) if b == Bound.free()]
+        free = np.flatnonzero((lp.lo == -np.inf) & (lp.hi == np.inf)).tolist()
         assert free == [n + 1 + 2 * m]  # exactly one free column: q
-        for row in lp.rows:
-            assert row.rhs == 0.0
+        assert np.all(lp.b_ub == 0.0) and np.all(lp.b_eq == 0.0)
 
     def test_joint_shared_w_coefficients(self, golden):
         # w1/w2 carry -1 in the primal scaling row, -c_j in each dual row,
@@ -110,14 +106,14 @@ class TestBuilders:
         m, n = golden.num_rows, golden.num_vars
         w1 = 2 * n + 2 * m + 2
         w2 = lp.num_vars - 1
-        scaling = lp.rows[m].coeffs
+        scaling = lp.A_eq[m]
         assert scaling[w1] == scaling[w2] == -1.0
         for j in range(n):
-            dual_row = lp.rows[m + 1 + j].coeffs
+            dual_row = lp.A_eq[m + 1 + j]
             assert dual_row[w1] == dual_row[w2] == -golden.c[j]
-        normalization = lp.rows[m + 1 + n].coeffs
+        normalization = lp.A_eq[m + 1 + n]
         assert normalization[w1] == normalization[w2] == -golden.alpha
-        coupling = lp.rows[-1].coeffs
+        coupling = lp.A_eq[-1]
         assert coupling[w1] == coupling[w2] == 0.0
 
 

@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lfpkit import (
-    Bound,
     DegenerateT,
     InfeasibleRegion,
     IterationLimitError,
     LFPProblem,
-    Relation,
     SolverOptions,
     TransformedPoint,
     build_dual_lp,
@@ -79,19 +77,19 @@ class TestBuilders:
         lp = build_transformed_lp(golden)
         assert lp.num_vars == 3 and lp.num_rows == 3
         assert_allclose(lp.objective, [6, 3, 6])
-        assert_allclose(lp.rows[0].coeffs, [2, 1, -6])
-        assert_allclose(lp.rows[1].coeffs, [-2, 1, -2])
-        assert_allclose(lp.rows[2].coeffs, [5, 2, 5])
-        assert lp.rows[0].relation is Relation.LE and lp.rows[0].rhs == 0.0
-        assert lp.rows[2].relation is Relation.EQ and lp.rows[2].rhs == 1.0
-        assert all(b == Bound.nonnegative() for b in lp.bounds)
+        assert_allclose(lp.A_ub[0], [2, 1, -6])
+        assert_allclose(lp.A_ub[1], [-2, 1, -2])
+        assert_allclose(lp.A_eq[0], [5, 2, 5])
+        assert lp.A_ub.shape[0] == 2 and lp.b_ub[0] == 0.0
+        assert lp.A_eq.shape[0] == 1 and lp.b_eq[0] == 1.0
+        assert np.all(lp.lo == 0.0) and np.all(lp.hi == np.inf)
 
     def test_transformed_template_tiny(self):
         problem = LFPProblem(A=[[1.0]], b=[1.0], c=[1.0], d=[0.0], alpha=0.0, beta=1.0)
         lp = build_transformed_lp(problem)
-        assert_allclose(lp.rows[0].coeffs, [1, -1])
-        assert_allclose(lp.rows[1].coeffs, [0, 1])
-        assert lp.rows[1].rhs == 1.0
+        assert_allclose(lp.A_ub[0], [1, -1])
+        assert_allclose(lp.A_eq[0], [0, 1])
+        assert lp.b_eq[0] == 1.0
         assert_allclose(lp.objective, [1, 0])
 
     def test_transformed_solves_to_golden_value(self, golden):
@@ -101,13 +99,14 @@ class TestBuilders:
     def test_dual_rows_golden(self, golden):
         lp = build_dual_lp(golden)
         assert lp.num_vars == 3 and lp.num_rows == 3  # (y1, y2, z); n + 1 rows
-        assert_allclose(lp.rows[0].coeffs, [2, -2, 5])
-        assert lp.rows[0].relation is Relation.GE and lp.rows[0].rhs == 6.0
-        assert_allclose(lp.rows[1].coeffs, [1, 1, 2])
-        assert lp.rows[1].rhs == 3.0
-        assert_allclose(lp.rows[2].coeffs, [-6, -2, 5])
-        assert lp.rows[2].relation is Relation.EQ and lp.rows[2].rhs == 6.0
-        assert lp.bounds[2] == Bound.free()
+        # The >= rows are stored negated: -(A'y + d z) <= -c.
+        assert_allclose(-lp.A_ub[0], [2, -2, 5])
+        assert lp.A_ub.shape[0] == 2 and -lp.b_ub[0] == 6.0
+        assert_allclose(-lp.A_ub[1], [1, 1, 2])
+        assert -lp.b_ub[1] == 3.0
+        assert_allclose(lp.A_eq[0], [-6, -2, 5])
+        assert lp.A_eq.shape[0] == 1 and lp.b_eq[0] == 6.0
+        assert lp.lo[2] == -np.inf and lp.hi[2] == np.inf
 
     def test_dual_solution_golden(self, golden):
         out = solve_lp(build_dual_lp(golden))

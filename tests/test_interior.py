@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lfpkit import (
-    Bound,
     EmptyPolyhedron,
     LinearProgram,
     Polyhedron,
-    Relation,
     Sense,
     SolveStatus,
     build_maximal_element_lp,
@@ -40,16 +38,15 @@ class TestBuilder:
         assert lp.num_rows == 1
         assert lp.num_vars == 6  # (x1_1, x1_2, w1, x2_1, x2_2, w2)
         assert_allclose(lp.objective, [0, 0, 0, 1, 1, 1])
-        assert_allclose(lp.rows[0].coeffs, [1, 1, -1, 1, 1, -1])
-        assert lp.rows[0].relation is Relation.EQ and lp.rows[0].rhs == 0.0
-        assert lp.bounds[:3] == (Bound.nonnegative(),) * 3
-        assert lp.bounds[3:] == (Bound.box(0.0, 1.0),) * 3
+        assert_allclose(lp.A_eq[0], [1, 1, -1, 1, 1, -1])
+        assert lp.A_ub.shape[0] == 0 and lp.b_eq[0] == 0.0
+        assert np.all(lp.lo[:3] == 0.0) and np.all(lp.hi[:3] == np.inf)
+        assert np.all(lp.lo[3:] == 0.0) and np.all(lp.hi[3:] == 1.0)
 
     @pytest.mark.parametrize("poly", [SEGMENT, PINNED, RAY, ORIGIN_ONLY, EMPTY])
     def test_zero_is_feasible(self, poly):
         lp = build_maximal_element_lp(poly)
-        for row in lp.rows:
-            assert row.rhs == 0.0
+        assert np.all(lp.b_ub == 0.0) and np.all(lp.b_eq == 0.0)
 
     def test_matches_dedicated_face_builder(self, golden):
         # The dedicated builder is the support-maximizing LP of the primal
@@ -62,18 +59,18 @@ class TestBuilder:
         dedicated = build_primal_interior_lp(golden, theta)
         assert generic.num_vars == dedicated.num_vars == 2 * (n + m) + 3
         assert_allclose(generic.objective, dedicated.objective)
-        assert len(generic.rows) == len(dedicated.rows)
-        for g_row, d_row in zip(generic.rows, dedicated.rows):
-            assert_allclose(g_row.coeffs, d_row.coeffs, atol=1e-12)
-            assert g_row.relation is d_row.relation and g_row.rhs == d_row.rhs
-        assert generic.bounds == dedicated.bounds
+        assert generic.num_rows == dedicated.num_rows
+        for block in ("A_ub", "A_eq"):
+            assert_allclose(getattr(generic, block), getattr(dedicated, block), atol=1e-12)
+        assert np.array_equal(generic.b_ub, dedicated.b_ub) and np.array_equal(generic.b_eq, dedicated.b_eq)
+        assert np.array_equal(generic.lo, dedicated.lo) and np.array_equal(generic.hi, dedicated.hi)
 
     def test_free_coordinate_has_free_column_and_no_copy(self):
         lp = build_maximal_element_lp(WITH_FREE)
         assert lp.num_vars == 7  # (x1_1, x1_2, z, w1, x2_1, x2_2, w2)
-        assert lp.bounds[2] == Bound.free()
+        assert lp.lo[2] == -np.inf and lp.hi[2] == np.inf
         assert_allclose(lp.objective, [0, 0, 0, 0, 1, 1, 1])
-        assert_allclose(lp.rows[0].coeffs, [1, -1, 1, 0, 1, -1, 0])
+        assert_allclose(lp.A_eq[0], [1, -1, 1, 0, 1, -1, 0])
 
     def test_rejects_capped_free_coordinate(self):
         with pytest.raises(ValueError, match="free coordinate"):
@@ -184,7 +181,8 @@ class TestInvariants:
             LinearProgram(
                 Sense.MAXIMIZE,
                 np.zeros(poly.num_coords),
-                rows=[(poly.A_eq[i], "=", poly.b_eq[i]) for i in range(poly.A_eq.shape[0])],
+                A_eq=poly.A_eq,
+                b_eq=poly.b_eq,
             )
         )
         if probe.status is SolveStatus.INFEASIBLE:

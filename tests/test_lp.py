@@ -6,9 +6,7 @@ from numpy.testing import assert_allclose
 
 import lfpkit.lp as lp_module
 from lfpkit import (
-    Bound,
     LinearProgram,
-    Relation,
     Sense,
     SolveStatus,
     SolverOptions,
@@ -21,34 +19,25 @@ from helpers import enumerate_vertices, lp_inequalities, random_box_lp
 
 def max_violation(lp, x):
     """Largest constraint or bound violation of x."""
-    worst = 0.0
-    for row in lp.rows:
-        lhs = float(row.coeffs @ x)
-        if row.relation is Relation.LE:
-            worst = max(worst, lhs - row.rhs)
-        elif row.relation is Relation.GE:
-            worst = max(worst, row.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - row.rhs))
-    for j, bound in enumerate(lp.bounds):
-        worst = max(worst, bound.lo - x[j], x[j] - bound.hi)
-    return worst
+    return np.concatenate([
+        lp.A_ub @ x - lp.b_ub, np.abs(lp.A_eq @ x - lp.b_eq), lp.lo - x, x - lp.hi,
+    ]).max(initial=0.0)
 
 
 class TestBasics:
     def test_single_active_bound(self):
-        out = solve_lp(LinearProgram(Sense.MAXIMIZE, [1.0], rows=[([1.0], "<=", 1.0)]))
+        out = solve_lp(LinearProgram(Sense.MAXIMIZE, [1.0], A_ub=[[1.0]], b_ub=[1.0]))
         assert out.status is SolveStatus.OPTIMAL
         assert_allclose(out.point, [1.0])
         assert out.objective == pytest.approx(1.0)
 
     def test_unbounded_ray(self):
-        out = solve_lp(LinearProgram(Sense.MAXIMIZE, [1.0], rows=[]))
+        out = solve_lp(LinearProgram(Sense.MAXIMIZE, [1.0]))
         assert out.status is SolveStatus.UNBOUNDED
         assert out.point is None and out.objective is None
 
     def test_sign_contradiction_infeasible(self):
-        out = solve_lp(LinearProgram(Sense.MAXIMIZE, [1.0], rows=[([1.0], "<=", -1.0)]))
+        out = solve_lp(LinearProgram(Sense.MAXIMIZE, [1.0], A_ub=[[1.0]], b_ub=[-1.0]))
         assert out.status is SolveStatus.INFEASIBLE
 
     def test_transformed_golden_instance(self, golden):
@@ -60,7 +49,8 @@ class TestBasics:
         lp = LinearProgram(
             Sense.MINIMIZE,
             [2.0, 3.0],
-            rows=[([1.0, 1.0], ">=", 4.0), ([1.0, 0.0], "<=", 3.0)],
+            A_ub=[[-1.0, -1.0], [1.0, 0.0]],  # x1 + x2 >= 4, x1 <= 3
+            b_ub=[-4.0, 3.0],
         )
         out = solve_lp(lp)
         assert out.status is SolveStatus.OPTIMAL
@@ -71,8 +61,10 @@ class TestBasics:
         lp = LinearProgram(
             Sense.MINIMIZE,
             [1.0, 0.0],
-            rows=[([1.0, 1.0], "=", 1.0)],
-            bounds=[Bound.free(), Bound.box(0.0, 3.0)],
+            A_eq=[[1.0, 1.0]],
+            b_eq=[1.0],
+            lo=[-math.inf, 0.0],
+            hi=[math.inf, 3.0],
         )
         out = solve_lp(lp)
         assert out.status is SolveStatus.OPTIMAL
@@ -82,8 +74,9 @@ class TestBasics:
         lp = LinearProgram(
             Sense.MAXIMIZE,
             [1.0, 1.0],
-            rows=[([1.0, 1.0], "<=", 1.5)],
-            bounds=[Bound.box(0.0, 1.0), Bound.box(0.0, 1.0)],
+            A_ub=[[1.0, 1.0]],
+            b_ub=[1.5],
+            hi=[1.0, 1.0],
         )
         out = solve_lp(lp)
         assert out.objective == pytest.approx(1.5)
@@ -94,7 +87,8 @@ class TestBasics:
         lp = LinearProgram(
             Sense.MAXIMIZE,
             [1.0, 1.0],
-            rows=[([1.0, 1.0], "=", 1.0), ([2.0, 2.0], "=", 2.0)],
+            A_eq=[[1.0, 1.0], [2.0, 2.0]],
+            b_eq=[1.0, 2.0],
         )
         out = solve_lp(lp)
         assert out.status is SolveStatus.OPTIMAL
@@ -104,7 +98,8 @@ class TestBasics:
         lp = LinearProgram(
             Sense.MAXIMIZE,
             [1.0, 2.0, 3.0],
-            rows=[([1.0, 1.0, 1.0], "<=", 1.0), ([1.0, 2.0, 0.5], "<=", 2.0)],
+            A_ub=[[1.0, 1.0, 1.0], [1.0, 2.0, 0.5]],
+            b_ub=[1.0, 2.0],
         )
         out = solve_lp(lp, SolverOptions(max_iters=1))
         assert out.status is SolveStatus.ITERATION_LIMIT
@@ -125,7 +120,8 @@ class TestBasics:
         lp = LinearProgram(
             Sense.MAXIMIZE,
             [1.0, 2.0, 3.0],
-            rows=[([1.0, 1.0, 1.0], "<=", 1.0), ([1.0, 2.0, 0.5], "<=", 2.0)],
+            A_ub=[[1.0, 1.0, 1.0], [1.0, 2.0, 0.5]],
+            b_ub=[1.0, 2.0],
         )
         out = solve_lp(lp)
         assert out.status is SolveStatus.ITERATION_LIMIT
@@ -133,28 +129,90 @@ class TestBasics:
         assert out.detail == "singular basis after 1 pivots"
 
     def test_optimal_outcome_has_no_detail(self):
-        out = solve_lp(LinearProgram(Sense.MAXIMIZE, [1.0], rows=[([1.0], "<=", 1.0)]))
+        out = solve_lp(LinearProgram(Sense.MAXIMIZE, [1.0], A_ub=[[1.0]], b_ub=[1.0]))
         assert out.detail is None
 
 
-class TestValidation:
-    def test_row_length_mismatch(self):
-        with pytest.raises(ValueError):
-            LinearProgram(Sense.MAXIMIZE, [1.0, 2.0], rows=[([1.0], "<=", 1.0)])
+# A valid two-variable program with every array given; each rejected input
+# below replaces some of these entries.
+VALID_LP = dict(
+    objective=[1.0, 2.0],
+    A_ub=[[1.0, 1.0]],
+    b_ub=[1.0],
+    A_eq=[[1.0, -1.0]],
+    b_eq=[0.0],
+    lo=[0.0, -1.0],
+    hi=[1.0, math.inf],
+)
 
-    def test_bad_bound_interval(self):
-        with pytest.raises(ValueError):
-            Bound.box(2.0, 1.0)
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            pytest.param(dict(A_ub=[[1.0, 1.0, 1.0]]), "A_ub has shape", id="A_ub-wrong-width"),
+            pytest.param(dict(A_eq=[[1.0]]), "A_eq has shape", id="A_eq-wrong-width"),
+            pytest.param(dict(A_ub=[1.0, 1.0]), "A_ub has shape", id="A_ub-not-a-matrix"),
+            pytest.param(dict(b_ub=[1.0, 2.0]), "b_ub has shape", id="b_ub-wrong-length"),
+            pytest.param(dict(b_eq=[]), "b_eq has shape", id="b_eq-wrong-length"),
+            pytest.param(dict(A_ub=None), "b_ub has shape", id="b_ub-without-A_ub"),
+            pytest.param(dict(b_ub=None), "A_ub is given without b_ub", id="A_ub-without-b_ub"),
+            pytest.param(dict(b_eq=None), "A_eq is given without b_eq", id="A_eq-without-b_eq"),
+            pytest.param(dict(objective=[math.inf, 2.0]), "non-finite", id="objective-inf"),
+            pytest.param(dict(A_ub=[[1.0, math.nan]]), "non-finite", id="A_ub-nan"),
+            pytest.param(dict(b_ub=[math.inf]), "non-finite", id="b_ub-inf"),
+            pytest.param(dict(A_eq=[[-math.inf, 1.0]]), "non-finite", id="A_eq-inf"),
+            pytest.param(dict(b_eq=[math.nan]), "non-finite", id="b_eq-nan"),
+            pytest.param(dict(lo=[math.nan, 0.0]), "lo has a NaN", id="lo-nan"),
+            pytest.param(dict(hi=[1.0, math.nan]), "hi has a NaN", id="hi-nan"),
+            pytest.param(dict(lo=[2.0, -1.0]), r"empty bound interval \[2.0, 1.0\]", id="lo-above-hi"),
+            pytest.param(dict(lo=[0.0]), "lo has shape", id="lo-wrong-length"),
+            pytest.param(dict(hi=[1.0, 1.0, 1.0]), "hi has shape", id="hi-wrong-length"),
+            pytest.param(dict(objective=[]), "non-empty vector", id="objective-empty"),
+            pytest.param(dict(objective=[[1.0, 2.0]]), "non-empty vector", id="objective-not-a-vector"),
+        ],
+    )
+    def test_rejects_bad_input(self, change, message):
+        LinearProgram(Sense.MAXIMIZE, **VALID_LP)
+        with pytest.raises(ValueError, match=message):
+            LinearProgram(Sense.MAXIMIZE, **{**VALID_LP, **change})
 
     def test_nonfinite_objective(self):
         with pytest.raises(ValueError):
-            LinearProgram(Sense.MAXIMIZE, [np.nan], rows=[])
+            LinearProgram(Sense.MAXIMIZE, [np.nan])
+
+    def test_arrays_are_read_only_float_copies(self):
+        given = {key: np.array(value) for key, value in VALID_LP.items()}
+        given["A_ub"] = np.array([[1, 1]])  # integers are stored as floats
+        lp = LinearProgram(Sense.MAXIMIZE, **given)
+        for key in given:
+            stored = getattr(lp, key)
+            assert stored.dtype == np.float64 and not stored.flags.writeable, key
+            assert_allclose(stored, given[key])
+            assert given[key].flags.writeable, key  # the caller's array is untouched
+        with pytest.raises(ValueError, match="read-only"):
+            lp.A_eq[0, 0] = 5.0
+
+    def test_defaults(self):
+        lp = LinearProgram(Sense.MINIMIZE, [1.0, 2.0, 3.0])
+        assert lp.A_ub.shape == lp.A_eq.shape == (0, 3)
+        assert lp.b_ub.shape == lp.b_eq.shape == (0,)
+        assert lp.num_rows == 0 and lp.num_vars == 3
+        assert np.array_equal(lp.lo, np.zeros(3)) and np.array_equal(lp.hi, np.full(3, np.inf))
+        for array in (lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq, lp.lo, lp.hi):
+            assert not array.flags.writeable
 
     def test_options_must_be_positive(self):
         with pytest.raises(ValueError):
             SolverOptions(feas_tol=0.0)
         with pytest.raises(ValueError):
             SolverOptions(max_iters=0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
+    @pytest.mark.parametrize("field", ["feas_tol", "opt_tol"])
+    def test_options_reject_nonfinite_tolerances(self, field, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SolverOptions(**{field: tol})
 
 
 class TestInvariants:

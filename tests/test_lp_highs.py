@@ -1,0 +1,102 @@
+"""HiGHS (through scipy's `linprog`) as an independent oracle for `solve_lp`.
+
+Small seeded programs mix inequality and equality rows with nonnegative,
+free, boxed (some fixed) and upper-bounded columns; the integer data makes
+many of them degenerate, and the sample holds optimal, infeasible and
+unbounded cases.  Each is passed to `linprog` as the same arrays.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+from lfpkit import LinearProgram, Sense, SolveStatus, solve_lp
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+HIGHS_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}
+
+# HiGHS's presolve calls these feasible, unbounded programs infeasible; with
+# presolve off it reports them unbounded (see test_presolve_disagreement).
+HIGHS_PRESOLVE_INFEASIBLE = {197}
+
+
+def random_mixed_lp(seed):
+    """n <= 6 columns, at most 5 rows, integer data."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    m_ub = int(rng.integers(0, 6))
+    m_eq = int(rng.integers(0, 6 - m_ub))
+    kind = rng.integers(0, 4, size=n)  # nonnegative, free, boxed, upper-bounded
+    low = rng.integers(-2, 2, size=n).astype(float)
+    width = rng.integers(0, 4, size=n).astype(float)
+    lo = np.where(kind == 0, 0.0, np.where(kind == 2, low, -np.inf))
+    hi = np.where(kind >= 2, low + width, np.inf)
+    A_eq = rng.integers(-3, 4, size=(m_eq, n)).astype(float)
+    # Most equality blocks pass through a point inside the bounds, so that not
+    # nearly every program with equality rows is infeasible.
+    anchor = np.clip(rng.integers(-2, 3, size=n), lo, hi)
+    b_eq = A_eq @ anchor + (rng.random() < 0.25) * rng.integers(-2, 3, size=m_eq)
+    return LinearProgram(
+        Sense.MAXIMIZE if rng.random() < 0.5 else Sense.MINIMIZE,
+        rng.integers(-3, 4, size=n).astype(float),
+        A_ub=rng.integers(-3, 4, size=(m_ub, n)).astype(float),
+        b_ub=rng.integers(-2, 5, size=m_ub).astype(float),
+        A_eq=A_eq,
+        b_eq=b_eq,
+        lo=lo,
+        hi=hi,
+    )
+
+
+def highs(lp, objective=None, **options):
+    """`linprog` on lp's arrays, minimizing `objective` (lp's own, as a minimization, by default)."""
+    if objective is None:
+        objective = -lp.objective if lp.sense is Sense.MAXIMIZE else lp.objective
+    return linprog(
+        objective, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
+        bounds=np.column_stack([lp.lo, lp.hi]), method="highs", options=options,
+    )
+
+
+def seeds():
+    for seed in range(200):
+        if seed in HIGHS_PRESOLVE_INFEASIBLE:
+            reason = "HiGHS presolve reports infeasible on a feasible, unbounded program"
+            yield pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=reason))
+        else:
+            yield seed
+
+
+@pytest.mark.parametrize("seed", seeds())
+def test_matches_highs(seed):
+    lp = random_mixed_lp(seed)
+    ref = highs(lp)
+    out = solve_lp(lp)
+    assert out.status is HIGHS_STATUS[ref.status], ref.message
+    if out.is_optimal:
+        expected = -ref.fun if lp.sense is Sense.MAXIMIZE else ref.fun
+        assert out.objective == pytest.approx(expected, abs=1e-6 * (1.0 + abs(expected)))
+
+
+def test_sample_holds_every_status():
+    counts = collections.Counter(solve_lp(random_mixed_lp(seed)).status for seed in range(200))
+    assert all(counts[status] >= 20 for status in HIGHS_STATUS.values()), counts
+
+
+@pytest.mark.parametrize("seed", sorted(HIGHS_PRESOLVE_INFEASIBLE))
+def test_presolve_disagreement(seed):
+    # The program has a feasible point and an improving ray, so UNBOUNDED is
+    # right; HiGHS agrees once presolve is off.
+    lp = random_mixed_lp(seed)
+    assert solve_lp(lp).status is SolveStatus.UNBOUNDED
+    assert highs(lp, presolve=False).status == 3
+    assert highs(lp, objective=np.zeros(lp.num_vars)).status == 0
+    recession = LinearProgram(
+        lp.sense, lp.objective, A_ub=lp.A_ub, b_ub=np.zeros_like(lp.b_ub),
+        A_eq=lp.A_eq, b_eq=np.zeros_like(lp.b_eq),
+        lo=np.where(np.isfinite(lp.lo), 0.0, -1.0), hi=np.where(np.isfinite(lp.hi), 0.0, 1.0),
+    )
+    ray = highs(recession)
+    assert ray.status == 0 and ray.fun < -1e-6
