@@ -17,7 +17,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .complementarity import (
     CscReport,
@@ -104,37 +104,20 @@ class RunReport:
 def _partition_dict(partition: OptimalPartition | None) -> dict | None:
     if partition is None:
         return None
-    return {
-        "sigma_x": sorted(partition.sigma_x),
-        "sigma_v": sorted(partition.sigma_v),
-        "sigma_u": sorted(partition.sigma_u),
-        "sigma_y": sorted(partition.sigma_y),
-    }
+    return {name: sorted(members) for name, members in asdict(partition).items()}
 
 
 def _approach_dict(result: ApproachResult) -> dict:
     sol = result.solution
     return {
-        "x": [float(v) for v in sol.primal.x],
-        "u": [float(v) for v in sol.primal.u],
+        "x": sol.primal.x.tolist(),
+        "u": sol.primal.u.tolist(),
         "t": sol.t_star,
-        "y": [float(v) for v in sol.dual.y],
+        "y": sol.dual.y.tolist(),
         "z": sol.dual.z,
-        "v": [float(v) for v in sol.dual.v],
-        "csc": {
-            "primal_inner": result.csc.primal_inner,
-            "dual_inner": result.csc.dual_inner,
-            "tol": result.csc.tol,
-            "ok": result.csc.ok,
-        },
-        "scsc": {
-            "min_primal_sum": result.scsc.min_primal_sum,
-            "min_dual_sum": result.scsc.min_dual_sum,
-            "failing_primal": list(result.scsc.failing_primal),
-            "failing_dual": list(result.scsc.failing_dual),
-            "tol": result.scsc.tol,
-            "ok": result.scsc.ok,
-        },
+        "v": sol.dual.v.tolist(),
+        "csc": asdict(result.csc),
+        "scsc": asdict(result.scsc),
     }
 
 
@@ -176,13 +159,10 @@ def format_text(report: RunReport) -> str:
             )
         lines.append(scsc_line)
     if report.partition is not None:
-        part = report.partition
         lines.append("")
         lines.append("partition")
-        lines.append(f"  sigma_x = {_fmt_set(part.sigma_x)}")
-        lines.append(f"  sigma_v = {_fmt_set(part.sigma_v)}")
-        lines.append(f"  sigma_u = {_fmt_set(part.sigma_u)}")
-        lines.append(f"  sigma_y = {_fmt_set(part.sigma_y)}")
+        for name, members in asdict(report.partition).items():
+            lines.append(f"  {name} = {_fmt_set(members)}")
     if report.cross_check is not None:
         lines.append("")
         lines.append(f"cross_check: {'pass (partitions agree)' if report.cross_check else 'FAIL (partitions differ)'}")

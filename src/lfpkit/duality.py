@@ -30,7 +30,7 @@ from .errors import (
     NonpositiveDenominator,
     UnboundedObjective,
 )
-from .lp import LinearProgram, Sense, SolveStatus, SolverOptions, solve_lp
+from .lp import LinearProgram, Sense, SolveStatus, SolverOptions, _frozen, solve_lp
 from .problem import LFPProblem, PrimalPoint
 
 __all__ = [
@@ -52,12 +52,8 @@ class TransformedPoint:
     u_bar: np.ndarray
 
     def __post_init__(self):
-        x_bar = np.asarray(self.x_bar, dtype=float)
-        u_bar = np.asarray(self.u_bar, dtype=float)
-        x_bar.setflags(write=False)
-        u_bar.setflags(write=False)
-        object.__setattr__(self, "x_bar", x_bar)
-        object.__setattr__(self, "u_bar", u_bar)
+        object.__setattr__(self, "x_bar", _frozen(self.x_bar))
+        object.__setattr__(self, "u_bar", _frozen(self.u_bar))
         object.__setattr__(self, "t", float(self.t))
 
 

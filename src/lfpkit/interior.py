@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPolyhedron, IterationLimitError
-from .lp import LinearProgram, LPOutcome, Sense, SolveStatus, SolverOptions, solve_lp
+from .lp import LinearProgram, LPOutcome, Sense, SolveStatus, SolverOptions, _frozen, solve_lp
 
 __all__ = [
     "Polyhedron",
@@ -58,8 +58,8 @@ class Polyhedron:
     free: np.ndarray | None = None
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A_eq, dtype=float))
-        b = np.asarray(self.b_eq, dtype=float).ravel()
+        A = _frozen(self.A_eq, ndmin=2)
+        b = _frozen(self.b_eq).ravel()
         if A.shape[0] != b.size:
             raise ValueError(f"A_eq has {A.shape[0]} rows but b_eq has {b.size} entries")
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
@@ -67,8 +67,7 @@ class Polyhedron:
         free = np.array(np.zeros(A.shape[1]) if self.free is None else self.free, dtype=bool)
         if free.shape != (A.shape[1],):
             raise ValueError(f"free mask has shape {free.shape}, expected ({A.shape[1]},)")
-        for array in (A, b, free):
-            array.setflags(write=False)
+        free.setflags(write=False)
         object.__setattr__(self, "A_eq", A)
         object.__setattr__(self, "b_eq", b)
         object.__setattr__(self, "free", free)
@@ -86,9 +85,7 @@ class MaximalElement:
     support: frozenset
 
     def __post_init__(self):
-        point = np.asarray(self.point, dtype=float)
-        point.setflags(write=False)
-        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "point", _frozen(self.point))
         object.__setattr__(self, "support", frozenset(int(j) for j in self.support))
 
 
@@ -164,8 +161,9 @@ def find_relative_interior_point(
     if opts is None:
         opts = SolverOptions()
     out = solve_lp(build_maximal_element_lp(poly), opts)
-    if out.status is SolveStatus.ITERATION_LIMIT:
-        raise IterationLimitError(f"maximal-element solve stopped early: {out.detail}")
+    if not out.is_optimal:
+        reason = out.detail or "a numerical breakdown, as the LP is feasible and bounded"
+        raise IterationLimitError(f"maximal-element solve ended with status {out.status.value}: {reason}")
     return recover_maximal_element(out, poly, pos_tol, opts.feas_tol)
 
 

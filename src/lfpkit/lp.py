@@ -46,8 +46,12 @@ class Sense(Enum):
     MINIMIZE = "min"
 
 
-def _frozen(values) -> np.ndarray:
-    array = np.array(values, dtype=float)
+def _frozen(values, ndmin: int = 0) -> np.ndarray:
+    """A read-only float copy of `values` in C order, with at least `ndmin` axes.
+
+    Every value type stores its arrays this way; the caller's array stays writable.
+    """
+    array = np.array(values, dtype=float, order="C", ndmin=ndmin)
     array.setflags(write=False)
     return array
 
@@ -138,11 +142,6 @@ class SolverOptions:
                 raise ValueError(f"tolerances must be finite and positive, got {tol!r}")
         if self.max_iters is not None and self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
-
-    def resolve_max_iters(self, num_rows: int, num_vars: int) -> int:
-        if self.max_iters is not None:
-            return self.max_iters
-        return 50 * (num_rows + num_vars)
 
 
 class SolveStatus(Enum):
@@ -370,7 +369,7 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions | None = None) -> LPOutcome:
 
     cost = np.zeros(N)
     cost[:n] = lp.objective if lp.sense is Sense.MINIMIZE else -lp.objective
-    iter_budget = opts.resolve_max_iters(m, n)
+    iter_budget = opts.max_iters or 50 * (m + n)
 
     # Phase 1: artificial column per row, signed so artificials start >= 0.
     stat = _initial_status(lo, hi)
@@ -404,6 +403,5 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions | None = None) -> LPOutcome:
     if verdict != "optimal":
         return _stopped(verdict, used + more, iter_budget)
 
-    point = x[:n].copy()
-    point.setflags(write=False)
+    point = _frozen(x[:n])
     return LPOutcome(SolveStatus.OPTIMAL, point, float(lp.objective @ point))

@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     UnboundedValidation,
 )
-from .lp import LinearProgram, Sense, SolveStatus, SolverOptions, solve_lp
+from .lp import LinearProgram, Sense, SolveStatus, SolverOptions, _frozen, solve_lp
 
 __all__ = [
     "LFPProblem",
@@ -36,12 +36,6 @@ __all__ = [
     "parse_problem",
     "load_problem",
 ]
-
-
-def _readonly(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -56,10 +50,8 @@ class LFPProblem:
     beta: float
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.asarray(self.b, dtype=float).ravel()
-        c = np.asarray(self.c, dtype=float).ravel()
-        d = np.asarray(self.d, dtype=float).ravel()
+        A = _frozen(self.A, ndmin=2)
+        b, c, d = (_frozen(v).ravel() for v in (self.b, self.c, self.d))
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
             raise DimensionError("A must be a matrix with at least one row and one column")
         m, n = A.shape
@@ -70,13 +62,10 @@ class LFPProblem:
         for name, arr in (("A", A), ("b", b), ("c", c), ("d", d)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} has a non-finite entry")
+            object.__setattr__(self, name, arr)
         alpha, beta = float(self.alpha), float(self.beta)
         if not math.isfinite(alpha) or not math.isfinite(beta):
             raise ValueError("alpha and beta must be finite")
-        object.__setattr__(self, "A", _readonly(A))
-        object.__setattr__(self, "b", _readonly(b))
-        object.__setattr__(self, "c", _readonly(c))
-        object.__setattr__(self, "d", _readonly(d))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
@@ -97,8 +86,8 @@ class PrimalPoint:
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _readonly(self.x))
-        object.__setattr__(self, "u", _readonly(self.u))
+        object.__setattr__(self, "x", _frozen(self.x))
+        object.__setattr__(self, "u", _frozen(self.u))
 
     @classmethod
     def from_x(cls, problem: LFPProblem, x) -> "PrimalPoint":
@@ -118,9 +107,9 @@ class DualPoint:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _readonly(self.y))
+        object.__setattr__(self, "y", _frozen(self.y))
         object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "v", _readonly(self.v))
+        object.__setattr__(self, "v", _frozen(self.v))
 
     @classmethod
     def from_yz(cls, problem: LFPProblem, y, z: float) -> "DualPoint":
@@ -162,12 +151,13 @@ def validate_denominator(problem: LFPProblem, opts: SolverOptions | None = None)
 
 
 def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or value is None:
+    # JSON numbers decode to int or float; bool is an int but no number here.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where} must be a number, got {value!r}")
     try:
         num = float(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer literal beyond the float range
+        num = math.inf
     if not math.isfinite(num):
         raise ValueError(f"{where} must be finite, got {num!r}")
     return num

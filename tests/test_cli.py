@@ -58,6 +58,14 @@ class TestExitCodes:
         assert code == 4
         assert "status: input_error" in out
 
+    @pytest.mark.parametrize("alpha", ['"0"', "1" + "0" * 400], ids=["string", "overflow"])
+    def test_string_or_overflowing_number_exits_four(self, tmp_path, capsys, alpha):
+        path = tmp_path / "broken.json"
+        path.write_text(GOLDEN_DOC.replace('"alpha": 6', f'"alpha": {alpha}'))
+        code, out, _ = run_cli(capsys, "--input", str(path))
+        assert code == 4
+        assert "status: input_error" in out
+
     def test_missing_file_exits_four(self, capsys):
         code, _, _ = run_cli(capsys, "--input", "does-not-exist.json")
         assert code == 4

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import lfpkit.interior as interior_module
 from lfpkit import (
     EmptyPolyhedron,
+    IterationLimitError,
     LinearProgram,
+    LPOutcome,
     Polyhedron,
     Sense,
     SolveStatus,
@@ -106,8 +109,6 @@ class TestRecover:
             find_relative_interior_point(EMPTY)
 
     def test_recover_rejects_non_optimal_outcome(self):
-        from lfpkit import LPOutcome
-
         with pytest.raises(ValueError):
             recover_maximal_element(LPOutcome(SolveStatus.INFEASIBLE), SEGMENT)
 
@@ -135,6 +136,30 @@ class TestFinder:
         element = find_relative_interior_point(ORIGIN_ONLY)
         assert_allclose(element.point, [0.0, 0.0], atol=1e-12)
         assert element.support == frozenset()
+
+    @pytest.mark.parametrize(
+        "outcome, message",
+        [
+            (
+                LPOutcome(SolveStatus.ITERATION_LIMIT, detail="iteration cap of 9 reached"),
+                "maximal-element solve ended with status iteration_limit: iteration cap of 9 reached",
+            ),
+            (
+                LPOutcome(SolveStatus.UNBOUNDED),
+                "maximal-element solve ended with status unbounded: a numerical breakdown",
+            ),
+            (
+                LPOutcome(SolveStatus.INFEASIBLE),
+                "maximal-element solve ended with status infeasible: a numerical breakdown",
+            ),
+        ],
+        ids=["iteration_limit", "unbounded", "infeasible"],
+    )
+    def test_solve_failure_names_its_cause(self, monkeypatch, outcome, message):
+        # The LP is feasible and bounded, so no verdict but OPTIMAL reaches recovery.
+        monkeypatch.setattr(interior_module, "solve_lp", lambda lp, opts: outcome)
+        with pytest.raises(IterationLimitError, match=message):
+            find_relative_interior_point(SEGMENT)
 
 
 class TestOracle:

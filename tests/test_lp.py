@@ -106,6 +106,21 @@ class TestBasics:
         assert out.point is None and out.objective is None
         assert out.detail == "iteration cap of 1 reached"
 
+    def test_default_iteration_cap(self, monkeypatch):
+        # 50 * (rows + cols): two inequality rows and three variables.
+        monkeypatch.setattr(
+            lp_module, "_run_simplex", lambda *args, **kwargs: ("iteration_limit", None, 0)
+        )
+        lp = LinearProgram(
+            Sense.MAXIMIZE,
+            [1.0, 2.0, 3.0],
+            A_ub=[[1.0, 1.0, 1.0], [1.0, 2.0, 0.5]],
+            b_ub=[1.0, 2.0],
+        )
+        out = solve_lp(lp)
+        assert out.status is SolveStatus.ITERATION_LIMIT
+        assert out.detail == f"iteration cap of {50 * (2 + 3)} reached"
+
     def test_singular_basis_is_named(self, monkeypatch):
         # The fourth solve is the first of the second pivot, after one pivot.
         real_solve, calls = np.linalg.solve, []

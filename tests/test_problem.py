@@ -120,9 +120,14 @@ class TestParseProblem:
 
     def test_nan_entry(self):
         doc = json.loads(GOLDEN_DOC)
-        doc["alpha"] = "NaN"
+        doc["alpha"] = float("nan")  # written as the JSON literal NaN
         with pytest.raises(ValueError):
             parse_problem(json.dumps(doc))
+
+    def test_integer_beyond_float_range_is_not_finite(self):
+        text = GOLDEN_DOC.replace('"alpha": 6', '"alpha": 1' + "0" * 400)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            parse_problem(text)
 
     def test_malformed_json(self):
         with pytest.raises(ParseError):
@@ -142,6 +147,23 @@ class TestParseProblem:
         doc = json.loads(GOLDEN_DOC)
         doc["c"] = ["six", 3]
         with pytest.raises(ParseError):
+            parse_problem(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("A", [["2", 1], [-2, 1]]),
+            ("b", [" 6 ", 2]),
+            ("d", [5, "2.5"]),
+            ("alpha", "0"),
+            ("beta", "NaN"),
+        ],
+        ids=["A", "b", "d", "alpha", "beta"],
+    )
+    def test_numeric_string_is_not_a_number(self, key, value):
+        doc = json.loads(GOLDEN_DOC)
+        doc[key] = value
+        with pytest.raises(ParseError, match="must be a number"):
             parse_problem(json.dumps(doc))
 
     def test_ragged_matrix(self):
