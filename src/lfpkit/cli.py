@@ -12,12 +12,13 @@ other simplex breakdown, degenerate recovery, failed verification).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .complementarity import (
     CscReport,
@@ -101,10 +102,15 @@ class RunReport:
         return doc
 
 
+def _fields(record) -> dict:
+    """A dataclass's fields by name, in order; unlike `asdict`, nothing is copied."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def _partition_dict(partition: OptimalPartition | None) -> dict | None:
     if partition is None:
         return None
-    return {name: sorted(members) for name, members in asdict(partition).items()}
+    return {name: sorted(members) for name, members in _fields(partition).items()}
 
 
 def _approach_dict(result: ApproachResult) -> dict:
@@ -116,8 +122,8 @@ def _approach_dict(result: ApproachResult) -> dict:
         "y": sol.dual.y.tolist(),
         "z": sol.dual.z,
         "v": sol.dual.v.tolist(),
-        "csc": asdict(result.csc),
-        "scsc": asdict(result.scsc),
+        "csc": _fields(result.csc),
+        "scsc": _fields(result.scsc),
     }
 
 
@@ -161,7 +167,7 @@ def format_text(report: RunReport) -> str:
     if report.partition is not None:
         lines.append("")
         lines.append("partition")
-        for name, members in asdict(report.partition).items():
+        for name, members in _fields(report.partition).items():
             lines.append(f"  {name} = {_fmt_set(members)}")
     if report.cross_check is not None:
         lines.append("")
@@ -183,6 +189,7 @@ def format_json(report: RunReport) -> str:
     return json.dumps(report.to_dict(), indent=2) + "\n"
 
 
+@functools.cache  # built on first use, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lfp-solve",

@@ -9,11 +9,11 @@ supports induce the unique optimal partition of the variable and row index
 sets: sigma_x / sigma_v split {1..n}, sigma_u / sigma_y split {1..m}.
 
 Finding one reduces to finding relative interior points of the optimal faces
-of the transformed LP and its dual.  Each face is written once, as an
-`interior.Polyhedron` whose coordinate order its constructor documents; the
-one support-maximizing LP of `interior` is built over it, its optimum is
-normalized back onto the face by `interior`, and the face point is cut into
-named blocks.  Two routes are provided:
+of the transformed LP and its dual.  Each face is the LP that `duality` builds,
+in the standard form `solve_lp` pivots on, plus one row objective . x =
+theta_star.  The one support-maximizing LP of `interior` is built over a face,
+its optimum is normalized back onto the face by `interior`, and the face point
+is cut into named blocks.  Two routes are provided:
 
 * `approach_one` pins the optimal value theta_star first (one stage-1 solve),
   then solves one support-maximizing LP per face, two LPs in total.  Prefer
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import TransformedPoint, charnes_cooper_inverse, solve_theta_star
-from .errors import DegenerateNormalizer, EmptyPolyhedron, IterationLimitError, NumericalWarning, PartitionViolation
-from .interior import DEFAULT_POS_TOL, Polyhedron, build_maximal_element_lp, recover_maximal_element
-from .lp import LinearProgram, LPOutcome, SolverOptions, solve_lp
+from .duality import TransformedPoint, build_dual_lp, build_transformed_lp, charnes_cooper_inverse, solve_theta_star
+from .errors import DegenerateNormalizer, EmptyPolyhedron, NumericalWarning, PartitionViolation
+from .interior import DEFAULT_POS_TOL, Polyhedron, _solve_maximal_element_lp, build_maximal_element_lp, recover_maximal_element
+from .lp import LinearProgram, LPOutcome, SolverOptions, _standard_form
 from .problem import DualPoint, LFPProblem, PrimalPoint
 
 __all__ = [
@@ -125,35 +125,33 @@ class ScscReport:
 # ---------------------------------------------------------------------------
 
 
+def _optimal_face(lp: LinearProgram, value: float) -> Polyhedron:
+    """`lp`'s standard form plus the row `objective . x = value`; columns with lo = -inf are free.
+
+    Coordinates are the LP's columns and then one slack per inequality row.
+    """
+    A, b, lo, _ = _standard_form(lp)
+    value_row = np.zeros(A.shape[1])
+    value_row[: lp.num_vars] = lp.objective
+    return Polyhedron(np.vstack([A, value_row]), np.append(b, value), lo == -np.inf)
+
+
 def primal_optimal_face(problem: LFPProblem, theta_star: float) -> Polyhedron:
     """Optimal face of the transformed LP, coordinates (xbar_1..xbar_n, t, ubar_1..ubar_m):
 
         A xbar - b t + ubar = 0,  d.xbar + beta t = 1,  c.xbar + alpha t = theta_star.
     """
-    A, b, c, d = problem.A, problem.b, problem.c, problem.d
-    m = problem.num_rows
-    M = np.vstack([
-        np.hstack([A, -b.reshape(m, 1), np.eye(m)]),
-        np.concatenate([d, [problem.beta], np.zeros(m)]),
-        np.concatenate([c, [problem.alpha], np.zeros(m)]),
-    ])
-    return Polyhedron(M, np.concatenate([np.zeros(m), [1.0, float(theta_star)]]))
+    return _optimal_face(build_transformed_lp(problem), theta_star)
 
 
 def dual_optimal_face(problem: LFPProblem, theta_star: float) -> Polyhedron:
     """Optimal face of the dual LP, coordinates (y_1..y_m, z, v_1..v_n) with z free:
 
-        A'y + d z - v = c,  -b.y + beta z = alpha,  z = theta_star.
+        -A'y - d z + v = -c,  -b.y + beta z = alpha,  z = theta_star.
+
+    The first n rows are A'y + d z - v = c negated, as `build_dual_lp` stores them.
     """
-    A, b, c, d = problem.A, problem.b, problem.c, problem.d
-    m, n = A.shape
-    M = np.vstack([
-        np.hstack([A.T, d.reshape(n, 1), -np.eye(n)]),
-        np.concatenate([-b, [problem.beta], np.zeros(n)]),
-        np.concatenate([np.zeros(m), [1.0], np.zeros(n)]),
-    ])
-    free = np.concatenate([np.zeros(m, dtype=bool), [True], np.zeros(n, dtype=bool)])
-    return Polyhedron(M, np.concatenate([c, [problem.alpha, float(theta_star)]]), free)
+    return _optimal_face(build_dual_lp(problem), theta_star)
 
 
 def joint_optimal_face(problem: LFPProblem) -> Polyhedron:
@@ -225,7 +223,7 @@ def build_joint_lp(problem: LFPProblem) -> LinearProgram:
 
 
 def recover_primal_interior(
-    problem: LFPProblem, outcome: LPOutcome, feas_tol: float = 1e-9
+    problem: LFPProblem, outcome: LPOutcome, feas_tol: float = SolverOptions.feas_tol
 ) -> TransformedPoint:
     """Interior point of the primal optimal face from an optimal builder outcome."""
     face = primal_optimal_face(problem, 0.0)  # theta_star only sets a right-hand side
@@ -235,7 +233,7 @@ def recover_primal_interior(
 
 
 def recover_dual_interior(
-    problem: LFPProblem, outcome: LPOutcome, feas_tol: float = 1e-9
+    problem: LFPProblem, outcome: LPOutcome, feas_tol: float = SolverOptions.feas_tol
 ) -> DualPoint:
     """Interior point of the dual optimal face from an optimal builder outcome."""
     point = _face_point(dual_optimal_face(problem, 0.0), outcome, None, feas_tol)
@@ -244,15 +242,7 @@ def recover_dual_interior(
 
 
 def _solve_face(face: Polyhedron, capped, label: str, opts: SolverOptions) -> np.ndarray:
-    # The support-maximizing LPs are feasible (zero) and bounded (capped
-    # objective), so anything but OPTIMAL is a numerical breakdown.
-    outcome = solve_lp(build_maximal_element_lp(face, capped), opts)
-    if not outcome.is_optimal:
-        reason = outcome.detail or "a numerical breakdown, as the LP is feasible and bounded"
-        raise IterationLimitError(
-            f"{label} solve ended with status {outcome.status.value}: {reason}"
-        )
-    return _face_point(face, outcome, capped, opts.feas_tol)
+    return _face_point(face, _solve_maximal_element_lp(face, capped, opts, label), capped, opts.feas_tol)
 
 
 def approach_one(
@@ -265,8 +255,7 @@ def approach_one(
     Pass `theta_star` to reuse a stage-1 value already computed; otherwise it
     is solved here first.
     """
-    if opts is None:
-        opts = SolverOptions()
+    opts = opts or SolverOptions()
     if theta_star is None:
         theta_star = solve_theta_star(problem, opts)
     m, n = problem.num_rows, problem.num_vars
@@ -282,8 +271,7 @@ def approach_two(
     opts: SolverOptions | None = None,
 ) -> StrictComplementarySolution:
     """Single-LP route over the coupled faces; theta_star falls out as z."""
-    if opts is None:
-        opts = SolverOptions()
+    opts = opts or SolverOptions()
     face = joint_optimal_face(problem)
     try:
         point = _solve_face(face, _uncapped_t(face, problem), "joint face", opts)

@@ -57,7 +57,7 @@ class TransformedPoint:
         object.__setattr__(self, "t", float(self.t))
 
 
-def charnes_cooper_forward(problem: LFPProblem, x, feas_tol: float = 1e-9) -> TransformedPoint:
+def charnes_cooper_forward(problem: LFPProblem, x, feas_tol: float = SolverOptions.feas_tol) -> TransformedPoint:
     """Map x to (xbar, t, ubar) with t = 1/(d.x + beta) and xbar = t x."""
     x = np.asarray(x, dtype=float)
     den = float(problem.d @ x + problem.beta)
@@ -68,7 +68,7 @@ def charnes_cooper_forward(problem: LFPProblem, x, feas_tol: float = 1e-9) -> Tr
     return TransformedPoint(x_bar, t, problem.b * t - problem.A @ x_bar)
 
 
-def charnes_cooper_inverse(tp: TransformedPoint, feas_tol: float = 1e-9) -> PrimalPoint:
+def charnes_cooper_inverse(tp: TransformedPoint, feas_tol: float = SolverOptions.feas_tol) -> PrimalPoint:
     """Map (xbar, t, ubar) back to the original variables: x = xbar/t, u = ubar/t."""
     if tp.t <= feas_tol:
         raise DegenerateT(
@@ -98,11 +98,9 @@ def build_dual_lp(problem: LFPProblem) -> LinearProgram:
     would be tight anyway.
     """
     m = problem.num_rows
-    objective = np.zeros(m + 1)
-    objective[m] = 1.0
     return LinearProgram(
         Sense.MINIMIZE,
-        objective,
+        np.append(np.zeros(m), 1.0),
         A_ub=-np.hstack([problem.A.T, problem.d[:, None]]),
         b_ub=-problem.c,
         A_eq=np.append(-problem.b, problem.beta)[None, :],

@@ -129,7 +129,7 @@ def recover_maximal_element(
     outcome: LPOutcome,
     poly: Polyhedron,
     pos_tol: float = DEFAULT_POS_TOL,
-    feas_tol: float = 1e-9,
+    feas_tol: float = SolverOptions.feas_tol,
     capped=None,
 ) -> MaximalElement:
     """Normalize an optimal solution of the support-maximizing LP back into P.
@@ -152,18 +152,23 @@ def recover_maximal_element(
     return MaximalElement(point, _support(point, pos_tol, poly.free))
 
 
+def _solve_maximal_element_lp(poly: Polyhedron, capped, opts: SolverOptions, label: str) -> LPOutcome:
+    # Feasible (zero) and bounded (capped objective): any verdict but OPTIMAL is a breakdown.
+    out = solve_lp(build_maximal_element_lp(poly, capped), opts)
+    if not out.is_optimal:
+        reason = out.detail or "a numerical breakdown, as the LP is feasible and bounded"
+        raise IterationLimitError(f"{label} solve ended with status {out.status.value}: {reason}")
+    return out
+
+
 def find_relative_interior_point(
     poly: Polyhedron,
     opts: SolverOptions | None = None,
     pos_tol: float = DEFAULT_POS_TOL,
 ) -> MaximalElement:
     """Build, solve and normalize in one call."""
-    if opts is None:
-        opts = SolverOptions()
-    out = solve_lp(build_maximal_element_lp(poly), opts)
-    if not out.is_optimal:
-        reason = out.detail or "a numerical breakdown, as the LP is feasible and bounded"
-        raise IterationLimitError(f"maximal-element solve ended with status {out.status.value}: {reason}")
+    opts = opts or SolverOptions()
+    out = _solve_maximal_element_lp(poly, None, opts, "maximal-element")
     return recover_maximal_element(out, poly, pos_tol, opts.feas_tol)
 
 
@@ -180,8 +185,7 @@ def coordinate_support_oracle(
     single-LP route, deliberately so.  Free coordinates are neither probed
     nor reported.
     """
-    if opts is None:
-        opts = SolverOptions()
+    opts = opts or SolverOptions()
     n = poly.num_coords
     lo = np.where(poly.free, -np.inf, 0.0)
 

@@ -3,13 +3,14 @@
 A `LinearProgram` holds its data as arrays in scipy `linprog`'s layout: an
 inequality block `A_ub x <= b_ub`, an equality block `A_eq x = b_eq` and
 per-variable bounds `lo <= x <= hi` (nonnegative by default; boxed, one-sided
-or free as given).  `solve_lp` stacks them into `[[A_ub, I], [A_eq, 0]]`,
-one slack column per inequality row, with inequality rows first.  Free
-variables are kept as single columns that may move in either direction; box
-bounds are handled with the usual bounded-variable ratio test (including
-bound flips) instead of extra rows.  Phase 1 minimizes the total artificial
-infeasibility; phase 2 then optimizes the real objective from the feasible
-basis phase 1 produced.
+or free as given).  One private function, `_standard_form`, stacks them
+into `[[A_ub, I], [A_eq, 0]]`, one slack column per inequality row, with
+inequality rows first; `solve_lp` pivots on that form, and `complementarity`
+builds its optimal faces from it.  Free variables are kept as single columns
+that may move in either direction; box bounds are handled with the usual
+bounded-variable ratio test (including bound flips) instead of extra rows.
+Phase 1 minimizes the total artificial infeasibility; phase 2 then optimizes
+the real objective from the feasible basis phase 1 produced.
 
 Pivoting uses Dantzig's rule with a largest-pivot tie-break, switching to
 Bland's rule once 2 * (rows + cols) degenerate steps have accumulated, which
@@ -343,6 +344,19 @@ def _stopped(verdict, pivots, iter_budget) -> LPOutcome:
     return LPOutcome(SolveStatus.ITERATION_LIMIT, detail=detail)
 
 
+def _standard_form(lp: LinearProgram):
+    """(A, b, lo, hi) of `lp` as equalities over (x, one [0, inf) slack per A_ub row)."""
+    n, n_slack = lp.num_vars, lp.b_ub.size
+    A = np.zeros((lp.num_rows, n + n_slack))
+    A[:n_slack, :n] = lp.A_ub
+    A[n_slack:, :n] = lp.A_eq
+    A[:n_slack, n:] = np.eye(n_slack)
+    b = np.concatenate([lp.b_ub, lp.b_eq])
+    lo = np.concatenate([lp.lo, np.zeros(n_slack)])
+    hi = np.concatenate([lp.hi, np.full(n_slack, math.inf)])
+    return A, b, lo, hi
+
+
 def solve_lp(lp: LinearProgram, opts: SolverOptions | None = None) -> LPOutcome:
     """Solve `lp` with the two-phase simplex method.
 
@@ -351,22 +365,10 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions | None = None) -> LPOutcome:
     optimality violation above `opts.opt_tol`; ITERATION_LIMIT outcomes carry
     no point at all, so numerical trouble is never silently papered over.
     """
-    if opts is None:
-        opts = SolverOptions()
+    opts = opts or SolverOptions()
+    A, b, lo, hi = _standard_form(lp)
+    m, N = A.shape
     n = lp.num_vars
-    m = lp.num_rows
-    n_slack = lp.b_ub.size
-    N = n + n_slack
-
-    # [[A_ub, I], [A_eq, 0]]: one slack column per inequality row.
-    A = np.zeros((m, N))
-    A[:n_slack, :n] = lp.A_ub
-    A[n_slack:, :n] = lp.A_eq
-    A[:n_slack, n:] = np.eye(n_slack)
-    b = np.concatenate([lp.b_ub, lp.b_eq])
-    lo = np.concatenate([lp.lo, np.zeros(n_slack)])
-    hi = np.concatenate([lp.hi, np.full(n_slack, math.inf)])
-
     cost = np.zeros(N)
     cost[:n] = lp.objective if lp.sense is Sense.MINIMIZE else -lp.objective
     iter_budget = opts.max_iters or 50 * (m + n)

@@ -117,7 +117,7 @@ class DualPoint:
         return cls(y, z, problem.A.T @ y + problem.d * z - problem.c)
 
 
-def evaluate_objective(problem: LFPProblem, x, feas_tol: float = 1e-9) -> float:
+def evaluate_objective(problem: LFPProblem, x, feas_tol: float = SolverOptions.feas_tol) -> float:
     """Value of the ratio objective at x.
 
     Raises NonpositiveDenominator when d.x + beta is not safely positive,
@@ -138,8 +138,7 @@ def validate_denominator(problem: LFPProblem, opts: SolverOptions | None = None)
     InfeasibleRegion when the region is empty and UnboundedValidation when the
     denominator can be driven to -inf.
     """
-    if opts is None:
-        opts = SolverOptions()
+    opts = opts or SolverOptions()
     out = solve_lp(LinearProgram(Sense.MINIMIZE, problem.d, A_ub=problem.A, b_ub=problem.b), opts)
     if out.status is SolveStatus.INFEASIBLE:
         raise InfeasibleRegion("the constraint region is empty")

@@ -21,6 +21,9 @@ def test_two_dumps_of_one_checkout_do_not_differ(tmp_path):
     records = json.loads((tmp_path / "a.json").read_text())
     assert [r["name"] for r in records] == [f"small-{k:03d}" for k in range(5)]
     assert all("timings" not in r["report"] for r in records)
+    # Phase 1 and phase 2 of at least stage 1 and the two face LPs.
+    assert all(len(r["runs"]) >= 6 for r in records)
+    assert all(verdict == "optimal" and used >= 0 for r in records for verdict, used in r["runs"])
     assert tool.main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
 
 
@@ -45,3 +48,18 @@ def test_diff_counts_every_kind_of_difference():
     assert "only in before: w/1/gone" in text
     assert "w: 3 compared, 2 reports differ (1 only in error text), 1 exit-code changes" in text
     assert "failures 1 -> 2" in text
+
+
+def test_diff_counts_changed_simplex_runs():
+    tool = load_tool()
+    same = {"workload": "w", "seed": 1, "name": "same", "code": 0, "report": {"status": "ok"},
+            "runs": [["optimal", 0], ["optimal", 7]]}
+    pivots = {**same, "name": "pivots"}
+    after = [same, {**pivots, "runs": [["optimal", 0], ["optimal", 8]]}]
+    out = io.StringIO()
+    assert tool.diff([same, pivots], after, out) == 1
+    text = out.getvalue()
+    assert "simplex runs differ: w/1/pivots" in text
+    assert "simplex runs differ: w/1/same" not in text
+    assert "w: 2 compared, 0 reports differ (0 only in error text), 0 exit-code changes, " \
+        "1 with different simplex runs, failures 0 -> 0, pivots 14 -> 15" in text

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import lfpkit.complementarity as complementarity_module
+import lfpkit.interior as interior_module
 from lfpkit import (
     DualPoint,
     IterationLimitError,
@@ -56,6 +56,65 @@ def vertex_solution(problem, x, y, z):
     )
 
 
+def negated_objective(problem):
+    """The same region with numerator -(c.x + alpha)."""
+    return LFPProblem(
+        A=problem.A, b=problem.b, c=-problem.c, d=problem.d, alpha=-problem.alpha, beta=problem.beta
+    )
+
+
+# The optimal faces written out by hand, as they were before both came from
+# duality's LPs; kept as the reference the derived faces must match.
+def reference_primal_face(problem, theta_star):
+    A, b, c, d = problem.A, problem.b, problem.c, problem.d
+    m = problem.num_rows
+    M = np.vstack([
+        np.hstack([A, -b.reshape(m, 1), np.eye(m)]),
+        np.concatenate([d, [problem.beta], np.zeros(m)]),
+        np.concatenate([c, [problem.alpha], np.zeros(m)]),
+    ])
+    return M, np.concatenate([np.zeros(m), [1.0, float(theta_star)]]), np.zeros(M.shape[1], dtype=bool)
+
+
+def reference_dual_face(problem, theta_star):
+    A, b, c, d = problem.A, problem.b, problem.c, problem.d
+    m, n = A.shape
+    M = np.vstack([
+        np.hstack([A.T, d.reshape(n, 1), -np.eye(n)]),
+        np.concatenate([-b, [problem.beta], np.zeros(n)]),
+        np.concatenate([np.zeros(m), [1.0], np.zeros(n)]),
+    ])
+    free = np.concatenate([np.zeros(m, dtype=bool), [True], np.zeros(n, dtype=bool)])
+    return M, np.concatenate([c, [problem.alpha, float(theta_star)]]), free
+
+
+class TestFacesMatchReference:
+    def assert_faces_match(self, problem):
+        theta = solve_theta_star(problem)
+        M, rhs, free = reference_primal_face(problem, theta)
+        face = primal_optimal_face(problem, theta)
+        assert np.array_equal(face.A_eq, M) and np.array_equal(face.b_eq, rhs)
+        assert np.array_equal(face.free, free)
+        # The dual face stores its first n rows negated.
+        M, rhs, free = reference_dual_face(problem, theta)
+        n = problem.num_vars
+        M[:n], rhs[:n] = -M[:n], -rhs[:n]
+        face = dual_optimal_face(problem, theta)
+        assert np.array_equal(face.A_eq, M) and np.array_equal(face.b_eq, rhs)
+        assert np.array_equal(face.free, free)
+        return theta
+
+    def test_golden(self, golden):
+        assert self.assert_faces_match(golden) == pytest.approx(THETA_GOLDEN)
+        assert self.assert_faces_match(negated_objective(golden)) < 0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random(self, seed):
+        problem = random_instance(seed, nonneg_objective=True)
+        assert self.assert_faces_match(problem) > 0
+        assert self.assert_faces_match(negated_objective(problem)) < 0
+
+
 class TestBuilders:
     def test_primal_shape_golden(self, golden):
         lp = build_primal_interior_lp(golden, THETA_GOLDEN)
@@ -86,7 +145,8 @@ class TestBuilders:
     def test_dual_rows_golden(self, golden):
         # Columns: (y1_1, y1_2, q, v1_1, v1_2, w1, y2_1, y2_2, v2_1, v2_2, w2).
         lp = build_dual_interior_lp(golden, THETA_GOLDEN)
-        assert_allclose(lp.A_eq[0], [2, -2, 5, -1, 0, -6, 2, -2, -1, 0, -6])
+        # Row 0 is A'y + d z - v = c negated, as build_dual_lp stores it.
+        assert_allclose(lp.A_eq[0], [-2, 2, -5, 1, 0, 6, -2, 2, 1, 0, 6])
         assert_allclose(lp.A_eq[2], [-6, -2, 5, 0, 0, -6, -6, -2, 0, 0, -6])
         assert_allclose(lp.A_eq[3], [0, 0, 1, 0, 0, -THETA_GOLDEN, 0, 0, 0, 0, -THETA_GOLDEN])
 
@@ -100,8 +160,9 @@ class TestBuilders:
         assert np.all(lp.b_ub == 0.0) and np.all(lp.b_eq == 0.0)
 
     def test_joint_shared_w_coefficients(self, golden):
-        # w1/w2 carry -1 in the primal scaling row, -c_j in each dual row,
-        # and -alpha in the dual normalization row.
+        # w1/w2 carry -1 in the primal scaling row, +c_j in each dual row
+        # (stored negated, as build_dual_lp stores them), and -alpha in the
+        # dual normalization row.
         lp = build_joint_lp(golden)
         m, n = golden.num_rows, golden.num_vars
         w1 = 2 * n + 2 * m + 2
@@ -110,7 +171,7 @@ class TestBuilders:
         assert scaling[w1] == scaling[w2] == -1.0
         for j in range(n):
             dual_row = lp.A_eq[m + 1 + j]
-            assert dual_row[w1] == dual_row[w2] == -golden.c[j]
+            assert dual_row[w1] == dual_row[w2] == golden.c[j]
         normalization = lp.A_eq[m + 1 + n]
         assert normalization[w1] == normalization[w2] == -golden.alpha
         coupling = lp.A_eq[-1]
@@ -199,7 +260,7 @@ class TestApproachOne:
         ],
     )
     def test_face_solve_failure_names_its_cause(self, golden, monkeypatch, outcome, message):
-        monkeypatch.setattr(complementarity_module, "solve_lp", lambda lp, opts: outcome)
+        monkeypatch.setattr(interior_module, "solve_lp", lambda lp, opts: outcome)
         with pytest.raises(IterationLimitError, match=message):
             approach_one(golden, theta_star=THETA_GOLDEN)
 
@@ -337,10 +398,7 @@ class TestRandomInstances:
     def test_partition_matches_face_oracles_negative_theta(self, seed):
         # The numerator -(c.x + alpha) is negative on the whole region, so
         # theta_star < 0 and the dual face's z coordinate is negative.
-        base = random_instance(seed, total_cap=8, nonneg_objective=True)
-        problem = LFPProblem(
-            A=base.A, b=base.b, c=-base.c, d=base.d, alpha=-base.alpha, beta=base.beta
-        )
+        problem = negated_objective(random_instance(seed, total_cap=8, nonneg_objective=True))
         assert solve_theta_star(problem) < 0
         assert_partition_matches_face_oracles(problem)
 

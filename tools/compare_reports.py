@@ -7,14 +7,17 @@
 `dump` writes the instances that `perfbench/generate.py` makes for each
 workload and seed (the first N of each with `--limit`), runs
 `lfpkit.cli.run` on each with `--approach both --format json
---validate-denominator`, and records the exit code and the JSON report minus
-its `timings`.  The package is imported from the `src/` next to this script,
-so run the script of the checkout you want to measure.
+--validate-denominator`, and records the exit code, the JSON report minus
+its `timings`, and the verdict and pivot count of every `lfpkit.lp._run_simplex`
+run (one per simplex phase) in call order.  The package is imported from the
+`src/` next to this script, so run the script of the checkout you want to
+measure.
 
 `diff` matches instances by workload, seed and name and prints, per workload,
 the instances compared, the reports that differ (and how many of those differ
-only in their `error` text), the exit-code changes and the failures (nonzero
-exits) on each side.  It exits 1 on any difference, 0 otherwise.
+only in their `error` text), the exit-code changes, the instances whose
+simplex runs differ, the failures (nonzero exits) and the pivot totals on
+each side.  It exits 1 on any difference, 0 otherwise.
 """
 
 import os
@@ -35,19 +38,31 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import generate  # noqa: E402
-from lfpkit import cli  # noqa: E402
+from lfpkit import cli, lp  # noqa: E402
 
 CLI_ARGS = ("--approach", "both", "--format", "json", "--validate-denominator")
 
 
 def run_instance(path: Path) -> dict:
-    """Exit code and JSON report (without `timings`) of one `lfp-solve` call."""
+    """Exit code, JSON report (without `timings`) and simplex runs of one `lfp-solve` call."""
+    runs = []
+    simplex = lp._run_simplex
+
+    def recorded(*args, **kwargs):
+        verdict, x, used = simplex(*args, **kwargs)
+        runs.append([verdict, used])
+        return verdict, x, used
+
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run(["--input", str(path), *CLI_ARGS])
+    lp._run_simplex = recorded
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(["--input", str(path), *CLI_ARGS])
+    finally:
+        lp._run_simplex = simplex
     report = json.loads(out.getvalue())
     report.pop("timings", None)
-    return {"code": code, "report": report}
+    return {"code": code, "report": report, "runs": runs}
 
 
 def dump(workloads, seeds, limit=None) -> list:
@@ -74,7 +89,7 @@ def diff(before: list, after: list, out=sys.stdout) -> int:
         differences += 1
     for workload in sorted({k[0] for k in old.keys() | new.keys()}):
         shared = sorted(k for k in old.keys() & new.keys() if k[0] == workload)
-        reports = errors_only = codes = 0
+        reports = errors_only = codes = runs = 0
         for k in shared:
             a, b = old[k], new[k]
             if a["code"] != b["code"]:
@@ -88,16 +103,25 @@ def diff(before: list, after: list, out=sys.stdout) -> int:
                     errors_only += 1
                 else:
                     print(f"  report differs: {'/'.join(map(str, k))}", file=out)
+            if a.get("runs") != b.get("runs"):
+                runs += 1
+                print(f"  simplex runs differ: {'/'.join(map(str, k))}", file=out)
         failed_before = sum(old[k]["code"] != 0 for k in shared)
         failed_after = sum(new[k]["code"] != 0 for k in shared)
         print(
             f"{workload}: {len(shared)} compared, {reports} reports differ "
             f"({errors_only} only in error text), {codes} exit-code changes, "
-            f"failures {failed_before} -> {failed_after}",
+            f"{runs} with different simplex runs, "
+            f"failures {failed_before} -> {failed_after}, "
+            f"pivots {_pivots(old, shared)} -> {_pivots(new, shared)}",
             file=out,
         )
-        differences += reports + codes
+        differences += reports + codes + runs
     return differences
+
+
+def _pivots(records: dict, keys) -> int:
+    return sum(used for k in keys for _, used in records[k].get("runs", ()))
 
 
 def _canonical(doc) -> str:
