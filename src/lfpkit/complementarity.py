@@ -32,7 +32,7 @@ import numpy as np
 
 from .duality import TransformedPoint, build_dual_lp, build_transformed_lp, charnes_cooper_inverse, solve_theta_star
 from .errors import DegenerateNormalizer, EmptyPolyhedron, NumericalWarning, PartitionViolation
-from .interior import DEFAULT_POS_TOL, Polyhedron, _solve_maximal_element_lp, build_maximal_element_lp, recover_maximal_element
+from .interior import DEFAULT_POS_TOL, Polyhedron, _normalize, _solve_maximal_element_lp, build_maximal_element_lp
 from .lp import LinearProgram, LPOutcome, SolverOptions, _standard_form
 from .problem import DualPoint, LFPProblem, PrimalPoint
 
@@ -173,12 +173,24 @@ def joint_optimal_face(problem: LFPProblem) -> Polyhedron:
     return Polyhedron(M, rhs, np.concatenate([primal.free, dual.free]))
 
 
-def _uncapped_t(face: Polyhedron, problem: LFPProblem) -> np.ndarray:
-    # t = 1/(d.x + beta) is positive on the whole face, so it gets no capped
-    # copy; it follows the n coordinates of xbar.
-    capped = ~face.free
-    capped[problem.num_vars] = False
-    return capped
+def _primal_capped(problem: LFPProblem) -> np.ndarray:
+    """Capped coordinates of the primal face: all but t, at index n of n + 1 + m.
+
+    t = 1/(d.x + beta) is positive on the whole face, so it needs no capped copy.
+    """
+    n, m = problem.num_vars, problem.num_rows
+    return np.arange(n + 1 + m) != n
+
+
+def _dual_capped(problem: LFPProblem) -> np.ndarray:
+    """Capped coordinates of the dual face: all but the free z, at index m of m + 1 + n."""
+    n, m = problem.num_vars, problem.num_rows
+    return np.arange(m + 1 + n) != m
+
+
+def _joint_capped(problem: LFPProblem) -> np.ndarray:
+    """Capped coordinates of the joint face: the primal and the dual masks side by side."""
+    return np.concatenate([_primal_capped(problem), _dual_capped(problem)])
 
 
 def _blocks(point: np.ndarray, *sizes: int) -> list:
@@ -186,9 +198,9 @@ def _blocks(point: np.ndarray, *sizes: int) -> list:
     return np.split(point, np.cumsum(sizes)[:-1])
 
 
-def _face_point(face: Polyhedron, outcome: LPOutcome, capped, feas_tol: float) -> np.ndarray:
+def _face_point(outcome: LPOutcome, capped: np.ndarray, feas_tol: float) -> np.ndarray:
     try:
-        return recover_maximal_element(outcome, face, feas_tol=feas_tol, capped=capped).point
+        return _normalize(outcome, capped, feas_tol)
     except EmptyPolyhedron:
         raise DegenerateNormalizer(
             "zero scaling weight while recovering an interior point of an optimal "
@@ -201,8 +213,7 @@ def build_primal_interior_lp(problem: LFPProblem, theta_star: float) -> LinearPr
 
     Columns: (x1_1..x1_n, p, u1_1..u1_m, w1, x2_1..x2_n, u2_1..u2_m, w2).
     """
-    face = primal_optimal_face(problem, theta_star)
-    return build_maximal_element_lp(face, _uncapped_t(face, problem))
+    return build_maximal_element_lp(primal_optimal_face(problem, theta_star), _primal_capped(problem))
 
 
 def build_dual_interior_lp(problem: LFPProblem, theta_star: float) -> LinearProgram:
@@ -210,7 +221,7 @@ def build_dual_interior_lp(problem: LFPProblem, theta_star: float) -> LinearProg
 
     Columns: (y1_1..y1_m, q, v1_1..v1_n, w1, y2_1..y2_m, v2_1..v2_n, w2).
     """
-    return build_maximal_element_lp(dual_optimal_face(problem, theta_star))
+    return build_maximal_element_lp(dual_optimal_face(problem, theta_star), _dual_capped(problem))
 
 
 def build_joint_lp(problem: LFPProblem) -> LinearProgram:
@@ -218,16 +229,14 @@ def build_joint_lp(problem: LFPProblem) -> LinearProgram:
 
     Columns: (x1, p, u1, y1, q, v1, w1, x2, u2, y2, v2, w2).
     """
-    face = joint_optimal_face(problem)
-    return build_maximal_element_lp(face, _uncapped_t(face, problem))
+    return build_maximal_element_lp(joint_optimal_face(problem), _joint_capped(problem))
 
 
 def recover_primal_interior(
     problem: LFPProblem, outcome: LPOutcome, feas_tol: float = SolverOptions.feas_tol
 ) -> TransformedPoint:
     """Interior point of the primal optimal face from an optimal builder outcome."""
-    face = primal_optimal_face(problem, 0.0)  # theta_star only sets a right-hand side
-    point = _face_point(face, outcome, _uncapped_t(face, problem), feas_tol)
+    point = _face_point(outcome, _primal_capped(problem), feas_tol)
     x_bar, (t,), u_bar = _blocks(point, problem.num_vars, 1, problem.num_rows)
     return TransformedPoint(x_bar, t, u_bar)
 
@@ -236,13 +245,13 @@ def recover_dual_interior(
     problem: LFPProblem, outcome: LPOutcome, feas_tol: float = SolverOptions.feas_tol
 ) -> DualPoint:
     """Interior point of the dual optimal face from an optimal builder outcome."""
-    point = _face_point(dual_optimal_face(problem, 0.0), outcome, None, feas_tol)
+    point = _face_point(outcome, _dual_capped(problem), feas_tol)
     y, (z,), v = _blocks(point, problem.num_rows, 1, problem.num_vars)
     return DualPoint(y, z, v)
 
 
-def _solve_face(face: Polyhedron, capped, label: str, opts: SolverOptions) -> np.ndarray:
-    return _face_point(face, _solve_maximal_element_lp(face, capped, opts, label), capped, opts.feas_tol)
+def _solve_face(face: Polyhedron, capped: np.ndarray, label: str, opts: SolverOptions) -> np.ndarray:
+    return _face_point(_solve_maximal_element_lp(face, capped, opts, label), capped, opts.feas_tol)
 
 
 def approach_one(
@@ -259,9 +268,10 @@ def approach_one(
     if theta_star is None:
         theta_star = solve_theta_star(problem, opts)
     m, n = problem.num_rows, problem.num_vars
-    face = primal_optimal_face(problem, theta_star)
-    x_bar, (t,), u_bar = _blocks(_solve_face(face, _uncapped_t(face, problem), "primal face", opts), n, 1, m)
-    y, (z,), v = _blocks(_solve_face(dual_optimal_face(problem, theta_star), None, "dual face", opts), m, 1, n)
+    primal_point = _solve_face(primal_optimal_face(problem, theta_star), _primal_capped(problem), "primal face", opts)
+    dual_point = _solve_face(dual_optimal_face(problem, theta_star), _dual_capped(problem), "dual face", opts)
+    x_bar, (t,), u_bar = _blocks(primal_point, n, 1, m)
+    y, (z,), v = _blocks(dual_point, m, 1, n)
     primal = charnes_cooper_inverse(TransformedPoint(x_bar, t, u_bar), opts.feas_tol)
     return StrictComplementarySolution(primal, t, DualPoint(y, z, v), theta_star)
 
@@ -272,9 +282,8 @@ def approach_two(
 ) -> StrictComplementarySolution:
     """Single-LP route over the coupled faces; theta_star falls out as z."""
     opts = opts or SolverOptions()
-    face = joint_optimal_face(problem)
     try:
-        point = _solve_face(face, _uncapped_t(face, problem), "joint face", opts)
+        point = _solve_face(joint_optimal_face(problem), _joint_capped(problem), "joint face", opts)
     except DegenerateNormalizer:
         # No optimal pair scaled into view: either the problem itself is bad
         # (raised by the stage-1 classification below) or numerics collapsed.

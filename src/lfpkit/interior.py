@@ -138,10 +138,15 @@ def recover_maximal_element(
     when the optimal scaling weight is zero, which is the LP's certificate
     that P has no points at all.
     """
+    point = _normalize(outcome, _capped_mask(poly, capped), feas_tol)
+    return MaximalElement(point, _support(point, pos_tol, poly.free))
+
+
+def _normalize(outcome: LPOutcome, capped: np.ndarray, feas_tol: float) -> np.ndarray:
+    """(x1 + x2) / (w1 + w2) from the support-maximizing LP built with the mask `capped`."""
     if not outcome.is_optimal:
         raise ValueError(f"expected an optimal outcome, got {outcome.status}")
-    capped = _capped_mask(poly, capped)
-    n = poly.num_coords
+    n = capped.size
     z = outcome.point
     w_total = float(z[n] + z[-1])
     if w_total <= feas_tol:
@@ -149,7 +154,7 @@ def recover_maximal_element(
     point = z[:n].copy()
     point[capped] += z[n + 1 : -1]
     point /= w_total
-    return MaximalElement(point, _support(point, pos_tol, poly.free))
+    return point
 
 
 def _solve_maximal_element_lp(poly: Polyhedron, capped, opts: SolverOptions, label: str) -> LPOutcome:

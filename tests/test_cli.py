@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,9 @@ GOLDEN_DOC = (
 )
 EMPTY_DOC = '{"A": [[1]], "b": [-1], "c": [1], "d": [0], "alpha": 0, "beta": 1}'
 UNBOUNDED_DOC = '{"A": [[-1]], "b": [0], "c": [1], "d": [0], "alpha": 0, "beta": 1}'
+# Denominator 1 - x hits zero at the vertex x = 1.
+VIOLATES_DOC = '{"A": [[1]], "b": [1], "c": [1], "d": [-1], "alpha": 0, "beta": 1}'
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -117,6 +124,26 @@ class TestJsonFormat:
         assert "cross_check" not in doc  # present iff both approaches ran
         assert doc["theta_star"] == pytest.approx(4.0 / 3.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "doc, flags, code, keys",
+        [
+            (GOLDEN_DOC, ["--validate-denominator"], 0,
+             "status theta_star approaches partition cross_check denominator_min timings warnings"),
+            (GOLDEN_DOC, ["--approach", "two"], 0,
+             "status theta_star approaches partition timings warnings"),
+            (EMPTY_DOC, [], 2, "status error approaches partition timings warnings"),
+            (VIOLATES_DOC, ["--validate-denominator"], 3,
+             "status error approaches partition denominator_min timings warnings"),
+        ],
+        ids=["golden", "approach-two", "empty-region", "denominator-check-fails"],
+    )
+    def test_key_order(self, tmp_path, capsys, doc, flags, code, keys):
+        path = tmp_path / "problem.json"
+        path.write_text(doc, encoding="utf-8")
+        exit_code, out, _ = run_cli(capsys, "--input", str(path), "--format", "json", *flags)
+        assert exit_code == code
+        assert list(json.loads(out)) == keys.split()
+
     def test_error_report_is_json_when_requested(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text(EMPTY_DOC, encoding="utf-8")
@@ -136,10 +163,8 @@ class TestFlags:
         assert json.loads(out)["denominator_min"] == pytest.approx(5.0)
 
     def test_validate_denominator_catches_violation(self, tmp_path, capsys):
-        # Denominator hits zero at the vertex x = 1.
-        doc = '{"A": [[1]], "b": [1], "c": [1], "d": [-1], "alpha": 0, "beta": 1}'
         path = tmp_path / "violates.json"
-        path.write_text(doc, encoding="utf-8")
+        path.write_text(VIOLATES_DOC, encoding="utf-8")
         code, out, _ = run_cli(capsys, "--input", str(path), "--validate-denominator")
         assert code == 3
         assert "status: denominator_nonpositive" in out
@@ -186,9 +211,22 @@ class TestFlags:
         assert out.startswith("theta_star")
 
 
+@pytest.mark.parametrize("doc, code", [(GOLDEN_DOC, 0), (EMPTY_DOC, 2)], ids=["golden", "empty-region"])
+def test_python_dash_m_entry_point(tmp_path, doc, code):
+    path = tmp_path / "problem.json"
+    path.write_text(doc, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-m", "lfpkit", "--input", str(path), "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == code, result.stderr
+    assert json.loads(result.stdout)["status"] == ("ok" if code == 0 else "infeasible")
+
+
 def test_format_text_flags_scsc_failure():
     # Rendering detail: a failing strictness check must name the indices.
-    from lfpkit.cli import ApproachResult, RunReport
+    from dataclasses import asdict
     from lfpkit import (
         DualPoint, PrimalPoint, StrictComplementarySolution, verify_csc, verify_scsc,
     )
@@ -197,8 +235,15 @@ def test_format_text_flags_scsc_failure():
         PrimalPoint([0.0, 2.0], [4.0, 0.0]), 0.1,
         DualPoint([0.0, 1.0 / 3.0], 4.0 / 3.0, [0.0, 0.0]), 4.0 / 3.0,
     )
-    report = RunReport(status="verification_failed", theta_star=4.0 / 3.0)
-    report.approaches["one"] = ApproachResult(sol, verify_csc(sol), verify_scsc(sol), None)
-    text = format_text(report)
+    block = {
+        "x": sol.primal.x.tolist(), "u": sol.primal.u.tolist(), "t": sol.t_star,
+        "y": sol.dual.y.tolist(), "z": sol.dual.z, "v": sol.dual.v.tolist(),
+        "csc": asdict(verify_csc(sol)), "scsc": asdict(verify_scsc(sol)),
+    }
+    doc = {
+        "status": "verification_failed", "theta_star": 4.0 / 3.0, "approaches": {"one": block},
+        "partition": None, "timings": {}, "warnings": [],
+    }
+    text = format_text(doc)
     assert "FAIL" in text
     assert "failing primal [1]" in text

@@ -24,6 +24,8 @@ def test_two_dumps_of_one_checkout_do_not_differ(tmp_path):
     # Phase 1 and phase 2 of at least stage 1 and the two face LPs.
     assert all(len(r["runs"]) >= 6 for r in records)
     assert all(verdict == "optimal" and used >= 0 for r in records for verdict, used in r["runs"])
+    assert all(r["text"].endswith("status: ok\n") and r["stderr"] == ["", ""] for r in records)
+    assert all("timings: stage1 #s, approach_one #s, approach_two #s\n" in r["text"] for r in records)
     assert tool.main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
 
 
@@ -63,3 +65,19 @@ def test_diff_counts_changed_simplex_runs():
     assert "simplex runs differ: w/1/same" not in text
     assert "w: 2 compared, 0 reports differ (0 only in error text), 0 exit-code changes, " \
         "1 with different simplex runs, failures 0 -> 0, pivots 14 -> 15" in text
+
+
+def test_diff_counts_changed_text_or_stderr():
+    tool = load_tool()
+    same = {"workload": "w", "seed": 1, "name": "same", "code": 0, "report": {"status": "ok"},
+            "text": "status: ok\n", "stderr": ["", ""]}
+    text = {**same, "name": "text"}
+    stderr = {**same, "name": "stderr"}
+    after = [same, {**text, "text": "theta_star = 1\nstatus: ok\n"}, {**stderr, "stderr": ["", "x"]}]
+    out = io.StringIO()
+    assert tool.diff([same, text, stderr], after, out) == 2
+    printed = out.getvalue()
+    assert "text or stderr differs: w/1/text" in printed
+    assert "text or stderr differs: w/1/stderr" in printed
+    assert "text or stderr differs: w/1/same" not in printed
+    assert printed.rstrip().endswith("pivots 0 -> 0, 2 with different text or stderr")

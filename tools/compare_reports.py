@@ -6,18 +6,20 @@
 
 `dump` writes the instances that `perfbench/generate.py` makes for each
 workload and seed (the first N of each with `--limit`), runs
-`lfpkit.cli.run` on each with `--approach both --format json
---validate-denominator`, and records the exit code, the JSON report minus
-its `timings`, and the verdict and pivot count of every `lfpkit.lp._run_simplex`
-run (one per simplex phase) in call order.  The package is imported from the
-`src/` next to this script, so run the script of the checkout you want to
-measure.
+`lfpkit.cli.run` on each with `--approach both --validate-denominator`, once
+with `--format json` and once with `--format text`, and records the exit code,
+the JSON report minus its `timings`, the text report with the numbers on its
+`timings:` line masked, the standard error of both runs, and the verdict and
+pivot count of every `lfpkit.lp._run_simplex` run (one per simplex phase) of
+the JSON run in call order.  The package is imported from the `src/` next to
+this script, so run the script of the checkout you want to measure.
 
 `diff` matches instances by workload, seed and name and prints, per workload,
 the instances compared, the reports that differ (and how many of those differ
 only in their `error` text), the exit-code changes, the instances whose
-simplex runs differ, the failures (nonzero exits) and the pivot totals on
-each side.  It exits 1 on any difference, 0 otherwise.
+simplex runs differ, the failures (nonzero exits), the pivot totals on each
+side and the instances whose text report or standard error differs.  It
+exits 1 on any difference, 0 otherwise.
 """
 
 import os
@@ -30,6 +32,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -40,11 +43,19 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import generate  # noqa: E402
 from lfpkit import cli, lp  # noqa: E402
 
-CLI_ARGS = ("--approach", "both", "--format", "json", "--validate-denominator")
+CLI_ARGS = ("--approach", "both", "--validate-denominator")
+
+
+def run_cli(path: Path, fmt: str) -> tuple:
+    """Exit code, standard output and standard error of one `lfp-solve` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["--input", str(path), *CLI_ARGS, "--format", fmt])
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_instance(path: Path) -> dict:
-    """Exit code, JSON report (without `timings`) and simplex runs of one `lfp-solve` call."""
+    """Exit code, reports, standard error and simplex runs of one instance's JSON and text runs."""
     runs = []
     simplex = lp._run_simplex
 
@@ -53,16 +64,16 @@ def run_instance(path: Path) -> dict:
         runs.append([verdict, used])
         return verdict, x, used
 
-    out = io.StringIO()
     lp._run_simplex = recorded
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.run(["--input", str(path), *CLI_ARGS])
+        code, out, err = run_cli(path, "json")
     finally:
         lp._run_simplex = simplex
-    report = json.loads(out.getvalue())
+    report = json.loads(out)
     report.pop("timings", None)
-    return {"code": code, "report": report, "runs": runs}
+    _, text, text_err = run_cli(path, "text")
+    text = re.sub(r"(?m)^timings: .*$", lambda line: re.sub(r"\d+\.\d+", "#", line.group()), text)
+    return {"code": code, "report": report, "runs": runs, "text": text, "stderr": [err, text_err]}
 
 
 def dump(workloads, seeds, limit=None) -> list:
@@ -89,7 +100,7 @@ def diff(before: list, after: list, out=sys.stdout) -> int:
         differences += 1
     for workload in sorted({k[0] for k in old.keys() | new.keys()}):
         shared = sorted(k for k in old.keys() & new.keys() if k[0] == workload)
-        reports = errors_only = codes = runs = 0
+        reports = errors_only = codes = runs = texts = 0
         for k in shared:
             a, b = old[k], new[k]
             if a["code"] != b["code"]:
@@ -106,6 +117,9 @@ def diff(before: list, after: list, out=sys.stdout) -> int:
             if a.get("runs") != b.get("runs"):
                 runs += 1
                 print(f"  simplex runs differ: {'/'.join(map(str, k))}", file=out)
+            if (a.get("text"), a.get("stderr")) != (b.get("text"), b.get("stderr")):
+                texts += 1
+                print(f"  text or stderr differs: {'/'.join(map(str, k))}", file=out)
         failed_before = sum(old[k]["code"] != 0 for k in shared)
         failed_after = sum(new[k]["code"] != 0 for k in shared)
         print(
@@ -113,10 +127,11 @@ def diff(before: list, after: list, out=sys.stdout) -> int:
             f"({errors_only} only in error text), {codes} exit-code changes, "
             f"{runs} with different simplex runs, "
             f"failures {failed_before} -> {failed_after}, "
-            f"pivots {_pivots(old, shared)} -> {_pivots(new, shared)}",
+            f"pivots {_pivots(old, shared)} -> {_pivots(new, shared)}, "
+            f"{texts} with different text or stderr",
             file=out,
         )
-        differences += reports + codes + runs
+        differences += reports + codes + runs + texts
     return differences
 
 
