@@ -11,9 +11,12 @@ sets: sigma_x / sigma_v split {1..n}, sigma_u / sigma_y split {1..m}.
 Finding one reduces to finding relative interior points of the optimal faces
 of the transformed LP and its dual.  Each face is the LP that `duality` builds,
 in the standard form `solve_lp` pivots on, plus one row objective . x =
-theta_star.  The one support-maximizing LP of `interior` is built over a face,
-its optimum is normalized back onto the face by `interior`, and the face point
-is cut into named blocks.  Two routes are provided:
+theta_star.  The one support-maximizing LP of `interior` is built over a face
+(`build_primal_interior_lp`, `build_dual_interior_lp`, `build_joint_lp`), its
+optimum is normalized back onto the face by `interior`, and the face point is
+cut into named blocks (`recover_primal_interior`, `recover_dual_interior`).
+Both routes solve the LPs these builders return; `approach_one` recovers
+through the two public recoveries, `approach_two` cuts its joint point itself:
 
 * `approach_one` pins the optimal value theta_star first (one stage-1 solve),
   then solves one support-maximizing LP per face, two LPs in total.  Prefer
@@ -250,10 +253,6 @@ def recover_dual_interior(
     return DualPoint(y, z, v)
 
 
-def _solve_face(face: Polyhedron, capped: np.ndarray, label: str, opts: SolverOptions) -> np.ndarray:
-    return _face_point(_solve_maximal_element_lp(face, capped, opts, label), capped, opts.feas_tol)
-
-
 def approach_one(
     problem: LFPProblem,
     opts: SolverOptions | None = None,
@@ -267,13 +266,12 @@ def approach_one(
     opts = opts or SolverOptions()
     if theta_star is None:
         theta_star = solve_theta_star(problem, opts)
-    m, n = problem.num_rows, problem.num_vars
-    primal_point = _solve_face(primal_optimal_face(problem, theta_star), _primal_capped(problem), "primal face", opts)
-    dual_point = _solve_face(dual_optimal_face(problem, theta_star), _dual_capped(problem), "dual face", opts)
-    x_bar, (t,), u_bar = _blocks(primal_point, n, 1, m)
-    y, (z,), v = _blocks(dual_point, m, 1, n)
-    primal = charnes_cooper_inverse(TransformedPoint(x_bar, t, u_bar), opts.feas_tol)
-    return StrictComplementarySolution(primal, t, DualPoint(y, z, v), theta_star)
+    out = _solve_maximal_element_lp(build_primal_interior_lp(problem, theta_star), opts, "primal face")
+    transformed = recover_primal_interior(problem, out, opts.feas_tol)
+    out = _solve_maximal_element_lp(build_dual_interior_lp(problem, theta_star), opts, "dual face")
+    dual = recover_dual_interior(problem, out, opts.feas_tol)
+    primal = charnes_cooper_inverse(transformed, opts.feas_tol)
+    return StrictComplementarySolution(primal, transformed.t, dual, theta_star)
 
 
 def approach_two(
@@ -282,8 +280,9 @@ def approach_two(
 ) -> StrictComplementarySolution:
     """Single-LP route over the coupled faces; theta_star falls out as z."""
     opts = opts or SolverOptions()
+    out = _solve_maximal_element_lp(build_joint_lp(problem), opts, "joint face")
     try:
-        point = _solve_face(joint_optimal_face(problem), _joint_capped(problem), "joint face", opts)
+        point = _face_point(out, _joint_capped(problem), opts.feas_tol)
     except DegenerateNormalizer:
         # No optimal pair scaled into view: either the problem itself is bad
         # (raised by the stage-1 classification below) or numerics collapsed.

@@ -10,10 +10,11 @@ cap the second copies at one, and maximize their total:
          x1 >= 0, w1 >= 0,  0 <= x2 <= 1,  0 <= w2 <= 1.
 
 Free coordinates (a Polyhedron's `free` mask) have a free x1 column, no
-capped copy and are never in a support.  The builder and the recovery also
-take the set of `capped` coordinates (all sign-constrained ones by default):
-an uncapped coordinate stays >= 0 but does not count towards the support,
-which suits one known to be positive on all of P.
+capped copy and are never in a support.  The builder also takes the set of
+`capped` coordinates (all sign-constrained ones by default, the set that
+`recover_maximal_element` reads back): an uncapped coordinate stays >= 0 but
+does not count towards the support, which suits one known to be positive on
+all of P.
 
 The homogenized system always admits zero, so the LP is feasible and (being
 capped) bounded.  When P is non-empty the optimal w1 + w2 is positive and
@@ -130,15 +131,14 @@ def recover_maximal_element(
     poly: Polyhedron,
     pos_tol: float = DEFAULT_POS_TOL,
     feas_tol: float = SolverOptions.feas_tol,
-    capped=None,
 ) -> MaximalElement:
     """Normalize an optimal solution of the support-maximizing LP back into P.
 
-    `capped` must be the mask the LP was built with.  Raises EmptyPolyhedron
+    The LP must have been built with the default mask.  Raises EmptyPolyhedron
     when the optimal scaling weight is zero, which is the LP's certificate
     that P has no points at all.
     """
-    point = _normalize(outcome, _capped_mask(poly, capped), feas_tol)
+    point = _normalize(outcome, ~poly.free, feas_tol)
     return MaximalElement(point, _support(point, pos_tol, poly.free))
 
 
@@ -157,9 +157,9 @@ def _normalize(outcome: LPOutcome, capped: np.ndarray, feas_tol: float) -> np.nd
     return point
 
 
-def _solve_maximal_element_lp(poly: Polyhedron, capped, opts: SolverOptions, label: str) -> LPOutcome:
+def _solve_maximal_element_lp(lp: LinearProgram, opts: SolverOptions, label: str) -> LPOutcome:
     # Feasible (zero) and bounded (capped objective): any verdict but OPTIMAL is a breakdown.
-    out = solve_lp(build_maximal_element_lp(poly, capped), opts)
+    out = solve_lp(lp, opts)
     if not out.is_optimal:
         reason = out.detail or "a numerical breakdown, as the LP is feasible and bounded"
         raise IterationLimitError(f"{label} solve ended with status {out.status.value}: {reason}")
@@ -173,7 +173,7 @@ def find_relative_interior_point(
 ) -> MaximalElement:
     """Build, solve and normalize in one call."""
     opts = opts or SolverOptions()
-    out = _solve_maximal_element_lp(poly, None, opts, "maximal-element")
+    out = _solve_maximal_element_lp(build_maximal_element_lp(poly), opts, "maximal-element")
     return recover_maximal_element(out, poly, pos_tol, opts.feas_tol)
 
 

@@ -267,16 +267,13 @@ def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floo
     used = 0
     while True:
         x = _nonbasic_point(lo, hi, stat)
-        if m:
-            B = A[:, basis]
-            try:
-                x[basis] = xb = np.linalg.solve(B, b - A @ x)
-                y = np.linalg.solve(B.T, cost[basis])
-            except np.linalg.LinAlgError:
-                return "singular", x, used
-            reduced = cost - A.T @ y
-        else:
-            xb, reduced = x[basis], cost
+        B = A[:, basis]
+        try:
+            x[basis] = xb = np.linalg.solve(B, b - A @ x)
+            y = np.linalg.solve(B.T, cost[basis])
+        except np.linalg.LinAlgError:
+            return "singular", x, used
+        reduced = cost - A.T @ y
 
         if phase1_floor is not None and float(cost @ x) <= phase1_floor:
             return "optimal", x, used
@@ -286,7 +283,7 @@ def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floo
         if used >= iter_budget:
             return "iteration_limit", x, used
 
-        w = np.linalg.solve(B, A[:, enter]) if m else np.empty(0)
+        w = np.linalg.solve(B, A[:, enter])
         step, leave_pos, leave_to = _ratio_test(xb, w, basis, lo, hi, enter, direction, bland)
         if math.isinf(step):
             return "unbounded", x, used

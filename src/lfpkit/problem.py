@@ -177,6 +177,8 @@ def parse_problem(text: bytes | str) -> LFPProblem:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply to decode") from None
     if not isinstance(doc, dict):
         raise ParseError("problem document must be a JSON object")
     missing = [k for k in ("A", "b", "c", "d", "alpha", "beta") if k not in doc]

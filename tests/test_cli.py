@@ -73,6 +73,15 @@ class TestExitCodes:
         assert code == 4
         assert "status: input_error" in out
 
+    def test_deeply_nested_document_exits_four(self, tmp_path, capsys):
+        depth = 200_000
+        path = tmp_path / "deep.json"
+        path.write_text(GOLDEN_DOC.replace("[[2, 1], [-2, 1]]", "[" * depth + "]" * depth))
+        code, out, err = run_cli(capsys, "--input", str(path), "--format", "json")
+        assert code == 4
+        assert json.loads(out)["status"] == "input_error"
+        assert err.count("\n") == 1 and err.startswith("lfp-solve: ")
+
     def test_missing_file_exits_four(self, capsys):
         code, _, _ = run_cli(capsys, "--input", "does-not-exist.json")
         assert code == 4

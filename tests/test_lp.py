@@ -147,6 +147,26 @@ class TestBasics:
         out = solve_lp(LinearProgram(Sense.MAXIMIZE, [1.0], A_ub=[[1.0]], b_ub=[1.0]))
         assert out.detail is None
 
+    @pytest.mark.parametrize(
+        "sense, objective, lo, hi, status, point",
+        [
+            (Sense.MINIMIZE, [1.0, 2.0, 3.0], None, None, SolveStatus.OPTIMAL, [0.0, 0.0, 0.0]),
+            (Sense.MAXIMIZE, [1.0, -2.0], None, [4.0, 1.0], SolveStatus.OPTIMAL, [4.0, 0.0]),
+            (Sense.MAXIMIZE, [1.0, 0.0], [-math.inf, -math.inf], None, SolveStatus.UNBOUNDED, None),
+            (Sense.MINIMIZE, [1.0, -1.0], [-math.inf, 0.0], [2.0, 3.0], SolveStatus.UNBOUNDED, None),
+            (Sense.MINIMIZE, [0.0, 0.0], [-math.inf, -math.inf], None, SolveStatus.OPTIMAL, [0.0, 0.0]),
+        ],
+    )
+    def test_program_without_rows(self, sense, objective, lo, hi, status, point):
+        # Bounds alone decide these; the basis is empty, so every solve with B is 0 x 0.
+        out = solve_lp(LinearProgram(sense, objective, lo=lo, hi=hi))
+        assert out.status is status
+        if point is None:
+            assert out.point is None
+        else:
+            assert_allclose(out.point, point)
+            assert out.objective == pytest.approx(np.dot(objective, point))
+
 
 # A valid two-variable program with every array given; each rejected input
 # below replaces some of these entries.

@@ -139,6 +139,12 @@ class TestParseProblem:
         with pytest.raises(ParseError):
             parse_problem(json.dumps(doc))
 
+    def test_deeply_nested_document(self):
+        depth = 200_000
+        text = GOLDEN_DOC.replace("[[2, 1], [-2, 1]]", "[" * depth + "]" * depth)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_problem(text)
+
     def test_non_object_document(self):
         with pytest.raises(ParseError):
             parse_problem("[1, 2, 3]")
