@@ -35,7 +35,7 @@ import numpy as np
 
 from .duality import TransformedPoint, build_dual_lp, build_transformed_lp, charnes_cooper_inverse, solve_theta_star
 from .errors import DegenerateNormalizer, EmptyPolyhedron, NumericalWarning, PartitionViolation
-from .interior import DEFAULT_POS_TOL, Polyhedron, _normalize, _solve_maximal_element_lp, build_maximal_element_lp
+from .interior import DEFAULT_POS_TOL, Polyhedron, _normalize, _solve_maximal_element_lp, _support_maximizing_lp
 from .lp import LinearProgram, LPOutcome, SolverOptions, _standard_form
 from .problem import DualPoint, LFPProblem, PrimalPoint
 
@@ -216,7 +216,7 @@ def build_primal_interior_lp(problem: LFPProblem, theta_star: float) -> LinearPr
 
     Columns: (x1_1..x1_n, p, u1_1..u1_m, w1, x2_1..x2_n, u2_1..u2_m, w2).
     """
-    return build_maximal_element_lp(primal_optimal_face(problem, theta_star), _primal_capped(problem))
+    return _support_maximizing_lp(primal_optimal_face(problem, theta_star), _primal_capped(problem))
 
 
 def build_dual_interior_lp(problem: LFPProblem, theta_star: float) -> LinearProgram:
@@ -224,7 +224,7 @@ def build_dual_interior_lp(problem: LFPProblem, theta_star: float) -> LinearProg
 
     Columns: (y1_1..y1_m, q, v1_1..v1_n, w1, y2_1..y2_m, v2_1..v2_n, w2).
     """
-    return build_maximal_element_lp(dual_optimal_face(problem, theta_star), _dual_capped(problem))
+    return _support_maximizing_lp(dual_optimal_face(problem, theta_star), _dual_capped(problem))
 
 
 def build_joint_lp(problem: LFPProblem) -> LinearProgram:
@@ -232,7 +232,7 @@ def build_joint_lp(problem: LFPProblem) -> LinearProgram:
 
     Columns: (x1, p, u1, y1, q, v1, w1, x2, u2, y2, v2, w2).
     """
-    return build_maximal_element_lp(joint_optimal_face(problem), _joint_capped(problem))
+    return _support_maximizing_lp(joint_optimal_face(problem), _joint_capped(problem))
 
 
 def recover_primal_interior(
@@ -255,7 +255,7 @@ def recover_dual_interior(
 
 def approach_one(
     problem: LFPProblem,
-    opts: SolverOptions | None = None,
+    opts: SolverOptions = SolverOptions(),
     theta_star: float | None = None,
 ) -> StrictComplementarySolution:
     """Two-LP route: pin theta_star, then one interior LP per optimal face.
@@ -263,7 +263,6 @@ def approach_one(
     Pass `theta_star` to reuse a stage-1 value already computed; otherwise it
     is solved here first.
     """
-    opts = opts or SolverOptions()
     if theta_star is None:
         theta_star = solve_theta_star(problem, opts)
     out = _solve_maximal_element_lp(build_primal_interior_lp(problem, theta_star), opts, "primal face")
@@ -276,10 +275,9 @@ def approach_one(
 
 def approach_two(
     problem: LFPProblem,
-    opts: SolverOptions | None = None,
+    opts: SolverOptions = SolverOptions(),
 ) -> StrictComplementarySolution:
     """Single-LP route over the coupled faces; theta_star falls out as z."""
-    opts = opts or SolverOptions()
     out = _solve_maximal_element_lp(build_joint_lp(problem), opts, "joint face")
     try:
         point = _face_point(out, _joint_capped(problem), opts.feas_tol)
@@ -302,12 +300,12 @@ def approach_two(
 # ---------------------------------------------------------------------------
 
 
-def verify_csc(sol: StrictComplementarySolution, csc_tol: float = DEFAULT_CSC_TOL) -> CscReport:
-    """Check the complementarity inner products x.v and y.u against csc_tol."""
+def verify_csc(sol: StrictComplementarySolution) -> CscReport:
+    """Check the complementarity inner products x.v and y.u against DEFAULT_CSC_TOL."""
     primal_inner = float(sol.primal.x @ sol.dual.v)
     dual_inner = float(sol.dual.y @ sol.primal.u)
-    ok = abs(primal_inner) <= csc_tol and abs(dual_inner) <= csc_tol
-    return CscReport(primal_inner, dual_inner, csc_tol, ok)
+    ok = abs(primal_inner) <= DEFAULT_CSC_TOL and abs(dual_inner) <= DEFAULT_CSC_TOL
+    return CscReport(primal_inner, dual_inner, DEFAULT_CSC_TOL, ok)
 
 
 def verify_scsc(sol: StrictComplementarySolution, pos_tol: float = DEFAULT_POS_TOL) -> ScscReport:

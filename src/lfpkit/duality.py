@@ -57,11 +57,11 @@ class TransformedPoint:
         object.__setattr__(self, "t", float(self.t))
 
 
-def charnes_cooper_forward(problem: LFPProblem, x, feas_tol: float = SolverOptions.feas_tol) -> TransformedPoint:
+def charnes_cooper_forward(problem: LFPProblem, x) -> TransformedPoint:
     """Map x to (xbar, t, ubar) with t = 1/(d.x + beta) and xbar = t x."""
     x = np.asarray(x, dtype=float)
     den = float(problem.d @ x + problem.beta)
-    if den <= feas_tol:
+    if den <= SolverOptions.feas_tol:
         raise NonpositiveDenominator(f"denominator {den:g} is not positive at this point")
     t = 1.0 / den
     x_bar = t * x
@@ -109,14 +109,14 @@ def build_dual_lp(problem: LFPProblem) -> LinearProgram:
     )
 
 
-def solve_theta_star(problem: LFPProblem, opts: SolverOptions | None = None) -> float:
+def solve_theta_star(problem: LFPProblem, opts: SolverOptions = SolverOptions()) -> float:
     """Shared optimal value of the transformed LP and its dual.
 
     Solved on the transformed (primal) side.  Raises InfeasibleRegion when the
     scaled region is empty, which covers both an empty constraint region and a
     denominator that is nonpositive throughout it.
     """
-    out = solve_lp(build_transformed_lp(problem), opts or SolverOptions())
+    out = solve_lp(build_transformed_lp(problem), opts)
     if out.status is SolveStatus.INFEASIBLE:
         raise InfeasibleRegion(
             "no feasible point with a positive denominator; the region is empty "

@@ -10,11 +10,7 @@ cap the second copies at one, and maximize their total:
          x1 >= 0, w1 >= 0,  0 <= x2 <= 1,  0 <= w2 <= 1.
 
 Free coordinates (a Polyhedron's `free` mask) have a free x1 column, no
-capped copy and are never in a support.  The builder also takes the set of
-`capped` coordinates (all sign-constrained ones by default, the set that
-`recover_maximal_element` reads back): an uncapped coordinate stays >= 0 but
-does not count towards the support, which suits one known to be positive on
-all of P.
+capped copy and are never in a support.
 
 The homogenized system always admits zero, so the LP is feasible and (being
 capped) bounded.  When P is non-empty the optimal w1 + w2 is positive and
@@ -90,29 +86,18 @@ class MaximalElement:
         object.__setattr__(self, "support", frozenset(int(j) for j in self.support))
 
 
-def _support(values, pos_tol, free) -> frozenset:
-    return frozenset(int(j) + 1 for j in np.nonzero((values > pos_tol) & ~free)[0])
+def build_maximal_element_lp(poly: Polyhedron) -> LinearProgram:
+    """The support-maximizing LP: columns (x1_1..x1_n, w1, x2_j for each sign-constrained j, w2)."""
+    return _support_maximizing_lp(poly, ~poly.free)
 
 
-def _capped_mask(poly: Polyhedron, capped) -> np.ndarray:
-    if capped is None:
-        return ~poly.free
-    capped = np.asarray(capped, dtype=bool)
-    if capped.shape != poly.free.shape:
-        raise ValueError(f"capped mask has shape {capped.shape}, expected {poly.free.shape}")
-    if (capped & poly.free).any():
-        raise ValueError("a free coordinate cannot have a capped copy")
-    return capped
+def _support_maximizing_lp(poly: Polyhedron, capped: np.ndarray) -> LinearProgram:
+    """The support-maximizing LP with capped copies only of the coordinates in `capped`.
 
-
-def build_maximal_element_lp(poly: Polyhedron, capped=None) -> LinearProgram:
-    """The support-maximizing LP.
-
-    Columns are (x1_1..x1_n, w1, x2_j for each capped j in order, w2).
-    `capped` is a boolean mask over the coordinates; it defaults to every
-    sign-constrained coordinate and must not include a free one.
+    `capped` must not include a free coordinate.  An uncapped sign-constrained
+    coordinate stays >= 0 but does not count towards the support, which suits
+    one known to be positive on all of P.
     """
-    capped = _capped_mask(poly, capped)
     m, n = poly.A_eq.shape
     half = np.hstack([poly.A_eq, -poly.b_eq.reshape(m, 1)])
     k = int(capped.sum())
@@ -126,20 +111,14 @@ def build_maximal_element_lp(poly: Polyhedron, capped=None) -> LinearProgram:
     )
 
 
-def recover_maximal_element(
-    outcome: LPOutcome,
-    poly: Polyhedron,
-    pos_tol: float = DEFAULT_POS_TOL,
-    feas_tol: float = SolverOptions.feas_tol,
-) -> MaximalElement:
-    """Normalize an optimal solution of the support-maximizing LP back into P.
+def recover_maximal_element(outcome: LPOutcome, poly: Polyhedron) -> MaximalElement:
+    """Normalize an optimal solution of `build_maximal_element_lp(poly)` back into P.
 
-    The LP must have been built with the default mask.  Raises EmptyPolyhedron
-    when the optimal scaling weight is zero, which is the LP's certificate
-    that P has no points at all.
+    Raises EmptyPolyhedron when the optimal scaling weight is zero, which is
+    the LP's certificate that P has no points at all.
     """
-    point = _normalize(outcome, ~poly.free, feas_tol)
-    return MaximalElement(point, _support(point, pos_tol, poly.free))
+    point = _normalize(outcome, ~poly.free, SolverOptions.feas_tol)
+    return MaximalElement(point, np.nonzero((point > DEFAULT_POS_TOL) & ~poly.free)[0] + 1)
 
 
 def _normalize(outcome: LPOutcome, capped: np.ndarray, feas_tol: float) -> np.ndarray:
@@ -166,22 +145,13 @@ def _solve_maximal_element_lp(lp: LinearProgram, opts: SolverOptions, label: str
     return out
 
 
-def find_relative_interior_point(
-    poly: Polyhedron,
-    opts: SolverOptions | None = None,
-    pos_tol: float = DEFAULT_POS_TOL,
-) -> MaximalElement:
+def find_relative_interior_point(poly: Polyhedron) -> MaximalElement:
     """Build, solve and normalize in one call."""
-    opts = opts or SolverOptions()
-    out = _solve_maximal_element_lp(build_maximal_element_lp(poly), opts, "maximal-element")
-    return recover_maximal_element(out, poly, pos_tol, opts.feas_tol)
+    out = _solve_maximal_element_lp(build_maximal_element_lp(poly), SolverOptions(), "maximal-element")
+    return recover_maximal_element(out, poly)
 
 
-def coordinate_support_oracle(
-    poly: Polyhedron,
-    opts: SolverOptions | None = None,
-    pos_tol: float = DEFAULT_POS_TOL,
-) -> frozenset:
+def coordinate_support_oracle(poly: Polyhedron) -> frozenset:
     """Support of any maximal element, computed coordinate by coordinate.
 
     Maximizes each coordinate separately over P; by convexity the set of
@@ -190,12 +160,11 @@ def coordinate_support_oracle(
     single-LP route, deliberately so.  Free coordinates are neither probed
     nor reported.
     """
-    opts = opts or SolverOptions()
     n = poly.num_coords
     lo = np.where(poly.free, -np.inf, 0.0)
 
     def maximize(objective):
-        return solve_lp(LinearProgram(Sense.MAXIMIZE, objective, A_eq=poly.A_eq, b_eq=poly.b_eq, lo=lo), opts)
+        return solve_lp(LinearProgram(Sense.MAXIMIZE, objective, A_eq=poly.A_eq, b_eq=poly.b_eq, lo=lo))
 
     probe = maximize(np.zeros(n))
     if probe.status is SolveStatus.INFEASIBLE:
@@ -211,7 +180,7 @@ def coordinate_support_oracle(
         if out.status is SolveStatus.UNBOUNDED:
             support.add(j + 1)
         elif out.status is SolveStatus.OPTIMAL:
-            if out.objective > pos_tol:
+            if out.objective > DEFAULT_POS_TOL:
                 support.add(j + 1)
         else:
             raise IterationLimitError(

@@ -15,8 +15,10 @@ the real objective from the feasible basis phase 1 produced.
 Pivoting uses Dantzig's rule with a largest-pivot tie-break, switching to
 Bland's rule once 2 * (rows + cols) degenerate steps have accumulated, which
 guarantees termination on the highly degenerate homogeneous systems this
-package builds.  All choices are index-deterministic: the same program and
-options always produce the same outcome.
+package builds.  A solve stops after 50 * (rows + cols) pivots across both
+phases; the cap is fixed, not an option.  All choices are
+index-deterministic: the same program and options always produce the same
+outcome.
 
 Pricing, the ratio test and the drive-out of artificials are numpy mask
 operations over whole columns and basic rows, with the tie-breaks a scan in
@@ -109,7 +111,8 @@ class LinearProgram:
                 raise ValueError(f"{name} has shape {bound.shape}, expected ({n},)")
             if np.isnan(bound).any():
                 raise ValueError(f"{name} has a NaN entry")
-        empty = np.flatnonzero(lo > hi)
+        # No real number lies in [inf, inf] or [-inf, -inf] either.
+        empty = np.flatnonzero((lo > hi) | (lo == math.inf) | (hi == -math.inf))
         if empty.size:
             j = int(empty[0])
             raise ValueError(f"empty bound interval [{lo[j]}, {hi[j]}] for variable {j}")
@@ -127,22 +130,15 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and the iteration cap.
-
-    `max_iters=None` resolves to 50 * (rows + cols) of the program being
-    solved, counted across both phases.
-    """
+    """Feasibility and optimality tolerances."""
 
     feas_tol: float = 1e-9
     opt_tol: float = 1e-9
-    max_iters: int | None = None
 
     def __post_init__(self):
         for tol in (self.feas_tol, self.opt_tol):
             if not (math.isfinite(tol) and tol > 0):
                 raise ValueError(f"tolerances must be finite and positive, got {tol!r}")
-        if self.max_iters is not None and self.max_iters <= 0:
-            raise ValueError("max_iters must be positive")
 
 
 class SolveStatus(Enum):
@@ -354,7 +350,7 @@ def _standard_form(lp: LinearProgram):
     return A, b, lo, hi
 
 
-def solve_lp(lp: LinearProgram, opts: SolverOptions | None = None) -> LPOutcome:
+def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutcome:
     """Solve `lp` with the two-phase simplex method.
 
     The returned point covers exactly the variables of `lp`, in their original
@@ -362,13 +358,12 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions | None = None) -> LPOutcome:
     optimality violation above `opts.opt_tol`; ITERATION_LIMIT outcomes carry
     no point at all, so numerical trouble is never silently papered over.
     """
-    opts = opts or SolverOptions()
     A, b, lo, hi = _standard_form(lp)
     m, N = A.shape
     n = lp.num_vars
     cost = np.zeros(N)
     cost[:n] = lp.objective if lp.sense is Sense.MINIMIZE else -lp.objective
-    iter_budget = opts.max_iters or 50 * (m + n)
+    iter_budget = 50 * (m + n)
 
     # Phase 1: artificial column per row, signed so artificials start >= 0.
     stat = _initial_status(lo, hi)

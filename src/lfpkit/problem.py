@@ -117,7 +117,7 @@ class DualPoint:
         return cls(y, z, problem.A.T @ y + problem.d * z - problem.c)
 
 
-def evaluate_objective(problem: LFPProblem, x, feas_tol: float = SolverOptions.feas_tol) -> float:
+def evaluate_objective(problem: LFPProblem, x) -> float:
     """Value of the ratio objective at x.
 
     Raises NonpositiveDenominator when d.x + beta is not safely positive,
@@ -126,19 +126,18 @@ def evaluate_objective(problem: LFPProblem, x, feas_tol: float = SolverOptions.f
     """
     x = np.asarray(x, dtype=float)
     den = float(problem.d @ x + problem.beta)
-    if den <= feas_tol:
+    if den <= SolverOptions.feas_tol:
         raise NonpositiveDenominator(f"denominator {den:g} is not positive")
     return float(problem.c @ x + problem.alpha) / den
 
 
-def validate_denominator(problem: LFPProblem, opts: SolverOptions | None = None) -> float:
+def validate_denominator(problem: LFPProblem, opts: SolverOptions = SolverOptions()) -> float:
     """Global minimum of d.x + beta over the constraint region (one LP solve).
 
     A return value <= feas_tol means the positivity assumption fails.  Raises
     InfeasibleRegion when the region is empty and UnboundedValidation when the
     denominator can be driven to -inf.
     """
-    opts = opts or SolverOptions()
     out = solve_lp(LinearProgram(Sense.MINIMIZE, problem.d, A_ub=problem.A, b_ub=problem.b), opts)
     if out.status is SolveStatus.INFEASIBLE:
         raise InfeasibleRegion("the constraint region is empty")

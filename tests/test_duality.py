@@ -4,12 +4,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import lfpkit.duality as duality_module
 from lfpkit import (
     DegenerateT,
     InfeasibleRegion,
     IterationLimitError,
     LFPProblem,
-    SolverOptions,
+    LPOutcome,
+    SolveStatus,
     TransformedPoint,
     build_dual_lp,
     build_transformed_lp,
@@ -133,10 +135,12 @@ class TestThetaStar:
         )
         assert solve_theta_star(problem) == pytest.approx(1.0, abs=1e-9)
 
-    def test_iteration_cap_is_named(self, golden):
+    def test_iteration_cap_is_named(self, golden, monkeypatch):
+        capped = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="iteration cap of 1 reached")
+        monkeypatch.setattr(duality_module, "solve_lp", lambda lp, opts: capped)
         message = "stage-1 solve stopped early: iteration cap of 1 reached"
         with pytest.raises(IterationLimitError, match=message):
-            solve_theta_star(golden, SolverOptions(max_iters=1))
+            solve_theta_star(golden)
 
     def test_empty_region(self):
         problem = LFPProblem(A=[[1.0]], b=[-1.0], c=[1.0], d=[1.0], alpha=0.0, beta=1.0)

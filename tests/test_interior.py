@@ -58,7 +58,7 @@ class TestBuilder:
         n, m = golden.num_vars, golden.num_rows
         capped = np.ones(n + 1 + m, dtype=bool)
         capped[n] = False
-        generic = build_maximal_element_lp(primal_optimal_face(golden, theta), capped)
+        generic = interior_module._support_maximizing_lp(primal_optimal_face(golden, theta), capped)
         dedicated = build_primal_interior_lp(golden, theta)
         assert generic.num_vars == dedicated.num_vars == 2 * (n + m) + 3
         assert_allclose(generic.objective, dedicated.objective)
@@ -74,14 +74,6 @@ class TestBuilder:
         assert lp.lo[2] == -np.inf and lp.hi[2] == np.inf
         assert_allclose(lp.objective, [0, 0, 0, 0, 1, 1, 1])
         assert_allclose(lp.A_eq[0], [1, -1, 1, 0, 1, -1, 0])
-
-    def test_rejects_capped_free_coordinate(self):
-        with pytest.raises(ValueError, match="free coordinate"):
-            build_maximal_element_lp(WITH_FREE, capped=[True, True, True])
-
-    def test_rejects_capped_mask_of_wrong_length(self):
-        with pytest.raises(ValueError, match="capped mask"):
-            build_maximal_element_lp(SEGMENT, capped=[True])
 
 
 class TestPolyhedron:

@@ -94,17 +94,24 @@ class TestBasics:
         assert out.status is SolveStatus.OPTIMAL
         assert out.objective == pytest.approx(1.0)
 
-    def test_iteration_limit_returns_no_point(self):
+    def test_iteration_limit_returns_no_point(self, monkeypatch):
+        # A budget of one pivot per phase stops phase 2 before it reaches the optimum.
+        run_simplex = lp_module._run_simplex
+
+        def one_pivot(A, b, cost, lo, hi, basis, stat, opts, iter_budget, **kwargs):
+            return run_simplex(A, b, cost, lo, hi, basis, stat, opts, 1, **kwargs)
+
+        monkeypatch.setattr(lp_module, "_run_simplex", one_pivot)
         lp = LinearProgram(
             Sense.MAXIMIZE,
             [1.0, 2.0, 3.0],
             A_ub=[[1.0, 1.0, 1.0], [1.0, 2.0, 0.5]],
             b_ub=[1.0, 2.0],
         )
-        out = solve_lp(lp, SolverOptions(max_iters=1))
+        out = solve_lp(lp)
         assert out.status is SolveStatus.ITERATION_LIMIT
         assert out.point is None and out.objective is None
-        assert out.detail == "iteration cap of 1 reached"
+        assert out.detail == f"iteration cap of {50 * (2 + 3)} reached"
 
     def test_default_iteration_cap(self, monkeypatch):
         # 50 * (rows + cols): two inequality rows and three variables.
@@ -201,6 +208,14 @@ class TestValidation:
             pytest.param(dict(lo=[math.nan, 0.0]), "lo has a NaN", id="lo-nan"),
             pytest.param(dict(hi=[1.0, math.nan]), "hi has a NaN", id="hi-nan"),
             pytest.param(dict(lo=[2.0, -1.0]), r"empty bound interval \[2.0, 1.0\]", id="lo-above-hi"),
+            pytest.param(
+                dict(lo=[0.0, math.inf]), r"empty bound interval \[inf, inf\] for variable 1", id="lo-plus-inf"
+            ),
+            pytest.param(
+                dict(lo=[-math.inf, -1.0], hi=[-math.inf, math.inf]),
+                r"empty bound interval \[-inf, -inf\] for variable 0",
+                id="hi-minus-inf",
+            ),
             pytest.param(dict(lo=[0.0]), "lo has shape", id="lo-wrong-length"),
             pytest.param(dict(hi=[1.0, 1.0, 1.0]), "hi has shape", id="hi-wrong-length"),
             pytest.param(dict(objective=[]), "non-empty vector", id="objective-empty"),
@@ -240,8 +255,6 @@ class TestValidation:
     def test_options_must_be_positive(self):
         with pytest.raises(ValueError):
             SolverOptions(feas_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(max_iters=0)
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
     @pytest.mark.parametrize("field", ["feas_tol", "opt_tol"])

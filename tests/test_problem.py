@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import lfpkit.problem as problem_module
 from lfpkit import (
     DimensionError,
     InfeasibleRegion,
     IterationLimitError,
     LFPProblem,
+    LPOutcome,
     NonpositiveDenominator,
     ParseError,
     PrimalPoint,
-    SolverOptions,
+    SolveStatus,
     UnboundedValidation,
     evaluate_objective,
     parse_problem,
@@ -80,10 +82,12 @@ class TestValidateDenominator:
         problem = LFPProblem(A=[[1.0]], b=[1.0], c=[1.0], d=[0.0], alpha=0.0, beta=1.0)
         assert validate_denominator(problem) == pytest.approx(1.0)
 
-    def test_iteration_cap_is_named(self, golden):
+    def test_iteration_cap_is_named(self, golden, monkeypatch):
+        capped = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="iteration cap of 1 reached")
+        monkeypatch.setattr(problem_module, "solve_lp", lambda lp, opts: capped)
         message = "validation stopped early: iteration cap of 1 reached"
         with pytest.raises(IterationLimitError, match=message):
-            validate_denominator(golden, SolverOptions(max_iters=1))
+            validate_denominator(golden)
 
     def test_empty_region(self):
         problem = LFPProblem(A=[[1.0]], b=[-1.0], c=[1.0], d=[1.0], alpha=0.0, beta=1.0)
