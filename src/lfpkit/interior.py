@@ -20,9 +20,6 @@ capped) bounded.  When P is non-empty the optimal w1 + w2 is positive and
 is a maximal element; w1 + w2 = 0 at the optimum certifies P is empty.  The
 homogenization also absorbs unbounded polyhedra: coordinates that only become
 positive along recession directions still show up in the support.
-
-`coordinate_support_oracle` computes the same support the slow way, one LP
-per coordinate, and exists so tests can cross-check the single-LP route.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPolyhedron, IterationLimitError
-from .lp import LinearProgram, LPOutcome, Sense, SolveStatus, SolverOptions, _frozen, solve_lp
+from .lp import LinearProgram, LPOutcome, Sense, SolverOptions, _frozen, solve_lp
 
 __all__ = [
     "Polyhedron",
@@ -40,7 +37,6 @@ __all__ = [
     "build_maximal_element_lp",
     "recover_maximal_element",
     "find_relative_interior_point",
-    "coordinate_support_oracle",
 ]
 
 DEFAULT_POS_TOL = 1e-7
@@ -149,41 +145,3 @@ def find_relative_interior_point(poly: Polyhedron) -> MaximalElement:
     """Build, solve and normalize in one call."""
     out = _solve_maximal_element_lp(build_maximal_element_lp(poly), SolverOptions(), "maximal-element")
     return recover_maximal_element(out, poly)
-
-
-def coordinate_support_oracle(poly: Polyhedron) -> frozenset:
-    """Support of any maximal element, computed coordinate by coordinate.
-
-    Maximizes each coordinate separately over P; by convexity the set of
-    coordinates with positive maximum (unbounded counts as positive) equals
-    the support of every relative interior point.  Much slower than the
-    single-LP route, deliberately so.  Free coordinates are neither probed
-    nor reported.
-    """
-    n = poly.num_coords
-    lo = np.where(poly.free, -np.inf, 0.0)
-
-    def maximize(objective):
-        return solve_lp(LinearProgram(Sense.MAXIMIZE, objective, A_eq=poly.A_eq, b_eq=poly.b_eq, lo=lo))
-
-    probe = maximize(np.zeros(n))
-    if probe.status is SolveStatus.INFEASIBLE:
-        raise EmptyPolyhedron("the polyhedron is empty")
-    if probe.status is SolveStatus.ITERATION_LIMIT:
-        raise IterationLimitError(f"feasibility probe stopped early: {probe.detail}")
-
-    support = set()
-    for j in np.flatnonzero(~poly.free).tolist():
-        objective = np.zeros(n)
-        objective[j] = 1.0
-        out = maximize(objective)
-        if out.status is SolveStatus.UNBOUNDED:
-            support.add(j + 1)
-        elif out.status is SolveStatus.OPTIMAL:
-            if out.objective > DEFAULT_POS_TOL:
-                support.add(j + 1)
-        else:
-            raise IterationLimitError(
-                f"coordinate {j + 1} probe ended with status {out.status.value}: {out.detail}"
-            )
-    return frozenset(support)

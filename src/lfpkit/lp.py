@@ -81,6 +81,8 @@ class LinearProgram:
     hi: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.sense, Sense):
+            raise ValueError(f"sense must be a Sense member, got {self.sense!r}")
         objective = _frozen(self.objective)
         if objective.ndim != 1 or objective.size == 0:
             raise ValueError("objective must be a non-empty vector")

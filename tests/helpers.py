@@ -1,4 +1,8 @@
-"""Shared test utilities: instance generators and the vertex-enumeration oracle.
+"""Shared test utilities: instance generators and two oracles.
+
+The oracles are vertex enumeration and `coordinate_support_oracle`, which
+finds a polyhedron's support one LP per coordinate, the slow way that the
+library's single support-maximizing LP replaces.
 
 The generators honor the guarantees the random-instance suites rely on:
 strictly positive constraint matrices with b > 0 keep the region non-empty
@@ -10,7 +14,17 @@ import itertools
 
 import numpy as np
 
-from lfpkit import LFPProblem, LinearProgram, Polyhedron, Sense
+from lfpkit import (
+    EmptyPolyhedron,
+    IterationLimitError,
+    LFPProblem,
+    LinearProgram,
+    Polyhedron,
+    Sense,
+    SolveStatus,
+    solve_lp,
+)
+from lfpkit.interior import DEFAULT_POS_TOL
 
 
 def random_instance(seed, max_dim=6, total_cap=None, nonneg_objective=False):
@@ -98,3 +112,41 @@ def region_vertices(problem):
     G = np.vstack([problem.A, -np.eye(problem.num_vars)])
     h = np.concatenate([problem.b, np.zeros(problem.num_vars)])
     return enumerate_vertices(G, h)
+
+
+def coordinate_support_oracle(poly):
+    """Support of any maximal element, computed coordinate by coordinate.
+
+    Maximizes each coordinate separately over P; by convexity the set of
+    coordinates with positive maximum (unbounded counts as positive) equals
+    the support of every relative interior point.  Much slower than the
+    single-LP route, deliberately so.  Free coordinates are neither probed
+    nor reported.
+    """
+    n = poly.num_coords
+    lo = np.where(poly.free, -np.inf, 0.0)
+
+    def maximize(objective):
+        return solve_lp(LinearProgram(Sense.MAXIMIZE, objective, A_eq=poly.A_eq, b_eq=poly.b_eq, lo=lo))
+
+    probe = maximize(np.zeros(n))
+    if probe.status is SolveStatus.INFEASIBLE:
+        raise EmptyPolyhedron("the polyhedron is empty")
+    if probe.status is SolveStatus.ITERATION_LIMIT:
+        raise IterationLimitError(f"feasibility probe stopped early: {probe.detail}")
+
+    support = set()
+    for j in np.flatnonzero(~poly.free).tolist():
+        objective = np.zeros(n)
+        objective[j] = 1.0
+        out = maximize(objective)
+        if out.status is SolveStatus.UNBOUNDED:
+            support.add(j + 1)
+        elif out.status is SolveStatus.OPTIMAL:
+            if out.objective > DEFAULT_POS_TOL:
+                support.add(j + 1)
+        else:
+            raise IterationLimitError(
+                f"coordinate {j + 1} probe ended with status {out.status.value}: {out.detail}"
+            )
+    return frozenset(support)

@@ -27,7 +27,6 @@ from lfpkit import (
     build_transformed_lp,
     charnes_cooper_forward,
     charnes_cooper_inverse,
-    coordinate_support_oracle,
     dual_optimal_face,
     evaluate_objective,
     find_relative_interior_point,
@@ -38,7 +37,7 @@ from lfpkit import (
     verify_scsc,
 )
 
-from helpers import random_instance, region_vertices
+from helpers import coordinate_support_oracle, random_instance, region_vertices
 
 THETA_EXACT = 4.0 / 3.0
 

@@ -18,7 +18,6 @@ from lfpkit import (
     build_dual_interior_lp,
     build_joint_lp,
     build_primal_interior_lp,
-    coordinate_support_oracle,
     dual_optimal_face,
     evaluate_objective,
     optimal_partitions,
@@ -31,7 +30,7 @@ from lfpkit import (
     verify_scsc,
 )
 
-from helpers import random_instance
+from helpers import coordinate_support_oracle, random_instance
 
 THETA_GOLDEN = 4.0 / 3.0
 GOLDEN_PARTITION = ({1, 2}, set(), {1}, {2})

@@ -15,7 +15,6 @@ from lfpkit import (
     SolveStatus,
     build_maximal_element_lp,
     build_primal_interior_lp,
-    coordinate_support_oracle,
     find_relative_interior_point,
     primal_optimal_face,
     recover_maximal_element,
@@ -23,7 +22,7 @@ from lfpkit import (
     solve_theta_star,
 )
 
-from helpers import random_polyhedron
+from helpers import coordinate_support_oracle, random_polyhedron
 
 SEGMENT = Polyhedron([[1.0, 1.0]], [1.0])  # {x >= 0 | x1 + x2 = 1}
 PINNED = Polyhedron([[1.0, 0.0], [1.0, 1.0]], [0.0, 1.0])  # single point (0, 1)

@@ -227,6 +227,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             LinearProgram(Sense.MAXIMIZE, **{**VALID_LP, **change})
 
+    @pytest.mark.parametrize("sense", ["min", "max", None], ids=["min", "max", "None"])
+    def test_sense_must_be_a_member(self, sense):
+        # solve_lp maximizes unless the sense is Sense.MINIMIZE, so "min" would silently maximize.
+        with pytest.raises(ValueError, match=f"sense must be a Sense member, got {sense!r}"):
+            LinearProgram(sense, **VALID_LP)
+
     def test_nonfinite_objective(self):
         with pytest.raises(ValueError):
             LinearProgram(Sense.MAXIMIZE, [np.nan])

@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "approach_two", "build_dual_interior_lp", "build_dual_lp", "build_joint_lp",
     "build_maximal_element_lp", "build_primal_interior_lp", "build_transformed_lp",
     "charnes_cooper_forward", "charnes_cooper_inverse", "complementarity",
-    "coordinate_support_oracle", "dual_optimal_face", "duality", "errors", "evaluate_objective",
+    "dual_optimal_face", "duality", "errors", "evaluate_objective",
     "find_relative_interior_point", "interior", "joint_optimal_face", "load_problem", "lp",
     "optimal_partitions", "parse_problem", "primal_optimal_face", "problem",
     "recover_dual_interior", "recover_maximal_element", "recover_primal_interior", "solve_lp",
@@ -28,13 +28,24 @@ PUBLIC_NAMES = [
 ]
 
 
-def test_package_exports_exactly_the_public_names():
-    # A fresh interpreter: importing lfpkit.cli elsewhere in the session adds `cli`.
-    code = "import lfpkit; print(*sorted(n for n in dir(lfpkit) if not n.startswith('_')))"
+def in_fresh_interpreter(code):
+    """Standard output of `code` run by a new Python that imports lfpkit from src/."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == PUBLIC_NAMES
+    return result.stdout
+
+
+def test_package_exports_exactly_the_public_names():
+    # A fresh interpreter: importing lfpkit.cli elsewhere in the session adds `cli`.
+    code = "import lfpkit; print(*sorted(n for n in dir(lfpkit) if not n.startswith('_')))"
+    assert in_fresh_interpreter(code).split() == PUBLIC_NAMES
+
+
+def test_test_dependencies_stay_out_of_the_runtime():
+    # scipy and hypothesis serve the tests only; numpy is the one runtime dependency.
+    code = "import sys, lfpkit, lfpkit.cli; print(*sorted({'scipy', 'hypothesis'} & set(sys.modules)))"
+    assert in_fresh_interpreter(code).split() == []
 
 
 # Parameter names of every public function and dataclass, so that a parameter
@@ -63,7 +74,6 @@ PARAMETERS = {
     "build_transformed_lp": ("problem",),
     "charnes_cooper_forward": ("problem", "x"),
     "charnes_cooper_inverse": ("tp", "feas_tol"),
-    "coordinate_support_oracle": ("poly",),
     "dual_optimal_face": ("problem", "theta_star"),
     "evaluate_objective": ("problem", "x"),
     "find_relative_interior_point": ("poly",),

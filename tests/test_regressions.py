@@ -2,15 +2,17 @@
 
 Each instance comes from the benchmark's own generator, so it is the same
 bytes the benchmark runs.  A change that mends a fault turns its xfail into a
-plain test.
+plain test.  The support-count check also runs on instances that pass, so
+that it is known to hold where the solver works.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from lfpkit import cli
+from lfpkit import cli, interior, load_problem
 
 GENERATE = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
 
@@ -48,3 +50,58 @@ def generated(workload, seed, name, directory):
 def test_both_approaches_solve_benchmark_instance(tmp_path, capsys, workload, seed, name):
     path = generated(workload, seed, name, tmp_path)
     assert cli.run(["--input", path, "--approach", "both"]) == 0, capsys.readouterr().out
+
+
+def gt_break(workload, seed, name, objectives, size):
+    return pytest.param(
+        workload, seed, name,
+        marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason=f"primal / dual / joint face objectives {objectives} with n + m = {size}, yet exit 0",
+        ),
+        id=name,
+    )
+
+
+@pytest.mark.parametrize(
+    "workload, seed, name",
+    [
+        pytest.param(None, None, "golden", id="golden"),
+        *(pytest.param("batch-small", 1, f"small-{k:03d}", id=f"small-{k:03d}") for k in range(50)),
+        gt_break("batch-small", 2, "small-057", "6 / 7 / 23", 11),
+        gt_break("degenerate-mixed", 1, "zero-d-columns-16", "17 / 19 / 69", 34),
+        gt_break("degenerate-mixed", 1, "scaled-a-03", "18 / 8.000001 / 17.9996", 17),
+        gt_break("degenerate-mixed", 2, "scaled-a-02", "19 / 10.99998 / 37", 18),
+        gt_break("degenerate-mixed", 2, "scaled-a-17", "21 / 21 / 41", 20),
+        gt_break("degenerate-mixed", 3, "scaled-a-16", "10.99999 / 9.99994 / 39", 19),
+    ],
+)
+def test_support_counts_obey_goldman_tucker(tmp_path, capsys, monkeypatch, request, workload, seed, name):
+    # A strictly complementary pair has exactly one positive member in each of
+    # the n + m complementary pairs (Goldman-Tucker).  The primal and dual face
+    # LPs count one capped copy per support coordinate plus one w2 each, so
+    # their optimal objectives sum to n + m + 2; the joint LP's is n + m + 1.
+    if workload is None:
+        golden = request.getfixturevalue("golden")
+        doc = {key: getattr(golden, key).tolist() for key in ("A", "b", "c", "d")}
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps({**doc, "alpha": golden.alpha, "beta": golden.beta}))
+    else:
+        path = generated(workload, seed, name, tmp_path)
+    problem = load_problem(path)
+    size = problem.num_vars + problem.num_rows
+
+    objectives = []
+    solve = interior.solve_lp
+
+    def recording_solve(lp, opts):
+        out = solve(lp, opts)
+        objectives.append(out.objective)
+        return out
+
+    monkeypatch.setattr(interior, "solve_lp", recording_solve)
+    assert cli.run(["--input", str(path), "--approach", "both"]) == 0, capsys.readouterr().out
+    assert len(objectives) == 3  # primal face, dual face, joint face
+    primal, dual, joint = objectives
+    assert primal + dual == pytest.approx(size + 2, abs=1e-6), objectives
+    assert joint == pytest.approx(size + 1, abs=1e-6), objectives
