@@ -4,6 +4,8 @@ Loads a problem file, runs stage 1 (the optimal value) and the selected
 approach(es), verifies complementarity and strictness, and writes one report
 to standard output, as text or as JSON.  Diagnostics go to standard error.
 The report is one JSON document in both modes; text mode renders it.
+Every run uses the same tolerances: `SolverOptions`' defaults for the LP
+solves and `DEFAULT_POS_TOL` for strictness and the partition.
 
 Exit codes: 0 success, 2 empty region, 3 unbounded objective or failed
 denominator assumption, 4 input error, 5 numerical failure (iteration cap or
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 import warnings
@@ -41,7 +42,6 @@ from .errors import (
     UnboundedObjective,
     UnboundedValidation,
 )
-from .interior import DEFAULT_POS_TOL
 from .lp import SolverOptions
 from .problem import load_problem, validate_denominator
 
@@ -141,14 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--approach", choices=("one", "two", "both"), default="both",
         help="which solution procedure to run (default: both, with a partition cross-check)",
     )
-    parser.add_argument(
-        "--tol", type=float, default=SolverOptions.feas_tol,
-        help="feasibility/optimality tolerance (default %(default)g)",
-    )
-    parser.add_argument(
-        "--pos-tol", type=float, default=DEFAULT_POS_TOL,
-        help="support positivity threshold (default %(default)g)",
-    )
     parser.add_argument("--format", choices=("text", "json"), default="text", help="report format (default text)")
     parser.add_argument(
         "--validate-denominator", action="store_true",
@@ -157,11 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_approach(runner, problem, opts, pos_tol, doc, name, **kwargs):
+def _run_approach(runner, problem, doc, name, **kwargs):
     """Add one approach's block to `doc`; returns its solution and its partition
     (None when the supports fail to partition)."""
     started = time.perf_counter()
-    solution = runner(problem, opts, **kwargs)
+    solution = runner(problem, **kwargs)
     doc["timings"][f"approach_{name}"] = time.perf_counter() - started
     doc["approaches"][name] = {
         "x": solution.primal.x.tolist(),
@@ -171,13 +163,13 @@ def _run_approach(runner, problem, opts, pos_tol, doc, name, **kwargs):
         "z": solution.dual.z,
         "v": solution.dual.v.tolist(),
         "csc": _fields(verify_csc(solution)),
-        "scsc": _fields(verify_scsc(solution, pos_tol)),
+        "scsc": _fields(verify_scsc(solution)),
     }
     partition = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            sets = _fields(optimal_partitions(solution, pos_tol))
+            sets = _fields(optimal_partitions(solution))
             partition = {key: sorted(members) for key, members in sets.items()}
         except PartitionViolation as exc:
             doc["warnings"].append(f"approach {name}: {exc}")
@@ -191,13 +183,10 @@ def _solve(args, doc: dict) -> int:
         problem = load_problem(args.input)
     except OSError as exc:
         raise ParseError(f"cannot read {args.input}: {exc}") from None
-    opts = SolverOptions(feas_tol=args.tol, opt_tol=args.tol)
-    if not (math.isfinite(args.pos_tol) and args.pos_tol > 0):
-        raise ValueError(f"--pos-tol must be finite and positive, got {args.pos_tol!r}")
 
     if args.validate_denominator:
-        doc["denominator_min"] = validate_denominator(problem, opts)
-        if doc["denominator_min"] <= opts.feas_tol:
+        doc["denominator_min"] = validate_denominator(problem)
+        if doc["denominator_min"] <= SolverOptions.feas_tol:
             doc["status"] = "denominator_nonpositive"
             doc["error"] = f"min denominator over the region is {doc['denominator_min']:g}"
             return EXIT_UNBOUNDED
@@ -205,14 +194,12 @@ def _solve(args, doc: dict) -> int:
     partitions = []
     if args.approach in ("one", "both"):
         started = time.perf_counter()
-        doc["theta_star"] = solve_theta_star(problem, opts)
+        doc["theta_star"] = solve_theta_star(problem)
         doc["timings"]["stage1"] = time.perf_counter() - started
-        _, partition = _run_approach(
-            approach_one, problem, opts, args.pos_tol, doc, "one", theta_star=doc["theta_star"],
-        )
+        _, partition = _run_approach(approach_one, problem, doc, "one", theta_star=doc["theta_star"])
         partitions.append(partition)
     if args.approach in ("two", "both"):
-        solution, partition = _run_approach(approach_two, problem, opts, args.pos_tol, doc, "two")
+        solution, partition = _run_approach(approach_two, problem, doc, "two")
         partitions.append(partition)
         if doc["theta_star"] is None:
             doc["theta_star"] = solution.theta_star

@@ -15,8 +15,9 @@ theta_star.  The one support-maximizing LP of `interior` is built over a face
 (`build_primal_interior_lp`, `build_dual_interior_lp`, `build_joint_lp`), its
 optimum is normalized back onto the face by `interior`, and the face point is
 cut into named blocks (`recover_primal_interior`, `recover_dual_interior`).
-Both routes solve the LPs these builders return; `approach_one` recovers
-through the two public recoveries, `approach_two` cuts its joint point itself:
+Both routes solve the LPs these builders return at `SolverOptions`' default
+tolerances; `approach_one` recovers through the two public recoveries,
+`approach_two` cuts its joint point itself:
 
 * `approach_one` pins the optimal value theta_star first (one stage-1 solve),
   then solves one support-maximizing LP per face, two LPs in total.  Prefer
@@ -253,45 +254,38 @@ def recover_dual_interior(
     return DualPoint(y, z, v)
 
 
-def approach_one(
-    problem: LFPProblem,
-    opts: SolverOptions = SolverOptions(),
-    theta_star: float | None = None,
-) -> StrictComplementarySolution:
+def approach_one(problem: LFPProblem, theta_star: float | None = None) -> StrictComplementarySolution:
     """Two-LP route: pin theta_star, then one interior LP per optimal face.
 
     Pass `theta_star` to reuse a stage-1 value already computed; otherwise it
     is solved here first.
     """
     if theta_star is None:
-        theta_star = solve_theta_star(problem, opts)
-    out = _solve_maximal_element_lp(build_primal_interior_lp(problem, theta_star), opts, "primal face")
-    transformed = recover_primal_interior(problem, out, opts.feas_tol)
-    out = _solve_maximal_element_lp(build_dual_interior_lp(problem, theta_star), opts, "dual face")
-    dual = recover_dual_interior(problem, out, opts.feas_tol)
-    primal = charnes_cooper_inverse(transformed, opts.feas_tol)
+        theta_star = solve_theta_star(problem)
+    out = _solve_maximal_element_lp(build_primal_interior_lp(problem, theta_star), "primal face")
+    transformed = recover_primal_interior(problem, out)
+    out = _solve_maximal_element_lp(build_dual_interior_lp(problem, theta_star), "dual face")
+    dual = recover_dual_interior(problem, out)
+    primal = charnes_cooper_inverse(transformed)
     return StrictComplementarySolution(primal, transformed.t, dual, theta_star)
 
 
-def approach_two(
-    problem: LFPProblem,
-    opts: SolverOptions = SolverOptions(),
-) -> StrictComplementarySolution:
+def approach_two(problem: LFPProblem) -> StrictComplementarySolution:
     """Single-LP route over the coupled faces; theta_star falls out as z."""
-    out = _solve_maximal_element_lp(build_joint_lp(problem), opts, "joint face")
+    out = _solve_maximal_element_lp(build_joint_lp(problem), "joint face")
     try:
-        point = _face_point(out, _joint_capped(problem), opts.feas_tol)
+        point = _face_point(out, _joint_capped(problem), SolverOptions.feas_tol)
     except DegenerateNormalizer:
         # No optimal pair scaled into view: either the problem itself is bad
         # (raised by the stage-1 classification below) or numerics collapsed.
-        solve_theta_star(problem, opts)
+        solve_theta_star(problem)
         raise DegenerateNormalizer(
             "joint face recovery found a zero scaling weight although stage 1 "
             "proves an optimal pair exists"
         ) from None
     m, n = problem.num_rows, problem.num_vars
     x_bar, (t,), u_bar, y, (z,), v = _blocks(point, n, 1, m, m, 1, n)
-    primal = charnes_cooper_inverse(TransformedPoint(x_bar, t, u_bar), opts.feas_tol)
+    primal = charnes_cooper_inverse(TransformedPoint(x_bar, t, u_bar))
     return StrictComplementarySolution(primal, t, DualPoint(y, z, v), z)
 
 

@@ -109,14 +109,14 @@ def build_dual_lp(problem: LFPProblem) -> LinearProgram:
     )
 
 
-def solve_theta_star(problem: LFPProblem, opts: SolverOptions = SolverOptions()) -> float:
+def solve_theta_star(problem: LFPProblem) -> float:
     """Shared optimal value of the transformed LP and its dual.
 
     Solved on the transformed (primal) side.  Raises InfeasibleRegion when the
     scaled region is empty, which covers both an empty constraint region and a
     denominator that is nonpositive throughout it.
     """
-    out = solve_lp(build_transformed_lp(problem), opts)
+    out = solve_lp(build_transformed_lp(problem))
     if out.status is SolveStatus.INFEASIBLE:
         raise InfeasibleRegion(
             "no feasible point with a positive denominator; the region is empty "

@@ -57,7 +57,9 @@ class Polyhedron:
             raise ValueError(f"A_eq has {A.shape[0]} rows but b_eq has {b.size} entries")
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("polyhedron data has a non-finite entry")
-        free = np.array(np.zeros(A.shape[1]) if self.free is None else self.free, dtype=bool)
+        free = np.zeros(A.shape[1], dtype=bool) if self.free is None else np.array(self.free)
+        if free.dtype != bool:
+            raise ValueError(f"free mask must hold booleans, got dtype {free.dtype}")
         if free.shape != (A.shape[1],):
             raise ValueError(f"free mask has shape {free.shape}, expected ({A.shape[1]},)")
         free.setflags(write=False)
@@ -132,9 +134,9 @@ def _normalize(outcome: LPOutcome, capped: np.ndarray, feas_tol: float) -> np.nd
     return point
 
 
-def _solve_maximal_element_lp(lp: LinearProgram, opts: SolverOptions, label: str) -> LPOutcome:
+def _solve_maximal_element_lp(lp: LinearProgram, label: str) -> LPOutcome:
     # Feasible (zero) and bounded (capped objective): any verdict but OPTIMAL is a breakdown.
-    out = solve_lp(lp, opts)
+    out = solve_lp(lp)
     if not out.is_optimal:
         reason = out.detail or "a numerical breakdown, as the LP is feasible and bounded"
         raise IterationLimitError(f"{label} solve ended with status {out.status.value}: {reason}")
@@ -143,5 +145,5 @@ def _solve_maximal_element_lp(lp: LinearProgram, opts: SolverOptions, label: str
 
 def find_relative_interior_point(poly: Polyhedron) -> MaximalElement:
     """Build, solve and normalize in one call."""
-    out = _solve_maximal_element_lp(build_maximal_element_lp(poly), SolverOptions(), "maximal-element")
+    out = _solve_maximal_element_lp(build_maximal_element_lp(poly), "maximal-element")
     return recover_maximal_element(out, poly)

@@ -161,6 +161,16 @@ def _as_number(value, where: str) -> float:
     return num
 
 
+def _unique_keys(pairs) -> dict:
+    # json.loads would keep the last of a repeated key; a problem document must not repeat one.
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"key {key!r} appears more than once")
+        doc[key] = value
+    return doc
+
+
 def parse_problem(text: bytes | str) -> LFPProblem:
     """Build a validated problem from its JSON document.
 
@@ -173,7 +183,7 @@ def parse_problem(text: bytes | str) -> LFPProblem:
         except UnicodeDecodeError as exc:
             raise ParseError(f"problem file is not UTF-8: {exc}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:

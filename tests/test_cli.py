@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lfpkit.cli import format_text, run
+from lfpkit.cli import build_parser, format_text, run
 
 GOLDEN_DOC = (
     '{"A": [[2, 1], [-2, 1]], "b": [6, 2], "c": [6, 3],'
@@ -65,7 +65,9 @@ class TestExitCodes:
         assert code == 4
         assert "status: input_error" in out
 
-    @pytest.mark.parametrize("alpha", ['"0"', "1" + "0" * 400], ids=["string", "overflow"])
+    @pytest.mark.parametrize(
+        "alpha", ['"0"', "1" + "0" * 400, '6, "alpha": 7'], ids=["string", "overflow", "repeated-key"]
+    )
     def test_string_or_overflowing_number_exits_four(self, tmp_path, capsys, alpha):
         path = tmp_path / "broken.json"
         path.write_text(GOLDEN_DOC.replace('"alpha": 6', f'"alpha": {alpha}'))
@@ -86,9 +88,11 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "--input", "does-not-exist.json")
         assert code == 4
 
-    def test_unknown_flag_exits_four(self, capsys):
-        code, _, _ = run_cli(capsys, "--frobnicate")
-        assert code == 4
+    def test_unknown_flag_exits_four(self, golden_file, capsys):
+        # The tolerances are fixed, so --tol and --pos-tol are unknown flags too.
+        for flags in (["--frobnicate"], ["--tol", "1e-9"], ["--pos-tol", "1e-7"]):
+            code, _, _ = run_cli(capsys, "--input", golden_file, *flags)
+            assert code == 4, flags
 
 
 class TestJsonFormat:
@@ -141,10 +145,11 @@ class TestJsonFormat:
             (GOLDEN_DOC, ["--approach", "two"], 0,
              "status theta_star approaches partition timings warnings"),
             (EMPTY_DOC, [], 2, "status error approaches partition timings warnings"),
+            (EMPTY_DOC, ["--approach", "two"], 2, "status error approaches partition timings warnings"),
             (VIOLATES_DOC, ["--validate-denominator"], 3,
              "status error approaches partition denominator_min timings warnings"),
         ],
-        ids=["golden", "approach-two", "empty-region", "denominator-check-fails"],
+        ids=["golden", "approach-two", "empty-region", "empty-region-approach-two", "denominator-check-fails"],
     )
     def test_key_order(self, tmp_path, capsys, doc, flags, code, keys):
         path = tmp_path / "problem.json"
@@ -178,34 +183,15 @@ class TestFlags:
         assert code == 3
         assert "status: denominator_nonpositive" in out
 
-    def test_custom_tolerances_accepted(self, golden_file, capsys):
-        code, _, _ = run_cli(
-            capsys, "--input", golden_file, "--tol", "1e-10", "--pos-tol", "1e-6"
-        )
-        assert code == 0
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--pos-tol", "nan"),
-            ("--pos-tol", "-1"),
-            ("--pos-tol", "0"),
-            ("--pos-tol", "inf"),
-            ("--tol", "inf"),
-            ("--tol", "nan"),
-        ],
-    )
-    def test_bad_tolerance_is_an_input_error(self, golden_file, capsys, flag, value):
-        code, out, err = run_cli(capsys, "--input", golden_file, flag, value, "--format", "json")
-        assert code == 4
-        assert json.loads(out)["status"] == "input_error"
-        assert "finite and positive" in err
+    def test_parser_keeps_exactly_these_options(self):
+        args = build_parser().parse_args(["--input", "p.json"])
+        assert sorted(vars(args)) == ["approach", "format", "input", "validate_denominator"]
 
     def test_numerical_failure_exits_five(self, golden_file, capsys, monkeypatch):
         from lfpkit import IterationLimitError
         import lfpkit.cli as cli_module
 
-        def explode(problem, opts):
+        def explode(problem):
             raise IterationLimitError("forced for the exit-code contract")
 
         monkeypatch.setattr(cli_module, "solve_theta_star", explode)

@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 import lfpkit.interior as interior_module
 from lfpkit import (
+    DegenerateNormalizer,
     DualPoint,
+    InfeasibleRegion,
     IterationLimitError,
     LFPProblem,
     LPOutcome,
@@ -13,6 +15,7 @@ from lfpkit import (
     PrimalPoint,
     SolveStatus,
     StrictComplementarySolution,
+    UnboundedObjective,
     approach_one,
     approach_two,
     build_dual_interior_lp,
@@ -259,7 +262,7 @@ class TestApproachOne:
         ],
     )
     def test_face_solve_failure_names_its_cause(self, golden, monkeypatch, outcome, message):
-        monkeypatch.setattr(interior_module, "solve_lp", lambda lp, opts: outcome)
+        monkeypatch.setattr(interior_module, "solve_lp", lambda lp: outcome)
         with pytest.raises(IterationLimitError, match=message):
             approach_one(golden, theta_star=THETA_GOLDEN)
 
@@ -281,6 +284,25 @@ class TestApproachTwo:
         problem = LFPProblem(A=[[1.0]], b=[2.0], c=[0.0], d=[0.0], alpha=1.0, beta=1.0)
         for sol in (approach_one(problem), approach_two(problem)):
             assert as_sets(optimal_partitions(sol)) == ({1}, set(), {1}, set())
+
+    # A zero scaling weight on the joint face is classified by a stage-1 solve.
+    def test_empty_region_is_infeasible(self):
+        problem = LFPProblem(A=[[1.0]], b=[-1.0], c=[1.0], d=[0.0], alpha=0.0, beta=1.0)
+        with pytest.raises(InfeasibleRegion):
+            approach_two(problem)
+
+    def test_unbounded_ratio_is_unbounded(self):
+        problem = LFPProblem(A=[[-1.0]], b=[1.0], c=[1.0], d=[0.0], alpha=0.0, beta=1.0)
+        with pytest.raises(UnboundedObjective):
+            approach_two(problem)
+
+    def test_zero_weight_on_a_solvable_problem_is_degenerate(self, golden, monkeypatch):
+        def all_zero(lp):
+            return LPOutcome(SolveStatus.OPTIMAL, np.zeros(lp.num_vars), 0.0)
+
+        monkeypatch.setattr(interior_module, "solve_lp", all_zero)
+        with pytest.raises(DegenerateNormalizer, match="although stage 1 proves an optimal pair exists"):
+            approach_two(golden)
 
 
 class TestVerifiers:

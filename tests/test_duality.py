@@ -137,7 +137,7 @@ class TestThetaStar:
 
     def test_iteration_cap_is_named(self, golden, monkeypatch):
         capped = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="iteration cap of 1 reached")
-        monkeypatch.setattr(duality_module, "solve_lp", lambda lp, opts: capped)
+        monkeypatch.setattr(duality_module, "solve_lp", lambda lp: capped)
         message = "stage-1 solve stopped early: iteration cap of 1 reached"
         with pytest.raises(IterationLimitError, match=message):
             solve_theta_star(golden)

@@ -83,6 +83,11 @@ class TestPolyhedron:
         with pytest.raises(ValueError, match="free mask"):
             Polyhedron([[1.0, 1.0]], [1.0], free=[True])
 
+    @pytest.mark.parametrize("free", [[0.5, 0.0], ["no", ""], [1, 0]])
+    def test_rejects_free_mask_that_is_not_boolean(self, free):
+        with pytest.raises(ValueError, match="free mask must hold booleans"):
+            Polyhedron([[1.0, 1.0]], [1.0], free=free)
+
 
 class TestRecover:
     def test_segment_has_full_support(self):
@@ -148,7 +153,7 @@ class TestFinder:
     )
     def test_solve_failure_names_its_cause(self, monkeypatch, outcome, message):
         # The LP is feasible and bounded, so no verdict but OPTIMAL reaches recovery.
-        monkeypatch.setattr(interior_module, "solve_lp", lambda lp, opts: outcome)
+        monkeypatch.setattr(interior_module, "solve_lp", lambda lp: outcome)
         with pytest.raises(IterationLimitError, match=message):
             find_relative_interior_point(SEGMENT)
 

@@ -17,10 +17,6 @@ linprog = pytest.importorskip("scipy.optimize").linprog
 
 HIGHS_STATUS = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}
 
-# HiGHS's presolve calls these feasible, unbounded programs infeasible; with
-# presolve off it reports them unbounded (see test_presolve_disagreement).
-HIGHS_PRESOLVE_INFEASIBLE = {197}
-
 
 def random_mixed_lp(seed):
     """n <= 6 columns, at most 5 rows, integer data."""
@@ -51,25 +47,26 @@ def random_mixed_lp(seed):
 
 
 def highs(lp, objective=None, **options):
-    """`linprog` on lp's arrays, minimizing `objective` (lp's own, as a minimization, by default)."""
+    """`linprog` on lp's arrays, minimizing `objective` (lp's own, as a minimization, by default).
+
+    HiGHS's presolve can call a feasible program infeasible (see
+    test_presolve_disagreement), so every infeasible verdict is re-checked
+    with presolve off.
+    """
     if objective is None:
         objective = -lp.objective if lp.sense is Sense.MAXIMIZE else lp.objective
-    return linprog(
-        objective, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
-        bounds=np.column_stack([lp.lo, lp.hi]), method="highs", options=options,
-    )
+
+    def run(options):
+        return linprog(
+            objective, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
+            bounds=np.column_stack([lp.lo, lp.hi]), method="highs", options=options,
+        )
+
+    result = run(options)
+    return run({**options, "presolve": False}) if result.status == 2 else result
 
 
-def seeds():
-    for seed in range(200):
-        if seed in HIGHS_PRESOLVE_INFEASIBLE:
-            reason = "HiGHS presolve reports infeasible on a feasible, unbounded program"
-            yield pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=reason))
-        else:
-            yield seed
-
-
-@pytest.mark.parametrize("seed", seeds())
+@pytest.mark.parametrize("seed", range(200))
 def test_matches_highs(seed):
     lp = random_mixed_lp(seed)
     ref = highs(lp)
@@ -85,10 +82,11 @@ def test_sample_holds_every_status():
     assert all(counts[status] >= 20 for status in HIGHS_STATUS.values()), counts
 
 
-@pytest.mark.parametrize("seed", sorted(HIGHS_PRESOLVE_INFEASIBLE))
+@pytest.mark.parametrize("seed", [197])
 def test_presolve_disagreement(seed):
-    # The program has a feasible point and an improving ray, so UNBOUNDED is
-    # right; HiGHS agrees once presolve is off.
+    # HiGHS's presolve calls this program infeasible, which is why `highs`
+    # re-checks infeasible verdicts.  It has a feasible point and an improving
+    # ray, so UNBOUNDED is right; HiGHS agrees once presolve is off.
     lp = random_mixed_lp(seed)
     assert solve_lp(lp).status is SolveStatus.UNBOUNDED
     assert highs(lp, presolve=False).status == 3

@@ -128,6 +128,16 @@ class TestParseProblem:
         with pytest.raises(ValueError):
             parse_problem(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [('"beta": 5', '"beta": 5, "beta": -100'), ("[6, 3]", '[{"k": 1, "k": 2}, 3]')],
+        ids=["top-level", "nested"],
+    )
+    def test_repeated_key(self, old, new):
+        # json.loads alone would keep the last value: beta = -100 empties the scaled region.
+        with pytest.raises(ParseError, match="appears more than once"):
+            parse_problem(GOLDEN_DOC.replace(old, new))
+
     def test_integer_beyond_float_range_is_not_finite(self):
         text = GOLDEN_DOC.replace('"alpha": 6', '"alpha": 1' + "0" * 400)
         with pytest.raises(ValueError, match="alpha must be finite"):

@@ -64,8 +64,8 @@ PARAMETERS = {
     "SolverOptions": ("feas_tol", "opt_tol"),
     "StrictComplementarySolution": ("primal", "t_star", "dual", "theta_star"),
     "TransformedPoint": ("x_bar", "t", "u_bar"),
-    "approach_one": ("problem", "opts", "theta_star"),
-    "approach_two": ("problem", "opts"),
+    "approach_one": ("problem", "theta_star"),
+    "approach_two": ("problem",),
     "build_dual_interior_lp": ("problem", "theta_star"),
     "build_dual_lp": ("problem",),
     "build_joint_lp": ("problem",),
@@ -86,7 +86,7 @@ PARAMETERS = {
     "recover_maximal_element": ("outcome", "poly"),
     "recover_primal_interior": ("problem", "outcome", "feas_tol"),
     "solve_lp": ("lp", "opts"),
-    "solve_theta_star": ("problem", "opts"),
+    "solve_theta_star": ("problem",),
     "validate_denominator": ("problem", "opts"),
     "verify_csc": ("sol",),
     "verify_scsc": ("sol", "pos_tol"),

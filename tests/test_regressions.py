@@ -94,8 +94,8 @@ def test_support_counts_obey_goldman_tucker(tmp_path, capsys, monkeypatch, reque
     objectives = []
     solve = interior.solve_lp
 
-    def recording_solve(lp, opts):
-        out = solve(lp, opts)
+    def recording_solve(lp):
+        out = solve(lp)
         objectives.append(out.objective)
         return out
 
