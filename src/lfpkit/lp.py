@@ -22,8 +22,15 @@ outcome.
 
 Pricing, the ratio test and the drive-out of artificials are numpy mask
 operations over whole columns and basic rows, with the tie-breaks a scan in
-index order would give.  The main cost per pivot is three dense solves with
-the basis matrix, which is factorized from scratch for each of them.
+index order would give.  Each phase keeps an explicit inverse of the basis
+matrix B: it inverts B at its start, every 10 basis changes and before any
+verdict reached after a change, and applies a rank-one (product-form)
+update after every other basis change, so a pivot costs three
+matrix-vector products with the inverse.  An inversion that fails, or whose
+condition number exceeds 1e12, ends the attempt: the program is solved
+again from the start with three fresh solves with B per pivot, and that
+outcome counts.  Programs whose coefficients span more than five orders of
+magnitude are solved that way from the start.
 """
 
 from __future__ import annotations
@@ -176,6 +183,18 @@ _AT_LOWER, _AT_UPPER, _AT_ZERO, _BASIC = 0, 1, 2, 3
 # |pivot| below this is treated as zero in ratio tests and drive-out steps.
 _PIVOT_TOL = 1e-10
 
+# Basis changes between two inversions of the basis matrix in `_run_simplex`.
+_REFACTOR_INTERVAL = 10
+
+# An inverse of the basis matrix whose 1-norm condition number exceeds this
+# counts as singular: `solve_lp` then solves again with fresh solves.
+_ILL_CONDITIONED = 1e12
+
+# A program whose nonzero constraint coefficients span a wider ratio than this
+# is solved with fresh solves from the start: the inverses of its bases are
+# too poorly conditioned to update.
+_WIDE_SCALE = 1e5
+
 
 def _initial_status(lo, hi):
     return np.where(
@@ -245,17 +264,25 @@ def _ratio_test(xb, w, basis, lo, hi, enter, direction, bland):
     return row_min, pos, (_AT_LOWER if g[pos] > 0 else _AT_UPPER)
 
 
-def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floor=None):
+def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floor=None,
+                 fresh=False):
     """Iterate to optimality on one phase.  Mutates basis and stat.
 
     Returns (verdict, point, iterations_used) with verdict in "optimal",
-    "unbounded", "iteration_limit", "singular" (a basis matrix that
-    np.linalg.solve rejects).  `phase1_floor` enables the early exit for
-    phase-1 objectives, which are bounded below by zero.
+    "unbounded", "iteration_limit" or "singular" (a basis matrix that
+    np.linalg.solve or np.linalg.inv rejects, or whose inverse has a 1-norm
+    condition number above _ILL_CONDITIONED).  `phase1_floor` enables the
+    early exit for phase-1 objectives, which are bounded below by zero.
 
-    Pricing and the ratio test are numpy mask operations over all columns and
-    basic rows, with index-deterministic tie-breaks; the three dense solves
-    with B per pivot are the main cost.
+    The run keeps an inverse of the basis matrix B.  It inverts B at the
+    start, after every _REFACTOR_INTERVAL basis changes, and again before an
+    "optimal" or "unbounded" verdict if B has changed since, so every verdict
+    rests on a fresh inverse.  In between, each basis change applies a
+    rank-one update (`_update_inverse`); a bound flip leaves B as it is.
+    With `fresh`, it keeps no inverse and solves with B afresh three times
+    per pivot instead, with no check of the condition number.  Pricing and
+    the ratio test are numpy mask operations over all columns and basic rows,
+    with index-deterministic tie-breaks.
     """
     m = A.shape[0]
     fixed = hi - lo <= 0.0
@@ -263,32 +290,54 @@ def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floo
     degenerate = 0
     bland_trigger = 2 * (m + A.shape[1])
     used = 0
+    Binv, updates = None, 0
     while True:
         x = _nonbasic_point(lo, hi, stat)
-        B = A[:, basis]
+        rhs = b - A @ x
         try:
-            x[basis] = xb = np.linalg.solve(B, b - A @ x)
-            y = np.linalg.solve(B.T, cost[basis])
+            if fresh:
+                B = A[:, basis]
+                xb = np.linalg.solve(B, rhs)
+                y = np.linalg.solve(B.T, cost[basis])
+            else:
+                if Binv is None or updates >= _REFACTOR_INTERVAL:
+                    B = A[:, basis]
+                    Binv, updates = np.linalg.inv(B), 0
+                    if _norm1(B) * _norm1(Binv) > _ILL_CONDITIONED:
+                        return "singular", x, used
+                xb = Binv @ rhs
+                y = cost[basis] @ Binv
         except np.linalg.LinAlgError:
             return "singular", x, used
+        x[basis] = xb
         reduced = cost - A.T @ y
 
         if phase1_floor is not None and float(cost @ x) <= phase1_floor:
-            return "optimal", x, used
-        enter, direction = _choose_entering(reduced, stat, fixed, opts.opt_tol, bland)
+            enter = None
+        else:
+            enter, direction = _choose_entering(reduced, stat, fixed, opts.opt_tol, bland)
         if enter is None:
+            if updates:
+                Binv = None  # confirm the verdict on a fresh inverse
+                continue
             return "optimal", x, used
         if used >= iter_budget:
             return "iteration_limit", x, used
 
-        w = np.linalg.solve(B, A[:, enter])
+        w = np.linalg.solve(B, A[:, enter]) if fresh else Binv @ A[:, enter]
         step, leave_pos, leave_to = _ratio_test(xb, w, basis, lo, hi, enter, direction, bland)
         if math.isinf(step):
+            if updates:
+                Binv = None
+                continue
             return "unbounded", x, used
 
         if leave_pos < 0:
             stat[enter] = _AT_UPPER if stat[enter] == _AT_LOWER else _AT_LOWER
         else:
+            if not fresh:
+                _update_inverse(Binv, leave_pos, w)
+                updates += 1
             stat[basis[leave_pos]] = leave_to
             stat[enter] = _BASIC
             basis[leave_pos] = enter
@@ -298,6 +347,19 @@ def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floo
             degenerate += 1
             if degenerate > bland_trigger:
                 bland = True
+
+
+def _norm1(M):
+    """The 1-norm (largest column sum of magnitudes) of a matrix; 0 if it is empty."""
+    return np.abs(M).sum(axis=0).max(initial=0.0)
+
+
+def _update_inverse(Binv, pos, w):
+    """Turn `Binv` into the inverse of B with column `pos` replaced by a, where
+    `w = Binv @ a`: the rank-one (product-form) update."""
+    row = Binv[pos] / w[pos]
+    Binv -= np.outer(w, row)
+    Binv[pos] = row
 
 
 def _drive_out_artificials(A, lo, hi, basis, stat, n_real):
@@ -359,12 +421,30 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     order.  OPTIMAL outcomes are feasible within `opts.feas_tol` and leave no
     optimality violation above `opts.opt_tol`; ITERATION_LIMIT outcomes carry
     no point at all, so numerical trouble is never silently papered over.
+
+    The pivots read the basis from an updated inverse.  If that meets a basis
+    that is singular or worse conditioned than _ILL_CONDITIONED, the program
+    is solved again from the start with fresh solves, and that outcome counts.
     """
     A, b, lo, hi = _standard_form(lp)
-    m, N = A.shape
     n = lp.num_vars
-    cost = np.zeros(N)
+    cost = np.zeros(A.shape[1])
     cost[:n] = lp.objective if lp.sense is Sense.MINIMIZE else -lp.objective
+    coefficients = np.abs(A[A != 0.0])
+    fresh = coefficients.size > 0 and coefficients.max() > _WIDE_SCALE * coefficients.min()
+    outcome = _two_phase(A, b, lo, hi, cost, n, opts, fresh)
+    if outcome is None:
+        outcome = _two_phase(A, b, lo, hi, cost, n, opts, fresh=True)
+    if not outcome.is_optimal:
+        return outcome
+    point = _frozen(outcome.point[:n])
+    return LPOutcome(SolveStatus.OPTIMAL, point, float(lp.objective @ point))
+
+
+def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
+    """The outcome of both phases on the standard form, with the whole point
+    if OPTIMAL; None where the updated inverse met a singular basis."""
+    m, N = A.shape
     iter_budget = 50 * (m + n)
 
     # Phase 1: artificial column per row, signed so artificials start >= 0.
@@ -379,8 +459,10 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
 
     verdict, x, used = _run_simplex(
         A1, b, cost1, lo1, hi1, basis, stat1, opts, iter_budget,
-        phase1_floor=opts.feas_tol * 1e-3,
+        phase1_floor=opts.feas_tol * 1e-3, fresh=fresh,
     )
+    if verdict == "singular" and not fresh:
+        return None
     if verdict != "optimal":
         return _stopped(verdict, used, iter_budget)
     if float(cost1 @ x) > opts.feas_tol:
@@ -392,12 +474,12 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     cost2 = np.concatenate([cost, np.zeros(m)])
 
     verdict, x, more = _run_simplex(
-        A1, b, cost2, lo1, hi1, basis, stat1, opts, iter_budget - used,
+        A1, b, cost2, lo1, hi1, basis, stat1, opts, iter_budget - used, fresh=fresh,
     )
+    if verdict == "singular" and not fresh:
+        return None
     if verdict == "unbounded":
         return LPOutcome(SolveStatus.UNBOUNDED)
     if verdict != "optimal":
         return _stopped(verdict, used + more, iter_budget)
-
-    point = _frozen(x[:n])
-    return LPOutcome(SolveStatus.OPTIMAL, point, float(lp.objective @ point))
+    return LPOutcome(SolveStatus.OPTIMAL, x)

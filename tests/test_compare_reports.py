@@ -81,3 +81,82 @@ def test_diff_counts_changed_text_or_stderr():
     assert "text or stderr differs: w/1/stderr" in printed
     assert "text or stderr differs: w/1/same" not in printed
     assert printed.rstrip().endswith("pivots 0 -> 0, 2 with different text or stderr")
+
+
+def test_diff_summarizes_each_seed_for_moved_pivot_paths():
+    # Every report differs in its floats; what matters is failures, pivots and partitions.
+    tool = load_tool()
+
+    def record(seed, name, code, pivots, partition=None, **report):
+        report = {"status": "ok" if code == 0 else "numerical_failure", "theta_star": 0.1,
+                  "partition": partition, **report}
+        return {"workload": "w", "seed": seed, "name": name, "code": code, "report": report,
+                "runs": [["optimal", pivots]]}
+
+    p, q = {"B": [0], "N": [1]}, {"B": [1], "N": [0]}
+    before = [
+        record(1, "same-partition", 0, 10, p),
+        record(1, "moved-partition", 0, 10, p),
+        record(1, "now-fails", 0, 10, p),
+        record(2, "now-solves", 5, 10, error="singular basis after 3 pivots"),
+        record(2, "still-fails", 5, 10, error="old text"),
+    ]
+    after = [
+        {**record(1, "same-partition", 0, 4, p), "report": {**before[0]["report"], "theta_star": 0.2}},
+        record(1, "moved-partition", 0, 4, q),
+        record(1, "now-fails", 5, 4, p, status="verification_failed", cross_check=False),
+        record(2, "now-solves", 0, 4, q),
+        record(2, "still-fails", 5, 4, error="new text"),
+    ]
+    out = io.StringIO()
+    assert tool.diff(before, after, out) > 0  # the exit status stays "any difference"
+    assert out.getvalue().splitlines() == [
+        "w seed 1: 3 compared, failures 0 -> 1, pivots 30 -> 12, "
+        "partitions differ on 1 of 2 solved by both",
+        "w seed 2: 2 compared, failures 2 -> 1, pivots 20 -> 8, "
+        "partitions differ on 0 of 0 solved by both",
+        "  partition differs: w/1/moved-partition",
+        "  report differs: w/1/moved-partition",
+        "  simplex runs differ: w/1/moved-partition",
+        "  exit code 0 -> 5: w/1/now-fails: ok -> cross_check false",
+        "  report differs: w/1/now-fails",
+        "  simplex runs differ: w/1/now-fails",
+        "  report differs: w/1/same-partition",
+        "  simplex runs differ: w/1/same-partition",
+        "  exit code 5 -> 0: w/2/now-solves: singular basis after 3 pivots -> ok",
+        "  report differs: w/2/now-solves",
+        "  simplex runs differ: w/2/now-solves",
+        "  simplex runs differ: w/2/still-fails",
+        "w: 5 compared, 5 reports differ (1 only in error text), 2 exit-code changes, "
+        "5 with different simplex runs, failures 2 -> 2, pivots 50 -> 20, "
+        "0 with different text or stderr",
+    ]
+    assert tool.diff(before, before, io.StringIO()) == 0
+
+
+def test_ledgers_of_two_dumps_of_one_checkout_are_byte_identical(tmp_path):
+    tool = load_tool()
+    for name in ("a", "b"):
+        args = ["dump", "--workloads", "batch-small", "--seeds", "1", "--limit", "5"]
+        assert tool.main([*args, "--out", str(tmp_path / f"{name}.json")]) == 0
+        assert tool.main(["ledger", str(tmp_path / f"{name}.json"),
+                          "--out", str(tmp_path / f"{name}.ledger.json")]) == 0
+    text = (tmp_path / "a.ledger.json").read_text()
+    assert text == (tmp_path / "b.ledger.json").read_text()
+    [entry] = json.loads(text)
+    assert entry["workload"] == "batch-small" and entry["seed"] == 1
+    assert entry["instances"] == 5 and entry["failures"] == {}
+    assert entry["simplex_runs"] >= 6 * 5 and entry["pivots"] > 0
+
+
+def test_ledger_counts_failures_by_exit_code():
+    tool = load_tool()
+    records = [
+        {"workload": "w", "seed": s, "name": str(k), "code": code, "runs": [["optimal", 3], ["optimal", k]]}
+        for s, k, code in ((1, 0, 0), (1, 1, 5), (1, 2, 5), (1, 3, 3), (2, 4, 0))
+    ]
+    assert tool.ledger(records) == [
+        {"workload": "w", "seed": 1, "instances": 4, "failures": {"5": 2, "3": 1},
+         "simplex_runs": 8, "pivots": 18},
+        {"workload": "w", "seed": 2, "instances": 1, "failures": {}, "simplex_runs": 2, "pivots": 7},
+    ]

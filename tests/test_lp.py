@@ -129,15 +129,24 @@ class TestBasics:
         assert out.detail == f"iteration cap of {50 * (2 + 3)} reached"
 
     def test_singular_basis_is_named(self, monkeypatch):
-        # The fourth solve is the first of the second pivot, after one pivot.
-        real_solve, calls = np.linalg.solve, []
+        # Phase 1 takes one pivot.  The second inversion, the fresh one that
+        # must confirm its verdict, fails; so does the fourth solve of the
+        # fresh re-solve that follows, the first of its second pivot.
+        real_inv, real_solve, calls = np.linalg.inv, np.linalg.solve, []
+
+        def inv_once_singular(a):
+            calls.append("inv")
+            if calls.count("inv") == 2:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_inv(a)
 
         def solve_once_singular(a, b):
-            calls.append(None)
-            if len(calls) == 4:
+            calls.append("solve")
+            if calls.count("solve") == 4:
                 raise np.linalg.LinAlgError("Singular matrix")
             return real_solve(a, b)
 
+        monkeypatch.setattr(lp_module.np.linalg, "inv", inv_once_singular)
         monkeypatch.setattr(lp_module.np.linalg, "solve", solve_once_singular)
         lp = LinearProgram(
             Sense.MAXIMIZE,
@@ -146,6 +155,7 @@ class TestBasics:
             b_ub=[1.0, 2.0],
         )
         out = solve_lp(lp)
+        assert calls == ["inv", "inv", "solve", "solve", "solve", "solve"]
         assert out.status is SolveStatus.ITERATION_LIMIT
         assert out.point is None and out.objective is None
         assert out.detail == "singular basis after 1 pivots"
@@ -165,7 +175,7 @@ class TestBasics:
         ],
     )
     def test_program_without_rows(self, sense, objective, lo, hi, status, point):
-        # Bounds alone decide these; the basis is empty, so every solve with B is 0 x 0.
+        # Bounds alone decide these; the basis is empty, so B and its inverse are 0 x 0.
         out = solve_lp(LinearProgram(sense, objective, lo=lo, hi=hi))
         assert out.status is status
         if point is None:
@@ -297,6 +307,121 @@ class TestInvariants:
         assert first.status is second.status
         assert first.objective == second.objective
         assert np.array_equal(first.point, second.point)
+
+
+def random_dense_lp(rng):
+    """A maximization LP with inequality and equality rows, feasible by construction.
+
+    About a third of them have a ray along one column, which makes them unbounded.
+    """
+    n = int(rng.integers(10, 31))
+    m_ub, m_eq = int(rng.integers(5, 21)), int(rng.integers(0, 6))
+    A_ub = rng.uniform(-1.0, 2.0, size=(m_ub, n))
+    A_eq = rng.uniform(-1.0, 1.0, size=(m_eq, n))
+    x0 = rng.uniform(0.0, 0.5, size=n)
+    hi = np.where(rng.random(n) < 0.7, rng.uniform(0.5, 3.0, size=n), math.inf)
+    objective = rng.uniform(-1.0, 2.0, size=n)
+    if rng.random() < 0.3:
+        j = int(rng.integers(0, n))
+        A_ub[:, j] = -np.abs(A_ub[:, j])
+        A_eq[:, j] = 0.0
+        hi[j] = math.inf
+        objective[j] = rng.uniform(0.1, 0.5)  # small, so that other columns enter first
+    return LinearProgram(
+        Sense.MAXIMIZE, objective,
+        A_ub=A_ub, b_ub=A_ub @ x0 + rng.uniform(0.5, 4.0, size=m_ub),
+        A_eq=A_eq, b_eq=A_eq @ x0,
+        hi=hi,
+    )
+
+
+class TestBasisInverse:
+    def test_rank_one_updates_keep_the_inverse(self):
+        rng = np.random.default_rng(21)
+        for trial in range(200):
+            m = int(rng.integers(1, 13))
+            A = rng.standard_normal((m, 3 * m))
+            basis = np.arange(m)
+            while np.linalg.cond(A[:, basis]) > 100.0:
+                A[:, :m] = rng.standard_normal((m, m))
+            stat = np.full(3 * m, _AT_LOWER, dtype=np.int8)
+            stat[basis] = _BASIC
+            Binv = np.linalg.inv(A[:, basis])
+            for _ in range(lp_module._REFACTOR_INTERVAL):
+                while True:  # a swap that keeps the basis well-conditioned
+                    enter = int(rng.choice(np.flatnonzero(stat != _BASIC)))
+                    pos = int(rng.integers(0, m))
+                    swapped = basis.copy()
+                    swapped[pos] = enter
+                    if np.linalg.cond(A[:, swapped]) <= 100.0:
+                        break
+                lp_module._update_inverse(Binv, pos, Binv @ A[:, enter])
+                stat[basis[pos]], stat[enter] = _AT_LOWER, _BASIC
+                basis = swapped
+            assert np.abs(Binv @ A[:, basis] - np.eye(m)).max() <= 1e-9, trial
+
+    def test_every_verdict_follows_a_fresh_inverse(self, monkeypatch):
+        # The last inversion before an "optimal" or "unbounded" verdict is of
+        # the basis the verdict is read from: no rank-one update came after it.
+        real_inv, run_simplex = np.linalg.inv, lp_module._run_simplex
+        inverted, verdicts = [], []
+
+        def recording_inv(a):
+            inverted.append(np.array(a))
+            return real_inv(a)
+
+        def checked(A, b, cost, lo, hi, basis, stat, *args, **kwargs):
+            verdict, x, used = run_simplex(A, b, cost, lo, hi, basis, stat, *args, **kwargs)
+            if verdict in ("optimal", "unbounded") and not kwargs["fresh"]:
+                assert np.array_equal(inverted[-1], A[:, basis])
+                verdicts.append((verdict, used))
+            return verdict, x, used
+
+        monkeypatch.setattr(lp_module.np.linalg, "inv", recording_inv)
+        monkeypatch.setattr(lp_module, "_run_simplex", checked)
+        rng = np.random.default_rng(22)
+        statuses = [solve_lp(random_dense_lp(rng)).status for _ in range(60)]
+        assert statuses.count(SolveStatus.OPTIMAL) > 20
+        assert statuses.count(SolveStatus.UNBOUNDED) > 10
+        # Many runs span several inversion intervals.
+        assert sum(used > 3 * lp_module._REFACTOR_INTERVAL for _, used in verdicts) > 10
+
+
+    def test_ill_conditioned_inverse_hands_over_to_fresh_solves(self, monkeypatch):
+        # With every inverse counted as ill-conditioned, the first inversion
+        # ends the attempt and fresh solves reach the same outcome.
+        rng = np.random.default_rng(23)
+        lps = [random_dense_lp(rng) for _ in range(12)]
+        expected = [solve_lp(lp) for lp in lps]
+        real_inv, inversions = np.linalg.inv, []
+
+        def counted_inv(a):
+            inversions.append(None)
+            return real_inv(a)
+
+        monkeypatch.setattr(lp_module, "_ILL_CONDITIONED", 0.0)
+        monkeypatch.setattr(lp_module.np.linalg, "inv", counted_inv)
+        for lp, want in zip(lps, expected):
+            inversions.clear()
+            got = solve_lp(lp)
+            assert len(inversions) == 1
+            assert got.status is want.status
+            if want.is_optimal:
+                assert_allclose(got.objective, want.objective, rtol=1e-9)
+        assert sum(out.is_optimal for out in expected) > 3
+
+    def test_wide_scale_program_is_solved_with_fresh_solves(self, monkeypatch):
+        def no_inverse(a):
+            raise AssertionError("a basis of a wide-scale program was inverted")
+
+        monkeypatch.setattr(lp_module.np.linalg, "inv", no_inverse)
+        # Coefficients from 1 to 2e6.
+        out = solve_lp(LinearProgram(
+            Sense.MAXIMIZE, [1.0, 1.0], A_ub=[[1e6, 2e6], [1.0, 0.0]], b_ub=[4e6, 1.0],
+        ))
+        assert out.is_optimal
+        assert_allclose(out.point, [1.0, 1.5])
+        assert_allclose(out.objective, 2.5)
 
 
 # Scan-in-index-order versions of the pivoting kernels, kept as the reference
