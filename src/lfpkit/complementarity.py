@@ -14,10 +14,11 @@ in the standard form `solve_lp` pivots on, plus one row objective . x =
 theta_star.  The one support-maximizing LP of `interior` is built over a face
 (`build_primal_interior_lp`, `build_dual_interior_lp`, `build_joint_lp`), its
 optimum is normalized back onto the face by `interior`, and the face point is
-cut into named blocks (`recover_primal_interior`, `recover_dual_interior`).
+cut into named blocks.  Each face's blocks and the mask of its capped
+coordinates come from one layout (`_layout`), and one cut (`_face_blocks`)
+serves `recover_primal_interior`, `recover_dual_interior` and `approach_two`.
 Both routes solve the LPs these builders return at `SolverOptions`' default
-tolerances; `approach_one` recovers through the two public recoveries,
-`approach_two` cuts its joint point itself:
+tolerances:
 
 * `approach_one` pins the optimal value theta_star first (one stage-1 solve),
   then solves one support-maximizing LP per face, two LPs in total.  Prefer
@@ -36,7 +37,14 @@ import numpy as np
 
 from .duality import TransformedPoint, build_dual_lp, build_transformed_lp, charnes_cooper_inverse, solve_theta_star
 from .errors import DegenerateNormalizer, EmptyPolyhedron, NumericalWarning, PartitionViolation
-from .interior import DEFAULT_POS_TOL, Polyhedron, _normalize, _solve_maximal_element_lp, _support_maximizing_lp
+from .interior import (
+    DEFAULT_POS_TOL,
+    Polyhedron,
+    _normalize,
+    _solve_maximal_element_lp,
+    _support_maximizing_lp,
+    build_maximal_element_lp,
+)
 from .lp import LinearProgram, LPOutcome, SolverOptions, _standard_form
 from .problem import DualPoint, LFPProblem, PrimalPoint
 
@@ -177,39 +185,32 @@ def joint_optimal_face(problem: LFPProblem) -> Polyhedron:
     return Polyhedron(M, rhs, np.concatenate([primal.free, dual.free]))
 
 
-def _primal_capped(problem: LFPProblem) -> np.ndarray:
-    """Capped coordinates of the primal face: all but t, at index n of n + 1 + m.
+def _layout(problem: LFPProblem, face: str) -> tuple:
+    """Block sizes and capped mask of the "primal", "dual" or "joint" face's coordinates.
 
-    t = 1/(d.x + beta) is positive on the whole face, so it needs no capped copy.
+    The primal face is (xbar, t, ubar), the dual face (y, z, v) and the joint
+    face the two side by side.  Every coordinate but each face's middle scalar
+    is capped: t = 1/(d.x + beta) is positive on the whole face and z is free.
     """
     n, m = problem.num_vars, problem.num_rows
-    return np.arange(n + 1 + m) != n
+    sides = {"primal": [(n, 1, m)], "dual": [(m, 1, n)]}
+    sides["joint"] = sides["primal"] + sides["dual"]
+    sizes = [size for side in sides[face] for size in side]
+    capped = np.concatenate([np.arange(a + 1 + b) != a for a, _, b in sides[face]])
+    return sizes, capped
 
 
-def _dual_capped(problem: LFPProblem) -> np.ndarray:
-    """Capped coordinates of the dual face: all but the free z, at index m of m + 1 + n."""
-    n, m = problem.num_vars, problem.num_rows
-    return np.arange(m + 1 + n) != m
-
-
-def _joint_capped(problem: LFPProblem) -> np.ndarray:
-    """Capped coordinates of the joint face: the primal and the dual masks side by side."""
-    return np.concatenate([_primal_capped(problem), _dual_capped(problem)])
-
-
-def _blocks(point: np.ndarray, *sizes: int) -> list:
-    """Cut a face point into consecutive blocks of the given sizes."""
-    return np.split(point, np.cumsum(sizes)[:-1])
-
-
-def _face_point(outcome: LPOutcome, capped: np.ndarray, feas_tol: float) -> np.ndarray:
+def _face_blocks(problem: LFPProblem, face: str, outcome: LPOutcome, feas_tol: float) -> list:
+    """The face point of an optimal builder outcome, cut into the blocks of `_layout`."""
+    sizes, capped = _layout(problem, face)
     try:
-        return _normalize(outcome, capped, feas_tol)
+        point = _normalize(outcome, capped, feas_tol)
     except EmptyPolyhedron:
         raise DegenerateNormalizer(
             "zero scaling weight while recovering an interior point of an optimal "
             "face that should be non-empty"
         ) from None
+    return np.split(point, np.cumsum(sizes)[:-1])
 
 
 def build_primal_interior_lp(problem: LFPProblem, theta_star: float) -> LinearProgram:
@@ -217,7 +218,8 @@ def build_primal_interior_lp(problem: LFPProblem, theta_star: float) -> LinearPr
 
     Columns: (x1_1..x1_n, p, u1_1..u1_m, w1, x2_1..x2_n, u2_1..u2_m, w2).
     """
-    return _support_maximizing_lp(primal_optimal_face(problem, theta_star), _primal_capped(problem))
+    _, capped = _layout(problem, "primal")
+    return _support_maximizing_lp(primal_optimal_face(problem, theta_star), capped)
 
 
 def build_dual_interior_lp(problem: LFPProblem, theta_star: float) -> LinearProgram:
@@ -225,7 +227,7 @@ def build_dual_interior_lp(problem: LFPProblem, theta_star: float) -> LinearProg
 
     Columns: (y1_1..y1_m, q, v1_1..v1_n, w1, y2_1..y2_m, v2_1..v2_n, w2).
     """
-    return _support_maximizing_lp(dual_optimal_face(problem, theta_star), _dual_capped(problem))
+    return build_maximal_element_lp(dual_optimal_face(problem, theta_star))
 
 
 def build_joint_lp(problem: LFPProblem) -> LinearProgram:
@@ -233,15 +235,15 @@ def build_joint_lp(problem: LFPProblem) -> LinearProgram:
 
     Columns: (x1, p, u1, y1, q, v1, w1, x2, u2, y2, v2, w2).
     """
-    return _support_maximizing_lp(joint_optimal_face(problem), _joint_capped(problem))
+    _, capped = _layout(problem, "joint")
+    return _support_maximizing_lp(joint_optimal_face(problem), capped)
 
 
 def recover_primal_interior(
     problem: LFPProblem, outcome: LPOutcome, feas_tol: float = SolverOptions.feas_tol
 ) -> TransformedPoint:
     """Interior point of the primal optimal face from an optimal builder outcome."""
-    point = _face_point(outcome, _primal_capped(problem), feas_tol)
-    x_bar, (t,), u_bar = _blocks(point, problem.num_vars, 1, problem.num_rows)
+    x_bar, (t,), u_bar = _face_blocks(problem, "primal", outcome, feas_tol)
     return TransformedPoint(x_bar, t, u_bar)
 
 
@@ -249,8 +251,7 @@ def recover_dual_interior(
     problem: LFPProblem, outcome: LPOutcome, feas_tol: float = SolverOptions.feas_tol
 ) -> DualPoint:
     """Interior point of the dual optimal face from an optimal builder outcome."""
-    point = _face_point(outcome, _dual_capped(problem), feas_tol)
-    y, (z,), v = _blocks(point, problem.num_rows, 1, problem.num_vars)
+    y, (z,), v = _face_blocks(problem, "dual", outcome, feas_tol)
     return DualPoint(y, z, v)
 
 
@@ -274,7 +275,7 @@ def approach_two(problem: LFPProblem) -> StrictComplementarySolution:
     """Single-LP route over the coupled faces; theta_star falls out as z."""
     out = _solve_maximal_element_lp(build_joint_lp(problem), "joint face")
     try:
-        point = _face_point(out, _joint_capped(problem), SolverOptions.feas_tol)
+        x_bar, (t,), u_bar, y, (z,), v = _face_blocks(problem, "joint", out, SolverOptions.feas_tol)
     except DegenerateNormalizer:
         # No optimal pair scaled into view: either the problem itself is bad
         # (raised by the stage-1 classification below) or numerics collapsed.
@@ -283,8 +284,6 @@ def approach_two(problem: LFPProblem) -> StrictComplementarySolution:
             "joint face recovery found a zero scaling weight although stage 1 "
             "proves an optimal pair exists"
         ) from None
-    m, n = problem.num_rows, problem.num_vars
-    x_bar, (t,), u_bar, y, (z,), v = _blocks(point, n, 1, m, m, 1, n)
     primal = charnes_cooper_inverse(TransformedPoint(x_bar, t, u_bar))
     return StrictComplementarySolution(primal, t, DualPoint(y, z, v), z)
 

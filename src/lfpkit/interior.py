@@ -53,6 +53,8 @@ class Polyhedron:
     def __post_init__(self):
         A = _frozen(self.A_eq, ndmin=2)
         b = _frozen(self.b_eq).ravel()
+        if A.ndim != 2:
+            raise ValueError(f"A_eq must be a matrix, got an array with {A.ndim} axes")
         if A.shape[0] != b.size:
             raise ValueError(f"A_eq has {A.shape[0]} rows but b_eq has {b.size} entries")
         if not (np.isfinite(A).all() and np.isfinite(b).all()):

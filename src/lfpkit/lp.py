@@ -274,15 +274,10 @@ def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floo
     condition number above _ILL_CONDITIONED).  `phase1_floor` enables the
     early exit for phase-1 objectives, which are bounded below by zero.
 
-    The run keeps an inverse of the basis matrix B.  It inverts B at the
-    start, after every _REFACTOR_INTERVAL basis changes, and again before an
-    "optimal" or "unbounded" verdict if B has changed since, so every verdict
-    rests on a fresh inverse.  In between, each basis change applies a
-    rank-one update (`_update_inverse`); a bound flip leaves B as it is.
-    With `fresh`, it keeps no inverse and solves with B afresh three times
-    per pivot instead, with no check of the condition number.  Pricing and
-    the ratio test are numpy mask operations over all columns and basic rows,
-    with index-deterministic tie-breaks.
+    Without `fresh`, the run keeps the inverse of B that the module docstring
+    describes, updated by `_update_inverse`; a bound flip leaves it as it is.
+    With `fresh`, it solves with B three times per pivot and checks no
+    condition number.
     """
     m = A.shape[0]
     fixed = hi - lo <= 0.0
@@ -418,13 +413,12 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     """Solve `lp` with the two-phase simplex method.
 
     The returned point covers exactly the variables of `lp`, in their original
-    order.  OPTIMAL outcomes are feasible within `opts.feas_tol` and leave no
-    optimality violation above `opts.opt_tol`; ITERATION_LIMIT outcomes carry
-    no point at all, so numerical trouble is never silently papered over.
-
-    The pivots read the basis from an updated inverse.  If that meets a basis
-    that is singular or worse conditioned than _ILL_CONDITIONED, the program
-    is solved again from the start with fresh solves, and that outcome counts.
+    order.  An OPTIMAL verdict means pricing on a freshly inverted (or freshly
+    solved) basis found no optimality violation above `opts.opt_tol`; the
+    basic values are not checked against their bounds afterwards, so such a
+    point may lie outside them by more than `opts.feas_tol`.  ITERATION_LIMIT
+    outcomes carry no point at all.  This is where a program is routed to
+    fresh solves, from the start or after the inverse fails.
     """
     A, b, lo, hi = _standard_form(lp)
     n = lp.num_vars

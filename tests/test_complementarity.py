@@ -212,6 +212,31 @@ class TestRecovery:
         )
         assert dual.z == pytest.approx(theta, abs=1e-7)
 
+    @pytest.mark.parametrize(
+        "build, recover",
+        [
+            (build_primal_interior_lp, recover_primal_interior),
+            (build_dual_interior_lp, recover_dual_interior),
+        ],
+        ids=["primal", "dual"],
+    )
+    @pytest.mark.parametrize(
+        "status, error, message",
+        [
+            (SolveStatus.OPTIMAL, DegenerateNormalizer, "zero scaling weight while recovering"),
+            (SolveStatus.ITERATION_LIMIT, ValueError, "expected an optimal outcome"),
+        ],
+        ids=["zero-weight", "not-optimal"],
+    )
+    def test_failure_paths(self, golden, build, recover, status, error, message):
+        lp = build(golden, THETA_GOLDEN)
+        if status is SolveStatus.OPTIMAL:
+            outcome = LPOutcome(status, np.zeros(lp.num_vars), 0.0)
+        else:
+            outcome = LPOutcome(status, detail="iteration cap of 7 reached")
+        with pytest.raises(error, match=message):
+            recover(golden, outcome)
+
 
 class TestApproachOne:
     def test_golden_partition(self, golden):

@@ -13,8 +13,10 @@ from lfpkit import (
     Polyhedron,
     Sense,
     SolveStatus,
+    build_dual_interior_lp,
     build_maximal_element_lp,
     build_primal_interior_lp,
+    dual_optimal_face,
     find_relative_interior_point,
     primal_optimal_face,
     recover_maximal_element,
@@ -51,21 +53,23 @@ class TestBuilder:
         assert np.all(lp.b_ub == 0.0) and np.all(lp.b_eq == 0.0)
 
     def test_matches_dedicated_face_builder(self, golden):
-        # The dedicated builder is the support-maximizing LP of the primal
-        # optimal face with every coordinate but t capped: column for column.
+        # Each dedicated builder is the support-maximizing LP of its optimal
+        # face with every coordinate capped but the scalar, t at index n of
+        # the primal face and z at index m of the dual face: column for column.
         theta = solve_theta_star(golden)
         n, m = golden.num_vars, golden.num_rows
-        capped = np.ones(n + 1 + m, dtype=bool)
-        capped[n] = False
-        generic = interior_module._support_maximizing_lp(primal_optimal_face(golden, theta), capped)
-        dedicated = build_primal_interior_lp(golden, theta)
-        assert generic.num_vars == dedicated.num_vars == 2 * (n + m) + 3
-        assert_allclose(generic.objective, dedicated.objective)
-        assert generic.num_rows == dedicated.num_rows
-        for block in ("A_ub", "A_eq"):
-            assert_allclose(getattr(generic, block), getattr(dedicated, block), atol=1e-12)
-        assert np.array_equal(generic.b_ub, dedicated.b_ub) and np.array_equal(generic.b_eq, dedicated.b_eq)
-        assert np.array_equal(generic.lo, dedicated.lo) and np.array_equal(generic.hi, dedicated.hi)
+        for face, build, scalar in (
+            (primal_optimal_face, build_primal_interior_lp, n),
+            (dual_optimal_face, build_dual_interior_lp, m),
+        ):
+            capped = np.ones(n + 1 + m, dtype=bool)
+            capped[scalar] = False
+            generic = interior_module._support_maximizing_lp(face(golden, theta), capped)
+            dedicated = build(golden, theta)
+            assert generic.num_vars == dedicated.num_vars == 2 * (n + m) + 3
+            assert generic.sense is dedicated.sense
+            for field in ("objective", "A_ub", "b_ub", "A_eq", "b_eq", "lo", "hi"):
+                assert np.array_equal(getattr(generic, field), getattr(dedicated, field)), (build, field)
 
     def test_free_coordinate_has_free_column_and_no_copy(self):
         lp = build_maximal_element_lp(WITH_FREE)
@@ -79,9 +83,16 @@ class TestPolyhedron:
     def test_no_coordinate_free_by_default(self):
         assert SEGMENT.free.tolist() == [False, False]
 
-    def test_rejects_free_mask_of_wrong_length(self):
-        with pytest.raises(ValueError, match="free mask"):
-            Polyhedron([[1.0, 1.0]], [1.0], free=[True])
+    @pytest.mark.parametrize(
+        "A_eq, b_eq, free, message",
+        [
+            pytest.param([[1.0, 1.0]], [1.0], [True], "free mask", id="free-mask-length"),
+            pytest.param(np.zeros((2, 2, 2)), [0.0, 0.0], None, "A_eq must be a matrix", id="A_eq-axes"),
+        ],
+    )
+    def test_rejects_wrong_shape(self, A_eq, b_eq, free, message):
+        with pytest.raises(ValueError, match=message):
+            Polyhedron(A_eq, b_eq, free=free)
 
     @pytest.mark.parametrize("free", [[0.5, 0.0], ["no", ""], [1, 0]])
     def test_rejects_free_mask_that_is_not_boolean(self, free):
