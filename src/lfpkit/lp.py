@@ -1,4 +1,6 @@
-"""Dense two-phase simplex solver for small linear programs.
+"""Dense simplex solver for small linear programs: a bounded dual simplex
+for homogeneous programs with a dual-feasible start, two phases of the
+primal simplex for the rest.
 
 A `LinearProgram` holds its data as arrays in scipy `linprog`'s layout: an
 inequality block `A_ub x <= b_ub`, an equality block `A_eq x = b_eq` and
@@ -7,30 +9,46 @@ or free as given).  One private function, `_standard_form`, stacks them
 into `[[A_ub, I], [A_eq, 0]]`, one slack column per inequality row, with
 inequality rows first; `solve_lp` pivots on that form, and `complementarity`
 builds its optimal faces from it.  Free variables are kept as single columns
-that may move in either direction; box bounds are handled with the usual
-bounded-variable ratio test (including bound flips) instead of extra rows.
-Phase 1 minimizes the total artificial infeasibility; phase 2 then optimizes
-the real objective from the feasible basis phase 1 produced.
+that may move in either direction; box bounds are handled with bound flips
+in the ratio tests instead of extra rows.
 
-Pivoting uses Dantzig's rule with a largest-pivot tie-break, switching to
-Bland's rule once 2 * (rows + cols) degenerate steps have accumulated, which
-guarantees termination on the highly degenerate homogeneous systems this
-package builds.  A solve stops after 50 * (rows + cols) pivots across both
-phases; the cap is fixed, not an option.  All choices are
-index-deterministic: the same program and options always produce the same
-outcome.
+`solve_lp` picks the method from the program's structure.  Where b = 0,
+every lo <= 0 <= hi, and every column can park at a bound its cost favours
+(a finite hi for a cost that improves upwards, a finite lo for one that
+improves downwards, cost 0 on a free column), the all-artificial basis is
+dual feasible and the program is feasible (x = 0) and bounded: every
+support-maximizing LP of `interior` is such a program.  It goes to the
+bounded dual simplex: dual steepest edge picks the leaving row, and a
+bound-flipping ratio test with Harris tolerances picks the entering
+column.  Its OPTIMAL verdict comes from a freshly inverted basis on which
+every basic value lies within its bounds +- feas_tol and no reduced cost
+has the wrong sign by more than opt_tol.  Any other ending is a numerical
+breakdown, and the program is solved again by the primal path.
 
-Pricing, the ratio test and the drive-out of artificials are numpy mask
-operations over whole columns and basic rows, with the tie-breaks a scan in
-index order would give.  Each phase keeps an explicit inverse of the basis
-matrix B: it inverts B at its start, every 10 basis changes and before any
-verdict reached after a change, and applies a rank-one (product-form)
-update after every other basis change, so a pivot costs three
-matrix-vector products with the inverse.  An inversion that fails, or whose
-condition number exceeds 1e12, ends the attempt: the program is solved
+The primal path runs phase 1, which minimizes the total artificial
+infeasibility, then phase 2, which optimizes the real objective from the
+feasible basis phase 1 produced.  Pivoting uses Dantzig's rule with a
+largest-pivot tie-break, switching to Bland's rule once 2 * (rows + cols)
+degenerate steps have accumulated, which guarantees termination on highly
+degenerate systems.  Its OPTIMAL verdict comes from pricing on a freshly
+inverted (or freshly solved) basis; the basic values are not checked
+against their bounds afterwards.  Pricing, the ratio test and the
+drive-out of artificials are numpy mask operations over whole columns and
+basic rows, with the tie-breaks a scan in index order would give.
+
+Each method stops after 50 * (rows + cols) iterations (across both phases
+of the primal path, where a bound flip is an iteration of its own); the
+cap is fixed, not an option.  All choices are index-deterministic: the
+same program and options always produce the same outcome.
+
+Both methods keep an explicit inverse of the basis matrix B: they invert B
+at the start, every 10 basis changes and before any verdict reached after
+a change, and apply a rank-one (product-form) update after every other
+basis change.  An inversion that fails, or whose condition number exceeds
+1e12, ends the attempt.  On the primal path the program is then solved
 again from the start with three fresh solves with B per pivot, and that
-outcome counts.  Programs whose coefficients span more than five orders of
-magnitude are solved that way from the start.
+outcome counts; programs whose coefficients span more than five orders of
+magnitude take the primal path with fresh solves from the start.
 """
 
 from __future__ import annotations
@@ -183,11 +201,13 @@ _AT_LOWER, _AT_UPPER, _AT_ZERO, _BASIC = 0, 1, 2, 3
 # |pivot| below this is treated as zero in ratio tests and drive-out steps.
 _PIVOT_TOL = 1e-10
 
-# Basis changes between two inversions of the basis matrix in `_run_simplex`.
+# Basis changes between two inversions of the basis matrix in `_run_simplex`
+# and `_dual_simplex`.
 _REFACTOR_INTERVAL = 10
 
 # An inverse of the basis matrix whose 1-norm condition number exceeds this
-# counts as singular: `solve_lp` then solves again with fresh solves.
+# counts as singular: `solve_lp` then solves again on the primal path, with
+# fresh solves if the inverse failed there.
 _ILL_CONDITIONED = 1e12
 
 # A program whose nonzero constraint coefficients span a wider ratio than this
@@ -268,7 +288,8 @@ def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floo
                  fresh=False):
     """Iterate to optimality on one phase.  Mutates basis and stat.
 
-    Returns (verdict, point, iterations_used) with verdict in "optimal",
+    Returns (verdict, point, pivots, bound_flips): the pivots count bound
+    flips and basis changes alike, and the verdict is "optimal",
     "unbounded", "iteration_limit" or "singular" (a basis matrix that
     np.linalg.solve or np.linalg.inv rejects, or whose inverse has a 1-norm
     condition number above _ILL_CONDITIONED).  `phase1_floor` enables the
@@ -284,7 +305,7 @@ def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floo
     bland = False
     degenerate = 0
     bland_trigger = 2 * (m + A.shape[1])
-    used = 0
+    used = flips = 0
     Binv, updates = None, 0
     while True:
         x = _nonbasic_point(lo, hi, stat)
@@ -299,11 +320,11 @@ def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floo
                     B = A[:, basis]
                     Binv, updates = np.linalg.inv(B), 0
                     if _norm1(B) * _norm1(Binv) > _ILL_CONDITIONED:
-                        return "singular", x, used
+                        return "singular", x, used, flips
                 xb = Binv @ rhs
                 y = cost[basis] @ Binv
         except np.linalg.LinAlgError:
-            return "singular", x, used
+            return "singular", x, used, flips
         x[basis] = xb
         reduced = cost - A.T @ y
 
@@ -315,9 +336,9 @@ def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floo
             if updates:
                 Binv = None  # confirm the verdict on a fresh inverse
                 continue
-            return "optimal", x, used
+            return "optimal", x, used, flips
         if used >= iter_budget:
-            return "iteration_limit", x, used
+            return "iteration_limit", x, used, flips
 
         w = np.linalg.solve(B, A[:, enter]) if fresh else Binv @ A[:, enter]
         step, leave_pos, leave_to = _ratio_test(xb, w, basis, lo, hi, enter, direction, bland)
@@ -325,10 +346,11 @@ def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floo
             if updates:
                 Binv = None
                 continue
-            return "unbounded", x, used
+            return "unbounded", x, used, flips
 
         if leave_pos < 0:
             stat[enter] = _AT_UPPER if stat[enter] == _AT_LOWER else _AT_LOWER
+            flips += 1
         else:
             if not fresh:
                 _update_inverse(Binv, leave_pos, w)
@@ -342,6 +364,144 @@ def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floo
             degenerate += 1
             if degenerate > bland_trigger:
                 bland = True
+
+
+def _dual_start(b, lo, hi, cost):
+    """Whether `_dual_simplex` applies: b = 0, lo <= 0 <= hi, and every column
+    can park at a bound its cost favours (cost < 0 at a finite hi, cost > 0 at
+    a finite lo; a free column therefore has cost 0)."""
+    return not (
+        b.any()
+        or (lo > 0.0).any()
+        or (hi < 0.0).any()
+        or ((cost < 0.0) & (hi == math.inf)).any()
+        or ((cost > 0.0) & (lo == -math.inf)).any()
+    )
+
+
+def _dual_simplex(A, b, cost, lo, hi, opts, iter_budget):
+    """Bounded dual simplex from the all-artificial basis of a `_dual_start` program.
+
+    One artificial per row is basic and fixed at [0, 0]; each column is
+    nonbasic at the bound its cost favours (`_initial_status` where the cost
+    is zero), which makes the start dual feasible, so no phase 1 is needed.
+    Each iteration picks the leaving row by dual steepest edge (infeasibility
+    squared over the squared norm of its row of B^-1) and the entering column
+    by a bound-flipping ratio test with Harris tolerances: boxed columns whose
+    breakpoints come first flip to their other bound while the dual slope
+    stays positive, and the entering column is the one of the last group
+    with the largest |alpha|, the lowest index on ties.  The inverse of B is
+    kept as in `_run_simplex`.
+
+    Returns (verdict, point, basis_changes, bound_flips); the point covers
+    the columns of A.  Only "optimal" is a solution: it is returned once a
+    fresh inverse puts every basic value within its bounds +- feas_tol and
+    no reduced cost has the wrong sign by more than opt_tol.  x = 0 is
+    feasible and the start proves the program bounded, so every other
+    verdict is a breakdown: "singular" (as in `_run_simplex`), "dual_ray"
+    (no column can enter), "iteration_limit" (`iter_budget` basis changes)
+    or "dual_infeasible" (the final check failed).
+    """
+    m, N = A.shape
+    A = np.hstack([A, np.eye(m)])
+    lo = np.concatenate([lo, np.zeros(m)])
+    hi = np.concatenate([hi, np.zeros(m)])
+    cost = np.concatenate([cost, np.zeros(m)])
+    stat = np.where(cost < 0.0, _AT_UPPER,
+                    np.where(cost > 0.0, _AT_LOWER, _initial_status(lo, hi))).astype(np.int8)
+    stat[N:] = _BASIC
+    basis = np.arange(N, N + m)
+    width = hi - lo
+    fixed = width <= 0.0
+    changes = flips = 0
+    Binv, updates = None, 0
+    while True:
+        if Binv is None or updates >= _REFACTOR_INTERVAL:
+            B = A[:, basis]
+            try:
+                Binv, updates = np.linalg.inv(B), 0
+            except np.linalg.LinAlgError:
+                return "singular", None, changes, flips
+            if _norm1(B) * _norm1(Binv) > _ILL_CONDITIONED:
+                return "singular", None, changes, flips
+        x = _nonbasic_point(lo, hi, stat)
+        xb = Binv @ (b - A @ x)
+        x[basis] = xb
+        reduced = cost - A.T @ (cost[basis] @ Binv)
+        infeasible = np.maximum(lo[basis] - xb, xb - hi[basis])
+        rows = np.flatnonzero(infeasible > opts.feas_tol)
+        if rows.size == 0:
+            if updates:
+                Binv = None  # confirm the verdict on a fresh inverse
+                continue
+            if _choose_entering(reduced, stat, fixed, opts.opt_tol, False)[0] is not None:
+                return "dual_infeasible", x, changes, flips
+            return "optimal", x, changes, flips
+        if changes >= iter_budget:
+            return "iteration_limit", x, changes, flips
+
+        # Dual steepest edge: the exact row norms of B^-1 come with the inverse.
+        scores = infeasible[rows] ** 2 / np.einsum("ij,ij->i", Binv[rows], Binv[rows])
+        r = int(rows[scores.argmax()])
+        to_upper = xb[r] > hi[basis[r]]
+        alpha = Binv[r] @ A
+        if not to_upper:
+            alpha = -alpha  # the reduced costs move by -theta * alpha, theta >= 0
+        q, flipped = _bound_flipping_ratio_test(
+            reduced, alpha, stat, fixed, width, infeasible[r], opts
+        )
+        if q is None:
+            return "dual_ray", x, changes, flips
+        stat[flipped] = np.where(stat[flipped] == _AT_LOWER, _AT_UPPER, _AT_LOWER)
+        flips += flipped.size
+
+        _update_inverse(Binv, r, Binv @ A[:, q])
+        updates += 1
+        stat[basis[r]] = _AT_UPPER if to_upper else _AT_LOWER
+        stat[q] = _BASIC
+        basis[r] = q
+        changes += 1
+
+
+def _bound_flipping_ratio_test(reduced, alpha, stat, fixed, width, slope, opts):
+    """(entering column, columns to flip) of a dual ratio test, or (None, _) for a dual ray.
+
+    The reduced costs move by -theta * alpha as theta grows from zero, and
+    the dual objective rises at rate `slope`, the leaving row's
+    infeasibility.  A nonbasic column blocks at its breakpoint
+    reduced / alpha (clamped at zero) when alpha has the sign that drives its
+    reduced cost towards the wrong sign; passing it flips it to its other
+    bound and lowers the slope by |alpha| * width.  Breakpoints are taken in
+    groups: each group holds every remaining one up to the smallest Harris
+    bound (reduced + opt_tol * sign(alpha)) / alpha.  A group passes whole
+    while the slope stays above feas_tol; otherwise its column with the
+    largest |alpha| (lowest index on ties) enters.
+    """
+    movable = ~fixed & (stat != _BASIC)
+    lower, upper = stat == _AT_LOWER, stat == _AT_UPPER
+    blocks = movable & np.where(
+        lower, alpha > _PIVOT_TOL,
+        np.where(upper, alpha < -_PIVOT_TOL, np.abs(alpha) > _PIVOT_TOL),
+    )
+    cand = np.flatnonzero(blocks)
+    a = alpha[cand]
+    mag = np.abs(a)
+    ratio = reduced[cand] / a
+    harris = ratio + opts.opt_tol / mag
+    np.maximum(ratio, 0.0, out=ratio)
+    drops = mag * width[cand]
+    left = np.ones(cand.size, dtype=bool)
+    passed = []
+    while left.any():
+        group = left & (ratio <= max(harris[left].min(), 0.0))
+        left &= ~group
+        drop = drops[group].sum()
+        if slope - drop <= opts.feas_tol:
+            q = int(cand[np.where(group, mag, -1.0).argmax()])
+            return q, (np.concatenate(passed) if passed else cand[:0])
+        passed.append(cand[group])
+        slope -= drop
+    return None, cand[:0]  # every breakpoint passed: the dual objective rises without end
 
 
 def _norm1(M):
@@ -410,15 +570,21 @@ def _standard_form(lp: LinearProgram):
 
 
 def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutcome:
-    """Solve `lp` with the two-phase simplex method.
+    """Solve `lp` by the bounded dual simplex where its structure allows, else two-phase.
 
     The returned point covers exactly the variables of `lp`, in their original
-    order.  An OPTIMAL verdict means pricing on a freshly inverted (or freshly
-    solved) basis found no optimality violation above `opts.opt_tol`; the
-    basic values are not checked against their bounds afterwards, so such a
-    point may lie outside them by more than `opts.feas_tol`.  ITERATION_LIMIT
+    order.  A program that qualifies for the dual simplex (see the module
+    docstring) is OPTIMAL from it only if a fresh inverse puts every basic
+    value within its bounds +- `opts.feas_tol` and every reduced cost on
+    the right side of +- `opts.opt_tol`.  Any other ending of the dual
+    simplex hands the program to the primal two-phase path.  An OPTIMAL
+    verdict there means pricing on a freshly inverted (or freshly solved)
+    basis found no optimality violation above `opts.opt_tol`; the basic
+    values are not checked against their bounds afterwards, so such a point
+    may lie outside them by more than `opts.feas_tol`.  ITERATION_LIMIT
     outcomes carry no point at all.  This is where a program is routed to
-    fresh solves, from the start or after the inverse fails.
+    the dual simplex and to fresh solves, from the start or after the
+    inverse fails.
     """
     A, b, lo, hi = _standard_form(lp)
     n = lp.num_vars
@@ -426,7 +592,13 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     cost[:n] = lp.objective if lp.sense is Sense.MINIMIZE else -lp.objective
     coefficients = np.abs(A[A != 0.0])
     fresh = coefficients.size > 0 and coefficients.max() > _WIDE_SCALE * coefficients.min()
-    outcome = _two_phase(A, b, lo, hi, cost, n, opts, fresh)
+    outcome = None
+    if _dual_start(b, lo, hi, cost):
+        verdict, x, _, _ = _dual_simplex(A, b, cost, lo, hi, opts, 50 * (A.shape[0] + n))
+        if verdict == "optimal":
+            outcome = LPOutcome(SolveStatus.OPTIMAL, x)
+    if outcome is None:
+        outcome = _two_phase(A, b, lo, hi, cost, n, opts, fresh)
     if outcome is None:
         outcome = _two_phase(A, b, lo, hi, cost, n, opts, fresh=True)
     if not outcome.is_optimal:
@@ -451,7 +623,7 @@ def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
     basis = np.arange(N, N + m)
     stat1 = np.concatenate([stat, np.full(m, _BASIC, dtype=np.int8)])
 
-    verdict, x, used = _run_simplex(
+    verdict, x, used, _ = _run_simplex(
         A1, b, cost1, lo1, hi1, basis, stat1, opts, iter_budget,
         phase1_floor=opts.feas_tol * 1e-3, fresh=fresh,
     )
@@ -467,7 +639,7 @@ def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
     hi1[N:] = 0.0  # artificials are frozen out of phase 2
     cost2 = np.concatenate([cost, np.zeros(m)])
 
-    verdict, x, more = _run_simplex(
+    verdict, x, more, _ = _run_simplex(
         A1, b, cost2, lo1, hi1, basis, stat1, opts, iter_budget - used, fresh=fresh,
     )
     if verdict == "singular" and not fresh:

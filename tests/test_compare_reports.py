@@ -21,9 +21,16 @@ def test_two_dumps_of_one_checkout_do_not_differ(tmp_path):
     records = json.loads((tmp_path / "a.json").read_text())
     assert [r["name"] for r in records] == [f"small-{k:03d}" for k in range(5)]
     assert all("timings" not in r["report"] for r in records)
-    # Phase 1 and phase 2 of at least stage 1 and the two face LPs.
-    assert all(len(r["runs"]) >= 6 for r in records)
-    assert all(verdict == "optimal" and used >= 0 for r in records for verdict, used in r["runs"])
+    # Two phases each for the denominator and stage-1 LPs, one dual run per face LP.
+    assert [[run[:3] for run in r["runs"]] for r in records] == [[
+        ["denominator", "primal", "optimal"], ["denominator", "primal", "optimal"],
+        ["stage 1", "primal", "optimal"], ["stage 1", "primal", "optimal"],
+        ["primal face", "dual", "optimal"], ["dual face", "dual", "optimal"],
+        ["joint face", "dual", "optimal"],
+    ]] * 5
+    assert all(changes >= 0 and flips >= 0 for r in records for *_, changes, flips in r["runs"])
+    assert all([label for label, _ in r["face_optima"]] == ["primal face", "dual face", "joint face"]
+               for r in records)
     assert all(r["text"].endswith("status: ok\n") and r["stderr"] == ["", ""] for r in records)
     assert all("timings: stage1 #s, approach_one #s, approach_two #s\n" in r["text"] for r in records)
     assert tool.main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
@@ -152,11 +159,69 @@ def test_ledgers_of_two_dumps_of_one_checkout_are_byte_identical(tmp_path):
 def test_ledger_counts_failures_by_exit_code():
     tool = load_tool()
     records = [
-        {"workload": "w", "seed": s, "name": str(k), "code": code, "runs": [["optimal", 3], ["optimal", k]]}
+        {"workload": "w", "seed": s, "name": str(k), "code": code, "face_optima": [],
+         "runs": [["stage 1", "primal", "optimal", 3, 0], ["joint face", "dual", "optimal", k, 1]]}
         for s, k, code in ((1, 0, 0), (1, 1, 5), (1, 2, 5), (1, 3, 3), (2, 4, 0))
     ]
-    assert tool.ledger(records) == [
-        {"workload": "w", "seed": 1, "instances": 4, "failures": {"5": 2, "3": 1},
-         "simplex_runs": 8, "pivots": 18},
-        {"workload": "w", "seed": 2, "instances": 1, "failures": {}, "simplex_runs": 2, "pivots": 7},
+    entries = tool.ledger(records)
+    assert [(e["workload"], e["seed"], e["instances"], e["failures"]) for e in entries] == [
+        ("w", 1, 4, {"5": 2, "3": 1}), ("w", 2, 1, {}),
     ]
+    assert [(e["simplex_runs"], e["pivots"], e["face_lp_pivots"]) for e in entries] == [
+        (8, 18, 6), (2, 7, 4),
+    ]
+
+
+def test_ledger_counts_methods_flips_and_fractional_face_optima():
+    tool = load_tool()
+    record = {
+        "workload": "w", "seed": 1, "name": "a", "code": 0,
+        "runs": [
+            ["stage 1", "primal", "optimal", 5, 2],
+            ["primal face", "dual", "singular", 3, 4],
+            ["primal face", "primal", "optimal", 6, 1],
+            ["primal face", "primal", "optimal", 2, 0],
+            ["dual face", "dual", "optimal", 7, 5],
+        ],
+        "face_optima": [["primal face", 9.0000004], ["dual face", 10.5]],
+    }
+    [entry] = tool.ledger([record])
+    # A primal run's bound flips are iterations of their own; a dual run's ride along.
+    assert entry["pivots"] == 7 + 3 + 7 + 2 + 7
+    assert entry["face_lp_pivots"] == 3 + 7 + 2 + 7
+    assert entry["methods"] == {
+        "primal": {"runs": 3, "basis_changes": 13, "bound_flips": 3, "verdicts": {"optimal": 3}},
+        "dual": {"runs": 2, "basis_changes": 10, "bound_flips": 9,
+                 "verdicts": {"singular": 1, "optimal": 1}},
+    }
+    assert entry["fractional_face_optima"] == 1
+
+
+def test_ladder_rows_hold_the_runs_of_each_lp(tmp_path):
+    tool = load_tool()
+    args = ["dump", "--workloads", "batch-small", "--seeds", "1", "--limit", "1",
+            "--ladder", "20x15", "--out", str(tmp_path / "dump.json")]
+    assert tool.main(args) == 0
+    records = json.loads((tmp_path / "dump.json").read_text())
+    assert [(r["workload"], r["name"]) for r in records] == [
+        ("batch-small", "small-000"), ("ladder", "20x15"),
+    ]
+    assert records[1]["code"] == 0
+    entries = tool.ledger(records)
+    assert [e["workload"] for e in entries] == ["batch-small", "ladder"]
+    row = entries[1]
+    assert set(row) == {"workload", "name", "lps"}
+    assert sorted(row["lps"]) == ["denominator", "dual face", "joint face", "primal face", "stage 1"]
+    assert set(row["lps"]["joint face"]) == {"dual"}
+    assert row["lps"]["joint face"]["dual"]["verdicts"] == {"optimal": 1}
+    assert set(row["lps"]["stage 1"]) == {"primal"}
+
+
+def test_diff_reads_unlabelled_runs_of_older_dumps():
+    tool = load_tool()
+    old = {"workload": "w", "seed": 1, "name": "a", "code": 0, "report": {"status": "ok"},
+           "runs": [["optimal", 4], ["optimal", 10]]}
+    new = {**old, "runs": [["stage 1", "primal", "optimal", 3, 1], ["joint face", "dual", "optimal", 5, 9]]}
+    out = io.StringIO()
+    assert tool.diff([old], [new], out) == 1
+    assert "pivots 14 -> 9" in out.getvalue()

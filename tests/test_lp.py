@@ -10,11 +10,14 @@ from lfpkit import (
     Sense,
     SolveStatus,
     SolverOptions,
+    build_dual_interior_lp,
+    build_joint_lp,
+    build_primal_interior_lp,
     build_transformed_lp,
     solve_lp,
 )
 
-from helpers import enumerate_vertices, lp_inequalities, random_box_lp
+from helpers import enumerate_vertices, lp_inequalities, random_box_lp, random_instance
 
 
 def max_violation(lp, x):
@@ -116,7 +119,7 @@ class TestBasics:
     def test_default_iteration_cap(self, monkeypatch):
         # 50 * (rows + cols): two inequality rows and three variables.
         monkeypatch.setattr(
-            lp_module, "_run_simplex", lambda *args, **kwargs: ("iteration_limit", None, 0)
+            lp_module, "_run_simplex", lambda *args, **kwargs: ("iteration_limit", None, 0, 0)
         )
         lp = LinearProgram(
             Sense.MAXIMIZE,
@@ -371,11 +374,11 @@ class TestBasisInverse:
             return real_inv(a)
 
         def checked(A, b, cost, lo, hi, basis, stat, *args, **kwargs):
-            verdict, x, used = run_simplex(A, b, cost, lo, hi, basis, stat, *args, **kwargs)
+            verdict, x, used, flips = run_simplex(A, b, cost, lo, hi, basis, stat, *args, **kwargs)
             if verdict in ("optimal", "unbounded") and not kwargs["fresh"]:
                 assert np.array_equal(inverted[-1], A[:, basis])
                 verdicts.append((verdict, used))
-            return verdict, x, used
+            return verdict, x, used, flips
 
         monkeypatch.setattr(lp_module.np.linalg, "inv", recording_inv)
         monkeypatch.setattr(lp_module, "_run_simplex", checked)
@@ -422,6 +425,77 @@ class TestBasisInverse:
         assert out.is_optimal
         assert_allclose(out.point, [1.0, 1.5])
         assert_allclose(out.objective, 2.5)
+
+
+def dual_verdicts(monkeypatch):
+    """The verdict of every `_dual_simplex` run made from here on, in order."""
+    verdicts, dual_simplex = [], lp_module._dual_simplex
+
+    def recorded(*args, **kwargs):
+        result = dual_simplex(*args, **kwargs)
+        verdicts.append(result[0])
+        return result
+
+    monkeypatch.setattr(lp_module, "_dual_simplex", recorded)
+    return verdicts
+
+
+def face_lps(problem):
+    theta = solve_lp(build_transformed_lp(problem)).objective
+    return [build_primal_interior_lp(problem, theta), build_dual_interior_lp(problem, theta),
+            build_joint_lp(problem)]
+
+
+class TestDualPath:
+    def test_face_lps_take_the_dual_path(self, golden, monkeypatch):
+        lps = face_lps(golden)
+        verdicts = dual_verdicts(monkeypatch)
+        objectives = [solve_lp(lp).objective for lp in lps]
+        assert verdicts == ["optimal"] * 3
+        # The golden partition: x1, x2, u1 and y2 positive (plus w2 in each face LP).
+        assert objectives == [pytest.approx(4.0), pytest.approx(2.0), pytest.approx(5.0)]
+
+    @pytest.mark.parametrize("which", ["stage 1", "denominator", "unbounded column"])
+    def test_other_programs_take_the_primal_path(self, golden, monkeypatch, which):
+        lp = {
+            "stage 1": build_transformed_lp(golden),
+            "denominator": LinearProgram(Sense.MINIMIZE, golden.d, A_ub=golden.A, b_ub=golden.b),
+            # b = 0 and x = 0 is feasible, but the improving column has no
+            # finite upper bound to park at.
+            "unbounded column": LinearProgram(
+                Sense.MAXIMIZE, [1.0, 0.0], A_eq=[[1.0, -1.0]], b_eq=[0.0], hi=[math.inf, 2.0],
+            ),
+        }[which]
+        verdicts = dual_verdicts(monkeypatch)
+        out = solve_lp(lp)
+        assert verdicts == []
+        assert out.is_optimal
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_breakdown_falls_back_to_the_primal_path(self, monkeypatch, seed):
+        # Every inverse counts as ill-conditioned, so the dual path breaks
+        # down at its first inversion and both primal attempts follow.
+        lp = build_joint_lp(random_instance(seed))
+        expected = solve_lp(lp)
+        two_phase, attempts = lp_module._two_phase, []
+
+        def counted(*args, **kwargs):
+            attempts.append(kwargs.get("fresh", args[-1]))
+            return two_phase(*args, **kwargs)
+
+        verdicts = dual_verdicts(monkeypatch)
+        monkeypatch.setattr(lp_module, "_ILL_CONDITIONED", 0.0)
+        monkeypatch.setattr(lp_module, "_two_phase", counted)
+        got = solve_lp(lp)
+        assert verdicts == ["singular"]
+        assert attempts == [False, True]
+        assert expected.is_optimal and got.is_optimal
+        assert got.objective == pytest.approx(expected.objective, abs=1e-9)
+
+    def test_point_lies_within_the_bounds(self, golden):
+        for lp in face_lps(golden):
+            out = solve_lp(lp)
+            assert max_violation(lp, out.point) <= SolverOptions().feas_tol
 
 
 # Scan-in-index-order versions of the pivoting kernels, kept as the reference

@@ -11,7 +11,16 @@ import collections
 import numpy as np
 import pytest
 
-from lfpkit import LinearProgram, Sense, SolveStatus, solve_lp
+import lfpkit.lp as lp_module
+from lfpkit import (
+    LinearProgram,
+    Polyhedron,
+    Sense,
+    SolverOptions,
+    SolveStatus,
+    build_maximal_element_lp,
+    solve_lp,
+)
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -98,3 +107,54 @@ def test_presolve_disagreement(seed):
     )
     ray = highs(recession)
     assert ray.status == 0 and ray.fun < -1e-6
+
+
+def random_support_lp(seed):
+    """`build_maximal_element_lp` of a random polyhedron with integer data.
+
+    About a quarter of the coordinates are free, some rows repeat another
+    row (times -1, 1 or 2), and about a third of the polyhedra have a
+    right-hand side drawn at random, which leaves many of them empty.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    m = int(rng.integers(1, 5))
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    anchor = rng.integers(0, 3, size=n) * (rng.random(n) < 0.7)
+    b = A @ anchor if rng.random() < 0.7 else rng.integers(-3, 4, size=m).astype(float)
+    repeats = rng.integers(0, m, size=int(rng.integers(0, 3)))
+    factors = rng.choice([-1.0, 1.0, 2.0], size=repeats.size)
+    A = np.vstack([A, factors[:, None] * A[repeats]])
+    b = np.concatenate([b, factors * b[repeats]])
+    return build_maximal_element_lp(Polyhedron(A, b, rng.random(n) < 0.25))
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_support_lp_dual_path_matches_highs(seed, monkeypatch):
+    # The support-maximizing LP qualifies for the dual path; its optimum is an
+    # integer, the support count plus one (zero for an empty polyhedron).
+    verdicts, dual_simplex = [], lp_module._dual_simplex
+
+    def recorded(*args, **kwargs):
+        result = dual_simplex(*args, **kwargs)
+        verdicts.append(result[0])
+        return result
+
+    monkeypatch.setattr(lp_module, "_dual_simplex", recorded)
+    lp = random_support_lp(seed)
+    out = solve_lp(lp)
+    ref = highs(lp)
+    assert verdicts == ["optimal"]
+    assert ref.status == 0, ref.message
+    assert out.objective == pytest.approx(-ref.fun, abs=1e-6)
+    assert out.objective == pytest.approx(round(out.objective), abs=1e-6)
+    tol = SolverOptions().feas_tol
+    assert (out.point >= lp.lo - tol).all() and (out.point <= lp.hi + tol).all()
+    assert np.abs(lp.A_eq @ out.point).max() <= 1e-7
+
+
+def test_support_lp_sample_holds_empty_and_free_cases():
+    polyhedra = [random_support_lp(seed) for seed in range(150)]
+    w2 = [solve_lp(lp).point[-1] for lp in polyhedra]
+    assert sum(value < 0.5 for value in w2) >= 10  # empty: no positive scaling weight
+    assert sum(np.isinf(lp.lo).any() for lp in polyhedra) >= 40

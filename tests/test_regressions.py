@@ -10,17 +10,23 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lfpkit import cli, interior, load_problem
+from lfpkit import LFPProblem, build_joint_lp, cli, interior, load_problem, solve_lp
 
 GENERATE = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
 
 
-def generated(workload, seed, name, directory):
+def load_generate():
     spec = importlib.util.spec_from_file_location("perfbench_generate", GENERATE)
     generate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generate)
+    return generate
+
+
+def generated(workload, seed, name, directory):
+    generate = load_generate()
     data = dict(generate.instances(workload, seed))[name]
     path = directory / f"{name}.json"
     path.write_text(generate.to_json(data))
@@ -34,18 +40,13 @@ def generated(workload, seed, name, directory):
             "degenerate-mixed", 1, "zero-d-columns-14",
             marks=pytest.mark.xfail(
                 strict=True, raises=AssertionError,
-                reason="the dual-face LP, bounded by construction, ends UNBOUNDED (exit 5)",
+                reason="the joint-face LP, feasible and bounded by construction, meets a basis "
+                "with condition number above 1e12, and the fresh re-solve reaches the "
+                "iteration cap (exit 5)",
             ),
         ),
         pytest.param("joint-medium", 7, "joint-16-26x26"),
-        pytest.param(
-            "joint-medium", 45, "joint-35-25x25",
-            marks=pytest.mark.xfail(
-                strict=True, raises=AssertionError,
-                reason="the dual-face LP meets a basis with condition number above 1e12 under "
-                "the basis inverse and an exactly singular one in the fresh re-solve (exit 5)",
-            ),
-        ),
+        pytest.param("joint-medium", 45, "joint-35-25x25"),
     ],
     ids=["zero-d-columns-14", "joint-16-26x26", "joint-35-25x25"],
 )
@@ -107,3 +108,13 @@ def test_support_counts_obey_goldman_tucker(tmp_path, capsys, monkeypatch, reque
     primal, dual, joint = objectives
     assert primal + dual == pytest.approx(size + 2, abs=1e-6), objectives
     assert joint == pytest.approx(size + 1, abs=1e-6), objectives
+
+
+def test_largest_ladder_joint_lp_solves_under_the_cap():
+    # The 100x80 size-ladder instance: its joint LP once ended at the cap
+    # of 50 * (rows + cols) pivots.  Goldman-Tucker fixes its optimum at
+    # n + m + 1.
+    data = load_generate()._random(np.random.default_rng(1), 100, 80)
+    out = solve_lp(build_joint_lp(LFPProblem(**data)))
+    assert out.is_optimal, out.detail
+    assert out.objective == pytest.approx(181.0, abs=1e-6)

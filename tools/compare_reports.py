@@ -1,7 +1,8 @@
 """Same-behaviour check for `lfp-solve`: dump its reports at one checkout, diff two dumps.
 
     python3 tools/compare_reports.py dump --workloads batch-small joint-medium \\
-        degenerate-mixed --seeds 1 2 3 --out before.json [--limit N]
+        degenerate-mixed --seeds 1 2 3 --out before.json [--limit N] \\
+        [--ladder 40x40 80x60 100x80]
     python3 tools/compare_reports.py diff before.json after.json
     python3 tools/compare_reports.py ledger before.json --out BENCH_pivots.json
 
@@ -10,10 +11,16 @@ workload and seed (the first N of each with `--limit`), runs
 `lfpkit.cli.run` on each with `--approach both --validate-denominator`, once
 with `--format json` and once with `--format text`, and records the exit code,
 the JSON report minus its `timings`, the text report with the numbers on its
-`timings:` line masked, the standard error of both runs, and the verdict and
-pivot count of every `lfpkit.lp._run_simplex` run (one per simplex phase) of
-the JSON run in call order.  The package is imported from the `src/` next to
-this script, so run the script of the checkout you want to measure.
+`timings:` line masked, the standard error of both runs, and, for the JSON
+run in call order, every simplex run and every optimal face LP's objective
+(see `recording`).  `--ladder` adds the size-ladder instances, workload
+"ladder": `generate._random(np.random.default_rng(1), n, m)` for each n x m.
+The package is imported from the `src/` next to this script, so run the
+script of the checkout you want to measure.
+
+A run's pivots are its iterations: a primal run's basis changes and bound
+flips, each a step of its own, or a dual run's basis changes, whose bound
+flips ride along in the same step.
 
 `diff` matches instances by workload, seed and name.  For each workload it
 first prints one line per seed: the failures (nonzero exits) and pivot totals
@@ -24,12 +31,16 @@ differs, whose report differs other than in its `error` text, and whose
 simplex runs, text report or standard error differ.  A last line per workload
 counts these and gives its failures and pivots.  It exits 1 on any
 difference, 0 otherwise; a change that moves pivot paths exits 1, and the
-per-seed lines say whether it changed anything that matters.
+per-seed lines say whether it changed anything that matters.  It also reads
+dumps made before runs were labelled, whose runs are [verdict, pivots].
 
 `ledger` reads a dump and writes, per workload and seed, the instances, the
-failures by exit code, the simplex runs and the total pivots.  Pivot counts
-are deterministic, so the ledger of a checkout is byte-stable and a change to
-it is a change in behaviour.
+failures by exit code, the simplex runs, the total pivots and those of the
+face LPs, the runs, basis changes, bound flips and verdicts of each method,
+and how many optimal face LPs ended at a fractional objective; each ladder
+instance gets a pivot-only row with the same per-method counts for each of
+its LPs.  Pivot counts are deterministic, so the ledger of a checkout is
+byte-stable and a change to it is a change in behaviour.
 """
 
 import os
@@ -39,6 +50,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import collections  # noqa: E402
 import contextlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -51,9 +63,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import generate  # noqa: E402
-from lfpkit import cli, lp  # noqa: E402
+import numpy as np  # noqa: E402
+from lfpkit import cli, complementarity, duality, lp, problem  # noqa: E402
 
 CLI_ARGS = ("--approach", "both", "--validate-denominator")
+
+# A face LP's optimum is an integer (the support count plus one); an optimal
+# objective farther than this from every integer is reported as fractional.
+FRACTIONAL = 1e-6
 
 
 def run_cli(path: Path, fmt: str) -> tuple:
@@ -64,38 +81,89 @@ def run_cli(path: Path, fmt: str) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_instance(path: Path) -> dict:
-    """Exit code, reports, standard error and simplex runs of one instance's JSON and text runs."""
-    runs = []
-    simplex = lp._run_simplex
+@contextlib.contextmanager
+def recording(runs: list, face_optima: list):
+    """Record the simplex runs and optimal face-LP objectives of the calls made inside.
 
-    def recorded(*args, **kwargs):
-        verdict, x, used = simplex(*args, **kwargs)
-        runs.append([verdict, used])
-        return verdict, x, used
+    Each run is [lp, method, verdict, basis changes, bound flips]: `lp` names
+    the LP whose `solve_lp` call made it ("denominator", "stage 1", "primal
+    face", "dual face" or "joint face"), and `method` is "primal" for a
+    `lfpkit.lp._run_simplex` run (one per phase) or "dual" for a
+    `lfpkit.lp._dual_simplex` run.  Each optimal face LP adds [lp, objective].
+    """
+    lps = []
+    patched = [(lp, "_run_simplex"), (lp, "_dual_simplex"), (problem, "solve_lp"),
+               (duality, "solve_lp"), (complementarity, "_solve_maximal_element_lp")]
+    saved = [getattr(module, name) for module, name in patched]
+    run_simplex, dual_simplex, problem_solve, duality_solve, face_solve = saved
 
-    lp._run_simplex = recorded
+    def labelled(name, solve):
+        def call(*args, **kwargs):
+            lps.append(name)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                lps.pop()
+        return call
+
+    def primal(*args, **kwargs):
+        verdict, x, pivots, flips = run_simplex(*args, **kwargs)
+        runs.append([lps[-1], "primal", verdict, pivots - flips, flips])
+        return verdict, x, pivots, flips
+
+    def dual(*args, **kwargs):
+        verdict, x, changes, flips = dual_simplex(*args, **kwargs)
+        runs.append([lps[-1], "dual", verdict, changes, flips])
+        return verdict, x, changes, flips
+
+    def face(lp_, label):
+        out = labelled(label, face_solve)(lp_, label)
+        face_optima.append([label, out.objective])
+        return out
+
+    replacements = [primal, dual, labelled("denominator", problem_solve),
+                    labelled("stage 1", duality_solve), face]
+    for (module, name), replacement in zip(patched, replacements):
+        setattr(module, name, replacement)
     try:
-        code, out, err = run_cli(path, "json")
+        yield
     finally:
-        lp._run_simplex = simplex
+        for (module, name), original in zip(patched, saved):
+            setattr(module, name, original)
+
+
+def run_instance(path: Path) -> dict:
+    """Exit code, reports, standard error, simplex runs and face optima of one instance."""
+    runs, face_optima = [], []
+    with recording(runs, face_optima):
+        code, out, err = run_cli(path, "json")
     report = json.loads(out)
     report.pop("timings", None)
     _, text, text_err = run_cli(path, "text")
     text = re.sub(r"(?m)^timings: .*$", lambda line: re.sub(r"\d+\.\d+", "#", line.group()), text)
-    return {"code": code, "report": report, "runs": runs, "text": text, "stderr": [err, text_err]}
+    return {"code": code, "report": report, "runs": runs, "face_optima": face_optima,
+            "text": text, "stderr": [err, text_err]}
 
 
-def dump(workloads, seeds, limit=None) -> list:
+def ladder_instances(sizes) -> list:
+    """(name, data) of the size ladder: `generate._random(np.random.default_rng(1), n, m)`
+    for each size "NxM"."""
+    return [(size, generate._random(np.random.default_rng(1), *map(int, size.split("x"))))
+            for size in sizes]
+
+
+def dump(workloads, seeds, limit=None, ladder=()) -> list:
     records = []
+    batches = [(w, s, generate.instances(w, s)[:limit]) for w in workloads for s in seeds]
+    if ladder:
+        batches.append(("ladder", 1, ladder_instances(ladder)))
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in workloads:
-            for seed in seeds:
-                for name, data in generate.instances(workload, seed)[:limit]:
-                    path = Path(tmp) / f"{name}.json"
-                    path.write_text(generate.to_json(data))
-                    records.append({"workload": workload, "seed": seed, "name": name,
-                                    **run_instance(path)})
+        for workload, seed, instances in batches:
+            for name, data in instances:
+                path = Path(tmp) / f"{name}.json"
+                path.write_text(generate.to_json(data))
+                records.append({"workload": workload, "seed": seed, "name": name,
+                                **run_instance(path)})
     return records
 
 
@@ -176,23 +244,61 @@ def _outcome(record: dict) -> str:
 
 
 def ledger(records: list) -> list:
-    """Instances, failures by exit code, simplex runs and pivots per workload and seed of a dump."""
-    entries = {}
+    """Per workload and seed of a dump: instances, failures by exit code, and
+    simplex work; one pivot-only row per ladder instance."""
+    groups = {}
     for r in records:
-        entry = entries.setdefault((r["workload"], r["seed"]), {
-            "workload": r["workload"], "seed": r["seed"], "instances": 0, "failures": {},
-            "simplex_runs": 0, "pivots": 0,
+        key = (r["workload"], r["name"] if r["workload"] == "ladder" else r["seed"])
+        groups.setdefault(key, []).append(r)
+    entries = []
+    for (workload, which), group in groups.items():
+        runs = [run for r in group for run in r["runs"]]
+        if workload == "ladder":
+            lps = {}
+            for run in runs:
+                lps.setdefault(run[0], []).append(run)
+            entries.append({"workload": workload, "name": which,
+                            "lps": {label: _tally(lp_runs) for label, lp_runs in lps.items()}})
+            continue
+        optima = [value for r in group for _, value in r["face_optima"]]
+        entries.append({
+            "workload": workload, "seed": which, "instances": len(group),
+            "failures": dict(collections.Counter(str(r["code"]) for r in group if r["code"])),
+            "simplex_runs": len(runs),
+            "pivots": sum(map(_run_pivots, runs)),
+            "face_lp_pivots": sum(_run_pivots(run) for run in runs if run[0].endswith(" face")),
+            "methods": _tally(runs),
+            "fractional_face_optima": sum(abs(value - round(value)) > FRACTIONAL for value in optima),
         })
-        entry["instances"] += 1
-        if r["code"]:
-            entry["failures"][str(r["code"])] = entry["failures"].get(str(r["code"]), 0) + 1
-        entry["simplex_runs"] += len(r["runs"])
-        entry["pivots"] += sum(used for _, used in r["runs"])
-    return list(entries.values())
+    return entries
+
+
+def _tally(runs: list) -> dict:
+    """Runs, basis changes, bound flips and verdicts of recorded runs, per method."""
+    methods = {}
+    for _, method, verdict, changes, flips in runs:
+        tally = methods.setdefault(method, {"runs": 0, "basis_changes": 0, "bound_flips": 0,
+                                            "verdicts": {}})
+        tally["runs"] += 1
+        tally["basis_changes"] += changes
+        tally["bound_flips"] += flips
+        tally["verdicts"][verdict] = tally["verdicts"].get(verdict, 0) + 1
+    return methods
+
+
+def _run_pivots(run: list) -> int:
+    """The iterations of one recorded run: a primal run's basis changes and
+    bound flips, each a step of its own, or a dual run's basis changes, whose
+    bound flips ride along.  Dumps made before runs were labelled hold
+    [verdict, pivots]."""
+    if len(run) == 2:
+        return run[1]
+    _, method, _, changes, flips = run
+    return changes + flips if method == "primal" else changes
 
 
 def _pivots(records: dict, keys) -> int:
-    return sum(used for k in keys for _, used in records[k].get("runs", ()))
+    return sum(_run_pivots(run) for k in keys for run in records[k].get("runs", ()))
 
 
 def _canonical(doc) -> str:
@@ -207,6 +313,8 @@ def main(argv=None) -> int:
     d.add_argument("--workloads", nargs="+", choices=generate.WORKLOADS, required=True)
     d.add_argument("--seeds", nargs="+", type=int, required=True)
     d.add_argument("--limit", type=int, help="first N instances of each workload and seed")
+    d.add_argument("--ladder", nargs="+", default=(), metavar="NxM",
+                   help="also run the size-ladder instance of each shape, e.g. 40x40")
     d.add_argument("--out", type=Path, required=True)
     c = sub.add_parser("diff", help="compare two dumps; exit 1 on any difference")
     c.add_argument("before", type=Path)
@@ -217,7 +325,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "dump":
-        records = dump(args.workloads, args.seeds, args.limit)
+        records = dump(args.workloads, args.seeds, args.limit, args.ladder)
         args.out.write_text(json.dumps(records, sort_keys=True) + "\n")
         print(f"{len(records)} instances written to {args.out}")
         return 0
