@@ -27,10 +27,15 @@ breakdown, and the program is solved again by the primal path.
 
 The primal path runs phase 1, which minimizes the total artificial
 infeasibility, then phase 2, which optimizes the real objective from the
-feasible basis phase 1 produced.  Pivoting uses Dantzig's rule with a
-largest-pivot tie-break, switching to Bland's rule once 2 * (rows + cols)
-degenerate steps have accumulated, which guarantees termination on highly
-degenerate systems.  Its OPTIMAL verdict comes from pricing on a freshly
+feasible basis phase 1 produced.  Where every row is an inequality and the
+residual b - A x at the parking point x (each column at its finite lower
+bound, else its finite upper bound, else 0) is >= 0, the slack basis is
+feasible: phase 2 starts from it and phase 1 does not run.  Programs with
+an equality row or a negative residual, stage 1 and every face LP among
+them, run phase 1 from the all-artificial basis.  Pivoting uses Dantzig's
+rule with a largest-pivot tie-break, switching to Bland's rule once
+2 * (rows + cols) degenerate steps have accumulated, which guarantees
+termination on highly degenerate systems.  Its OPTIMAL verdict comes from pricing on a freshly
 inverted (or freshly solved) basis; the basic values are not checked
 against their bounds afterwards.  Pricing, the ratio test and the
 drive-out of artificials are numpy mask operations over whole columns and
@@ -44,7 +49,9 @@ same program and options always produce the same outcome.
 Both methods keep an explicit inverse of the basis matrix B: they invert B
 at the start, every 10 basis changes and before any verdict reached after
 a change, and apply a rank-one (product-form) update after every other
-basis change.  An inversion that fails, or whose condition number exceeds
+basis change.  Where the dual simplex's update would divide by a pivot
+element that comes out zero or not finite, it inverts the new basis
+instead.  An inversion that fails, or whose condition number exceeds
 1e12, ends the attempt.  On the primal path the program is then solved
 again from the start with three fresh solves with B per pivot, and that
 outcome counts; programs whose coefficients span more than five orders of
@@ -391,7 +398,9 @@ def _dual_simplex(A, b, cost, lo, hi, opts, iter_budget):
     breakpoints come first flip to their other bound while the dual slope
     stays positive, and the entering column is the one of the last group
     with the largest |alpha|, the lowest index on ties.  The inverse of B is
-    kept as in `_run_simplex`.
+    kept as in `_run_simplex`, except that a pivot element (B^-1 a_q)[r]
+    that comes out zero or not finite makes the next iteration invert the
+    new basis instead of updating the inverse.
 
     Returns (verdict, point, basis_changes, bound_flips); the point covers
     the columns of A.  Only "optimal" is a solution: it is returned once a
@@ -413,6 +422,15 @@ def _dual_simplex(A, b, cost, lo, hi, opts, iter_budget):
     basis = np.arange(N, N + m)
     width = hi - lo
     fixed = width <= 0.0
+    # Kept up to date at every basis change and bound flip: the nonbasic
+    # point (basics at 0), the bounds of the basic variables in `basis`
+    # order, +1 / -1 for a movable column at its lower / upper bound (0 for
+    # the rest) and the free columns parked at zero.
+    xn = _nonbasic_point(lo, hi, stat)
+    basic_lo, basic_hi = lo[basis], hi[basis]
+    side = np.where(stat == _AT_LOWER, 1.0, np.where(stat == _AT_UPPER, -1.0, 0.0))
+    side[fixed] = 0.0
+    free = np.flatnonzero(stat == _AT_ZERO)
     changes = flips = 0
     Binv, updates = None, 0
     while True:
@@ -424,84 +442,105 @@ def _dual_simplex(A, b, cost, lo, hi, opts, iter_budget):
                 return "singular", None, changes, flips
             if _norm1(B) * _norm1(Binv) > _ILL_CONDITIONED:
                 return "singular", None, changes, flips
-        x = _nonbasic_point(lo, hi, stat)
-        xb = Binv @ (b - A @ x)
-        x[basis] = xb
+        xb = Binv @ (b - A @ xn)
         reduced = cost - A.T @ (cost[basis] @ Binv)
-        infeasible = np.maximum(lo[basis] - xb, xb - hi[basis])
+        infeasible = np.maximum(basic_lo - xb, xb - basic_hi)
         rows = np.flatnonzero(infeasible > opts.feas_tol)
         if rows.size == 0:
             if updates:
                 Binv = None  # confirm the verdict on a fresh inverse
                 continue
-            if _choose_entering(reduced, stat, fixed, opts.opt_tol, False)[0] is not None:
-                return "dual_infeasible", x, changes, flips
-            return "optimal", x, changes, flips
+            wrong = -side * reduced  # how far each reduced cost has the wrong sign
+            wrong[free] = np.abs(reduced[free])
+            if (wrong > opts.opt_tol).any():
+                return "dual_infeasible", _point(xn, basis, xb), changes, flips
+            return "optimal", _point(xn, basis, xb), changes, flips
         if changes >= iter_budget:
-            return "iteration_limit", x, changes, flips
+            return "iteration_limit", _point(xn, basis, xb), changes, flips
 
         # Dual steepest edge: the exact row norms of B^-1 come with the inverse.
-        scores = infeasible[rows] ** 2 / np.einsum("ij,ij->i", Binv[rows], Binv[rows])
+        norms = Binv[rows]
+        scores = infeasible[rows] ** 2 / np.einsum("ij,ij->i", norms, norms)
         r = int(rows[scores.argmax()])
-        to_upper = xb[r] > hi[basis[r]]
+        to_upper = xb[r] > basic_hi[r]
         alpha = Binv[r] @ A
         if not to_upper:
             alpha = -alpha  # the reduced costs move by -theta * alpha, theta >= 0
         q, flipped = _bound_flipping_ratio_test(
-            reduced, alpha, stat, fixed, width, infeasible[r], opts
+            reduced, alpha, side, free, width, infeasible[r], opts
         )
         if q is None:
-            return "dual_ray", x, changes, flips
-        stat[flipped] = np.where(stat[flipped] == _AT_LOWER, _AT_UPPER, _AT_LOWER)
-        flips += flipped.size
+            return "dual_ray", _point(xn, basis, xb), changes, flips
+        if flipped.size:
+            side[flipped] = -side[flipped]
+            xn[flipped] = np.where(side[flipped] > 0.0, lo[flipped], hi[flipped])
+            flips += flipped.size
 
-        _update_inverse(Binv, r, Binv @ A[:, q])
-        updates += 1
-        stat[basis[r]] = _AT_UPPER if to_upper else _AT_LOWER
-        stat[q] = _BASIC
+        w = Binv @ A[:, q]
+        if w[r] != 0.0 and math.isfinite(w[r]):
+            _update_inverse(Binv, r, w)
+            updates += 1
+        else:
+            Binv = None  # a zero pivot: invert the new basis instead
+        leave = basis[r]
+        xn[leave] = basic_hi[r] if to_upper else basic_lo[r]
+        side[leave] = 0.0 if fixed[leave] else (-1.0 if to_upper else 1.0)
+        if side[q] == 0.0:
+            free = free[free != q]  # only a free column enters from side 0
+        xn[q] = side[q] = 0.0
         basis[r] = q
+        basic_lo[r], basic_hi[r] = lo[q], hi[q]
         changes += 1
 
 
-def _bound_flipping_ratio_test(reduced, alpha, stat, fixed, width, slope, opts):
+def _point(xn, basis, xb):
+    """The whole point: the nonbasic values `xn` with the basic ones filled in."""
+    x = xn.copy()
+    x[basis] = xb
+    return x
+
+
+def _bound_flipping_ratio_test(reduced, alpha, side, free, width, slope, opts):
     """(entering column, columns to flip) of a dual ratio test, or (None, _) for a dual ray.
 
     The reduced costs move by -theta * alpha as theta grows from zero, and
     the dual objective rises at rate `slope`, the leaving row's
     infeasibility.  A nonbasic column blocks at its breakpoint
     reduced / alpha (clamped at zero) when alpha has the sign that drives its
-    reduced cost towards the wrong sign; passing it flips it to its other
-    bound and lowers the slope by |alpha| * width.  Breakpoints are taken in
-    groups: each group holds every remaining one up to the smallest Harris
-    bound (reduced + opt_tol * sign(alpha)) / alpha.  A group passes whole
-    while the slope stays above feas_tol; otherwise its column with the
-    largest |alpha| (lowest index on ties) enters.
+    reduced cost towards the wrong sign: side * alpha > 0 for a column at a
+    bound (`side` is +1 at a lower, -1 at an upper bound, 0 for basic and
+    fixed columns), either sign for one of the `free` columns at zero.
+    Passing a breakpoint flips its column to its other bound and lowers the
+    slope by |alpha| * width.  Breakpoints are taken in groups: each group
+    holds every remaining one up to the smallest Harris bound
+    (reduced + opt_tol * sign(alpha)) / alpha.  A group passes whole while
+    the slope stays above feas_tol; otherwise its column with the largest
+    |alpha| (lowest index on ties) enters.
     """
-    movable = ~fixed & (stat != _BASIC)
-    lower, upper = stat == _AT_LOWER, stat == _AT_UPPER
-    blocks = movable & np.where(
-        lower, alpha > _PIVOT_TOL,
-        np.where(upper, alpha < -_PIVOT_TOL, np.abs(alpha) > _PIVOT_TOL),
-    )
+    blocks = side * alpha > _PIVOT_TOL
+    blocks[free] = np.abs(alpha[free]) > _PIVOT_TOL
     cand = np.flatnonzero(blocks)
+    if cand.size == 0:
+        return None, cand
     a = alpha[cand]
     mag = np.abs(a)
     ratio = reduced[cand] / a
     harris = ratio + opts.opt_tol / mag
     np.maximum(ratio, 0.0, out=ratio)
     drops = mag * width[cand]
-    left = np.ones(cand.size, dtype=bool)
-    passed = []
-    while left.any():
-        group = left & (ratio <= max(harris[left].min(), 0.0))
-        left &= ~group
+    group = ratio <= max(harris.min(), 0.0)
+    left, passed = None, []
+    while True:
         drop = drops[group].sum()
         if slope - drop <= opts.feas_tol:
             q = int(cand[np.where(group, mag, -1.0).argmax()])
             return q, (np.concatenate(passed) if passed else cand[:0])
         passed.append(cand[group])
         slope -= drop
-    return None, cand[:0]  # every breakpoint passed: the dual objective rises without end
+        left = ~group if left is None else left & ~group
+        if not left.any():
+            return None, cand[:0]  # every breakpoint passed: the dual objective rises without end
+        group = left & (ratio <= max(harris[left].min(), 0.0))
 
 
 def _norm1(M):
@@ -609,38 +648,49 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
 
 def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
     """The outcome of both phases on the standard form, with the whole point
-    if OPTIMAL; None where the updated inverse met a singular basis."""
+    if OPTIMAL; None where the updated inverse met a singular basis.
+
+    Where every row is an inequality and the residual b - A x at the parking
+    point x (`_initial_status`) is >= 0, each slack absorbs its row's
+    residual within its bounds, so the slack basis is feasible: phase 2
+    starts from it and phase 1 does not run.  A program with an equality
+    row or a negative residual runs phase 1 from the all-artificial basis.
+    """
     m, N = A.shape
     iter_budget = 50 * (m + n)
-
-    # Phase 1: artificial column per row, signed so artificials start >= 0.
     stat = _initial_status(lo, hi)
     resid = b - A @ _nonbasic_point(lo, hi, stat)
-    A1 = np.hstack([A, np.diag(np.where(resid >= 0, 1.0, -1.0))])
-    lo1 = np.concatenate([lo, np.zeros(m)])
-    hi1 = np.concatenate([hi, np.full(m, math.inf)])
-    cost1 = np.concatenate([np.zeros(N), np.ones(m)])
-    basis = np.arange(N, N + m)
-    stat1 = np.concatenate([stat, np.full(m, _BASIC, dtype=np.int8)])
+    if N - n == m and (resid >= 0.0).all():
+        basis = np.arange(n, N)
+        stat[n:] = _BASIC
+        used = 0
+    else:
+        # Phase 1: artificial column per row, signed so artificials start >= 0.
+        A = np.hstack([A, np.diag(np.where(resid >= 0, 1.0, -1.0))])
+        lo = np.concatenate([lo, np.zeros(m)])
+        hi = np.concatenate([hi, np.full(m, math.inf)])
+        cost1 = np.concatenate([np.zeros(N), np.ones(m)])
+        basis = np.arange(N, N + m)
+        stat = np.concatenate([stat, np.full(m, _BASIC, dtype=np.int8)])
 
-    verdict, x, used, _ = _run_simplex(
-        A1, b, cost1, lo1, hi1, basis, stat1, opts, iter_budget,
-        phase1_floor=opts.feas_tol * 1e-3, fresh=fresh,
-    )
-    if verdict == "singular" and not fresh:
-        return None
-    if verdict != "optimal":
-        return _stopped(verdict, used, iter_budget)
-    if float(cost1 @ x) > opts.feas_tol:
-        return LPOutcome(SolveStatus.INFEASIBLE)
+        verdict, x, used, _ = _run_simplex(
+            A, b, cost1, lo, hi, basis, stat, opts, iter_budget,
+            phase1_floor=opts.feas_tol * 1e-3, fresh=fresh,
+        )
+        if verdict == "singular" and not fresh:
+            return None
+        if verdict != "optimal":
+            return _stopped(verdict, used, iter_budget)
+        if float(cost1 @ x) > opts.feas_tol:
+            return LPOutcome(SolveStatus.INFEASIBLE)
 
-    _drive_out_artificials(A1, lo1, hi1, basis, stat1, N)
-    lo1[N:] = 0.0
-    hi1[N:] = 0.0  # artificials are frozen out of phase 2
-    cost2 = np.concatenate([cost, np.zeros(m)])
+        _drive_out_artificials(A, lo, hi, basis, stat, N)
+        lo[N:] = 0.0
+        hi[N:] = 0.0  # artificials are frozen out of phase 2
+        cost = np.concatenate([cost, np.zeros(m)])
 
     verdict, x, more, _ = _run_simplex(
-        A1, b, cost2, lo1, hi1, basis, stat1, opts, iter_budget - used, fresh=fresh,
+        A, b, cost, lo, hi, basis, stat, opts, iter_budget - used, fresh=fresh,
     )
     if verdict == "singular" and not fresh:
         return None

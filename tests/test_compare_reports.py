@@ -21,9 +21,10 @@ def test_two_dumps_of_one_checkout_do_not_differ(tmp_path):
     records = json.loads((tmp_path / "a.json").read_text())
     assert [r["name"] for r in records] == [f"small-{k:03d}" for k in range(5)]
     assert all("timings" not in r["report"] for r in records)
-    # Two phases each for the denominator and stage-1 LPs, one dual run per face LP.
+    # One run for the denominator LP (phase 2 from the slack basis, as these
+    # instances have b >= 0), two phases for stage 1, one dual run per face LP.
     assert [[run[:3] for run in r["runs"]] for r in records] == [[
-        ["denominator", "primal", "optimal"], ["denominator", "primal", "optimal"],
+        ["denominator", "primal", "optimal"],
         ["stage 1", "primal", "optimal"], ["stage 1", "primal", "optimal"],
         ["primal face", "dual", "optimal"], ["dual face", "dual", "optimal"],
         ["joint face", "dual", "optimal"],
@@ -154,6 +155,9 @@ def test_ledgers_of_two_dumps_of_one_checkout_are_byte_identical(tmp_path):
     assert entry["workload"] == "batch-small" and entry["seed"] == 1
     assert entry["instances"] == 5 and entry["failures"] == {}
     assert entry["simplex_runs"] >= 6 * 5 and entry["pivots"] > 0
+    assert sum(entry["lp_pivots"].values()) == entry["pivots"]
+    # Each denominator LP starts and ends at its slack basis.
+    assert entry["lp_pivots"]["denominator"] == 0
 
 
 def test_ledger_counts_failures_by_exit_code():
@@ -169,6 +173,10 @@ def test_ledger_counts_failures_by_exit_code():
     ]
     assert [(e["simplex_runs"], e["pivots"], e["face_lp_pivots"]) for e in entries] == [
         (8, 18, 6), (2, 7, 4),
+    ]
+    assert [e["lp_pivots"] for e in entries] == [
+        {"denominator": 0, "stage 1": 12, "primal face": 0, "dual face": 0, "joint face": 6},
+        {"denominator": 0, "stage 1": 3, "primal face": 0, "dual face": 0, "joint face": 4},
     ]
 
 
@@ -189,6 +197,8 @@ def test_ledger_counts_methods_flips_and_fractional_face_optima():
     # A primal run's bound flips are iterations of their own; a dual run's ride along.
     assert entry["pivots"] == 7 + 3 + 7 + 2 + 7
     assert entry["face_lp_pivots"] == 3 + 7 + 2 + 7
+    assert entry["lp_pivots"] == {"denominator": 0, "stage 1": 7, "primal face": 3 + 7 + 2,
+                                  "dual face": 7, "joint face": 0}
     assert entry["methods"] == {
         "primal": {"runs": 3, "basis_changes": 13, "bound_flips": 3, "verdicts": {"optimal": 3}},
         "dual": {"runs": 2, "basis_changes": 10, "bound_flips": 9,

@@ -98,7 +98,8 @@ class TestBasics:
         assert out.objective == pytest.approx(1.0)
 
     def test_iteration_limit_returns_no_point(self, monkeypatch):
-        # A budget of one pivot per phase stops phase 2 before it reaches the optimum.
+        # The >= row puts x = 0 outside the region, so both phases run; a
+        # budget of one pivot per phase stops phase 2 before it reaches the optimum.
         run_simplex = lp_module._run_simplex
 
         def one_pivot(A, b, cost, lo, hi, basis, stat, opts, iter_budget, **kwargs):
@@ -108,8 +109,8 @@ class TestBasics:
         lp = LinearProgram(
             Sense.MAXIMIZE,
             [1.0, 2.0, 3.0],
-            A_ub=[[1.0, 1.0, 1.0], [1.0, 2.0, 0.5]],
-            b_ub=[1.0, 2.0],
+            A_ub=[[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]],
+            b_ub=[1.0, -1.0],
         )
         out = solve_lp(lp)
         assert out.status is SolveStatus.ITERATION_LIMIT
@@ -132,9 +133,10 @@ class TestBasics:
         assert out.detail == f"iteration cap of {50 * (2 + 3)} reached"
 
     def test_singular_basis_is_named(self, monkeypatch):
-        # Phase 1 takes one pivot.  The second inversion, the fresh one that
-        # must confirm its verdict, fails; so does the fourth solve of the
-        # fresh re-solve that follows, the first of its second pivot.
+        # Phase 2, started from the slack basis, takes one pivot.  The second
+        # inversion, the fresh one that must confirm its verdict, fails; so
+        # does the fourth solve of the fresh re-solve that follows, the first
+        # of its second pivot.
         real_inv, real_solve, calls = np.linalg.inv, np.linalg.solve, []
 
         def inv_once_singular(a):
@@ -580,6 +582,32 @@ def reference_drive_out_artificials(A, lo, hi, basis, stat, n_real):
             basis[pos] = best
 
 
+def reference_bound_flipping_ratio_test(reduced, alpha, stat, lo, hi, slope, opt_tol, feas_tol):
+    candidates = []
+    for j in range(alpha.size):
+        if stat[j] == _BASIC or hi[j] - lo[j] <= 0.0:
+            continue
+        if stat[j] == _AT_LOWER:
+            blocks = alpha[j] > _PIVOT_TOL
+        elif stat[j] == _AT_UPPER:
+            blocks = alpha[j] < -_PIVOT_TOL
+        else:  # free at zero: either sign blocks
+            blocks = abs(alpha[j]) > _PIVOT_TOL
+        if blocks:
+            candidates.append(j)
+    left, passed = candidates, []
+    while left:
+        bound = max(min(reduced[j] / alpha[j] + opt_tol / abs(alpha[j]) for j in left), 0.0)
+        group = [j for j in left if max(reduced[j] / alpha[j], 0.0) <= bound]
+        left = [j for j in left if j not in group]
+        drop = sum(abs(alpha[j]) * (hi[j] - lo[j]) for j in group)
+        if slope - drop <= feas_tol:
+            return max(group, key=lambda j: (abs(alpha[j]), -j)), passed
+        passed += group
+        slope -= drop
+    return None, []
+
+
 # Values drawn from short lists, so that exact ties in violation, ratio and
 # |pivot| are common; they include the opt_tol and _PIVOT_TOL thresholds.
 OPT_TOL = 1e-9
@@ -651,6 +679,35 @@ class TestVectorizedKernelsMatchScans:
             else:
                 blocked += 1
         assert min(flips, blocked, unbounded) > 200
+
+    def test_bound_flipping_ratio_test(self):
+        # The dual simplex passes each column's status as a sign (+1 at a
+        # lower bound, -1 at an upper one, 0 if basic or fixed) and the free
+        # columns at zero as a list.
+        rng = np.random.default_rng(14)
+        opts = SolverOptions(opt_tol=OPT_TOL)
+        entered = flipped = rays = 0
+        for trial in range(3000):
+            lo, hi, stat, _, _ = random_simplex_state(rng)
+            reduced = rng.choice(REDUCED, size=lo.size)
+            if trial % 2:  # dual feasible, as in the dual simplex
+                reduced = np.where(stat == _AT_UPPER, -1.0, 1.0) * np.abs(reduced)
+            alpha = rng.choice(PIVOTS, size=lo.size)
+            slope = float(rng.choice([1e-12, 0.5, 2.0, 8.0, 32.0, 128.0]))
+            want = reference_bound_flipping_ratio_test(
+                reduced, alpha, stat, lo, hi, slope, opts.opt_tol, opts.feas_tol
+            )
+            side = np.where(stat == _AT_LOWER, 1.0, np.where(stat == _AT_UPPER, -1.0, 0.0))
+            side[hi - lo <= 0.0] = 0.0
+            free = np.flatnonzero(stat == _AT_ZERO)
+            q, flips = lp_module._bound_flipping_ratio_test(
+                reduced, alpha, side, free, hi - lo, slope, opts
+            )
+            assert (q, flips.tolist()) == want, trial
+            entered += q is not None
+            flipped += len(want[1]) > 0
+            rays += q is None
+        assert min(entered, rays) > 300 and flipped > 30, (entered, flipped, rays)
 
     def test_drive_out_artificials(self):
         rng = np.random.default_rng(13)

@@ -158,3 +158,62 @@ def test_support_lp_sample_holds_empty_and_free_cases():
     w2 = [solve_lp(lp).point[-1] for lp in polyhedra]
     assert sum(value < 0.5 for value in w2) >= 10  # empty: no positive scaling weight
     assert sum(np.isinf(lp.lo).any() for lp in polyhedra) >= 40
+
+
+def random_slack_start_lp(seed):
+    """An all-inequality program whose slacks absorb the residual at the parking point.
+
+    Columns are nonnegative, free, boxed (some fixed) or upper-bounded, as in
+    `random_mixed_lp`; each parks where `_initial_status` puts it (lo, else
+    hi, else 0), and b_ub is A_ub times that point plus a nonnegative
+    integer, with some entry nonzero so that the dual path does not apply.
+    The parking point is feasible, so the program is optimal or unbounded.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(1, 6))
+    kind = rng.integers(0, 4, size=n)  # nonnegative, free, boxed, upper-bounded
+    low = rng.integers(-2, 2, size=n).astype(float)
+    width = rng.integers(0, 4, size=n).astype(float)
+    lo = np.where(kind == 0, 0.0, np.where(kind == 2, low, -np.inf))
+    hi = np.where(kind >= 2, low + width, np.inf)
+    park = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    A_ub = rng.integers(-3, 4, size=(m, n)).astype(float)
+    b_ub = A_ub @ park + rng.integers(0, 3, size=m) * (rng.random(m) < 0.6)
+    if not b_ub.any():
+        b_ub[0] = 1.0
+    return LinearProgram(
+        Sense.MAXIMIZE if rng.random() < 0.5 else Sense.MINIMIZE,
+        rng.integers(-3, 4, size=n).astype(float), A_ub=A_ub, b_ub=b_ub, lo=lo, hi=hi,
+    )
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_slack_start_skips_phase_one_and_matches_highs(seed, monkeypatch):
+    phases, run_simplex = [], lp_module._run_simplex
+
+    def recorded(*args, **kwargs):
+        phases.append(1 if kwargs.get("phase1_floor") is not None else 2)
+        return run_simplex(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "_run_simplex", recorded)
+    lp = random_slack_start_lp(seed)
+    out = solve_lp(lp)
+    ref = highs(lp)
+    assert phases and set(phases) == {2}
+    assert out.status is HIGHS_STATUS[ref.status], ref.message
+    if out.is_optimal:
+        expected = -ref.fun if lp.sense is Sense.MAXIMIZE else ref.fun
+        assert out.objective == pytest.approx(expected, abs=1e-6 * (1.0 + abs(expected)))
+
+
+def test_slack_start_sample_holds_every_column_kind_and_outcome():
+    lps = [random_slack_start_lp(seed) for seed in range(150)]
+    counts = collections.Counter(solve_lp(lp).status for lp in lps)
+    assert counts[SolveStatus.OPTIMAL] >= 30 and counts[SolveStatus.UNBOUNDED] >= 30, counts
+    assert set(counts) == {SolveStatus.OPTIMAL, SolveStatus.UNBOUNDED}
+    columns = [(lo, hi) for lp in lps for lo, hi in zip(lp.lo, lp.hi)]
+    assert sum(lo == 0.0 and hi == np.inf for lo, hi in columns) >= 50  # nonnegative
+    assert sum(lo == -np.inf and hi == np.inf for lo, hi in columns) >= 50  # free
+    assert sum(np.isfinite(lo) and np.isfinite(hi) for lo, hi in columns) >= 50  # boxed
+    assert sum(lo == -np.inf and np.isfinite(hi) for lo, hi in columns) >= 50  # upper-bounded

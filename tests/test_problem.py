@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import lfpkit.lp as lp_module
 import lfpkit.problem as problem_module
 from lfpkit import (
     DimensionError,
@@ -81,6 +82,33 @@ class TestValidateDenominator:
     def test_constant_denominator(self):
         problem = LFPProblem(A=[[1.0]], b=[1.0], c=[1.0], d=[0.0], alpha=0.0, beta=1.0)
         assert validate_denominator(problem) == pytest.approx(1.0)
+
+    def test_slack_basis_is_optimal_at_once(self, monkeypatch):
+        # b >= 0 puts x = 0 in the region, and d >= 0 makes it a minimizer:
+        # phase 2 starts from the slack basis, takes no pivot, and the
+        # minimum is d.0 + beta = beta exactly.  (With b = 0 the LP would
+        # take the dual path instead, so b[0] is positive.)
+        runs, run_simplex = [], lp_module._run_simplex
+
+        def recorded(*args, **kwargs):
+            result = run_simplex(*args, **kwargs)
+            runs.append(result[2])
+            return result
+
+        monkeypatch.setattr(lp_module, "_run_simplex", recorded)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n, m = (int(k) for k in rng.integers(1, 9, size=2))
+            b = rng.random(m) * (rng.random(m) < 0.8)
+            b[0] += 1.0
+            problem = LFPProblem(
+                A=rng.normal(size=(m, n)), b=b,
+                c=rng.normal(size=n), d=rng.random(n) * (rng.random(n) < 0.8),
+                alpha=0.0, beta=float(rng.random()) + 0.5,
+            )
+            runs.clear()
+            assert validate_denominator(problem) == problem.beta
+            assert runs == [0]
 
     def test_iteration_cap_is_named(self, golden, monkeypatch):
         capped = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="iteration cap of 1 reached")

@@ -118,3 +118,14 @@ def test_largest_ladder_joint_lp_solves_under_the_cap():
     out = solve_lp(build_joint_lp(LFPProblem(**data)))
     assert out.is_optimal, out.detail
     assert out.objective == pytest.approx(181.0, abs=1e-6)
+
+
+def test_zero_pivot_reinverts_without_numpy_warnings(tmp_path, capsys):
+    # A face LP's dual run on this instance picks an entering column whose
+    # entry in the leaving row of B^-1 a_q is exactly 0.0.  A rank-one update
+    # would divide by it and fill B^-1 with inf and NaN, so the run inverts
+    # the new basis instead.  The suite turns every RuntimeWarning into an
+    # error.
+    path = generated("degenerate-mixed", 1, "scaled-a-05", tmp_path)
+    assert cli.run(["--input", path, "--approach", "both", "--validate-denominator"]) in (0, 5)
+    assert "RuntimeWarning" not in capsys.readouterr().err

@@ -35,8 +35,9 @@ per-seed lines say whether it changed anything that matters.  It also reads
 dumps made before runs were labelled, whose runs are [verdict, pivots].
 
 `ledger` reads a dump and writes, per workload and seed, the instances, the
-failures by exit code, the simplex runs, the total pivots and those of the
-face LPs, the runs, basis changes, bound flips and verdicts of each method,
+failures by exit code, the simplex runs, the total pivots, those of the face
+LPs and those of each LP (denominator, stage 1, primal, dual and joint face),
+the runs, basis changes, bound flips and verdicts of each method,
 and how many optimal face LPs ended at a fractional objective; each ladder
 instance gets a pivot-only row with the same per-method counts for each of
 its LPs.  Pivot counts are deterministic, so the ledger of a checkout is
@@ -67,6 +68,9 @@ import numpy as np  # noqa: E402
 from lfpkit import cli, complementarity, duality, lp, problem  # noqa: E402
 
 CLI_ARGS = ("--approach", "both", "--validate-denominator")
+
+# The LPs of one `lfp-solve` run, in call order, as `recording` labels them.
+LPS = ("denominator", "stage 1", "primal face", "dual face", "joint face")
 
 # A face LP's optimum is an integer (the support count plus one); an optimal
 # objective farther than this from every integer is reported as fractional.
@@ -267,6 +271,8 @@ def ledger(records: list) -> list:
             "simplex_runs": len(runs),
             "pivots": sum(map(_run_pivots, runs)),
             "face_lp_pivots": sum(_run_pivots(run) for run in runs if run[0].endswith(" face")),
+            "lp_pivots": {label: sum(_run_pivots(run) for run in runs if run[0] == label)
+                          for label in LPS},
             "methods": _tally(runs),
             "fractional_face_optima": sum(abs(value - round(value)) > FRACTIONAL for value in optima),
         })
