@@ -1,6 +1,6 @@
 """Dense simplex solver for small linear programs: a bounded dual simplex
 for homogeneous programs with a dual-feasible start, two phases of the
-primal simplex for the rest.
+primal simplex for the rest, both on one basis kernel.
 
 A `LinearProgram` holds its data as arrays in scipy `linprog`'s layout: an
 inequality block `A_ub x <= b_ub`, an equality block `A_eq x = b_eq` and
@@ -35,27 +35,33 @@ an equality row or a negative residual, stage 1 and every face LP among
 them, run phase 1 from the all-artificial basis.  Pivoting uses Dantzig's
 rule with a largest-pivot tie-break, switching to Bland's rule once
 2 * (rows + cols) degenerate steps have accumulated, which guarantees
-termination on highly degenerate systems.  Its OPTIMAL verdict comes from pricing on a freshly
-inverted (or freshly solved) basis; the basic values are not checked
-against their bounds afterwards.  Pricing, the ratio test and the
-drive-out of artificials are numpy mask operations over whole columns and
-basic rows, with the tie-breaks a scan in index order would give.
+termination on highly degenerate systems.  Its OPTIMAL verdict comes from
+pricing on a freshly inverted (or freshly solved) basis; the basic values
+are not checked against their bounds afterwards.  Pricing, the ratio test
+and the drive-out of artificials are numpy mask operations over whole
+columns and basic rows, with the tie-breaks a scan in index order would
+give.
 
 Each method stops after 50 * (rows + cols) iterations (across both phases
 of the primal path, where a bound flip is an iteration of its own); the
 cap is fixed, not an option.  All choices are index-deterministic: the
 same program and options always produce the same outcome.
 
-Both methods keep an explicit inverse of the basis matrix B: they invert B
-at the start, every 10 basis changes and before any verdict reached after
-a change, and apply a rank-one (product-form) update after every other
-basis change.  Where the dual simplex's update would divide by a pivot
-element that comes out zero or not finite, it inverts the new basis
-instead.  An inversion that fails, or whose condition number exceeds
-1e12, ends the attempt.  On the primal path the program is then solved
-again from the start with three fresh solves with B per pivot, and that
-outcome counts; programs whose coefficients span more than five orders of
-magnitude take the primal path with fresh solves from the start.
+Both loops run on one private basis kernel, `_Basis`, and keep only their
+pricing, ratio tests and verdicts.  The kernel holds the basic columns and
+parks every other column at a `side`: +1 at its lower bound, -1 at its
+upper one, 0 if fixed or if `free` and parked at zero.  It keeps the
+parked values in `xn` (the basic columns at 0) and b - A xn, which it
+recomputes only after a move that changes the bits of `xn`.  It also keeps
+an explicit inverse of the basis matrix B, inverted at the start, every 10
+basis changes, before any verdict reached after a change, and after a
+zero or non-finite pivot element or a drive-out of artificials; every
+other basis change updates it by a rank-one (product-form) step.  An
+inversion that fails, or whose condition number exceeds 1e12, ends the
+attempt.  On the primal path the program is then solved again from the
+start on a kernel that makes three fresh solves with B per pivot instead,
+and that outcome counts; programs whose coefficients span more than five
+orders of magnitude take the primal path with fresh solves from the start.
 """
 
 from __future__ import annotations
@@ -188,8 +194,11 @@ class LPOutcome:
 
     `detail` says why an ITERATION_LIMIT solve stopped: "iteration cap of N
     reached", "singular basis after k pivots", or (a numerical breakdown, as
-    phase-1 objectives are bounded) "unbounded phase-1 ray after k pivots";
-    k counts the pivots of both phases.
+    phase-1 objectives are bounded) "unbounded phase-1 ray after k pivots".
+    k counts the basis changes and bound flips of both phases of the primal
+    attempt that stopped.  It leaves out the basis changes of a dual attempt
+    made first, and the pivots of an attempt on the kept inverse that met a
+    singular basis before the fresh solves took over.
     """
 
     status: SolveStatus
@@ -202,14 +211,10 @@ class LPOutcome:
         return self.status is SolveStatus.OPTIMAL
 
 
-# Nonbasic variable positions.  A free nonbasic variable parks at zero.
-_AT_LOWER, _AT_UPPER, _AT_ZERO, _BASIC = 0, 1, 2, 3
-
 # |pivot| below this is treated as zero in ratio tests and drive-out steps.
 _PIVOT_TOL = 1e-10
 
-# Basis changes between two inversions of the basis matrix in `_run_simplex`
-# and `_dual_simplex`.
+# Basis changes between two inversions of the basis matrix in `_Basis`.
 _REFACTOR_INTERVAL = 10
 
 # An inverse of the basis matrix whose 1-norm condition number exceeds this
@@ -223,61 +228,165 @@ _ILL_CONDITIONED = 1e12
 _WIDE_SCALE = 1e5
 
 
-def _initial_status(lo, hi):
-    return np.where(
-        np.isfinite(lo), _AT_LOWER, np.where(np.isfinite(hi), _AT_UPPER, _AT_ZERO)
-    ).astype(np.int8)
+def _park(lo, hi, cost=None):
+    """(side, point) of every column parked at its finite lower bound (side +1),
+    else its finite upper bound (-1), else zero (0); with `cost`, a column of
+    cost < 0 parks at its upper bound and one of cost > 0 at its lower bound."""
+    side = np.where(np.isfinite(lo), 1.0, np.where(np.isfinite(hi), -1.0, 0.0))
+    if cost is not None:
+        side = np.where(cost < 0.0, -1.0, np.where(cost > 0.0, 1.0, side))
+    return side, np.where(side > 0.0, lo, np.where(side < 0.0, hi, 0.0))
 
 
-def _nonbasic_point(lo, hi, stat):
-    """Point with every nonbasic variable at its parking value and basics at 0."""
-    x = np.zeros(lo.size)
-    at_lower = stat == _AT_LOWER
-    at_upper = stat == _AT_UPPER
-    x[at_lower] = lo[at_lower]
-    x[at_upper] = hi[at_upper]
-    return x
+class _Basis:
+    """A basis of A x = b, lo <= x <= hi, and the parking of the other columns.
+
+    `cols` lists the basic columns in row order; `side`, `free` and `xn` are
+    the module docstring's, taken over from `parked` (a `_park` result), and
+    `fixed` marks lo = hi.  Without `fresh` it keeps B^-1 in `Binv`, with
+    `updates` rank-one updates since its inversion.
+    """
+
+    def __init__(self, A, b, lo, hi, cols, parked, fresh=False):
+        self.A, self.b, self.lo, self.hi, self.cols, self.fresh = A, b, lo, hi, cols, fresh
+        self.side, self.xn = parked
+        self.fixed = hi - lo <= 0.0
+        self.free = self.side == 0.0
+        self.free[cols] = False
+        self.side[self.fixed] = 0.0
+        self.side[cols] = self.xn[cols] = 0.0
+        self.Binv, self.updates, self.rhs = None, 0, None
+
+    def point(self, xb):
+        """The whole point: `xn` with the basic values `xb` filled in."""
+        x = self.xn.copy()
+        x[self.cols] = xb
+        return x
+
+    def solve(self, cost):
+        """(basic values, reduced costs) of the basis, inverting B first when
+        due; None where B is singular or its new inverse ill-conditioned."""
+        if self.rhs is None:
+            self.rhs = self.b - self.A @ self.xn
+        try:
+            if self.fresh:
+                self.B = B = self.A[:, self.cols]
+                xb, y = np.linalg.solve(B, self.rhs), np.linalg.solve(B.T, cost[self.cols])
+            else:
+                if self.Binv is None or self.updates >= _REFACTOR_INTERVAL:
+                    B = self.A[:, self.cols]
+                    self.Binv, self.updates = np.linalg.inv(B), 0
+                    if _norm1(B) * _norm1(self.Binv) > _ILL_CONDITIONED:
+                        return None
+                xb, y = self.Binv @ self.rhs, cost[self.cols] @ self.Binv
+        except np.linalg.LinAlgError:
+            return None
+        return xb, cost - self.A.T @ y
+
+    def column(self, q):
+        """B^-1 a_q, for the column q about to enter."""
+        a = self.A[:, q]
+        return np.linalg.solve(self.B, a) if self.fresh else self.Binv @ a
+
+    def settled(self):
+        """Whether the last `solve` read a freshly inverted (or solved) B, as a
+        verdict needs; if not, the next `solve` inverts B to confirm it."""
+        if self.updates:
+            self.Binv = None
+        return not self.updates
+
+    def flip(self, cols):
+        """Move the nonbasic boxed columns `cols` to their other bounds."""
+        self.side[cols] = -self.side[cols]
+        self.xn[cols] = np.where(self.side[cols] > 0.0, self.lo[cols], self.hi[cols])
+        self.rhs = None
+
+    def exchange(self, r, q, w, to_upper):
+        """Column q enters in row r, and the column basic there leaves at its
+        upper bound if `to_upper`, else at its lower one.  B^-1 takes the
+        rank-one update by `w` = B^-1 a_q, or is inverted at the next `solve`
+        where `w` is None or its pivot element w[r] is zero or not finite."""
+        if not self.fresh and w is not None and w[r] != 0.0 and math.isfinite(w[r]):
+            _update_inverse(self.Binv, r, w)
+            self.updates += 1
+        else:
+            self.Binv = None
+        leave, parked = self.cols[r], self.xn[q]
+        left = self.xn[leave] = self.hi[leave] if to_upper else self.lo[leave]
+        self.side[leave] = 0.0 if self.fixed[leave] else (-1.0 if to_upper else 1.0)
+        self.xn[q] = self.side[q] = 0.0
+        self.free[q] = False
+        self.cols[r] = q
+        # Basic columns sit at +0.0, so xn keeps its bits iff both moved values are +0.0.
+        if parked or left or math.copysign(1.0, parked) < 0.0 or math.copysign(1.0, left) < 0.0:
+            self.rhs = None
 
 
-def _choose_entering(reduced, stat, fixed, opt_tol, bland):
+def _norm1(M):
+    """The 1-norm (largest column sum of magnitudes) of a matrix; 0 if it is empty."""
+    return np.abs(M).sum(axis=0).max(initial=0.0)
+
+
+def _update_inverse(Binv, pos, w):
+    """Turn `Binv` into the inverse of B with column `pos` replaced by a, where
+    `w = Binv @ a`: the rank-one (product-form) update."""
+    row = Binv[pos] / w[pos]
+    Binv -= np.outer(w, row)
+    Binv[pos] = row
+
+
+def _artificial_basis(A, b, lo, hi, signs, cap, cost=None, fresh=False):
+    """The basis of one artificial column per row, signs[i] in row i and
+    bounded by [0, cap], appended to A; the other columns are parked by
+    `_park`, with `cost` (covering the artificials too) if it is given."""
+    m, N = A.shape
+    lo = np.concatenate([lo, np.zeros(m)])
+    hi = np.concatenate([hi, np.full(m, cap)])
+    return _Basis(np.hstack([A, np.diag(signs)]), b, lo, hi, np.arange(N, N + m),
+                  _park(lo, hi, cost), fresh)
+
+
+def _choose_entering(reduced, side, free, opt_tol, bland):
     """Return (column, direction) of the entering variable, or (None, 0).
 
     Direction is the sign in which the entering variable moves.  Dantzig mode
     picks the largest optimality violation (lowest index on ties); Bland mode
-    picks the lowest eligible index.  Columns marked in `fixed` never enter.
+    picks the lowest eligible index.  Basic and fixed columns (side 0 and not
+    `free`) never enter.
     """
-    # Violation by status: -r at a lower bound, r at an upper bound, |r| for a
+    # Violation by side: -r at a lower bound, r at an upper bound, |r| for a
     # free variable at zero.
-    viol = np.where(stat == _AT_UPPER, reduced, -reduced)
-    np.abs(viol, out=viol, where=stat == _AT_ZERO)
-    viol[(stat == _BASIC) | fixed] = -math.inf
+    viol = -side * reduced
+    viol[free] = np.abs(reduced[free])
+    viol[(side == 0.0) & ~free] = -math.inf
     j = int((viol > opt_tol).argmax() if bland else viol.argmax())
     if not viol[j] > opt_tol:
         return None, 0
     return j, (1 if reduced[j] < 0 else -1)
 
 
-def _ratio_test(xb, w, basis, lo, hi, enter, direction, bland):
+def _ratio_test(xb, w, cols, lo, hi, enter, direction, bland):
     """Largest admissible step for the entering variable.
 
-    `xb` holds the values of the basic variables, in `basis` order.  Returns
-    (step, leave_pos, leave_to): `leave_pos` indexes into `basis`, or is -1
-    for a bound flip of the entering variable itself; `step` is inf when
-    nothing blocks the move.  Ties within 1e-11 relative of the minimum ratio
-    go to the largest |pivot| and then the lowest column index (Dantzig mode),
-    or to the lowest column index alone (Bland mode).
+    `xb` holds the values of the basic variables, in `cols` order.  Returns
+    (step, leave_pos, to_upper): `leave_pos` indexes into `cols`, or is -1
+    for a bound flip of the entering variable itself, and `to_upper` says
+    whether the leaving variable stops at its upper bound; `step` is inf
+    when nothing blocks the move.  Ties within 1e-11 relative of the minimum
+    ratio go to the largest |pivot| and then the lowest column index
+    (Dantzig mode), or to the lowest column index alone (Bland mode).
     """
     own = hi[enter] - lo[enter]  # inf unless the entering variable is boxed
     g = w if direction > 0 else -w  # rate at which each basic variable decreases
     mag = np.abs(g)
     blocking = mag > _PIVOT_TOL
-    room = np.where(g > 0, xb - lo[basis], hi[basis] - xb)  # inf for an infinite bound
+    room = np.where(g > 0, xb - lo[cols], hi[cols] - xb)  # inf for an infinite bound
     limits = np.where(blocking, room, math.inf) / np.where(blocking, mag, 1.0)
     limits[limits < 0.0] = 0.0
-    row_min = limits.min() if basis.size else math.inf
+    row_min = limits.min() if cols.size else math.inf
 
     if own <= row_min:
-        return own, -1, 0  # entering variable flips to its other bound, or inf
+        return own, -1, False  # entering variable flips to its other bound, or inf
 
     tie = row_min + 1e-11 * (1.0 + row_min)
     candidates = (limits <= tie).nonzero()[0]
@@ -285,87 +394,52 @@ def _ratio_test(xb, w, basis, lo, hi, enter, direction, bland):
         if not bland:
             top = mag[candidates]
             candidates = candidates[top == top.max()]
-        pos = int(candidates[basis[candidates].argmin()])
+        pos = int(candidates[cols[candidates].argmin()])
     else:
         pos = int(candidates[0])
-    return row_min, pos, (_AT_LOWER if g[pos] > 0 else _AT_UPPER)
+    return row_min, pos, bool(g[pos] < 0.0)
 
 
-def _run_simplex(A, b, cost, lo, hi, basis, stat, opts, iter_budget, phase1_floor=None,
-                 fresh=False):
-    """Iterate to optimality on one phase.  Mutates basis and stat.
+def _run_simplex(basis, cost, opts, iter_budget, phase1_floor=None):
+    """Iterate to optimality on one phase, moving `basis` along.
 
     Returns (verdict, point, pivots, bound_flips): the pivots count bound
-    flips and basis changes alike, and the verdict is "optimal",
-    "unbounded", "iteration_limit" or "singular" (a basis matrix that
-    np.linalg.solve or np.linalg.inv rejects, or whose inverse has a 1-norm
-    condition number above _ILL_CONDITIONED).  `phase1_floor` enables the
-    early exit for phase-1 objectives, which are bounded below by zero.
-
-    Without `fresh`, the run keeps the inverse of B that the module docstring
-    describes, updated by `_update_inverse`; a bound flip leaves it as it is.
-    With `fresh`, it solves with B three times per pivot and checks no
-    condition number.
+    flips and basis changes alike, the verdict is "optimal", "unbounded",
+    "iteration_limit" or "singular" (a basis that `basis.solve` rejects),
+    and the point, over the columns of `basis.A`, comes with "optimal"
+    only.  `phase1_floor` enables the early exit for phase-1 objectives,
+    which are bounded below by zero.
     """
-    m = A.shape[0]
-    fixed = hi - lo <= 0.0
-    bland = False
-    degenerate = 0
-    bland_trigger = 2 * (m + A.shape[1])
+    bland, degenerate = False, 0
+    bland_trigger = 2 * sum(basis.A.shape)
     used = flips = 0
-    Binv, updates = None, 0
     while True:
-        x = _nonbasic_point(lo, hi, stat)
-        rhs = b - A @ x
-        try:
-            if fresh:
-                B = A[:, basis]
-                xb = np.linalg.solve(B, rhs)
-                y = np.linalg.solve(B.T, cost[basis])
-            else:
-                if Binv is None or updates >= _REFACTOR_INTERVAL:
-                    B = A[:, basis]
-                    Binv, updates = np.linalg.inv(B), 0
-                    if _norm1(B) * _norm1(Binv) > _ILL_CONDITIONED:
-                        return "singular", x, used, flips
-                xb = Binv @ rhs
-                y = cost[basis] @ Binv
-        except np.linalg.LinAlgError:
-            return "singular", x, used, flips
-        x[basis] = xb
-        reduced = cost - A.T @ y
-
-        if phase1_floor is not None and float(cost @ x) <= phase1_floor:
-            enter = None
+        solved = basis.solve(cost)
+        if solved is None:
+            return "singular", None, used, flips
+        xb, reduced = solved
+        if phase1_floor is not None and float(cost @ basis.point(xb)) <= phase1_floor:
+            q = None
         else:
-            enter, direction = _choose_entering(reduced, stat, fixed, opts.opt_tol, bland)
-        if enter is None:
-            if updates:
-                Binv = None  # confirm the verdict on a fresh inverse
-                continue
-            return "optimal", x, used, flips
+            q, direction = _choose_entering(reduced, basis.side, basis.free, opts.opt_tol, bland)
+        if q is None:
+            if basis.settled():
+                return "optimal", basis.point(xb), used, flips
+            continue
         if used >= iter_budget:
-            return "iteration_limit", x, used, flips
+            return "iteration_limit", None, used, flips
 
-        w = np.linalg.solve(B, A[:, enter]) if fresh else Binv @ A[:, enter]
-        step, leave_pos, leave_to = _ratio_test(xb, w, basis, lo, hi, enter, direction, bland)
+        w = basis.column(q)
+        step, r, to_upper = _ratio_test(xb, w, basis.cols, basis.lo, basis.hi, q, direction, bland)
         if math.isinf(step):
-            if updates:
-                Binv = None
-                continue
-            return "unbounded", x, used, flips
-
-        if leave_pos < 0:
-            stat[enter] = _AT_UPPER if stat[enter] == _AT_LOWER else _AT_LOWER
+            if basis.settled():
+                return "unbounded", None, used, flips
+            continue
+        if r < 0:
+            basis.flip(q)
             flips += 1
         else:
-            if not fresh:
-                _update_inverse(Binv, leave_pos, w)
-                updates += 1
-            stat[basis[leave_pos]] = leave_to
-            stat[enter] = _BASIC
-            basis[leave_pos] = enter
-
+            basis.exchange(r, q, w, to_upper)
         used += 1
         if step <= opts.feas_tol:
             degenerate += 1
@@ -386,118 +460,68 @@ def _dual_start(b, lo, hi, cost):
     )
 
 
-def _dual_simplex(A, b, cost, lo, hi, opts, iter_budget):
-    """Bounded dual simplex from the all-artificial basis of a `_dual_start` program.
+def _dual_simplex(basis, cost, opts, iter_budget):
+    """Bounded dual simplex from a dual-feasible `basis` that keeps B^-1.
 
-    One artificial per row is basic and fixed at [0, 0]; each column is
-    nonbasic at the bound its cost favours (`_initial_status` where the cost
-    is zero), which makes the start dual feasible, so no phase 1 is needed.
+    `solve_lp` hands it the all-artificial basis of a `_dual_start` program:
+    one artificial per row is basic and fixed at [0, 0], and each column is
+    parked at the bound its cost favours (by bounds alone where the cost is
+    zero), which makes the start dual feasible, so no phase 1 is needed.
     Each iteration picks the leaving row by dual steepest edge (infeasibility
     squared over the squared norm of its row of B^-1) and the entering column
     by a bound-flipping ratio test with Harris tolerances: boxed columns whose
     breakpoints come first flip to their other bound while the dual slope
     stays positive, and the entering column is the one of the last group
-    with the largest |alpha|, the lowest index on ties.  The inverse of B is
-    kept as in `_run_simplex`, except that a pivot element (B^-1 a_q)[r]
-    that comes out zero or not finite makes the next iteration invert the
-    new basis instead of updating the inverse.
+    with the largest |alpha|, the lowest index on ties.
 
-    Returns (verdict, point, basis_changes, bound_flips); the point covers
-    the columns of A.  Only "optimal" is a solution: it is returned once a
-    fresh inverse puts every basic value within its bounds +- feas_tol and
-    no reduced cost has the wrong sign by more than opt_tol.  x = 0 is
-    feasible and the start proves the program bounded, so every other
-    verdict is a breakdown: "singular" (as in `_run_simplex`), "dual_ray"
-    (no column can enter), "iteration_limit" (`iter_budget` basis changes)
-    or "dual_infeasible" (the final check failed).
+    Returns (verdict, point, basis_changes, bound_flips).  "optimal", the one
+    verdict with a point (over the columns of `basis.A`), needs a fresh
+    inverse, every basic value within its bounds +- feas_tol and no reduced
+    cost on the wrong side by more than opt_tol.  The rest are breakdowns:
+    "singular" (as in `_run_simplex`), "dual_ray" (no column can enter),
+    "iteration_limit" (`iter_budget` basis changes) or "dual_infeasible"
+    (the final check failed).
     """
-    m, N = A.shape
-    A = np.hstack([A, np.eye(m)])
-    lo = np.concatenate([lo, np.zeros(m)])
-    hi = np.concatenate([hi, np.zeros(m)])
-    cost = np.concatenate([cost, np.zeros(m)])
-    stat = np.where(cost < 0.0, _AT_UPPER,
-                    np.where(cost > 0.0, _AT_LOWER, _initial_status(lo, hi))).astype(np.int8)
-    stat[N:] = _BASIC
-    basis = np.arange(N, N + m)
+    A, lo, hi = basis.A, basis.lo, basis.hi
     width = hi - lo
-    fixed = width <= 0.0
-    # Kept up to date at every basis change and bound flip: the nonbasic
-    # point (basics at 0), the bounds of the basic variables in `basis`
-    # order, +1 / -1 for a movable column at its lower / upper bound (0 for
-    # the rest) and the free columns parked at zero.
-    xn = _nonbasic_point(lo, hi, stat)
-    basic_lo, basic_hi = lo[basis], hi[basis]
-    side = np.where(stat == _AT_LOWER, 1.0, np.where(stat == _AT_UPPER, -1.0, 0.0))
-    side[fixed] = 0.0
-    free = np.flatnonzero(stat == _AT_ZERO)
     changes = flips = 0
-    Binv, updates = None, 0
     while True:
-        if Binv is None or updates >= _REFACTOR_INTERVAL:
-            B = A[:, basis]
-            try:
-                Binv, updates = np.linalg.inv(B), 0
-            except np.linalg.LinAlgError:
-                return "singular", None, changes, flips
-            if _norm1(B) * _norm1(Binv) > _ILL_CONDITIONED:
-                return "singular", None, changes, flips
-        xb = Binv @ (b - A @ xn)
-        reduced = cost - A.T @ (cost[basis] @ Binv)
+        solved = basis.solve(cost)
+        if solved is None:
+            return "singular", None, changes, flips
+        xb, reduced = solved
+        basic_lo, basic_hi = lo[basis.cols], hi[basis.cols]
         infeasible = np.maximum(basic_lo - xb, xb - basic_hi)
         rows = np.flatnonzero(infeasible > opts.feas_tol)
         if rows.size == 0:
-            if updates:
-                Binv = None  # confirm the verdict on a fresh inverse
+            if not basis.settled():
                 continue
-            wrong = -side * reduced  # how far each reduced cost has the wrong sign
-            wrong[free] = np.abs(reduced[free])
+            wrong = -basis.side * reduced  # how far each reduced cost has the wrong sign
+            wrong[basis.free] = np.abs(reduced[basis.free])
             if (wrong > opts.opt_tol).any():
-                return "dual_infeasible", _point(xn, basis, xb), changes, flips
-            return "optimal", _point(xn, basis, xb), changes, flips
+                return "dual_infeasible", None, changes, flips
+            return "optimal", basis.point(xb), changes, flips
         if changes >= iter_budget:
-            return "iteration_limit", _point(xn, basis, xb), changes, flips
+            return "iteration_limit", None, changes, flips
 
         # Dual steepest edge: the exact row norms of B^-1 come with the inverse.
-        norms = Binv[rows]
+        norms = basis.Binv[rows]
         scores = infeasible[rows] ** 2 / np.einsum("ij,ij->i", norms, norms)
         r = int(rows[scores.argmax()])
         to_upper = xb[r] > basic_hi[r]
-        alpha = Binv[r] @ A
+        alpha = basis.Binv[r] @ A
         if not to_upper:
             alpha = -alpha  # the reduced costs move by -theta * alpha, theta >= 0
         q, flipped = _bound_flipping_ratio_test(
-            reduced, alpha, side, free, width, infeasible[r], opts
+            reduced, alpha, basis.side, basis.free, width, infeasible[r], opts
         )
         if q is None:
-            return "dual_ray", _point(xn, basis, xb), changes, flips
+            return "dual_ray", None, changes, flips
         if flipped.size:
-            side[flipped] = -side[flipped]
-            xn[flipped] = np.where(side[flipped] > 0.0, lo[flipped], hi[flipped])
+            basis.flip(flipped)
             flips += flipped.size
-
-        w = Binv @ A[:, q]
-        if w[r] != 0.0 and math.isfinite(w[r]):
-            _update_inverse(Binv, r, w)
-            updates += 1
-        else:
-            Binv = None  # a zero pivot: invert the new basis instead
-        leave = basis[r]
-        xn[leave] = basic_hi[r] if to_upper else basic_lo[r]
-        side[leave] = 0.0 if fixed[leave] else (-1.0 if to_upper else 1.0)
-        if side[q] == 0.0:
-            free = free[free != q]  # only a free column enters from side 0
-        xn[q] = side[q] = 0.0
-        basis[r] = q
-        basic_lo[r], basic_hi[r] = lo[q], hi[q]
+        basis.exchange(r, q, basis.column(q), to_upper)
         changes += 1
-
-
-def _point(xn, basis, xb):
-    """The whole point: the nonbasic values `xn` with the basic ones filled in."""
-    x = xn.copy()
-    x[basis] = xb
-    return x
 
 
 def _bound_flipping_ratio_test(reduced, alpha, side, free, width, slope, opts):
@@ -543,45 +567,30 @@ def _bound_flipping_ratio_test(reduced, alpha, side, free, width, slope, opts):
         group = left & (ratio <= max(harris[left].min(), 0.0))
 
 
-def _norm1(M):
-    """The 1-norm (largest column sum of magnitudes) of a matrix; 0 if it is empty."""
-    return np.abs(M).sum(axis=0).max(initial=0.0)
-
-
-def _update_inverse(Binv, pos, w):
-    """Turn `Binv` into the inverse of B with column `pos` replaced by a, where
-    `w = Binv @ a`: the rank-one (product-form) update."""
-    row = Binv[pos] / w[pos]
-    Binv -= np.outer(w, row)
-    Binv[pos] = row
-
-
-def _drive_out_artificials(A, lo, hi, basis, stat, n_real):
+def _drive_out_artificials(basis, n_real):
     """Swap basic artificial variables for real columns where a pivot exists.
 
     Every swap is a zero-step pivot (the artificial sits at value zero), so
     feasibility is untouched.  Artificials left behind mark redundant rows and
     stay basic, pinned at zero by their bounds.  Each swap takes the movable
-    nonbasic real column with the largest |pivot|, the lowest index on ties.
+    nonbasic real column with the largest |pivot|, the lowest index on ties;
+    the artificial leaves at its lower bound, and B^-1 is inverted afresh.
     """
-    fixed = hi[:n_real] - lo[:n_real] <= 0.0
-    for pos in range(basis.size):
-        if basis[pos] < n_real:
+    A, cols = basis.A, basis.cols
+    for pos in range(cols.size):
+        if cols[pos] < n_real:
             continue
-        B = A[:, basis]
-        e = np.zeros(basis.size)
+        e = np.zeros(cols.size)
         e[pos] = 1.0
         try:
-            g = np.linalg.solve(B.T, e)
+            g = np.linalg.solve(A[:, cols].T, e)
         except np.linalg.LinAlgError:
             continue
         mag = np.abs(g @ A[:, :n_real])
-        mag[fixed | (stat[:n_real] == _BASIC)] = 0.0
+        mag[(basis.side[:n_real] == 0.0) & ~basis.free[:n_real]] = 0.0
         best = int(mag.argmax())
         if mag[best] > _PIVOT_TOL:
-            stat[best] = _BASIC
-            stat[basis[pos]] = _AT_LOWER
-            basis[pos] = best
+            basis.exchange(pos, best, None, False)
 
 
 def _stopped(verdict, pivots, iter_budget) -> LPOutcome:
@@ -612,28 +621,26 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     """Solve `lp` by the bounded dual simplex where its structure allows, else two-phase.
 
     The returned point covers exactly the variables of `lp`, in their original
-    order.  A program that qualifies for the dual simplex (see the module
-    docstring) is OPTIMAL from it only if a fresh inverse puts every basic
-    value within its bounds +- `opts.feas_tol` and every reduced cost on
-    the right side of +- `opts.opt_tol`.  Any other ending of the dual
-    simplex hands the program to the primal two-phase path.  An OPTIMAL
-    verdict there means pricing on a freshly inverted (or freshly solved)
-    basis found no optimality violation above `opts.opt_tol`; the basic
-    values are not checked against their bounds afterwards, so such a point
-    may lie outside them by more than `opts.feas_tol`.  ITERATION_LIMIT
-    outcomes carry no point at all.  This is where a program is routed to
-    the dual simplex and to fresh solves, from the start or after the
-    inverse fails.
+    order; ITERATION_LIMIT outcomes carry no point.  The dual simplex answers
+    OPTIMAL only if a fresh inverse puts every basic value within its bounds
+    +- `opts.feas_tol` and every reduced cost on the right side of
+    +- `opts.opt_tol`; any other ending hands the program to the primal
+    two-phase path.  Its OPTIMAL verdict checks the reduced costs alone, so
+    its point may lie outside the bounds by more than `opts.feas_tol`.  This
+    is where a program is routed to the dual simplex and to fresh solves,
+    from the start or after the inverse fails.
     """
     A, b, lo, hi = _standard_form(lp)
-    n = lp.num_vars
-    cost = np.zeros(A.shape[1])
+    (m, N), n = A.shape, lp.num_vars
+    cost = np.zeros(N)
     cost[:n] = lp.objective if lp.sense is Sense.MINIMIZE else -lp.objective
     coefficients = np.abs(A[A != 0.0])
     fresh = coefficients.size > 0 and coefficients.max() > _WIDE_SCALE * coefficients.min()
     outcome = None
     if _dual_start(b, lo, hi, cost):
-        verdict, x, _, _ = _dual_simplex(A, b, cost, lo, hi, opts, 50 * (A.shape[0] + n))
+        dual_cost = np.concatenate([cost, np.zeros(m)])
+        basis = _artificial_basis(A, b, lo, hi, np.ones(m), 0.0, dual_cost)
+        verdict, x, _, _ = _dual_simplex(basis, dual_cost, opts, 50 * (m + n))
         if verdict == "optimal":
             outcome = LPOutcome(SolveStatus.OPTIMAL, x)
     if outcome is None:
@@ -648,34 +655,29 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
 
 def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
     """The outcome of both phases on the standard form, with the whole point
-    if OPTIMAL; None where the updated inverse met a singular basis.
+    if OPTIMAL; None where the kept inverse met a singular basis.
 
     Where every row is an inequality and the residual b - A x at the parking
-    point x (`_initial_status`) is >= 0, each slack absorbs its row's
-    residual within its bounds, so the slack basis is feasible: phase 2
-    starts from it and phase 1 does not run.  A program with an equality
-    row or a negative residual runs phase 1 from the all-artificial basis.
+    point x (`_park`) is >= 0, each slack absorbs its row's residual within
+    its bounds, so the slack basis is feasible: phase 2 starts from it and
+    phase 1 does not run.  A program with an equality row or a negative
+    residual runs phase 1 from the all-artificial basis, and phase 2 goes on
+    from the basis phase 1 left.
     """
     m, N = A.shape
     iter_budget = 50 * (m + n)
-    stat = _initial_status(lo, hi)
-    resid = b - A @ _nonbasic_point(lo, hi, stat)
+    parked = _park(lo, hi)
+    resid = b - A @ parked[1]
     if N - n == m and (resid >= 0.0).all():
-        basis = np.arange(n, N)
-        stat[n:] = _BASIC
+        basis = _Basis(A, b, lo, hi, np.arange(n, N), parked, fresh)
         used = 0
     else:
         # Phase 1: artificial column per row, signed so artificials start >= 0.
-        A = np.hstack([A, np.diag(np.where(resid >= 0, 1.0, -1.0))])
-        lo = np.concatenate([lo, np.zeros(m)])
-        hi = np.concatenate([hi, np.full(m, math.inf)])
+        basis = _artificial_basis(A, b, lo, hi, np.where(resid >= 0, 1.0, -1.0), math.inf,
+                                  fresh=fresh)
         cost1 = np.concatenate([np.zeros(N), np.ones(m)])
-        basis = np.arange(N, N + m)
-        stat = np.concatenate([stat, np.full(m, _BASIC, dtype=np.int8)])
-
         verdict, x, used, _ = _run_simplex(
-            A, b, cost1, lo, hi, basis, stat, opts, iter_budget,
-            phase1_floor=opts.feas_tol * 1e-3, fresh=fresh,
+            basis, cost1, opts, iter_budget, phase1_floor=opts.feas_tol * 1e-3,
         )
         if verdict == "singular" and not fresh:
             return None
@@ -684,14 +686,11 @@ def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
         if float(cost1 @ x) > opts.feas_tol:
             return LPOutcome(SolveStatus.INFEASIBLE)
 
-        _drive_out_artificials(A, lo, hi, basis, stat, N)
-        lo[N:] = 0.0
-        hi[N:] = 0.0  # artificials are frozen out of phase 2
+        _drive_out_artificials(basis, N)
+        basis.hi[N:], basis.fixed[N:], basis.side[N:] = 0.0, True, 0.0  # frozen out of phase 2
         cost = np.concatenate([cost, np.zeros(m)])
 
-    verdict, x, more, _ = _run_simplex(
-        A, b, cost, lo, hi, basis, stat, opts, iter_budget - used, fresh=fresh,
-    )
+    verdict, x, more, _ = _run_simplex(basis, cost, opts, iter_budget - used)
     if verdict == "singular" and not fresh:
         return None
     if verdict == "unbounded":

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -102,8 +103,8 @@ class TestBasics:
         # budget of one pivot per phase stops phase 2 before it reaches the optimum.
         run_simplex = lp_module._run_simplex
 
-        def one_pivot(A, b, cost, lo, hi, basis, stat, opts, iter_budget, **kwargs):
-            return run_simplex(A, b, cost, lo, hi, basis, stat, opts, 1, **kwargs)
+        def one_pivot(basis, cost, opts, iter_budget, **kwargs):
+            return run_simplex(basis, cost, opts, 1, **kwargs)
 
         monkeypatch.setattr(lp_module, "_run_simplex", one_pivot)
         lp = LinearProgram(
@@ -349,19 +350,19 @@ class TestBasisInverse:
             basis = np.arange(m)
             while np.linalg.cond(A[:, basis]) > 100.0:
                 A[:, :m] = rng.standard_normal((m, m))
-            stat = np.full(3 * m, _AT_LOWER, dtype=np.int8)
-            stat[basis] = _BASIC
+            basic = np.zeros(3 * m, dtype=bool)
+            basic[basis] = True
             Binv = np.linalg.inv(A[:, basis])
             for _ in range(lp_module._REFACTOR_INTERVAL):
                 while True:  # a swap that keeps the basis well-conditioned
-                    enter = int(rng.choice(np.flatnonzero(stat != _BASIC)))
+                    enter = int(rng.choice(np.flatnonzero(~basic)))
                     pos = int(rng.integers(0, m))
                     swapped = basis.copy()
                     swapped[pos] = enter
                     if np.linalg.cond(A[:, swapped]) <= 100.0:
                         break
                 lp_module._update_inverse(Binv, pos, Binv @ A[:, enter])
-                stat[basis[pos]], stat[enter] = _AT_LOWER, _BASIC
+                basic[basis[pos]], basic[enter] = False, True
                 basis = swapped
             assert np.abs(Binv @ A[:, basis] - np.eye(m)).max() <= 1e-9, trial
 
@@ -375,10 +376,10 @@ class TestBasisInverse:
             inverted.append(np.array(a))
             return real_inv(a)
 
-        def checked(A, b, cost, lo, hi, basis, stat, *args, **kwargs):
-            verdict, x, used, flips = run_simplex(A, b, cost, lo, hi, basis, stat, *args, **kwargs)
-            if verdict in ("optimal", "unbounded") and not kwargs["fresh"]:
-                assert np.array_equal(inverted[-1], A[:, basis])
+        def checked(basis, *args, **kwargs):
+            verdict, x, used, flips = run_simplex(basis, *args, **kwargs)
+            if verdict in ("optimal", "unbounded") and not basis.fresh:
+                assert np.array_equal(inverted[-1], basis.A[:, basis.cols])
                 verdicts.append((verdict, used))
             return verdict, x, used, flips
 
@@ -501,24 +502,24 @@ class TestDualPath:
 
 
 # Scan-in-index-order versions of the pivoting kernels, kept as the reference
-# the vectorized ones in lfpkit.lp must match choice for choice.
-_AT_LOWER, _AT_UPPER, _AT_ZERO, _BASIC = 0, 1, 2, 3
+# the vectorized ones in lfpkit.lp must match choice for choice.  They read a
+# column's parking as `lp._Basis` keeps it: side +1 at its lower bound, -1 at
+# its upper one, 0 if basic or fixed, or if `free` (a free column at zero).
 _PIVOT_TOL = lp_module._PIVOT_TOL
 
 
-def reference_choose_entering(reduced, stat, lo, hi, opt_tol, bland):
+def reference_choose_entering(reduced, side, free, opt_tol, bland):
     best_j, best_dir, best_viol = None, 0, opt_tol
     for j in range(reduced.size):
-        s = stat[j]
-        if s == _BASIC or hi[j] - lo[j] <= 0.0:
-            continue
         r = reduced[j]
-        if s == _AT_LOWER:
-            viol, direction = -r, 1
-        elif s == _AT_UPPER:
-            viol, direction = r, -1
-        else:  # free at zero: either sign of reduced cost is usable
+        if free[j]:  # free at zero: either sign of reduced cost is usable
             viol, direction = abs(r), (1 if r < 0 else -1)
+        elif side[j] > 0:
+            viol, direction = -r, 1
+        elif side[j] < 0:
+            viol, direction = r, -1
+        else:  # basic or fixed
+            continue
         if viol <= (opt_tol if bland else best_viol):
             continue
         if bland:
@@ -530,24 +531,23 @@ def reference_choose_entering(reduced, stat, lo, hi, opt_tol, bland):
 def reference_ratio_test(x, w, basis, lo, hi, enter, direction, bland):
     own = hi[enter] - lo[enter]  # inf unless the entering variable is boxed
     limits = np.full(basis.size, math.inf)
-    targets = np.zeros(basis.size, dtype=np.int8)
+    to_upper = np.zeros(basis.size, dtype=bool)
     for i in range(basis.size):
         k = basis[i]
         g = direction * w[i]  # rate at which x[k] decreases per unit step
         if g > _PIVOT_TOL:
             if math.isfinite(lo[k]):
                 limits[i] = max((x[k] - lo[k]) / g, 0.0)
-                targets[i] = _AT_LOWER
         elif g < -_PIVOT_TOL:
             if math.isfinite(hi[k]):
                 limits[i] = max((hi[k] - x[k]) / (-g), 0.0)
-                targets[i] = _AT_UPPER
+                to_upper[i] = True
     row_min = limits.min() if basis.size else math.inf
 
     if own <= row_min:
         if math.isinf(own):
-            return math.inf, -1, 0
-        return own, -1, 0  # entering variable flips to its other bound
+            return math.inf, -1, False
+        return own, -1, False  # entering variable flips to its other bound
 
     tie = row_min + 1e-11 * (1.0 + row_min)
     candidates = np.nonzero(limits <= tie)[0]
@@ -555,10 +555,10 @@ def reference_ratio_test(x, w, basis, lo, hi, enter, direction, bland):
         pos = min(candidates, key=lambda i: basis[i])
     else:
         pos = max(candidates, key=lambda i: (abs(w[i]), -basis[i]))
-    return row_min, pos, targets[pos]
+    return row_min, pos, to_upper[pos]
 
 
-def reference_drive_out_artificials(A, lo, hi, basis, stat, n_real):
+def reference_drive_out_artificials(A, basis, side, free, n_real):
     for pos in range(basis.size):
         if basis[pos] < n_real:
             continue
@@ -572,27 +572,28 @@ def reference_drive_out_artificials(A, lo, hi, basis, stat, n_real):
         row = g @ A[:, :n_real]
         best, best_mag = -1, _PIVOT_TOL
         for j in range(n_real):
-            if stat[j] == _BASIC or hi[j] - lo[j] <= 0.0:
+            if side[j] == 0.0 and not free[j]:  # basic or fixed
                 continue
             if abs(row[j]) > best_mag:
                 best, best_mag = j, abs(row[j])
         if best >= 0:
-            stat[best] = _BASIC
-            stat[basis[pos]] = _AT_LOWER
+            side[basis[pos]] = 1.0  # the artificial leaves at its lower bound
+            side[best], free[best] = 0.0, False
             basis[pos] = best
 
 
-def reference_bound_flipping_ratio_test(reduced, alpha, stat, lo, hi, slope, opt_tol, feas_tol):
+def reference_bound_flipping_ratio_test(reduced, alpha, side, free, lo, hi, slope, opt_tol,
+                                        feas_tol):
     candidates = []
     for j in range(alpha.size):
-        if stat[j] == _BASIC or hi[j] - lo[j] <= 0.0:
-            continue
-        if stat[j] == _AT_LOWER:
-            blocks = alpha[j] > _PIVOT_TOL
-        elif stat[j] == _AT_UPPER:
-            blocks = alpha[j] < -_PIVOT_TOL
-        else:  # free at zero: either sign blocks
+        if free[j]:  # free at zero: either sign blocks
             blocks = abs(alpha[j]) > _PIVOT_TOL
+        elif side[j] > 0:
+            blocks = alpha[j] > _PIVOT_TOL
+        elif side[j] < 0:
+            blocks = alpha[j] < -_PIVOT_TOL
+        else:  # basic or fixed
+            continue
         if blocks:
             candidates.append(j)
     left, passed = candidates, []
@@ -617,7 +618,8 @@ ROOMS = (-1e-9, -0.0, 0.0, 1e-12, 0.5, 1.0, 2.0)
 
 
 def random_simplex_state(rng):
-    """Bounds, statuses, a basis and a consistent point for a random column set.
+    """Bounds, parking (side and free mask), a basis and a consistent point for
+    a random column set.
 
     Columns are nonnegative, boxed, fixed, free or bounded above only; each
     nonbasic column sits at one of its finite bounds, or at zero when free.
@@ -627,12 +629,14 @@ def random_simplex_state(rng):
     kinds = rng.integers(0, 5, size=n)  # indexes the bound pairs below
     lo = np.array([0.0, -1.0, 0.5, -math.inf, -math.inf])[kinds]
     hi = np.array([math.inf, 2.0, 0.5, math.inf, 3.0])[kinds]
-    stat = np.where(np.isfinite(lo), _AT_LOWER, np.where(np.isfinite(hi), _AT_UPPER, _AT_ZERO))
-    stat = stat.astype(np.int8)
-    stat[(kinds == 1) & (rng.random(n) < 0.5)] = _AT_UPPER
+    side = np.where(np.isfinite(lo), 1.0, np.where(np.isfinite(hi), -1.0, 0.0))
+    side[(kinds == 1) & (rng.random(n) < 0.5)] = -1.0
     basis = rng.permutation(n)[:m]
-    stat[basis] = _BASIC
-    x = np.where(stat == _AT_LOWER, lo, np.where(stat == _AT_UPPER, hi, 0.0))
+    x = np.where(side > 0.0, lo, np.where(side < 0.0, hi, 0.0))
+    free = side == 0.0
+    free[basis] = False
+    side[hi - lo <= 0.0] = 0.0
+    side[basis] = 0.0
     for k in basis:  # a basic value at a drawn distance inside one of its bounds
         room = rng.choice(ROOMS)
         if math.isfinite(lo[k]) and (not math.isfinite(hi[k]) or rng.random() < 0.5):
@@ -641,7 +645,7 @@ def random_simplex_state(rng):
             x[k] = hi[k] - room
         else:
             x[k] = rng.choice(REDUCED)
-    return lo, hi, stat, basis, x
+    return lo, hi, side, free, basis, x
 
 
 class TestVectorizedKernelsMatchScans:
@@ -650,10 +654,10 @@ class TestVectorizedKernelsMatchScans:
         rng = np.random.default_rng(11)
         entered = 0
         for trial in range(3000):
-            lo, hi, stat, _, _ = random_simplex_state(rng)
+            lo, hi, side, free, _, _ = random_simplex_state(rng)
             reduced = rng.choice(REDUCED, size=lo.size)
-            want = reference_choose_entering(reduced, stat, lo, hi, OPT_TOL, bland)
-            got = lp_module._choose_entering(reduced, stat, hi - lo <= 0.0, OPT_TOL, bland)
+            want = reference_choose_entering(reduced, side, free, OPT_TOL, bland)
+            got = lp_module._choose_entering(reduced, side, free, OPT_TOL, bland)
             assert got == want, trial
             entered += want[0] is not None
         assert 500 < entered < 2900  # both outcomes are well exercised
@@ -663,8 +667,8 @@ class TestVectorizedKernelsMatchScans:
         rng = np.random.default_rng(12)
         flips = blocked = unbounded = 0
         for trial in range(4000):
-            lo, hi, stat, basis, x = random_simplex_state(rng)
-            nonbasic = np.flatnonzero(stat != _BASIC)
+            lo, hi, side, free, basis, x = random_simplex_state(rng)
+            nonbasic = np.setdiff1d(np.arange(lo.size), basis)
             enter = int(rng.choice(nonbasic))
             direction = int(rng.choice([-1, 1]))
             w = rng.choice(PIVOTS, size=basis.size)
@@ -681,25 +685,22 @@ class TestVectorizedKernelsMatchScans:
         assert min(flips, blocked, unbounded) > 200
 
     def test_bound_flipping_ratio_test(self):
-        # The dual simplex passes each column's status as a sign (+1 at a
+        # The dual simplex passes each column's parking as a sign (+1 at a
         # lower bound, -1 at an upper one, 0 if basic or fixed) and the free
-        # columns at zero as a list.
+        # columns at zero as a mask.
         rng = np.random.default_rng(14)
         opts = SolverOptions(opt_tol=OPT_TOL)
         entered = flipped = rays = 0
         for trial in range(3000):
-            lo, hi, stat, _, _ = random_simplex_state(rng)
+            lo, hi, side, free, _, _ = random_simplex_state(rng)
             reduced = rng.choice(REDUCED, size=lo.size)
             if trial % 2:  # dual feasible, as in the dual simplex
-                reduced = np.where(stat == _AT_UPPER, -1.0, 1.0) * np.abs(reduced)
+                reduced = np.where(side < 0.0, -1.0, 1.0) * np.abs(reduced)
             alpha = rng.choice(PIVOTS, size=lo.size)
             slope = float(rng.choice([1e-12, 0.5, 2.0, 8.0, 32.0, 128.0]))
             want = reference_bound_flipping_ratio_test(
-                reduced, alpha, stat, lo, hi, slope, opts.opt_tol, opts.feas_tol
+                reduced, alpha, side, free, lo, hi, slope, opts.opt_tol, opts.feas_tol
             )
-            side = np.where(stat == _AT_LOWER, 1.0, np.where(stat == _AT_UPPER, -1.0, 0.0))
-            side[hi - lo <= 0.0] = 0.0
-            free = np.flatnonzero(stat == _AT_ZERO)
             q, flips = lp_module._bound_flipping_ratio_test(
                 reduced, alpha, side, free, hi - lo, slope, opts
             )
@@ -713,33 +714,112 @@ class TestVectorizedKernelsMatchScans:
         rng = np.random.default_rng(13)
         swaps = 0
         for trial in range(1500):
-            lo, hi, stat, _, _ = random_simplex_state(rng)
+            lo, hi, _, _, _, _ = random_simplex_state(rng)
             n_real = lo.size
             m = int(rng.integers(1, 6))
             A = np.hstack([rng.integers(-2, 3, size=(m, n_real)).astype(float), np.eye(m)])
             lo1 = np.concatenate([lo, np.zeros(m)])
             hi1 = np.concatenate([hi, np.full(m, math.inf)])
             # Artificials basic in some rows, real columns in the others.
-            basis = np.arange(n_real, n_real + m)
-            stat1 = np.concatenate([stat, np.full(m, _BASIC, dtype=np.int8)])
-            stat1[:n_real] = np.where(stat == _BASIC, _AT_LOWER, stat)
+            state = lp_module._Basis(A, np.zeros(m), lo1, hi1, np.arange(n_real, n_real + m),
+                                     lp_module._park(lo1, hi1))
             for pos in np.flatnonzero(rng.random(m) < 0.4):
                 j = int(rng.integers(0, n_real))
-                if stat1[j] != _BASIC:
-                    stat1[basis[pos]] = _AT_LOWER
-                    stat1[j] = _BASIC
-                    basis[pos] = j
-            want_basis, want_stat = basis.copy(), stat1.copy()
-            reference_drive_out_artificials(A, lo1, hi1, want_basis, want_stat, n_real)
-            lp_module._drive_out_artificials(A, lo1, hi1, basis, stat1, n_real)
-            assert np.array_equal(basis, want_basis), trial
-            assert np.array_equal(stat1, want_stat), trial
+                if j not in state.cols:
+                    state.exchange(pos, j, None, False)
+            want_basis, want_side, want_free = (state.cols.copy(), state.side.copy(),
+                                                state.free.copy())
+            reference_drive_out_artificials(A, want_basis, want_side, want_free, n_real)
+            lp_module._drive_out_artificials(state, n_real)
+            assert np.array_equal(state.cols, want_basis), trial
+            assert np.array_equal(state.side, want_side), trial
+            assert np.array_equal(state.free, want_free), trial
             swaps += int(np.sum(want_basis < n_real))
         assert swaps > 1000
 
-    def test_initial_status(self):
+    def test_parking(self):
+        # A column parks at its finite lower bound, else its finite upper
+        # bound, else zero; the dual start parks a column of nonzero cost at
+        # the bound its cost favours.  In a basis, basic and fixed columns get
+        # side 0 and only a nonbasic free column is marked free.
         lo = np.array([0.0, -1.0, -math.inf, -math.inf, 0.5])
         hi = np.array([math.inf, 2.0, 3.0, math.inf, 0.5])
-        stat = lp_module._initial_status(lo, hi)
-        assert stat.dtype == np.int8
-        assert stat.tolist() == [_AT_LOWER, _AT_LOWER, _AT_UPPER, _AT_ZERO, _AT_LOWER]
+        side, point = lp_module._park(lo, hi)
+        assert side.tolist() == [1.0, 1.0, -1.0, 0.0, 1.0]
+        assert point.tolist() == [0.0, -1.0, 3.0, 0.0, 0.5]
+        side, point = lp_module._park(lo, hi, np.array([0.0, -2.0, -1.0, 0.0, 1.0]))
+        assert side.tolist() == [1.0, -1.0, -1.0, 0.0, 1.0]
+        assert point.tolist() == [0.0, 2.0, 3.0, 0.0, 0.5]
+        state = lp_module._Basis(np.zeros((1, 5)), np.zeros(1), lo, hi, np.array([1]),
+                                 (side, point))
+        assert state.side.tolist() == [1.0, 0.0, -1.0, 0.0, 0.0]
+        assert state.free.tolist() == [False, False, False, True, False]
+        assert state.xn.tolist() == [0.0, 0.0, 3.0, 0.0, 0.5]
+
+
+class TestKernelInvariant:
+    def test_kept_point_follows_the_parking_after_every_pivot(self, monkeypatch):
+        # After every bound flip and basis change, the kept nonbasic point is
+        # the one the parking describes: a column at the bound its side names,
+        # a fixed nonbasic column at its value, basic and free columns at
+        # zero.  A kept right-hand side is b - A xn, bit for bit.
+        moves, runs = collections.Counter(), []
+
+        def checked(name):
+            move = getattr(lp_module._Basis, name)
+
+            def call(state, *args):
+                move(state, *args)
+                basic = np.zeros(state.xn.size, dtype=bool)
+                basic[state.cols] = True
+                want = np.where(state.side > 0.0, state.lo,
+                                np.where(state.side < 0.0, state.hi, 0.0))
+                want[state.fixed & ~basic] = state.lo[state.fixed & ~basic]
+                assert np.array_equal(state.xn, want)
+                assert not (state.side[basic | state.fixed]).any()
+                assert np.array_equal(state.free, ~basic & np.isinf(state.lo) & np.isinf(state.hi))
+                if state.rhs is not None:
+                    assert state.rhs.tobytes() == (state.b - state.A @ state.xn).tobytes()
+                moves[runs[-1], name, state.fresh] += 1
+            return call
+
+        def labelled(solve, label):
+            def call(*args, **kwargs):
+                runs.append(label(kwargs))
+                return solve(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(lp_module._Basis, "flip", checked("flip"))
+        monkeypatch.setattr(lp_module._Basis, "exchange", checked("exchange"))
+        monkeypatch.setattr(lp_module, "_run_simplex", labelled(
+            lp_module._run_simplex, lambda kw: "phase 1" if "phase1_floor" in kw else "phase 2"))
+        monkeypatch.setattr(lp_module, "_dual_simplex", labelled(
+            lp_module._dual_simplex, lambda kw: "dual"))
+        rng = np.random.default_rng(24)
+        lps = [random_dense_lp(rng) for _ in range(20)]
+        for lp in lps:
+            solve_lp(lp)
+        for seed in range(6):
+            for lp in face_lps(random_instance(seed)):
+                solve_lp(lp)
+        monkeypatch.setattr(lp_module, "_ILL_CONDITIONED", 0.0)
+        for lp in lps:
+            solve_lp(lp)
+        for run in ("phase 1", "phase 2"):
+            for name in ("flip", "exchange"):
+                assert moves[run, name, False] > 0 and moves[run, name, True] > 0, moves
+        assert moves["dual", "flip", False] > 0 and moves["dual", "exchange", False] > 0, moves
+
+    def test_right_hand_side_is_kept_until_the_bits_of_the_point_change(self):
+        # Column 0 enters from +0.0 and column 2 leaves to +0.0: the point
+        # keeps its bits and the right-hand side is kept.  Column 1 then
+        # enters from -0.0, which counts as a change.
+        lo, hi = np.array([0.0, -0.0, 0.0]), np.array([1.0, 1.0, math.inf])
+        state = lp_module._Basis(np.ones((1, 3)), np.ones(1), lo, hi, np.array([2]),
+                                 lp_module._park(lo, hi))
+        state.solve(np.zeros(3))
+        kept = state.rhs
+        state.exchange(0, 0, state.column(0), False)
+        assert state.rhs is kept
+        state.exchange(0, 1, state.column(1), False)
+        assert state.rhs is None
