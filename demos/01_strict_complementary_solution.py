@@ -26,9 +26,10 @@ problem = LFPProblem(
     beta=5.0,
 )
 
-# Route 1: pin the optimal value first, then one interior LP per optimal face.
+# Route 1: pin the optimal value first, then one interior LP over the primal
+# optimal face; the dual point comes from that LP's row duals.
 solution = approach_one(problem)
-print("route 1 (two LPs after the stage-1 solve)")
+print("route 1 (one LP after the stage-1 solve)")
 print("  optimal value :", solution.theta_star)
 print("  x =", solution.primal.x, "  u =", solution.primal.u)
 print("  y =", solution.dual.y, "  z =", solution.dual.z, "  v =", solution.dual.v)

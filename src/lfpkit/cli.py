@@ -29,7 +29,7 @@ from .complementarity import (
     verify_csc,
     verify_scsc,
 )
-from .duality import solve_theta_star
+from .duality import _stage1
 from .errors import (
     DegenerateNormalizer,
     DegenerateT,
@@ -194,9 +194,10 @@ def _solve(args, doc: dict) -> int:
     partitions = []
     if args.approach in ("one", "both"):
         started = time.perf_counter()
-        doc["theta_star"] = solve_theta_star(problem)
+        stage1 = _stage1(problem)
+        doc["theta_star"] = stage1.objective
         doc["timings"]["stage1"] = time.perf_counter() - started
-        _, partition = _run_approach(approach_one, problem, doc, "one", theta_star=doc["theta_star"])
+        _, partition = _run_approach(approach_one, problem, doc, "one", stage1=stage1)
         partitions.append(partition)
     if args.approach in ("two", "both"):
         solution, partition = _run_approach(approach_two, problem, doc, "two")

@@ -21,8 +21,11 @@ Both routes solve the LPs these builders return at `SolverOptions`' default
 tolerances:
 
 * `approach_one` pins the optimal value theta_star first (one stage-1 solve),
-  then solves one support-maximizing LP per face, two LPs in total.  Prefer
-  it when only the primal or only the dual half is needed.
+  then solves the primal face's support-maximizing LP, two LPs in total.  The
+  dual face's relative interior point comes from the row duals of those two
+  LPs (the Goldman-Tucker alternative), so its own LP is not solved;
+  `build_dual_interior_lp` and `recover_dual_interior` remain as an
+  independent way to the same supports.
 * `approach_two` couples both faces through the optimality row
   c.xbar + alpha t - z = 0 and solves a single, larger LP; no prior
   theta_star is needed and the optimal value falls out as the recovered z.
@@ -35,7 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import TransformedPoint, build_dual_lp, build_transformed_lp, charnes_cooper_inverse, solve_theta_star
+from .duality import (
+    TransformedPoint,
+    _stage1,
+    build_dual_lp,
+    build_transformed_lp,
+    charnes_cooper_inverse,
+    solve_theta_star,
+)
 from .errors import DegenerateNormalizer, EmptyPolyhedron, NumericalWarning, PartitionViolation
 from .interior import (
     DEFAULT_POS_TOL,
@@ -255,18 +265,39 @@ def recover_dual_interior(
     return DualPoint(y, z, v)
 
 
-def approach_one(problem: LFPProblem, theta_star: float | None = None) -> StrictComplementarySolution:
-    """Two-LP route: pin theta_star, then one interior LP per optimal face.
+def approach_one(problem: LFPProblem, stage1: LPOutcome | None = None) -> StrictComplementarySolution:
+    """Stage 1, then one support-maximizing LP over the primal optimal face.
 
-    Pass `theta_star` to reuse a stage-1 value already computed; otherwise it
-    is solved here first.
+    Pass `stage1`, the outcome of `solve_lp(build_transformed_lp(problem))`,
+    to reuse a stage-1 solve already made; otherwise it is solved here first.
+
+    The dual point comes from the row duals (yA, yd, yc) of the face LP on
+    its A, d and value rows, and the stage-1 duals y0 on its A rows.  At the
+    face LP's optimum s = F'(yA, yd, yc) is 0 on the primal support and >= 1
+    off it (Freund, Roundy & Todd 1985), and s_w = yd + theta_star yc, the
+    reduced cost of the positive scaling weight, is 0.  Then, for any
+    kappa > max(0, yc),
+
+        y = (kappa y0 + yA) / (kappa - yc),  z = theta_star,  v = A'y + theta_star d - c
+
+    is dual optimal and strictly complementary to the primal point: v is
+    (kappa v0 + s_x) / (kappa - yc) and y is positive wherever u is zero.
+    Raises DegenerateNormalizer when s_w is not 0.
     """
-    if theta_star is None:
-        theta_star = solve_theta_star(problem)
+    stage1 = _stage1(problem, stage1)
+    theta_star = stage1.objective
     out = _solve_maximal_element_lp(build_primal_interior_lp(problem, theta_star), "primal face")
     transformed = recover_primal_interior(problem, out)
-    out = _solve_maximal_element_lp(build_dual_interior_lp(problem, theta_star), "dual face")
-    dual = recover_dual_interior(problem, out)
+    m, tol = problem.num_rows, SolverOptions.feas_tol
+    yA, (yd, yc) = out.duals[:m], out.duals[m:]
+    s_w = yd + theta_star * yc
+    if abs(s_w) > tol * (1.0 + abs(yd) + abs(theta_star * yc)):
+        raise DegenerateNormalizer(
+            f"s_w = yd + theta_star * yc = {s_w:.3e} on the primal face LP's row duals "
+            "is not 0, so they give no dual optimal point"
+        )
+    kappa = max(0.0, yc) + 1.0
+    dual = DualPoint.from_yz(problem, (kappa * stage1.duals[:m] + yA) / (kappa - yc), theta_star)
     primal = charnes_cooper_inverse(transformed)
     return StrictComplementarySolution(primal, transformed.t, dual, theta_star)
 

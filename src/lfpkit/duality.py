@@ -30,7 +30,7 @@ from .errors import (
     NonpositiveDenominator,
     UnboundedObjective,
 )
-from .lp import LinearProgram, Sense, SolveStatus, SolverOptions, _frozen, solve_lp
+from .lp import LinearProgram, LPOutcome, Sense, SolveStatus, SolverOptions, _frozen, solve_lp
 from .problem import LFPProblem, PrimalPoint
 
 __all__ = [
@@ -116,7 +116,14 @@ def solve_theta_star(problem: LFPProblem) -> float:
     scaled region is empty, which covers both an empty constraint region and a
     denominator that is nonpositive throughout it.
     """
-    out = solve_lp(build_transformed_lp(problem))
+    return float(_stage1(problem).objective)
+
+
+def _stage1(problem: LFPProblem, out: LPOutcome | None = None) -> LPOutcome:
+    """The stage-1 outcome `out`, solved here if not given, once it is known to be
+    OPTIMAL; raises as `solve_theta_star` does on any other verdict."""
+    if out is None:
+        out = solve_lp(build_transformed_lp(problem))
     if out.status is SolveStatus.INFEASIBLE:
         raise InfeasibleRegion(
             "no feasible point with a positive denominator; the region is empty "
@@ -126,4 +133,4 @@ def solve_theta_star(problem: LFPProblem) -> float:
         raise UnboundedObjective("the ratio objective grows without bound")
     if out.status is SolveStatus.ITERATION_LIMIT:
         raise IterationLimitError(f"the stage-1 solve stopped early: {out.detail}")
-    return float(out.objective)
+    return out

@@ -190,7 +190,12 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class LPOutcome:
-    """Solver verdict; `point` and `objective` are present iff OPTIMAL.
+    """Solver verdict; `point`, `objective` and `duals` are present iff OPTIMAL.
+
+    `duals` holds one entry per row, the `A_ub` rows first and then the
+    `A_eq` rows, in the program's own sense: the rate at which the optimal
+    objective changes per unit of that row's right-hand side.  They come
+    from the final basis, with the reduced costs that made the verdict.
 
     `detail` says why an ITERATION_LIMIT solve stopped: "iteration cap of N
     reached", "singular basis after k pivots", or (a numerical breakdown, as
@@ -205,6 +210,7 @@ class LPOutcome:
     point: np.ndarray | None = None
     objective: float | None = None
     detail: str | None = None
+    duals: np.ndarray | None = None
 
     @property
     def is_optimal(self) -> bool:
@@ -244,7 +250,8 @@ class _Basis:
     `cols` lists the basic columns in row order; `side`, `free` and `xn` are
     the module docstring's, taken over from `parked` (a `_park` result), and
     `fixed` marks lo = hi.  Without `fresh` it keeps B^-1 in `Binv`, with
-    `updates` rank-one updates since its inversion.
+    `updates` rank-one updates since its inversion.  `y` holds the row
+    duals of the last `solve`.
     """
 
     def __init__(self, A, b, lo, hi, cols, parked, fresh=False):
@@ -255,7 +262,7 @@ class _Basis:
         self.free[cols] = False
         self.side[self.fixed] = 0.0
         self.side[cols] = self.xn[cols] = 0.0
-        self.Binv, self.updates, self.rhs = None, 0, None
+        self.Binv, self.updates, self.rhs, self.y = None, 0, None, None
 
     def point(self, xb):
         """The whole point: `xn` with the basic values `xb` filled in."""
@@ -281,6 +288,7 @@ class _Basis:
                 xb, y = self.Binv @ self.rhs, cost[self.cols] @ self.Binv
         except np.linalg.LinAlgError:
             return None
+        self.y = y
         return xb, cost - self.A.T @ y
 
     def column(self, q):
@@ -642,7 +650,7 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
         basis = _artificial_basis(A, b, lo, hi, np.ones(m), 0.0, dual_cost)
         verdict, x, _, _ = _dual_simplex(basis, dual_cost, opts, 50 * (m + n))
         if verdict == "optimal":
-            outcome = LPOutcome(SolveStatus.OPTIMAL, x)
+            outcome = LPOutcome(SolveStatus.OPTIMAL, x, duals=basis.y)
     if outcome is None:
         outcome = _two_phase(A, b, lo, hi, cost, n, opts, fresh)
     if outcome is None:
@@ -650,12 +658,15 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     if not outcome.is_optimal:
         return outcome
     point = _frozen(outcome.point[:n])
-    return LPOutcome(SolveStatus.OPTIMAL, point, float(lp.objective @ point))
+    # The solver minimizes `cost`, so a maximized objective's duals change sign.
+    duals = _frozen(outcome.duals if lp.sense is Sense.MINIMIZE else -outcome.duals)
+    return LPOutcome(SolveStatus.OPTIMAL, point, float(lp.objective @ point), duals=duals)
 
 
 def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
     """The outcome of both phases on the standard form, with the whole point
-    if OPTIMAL; None where the kept inverse met a singular basis.
+    and the minimization's row duals if OPTIMAL; None where the kept inverse
+    met a singular basis.
 
     Where every row is an inequality and the residual b - A x at the parking
     point x (`_park`) is >= 0, each slack absorbs its row's residual within
@@ -697,4 +708,4 @@ def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
         return LPOutcome(SolveStatus.UNBOUNDED)
     if verdict != "optimal":
         return _stopped(verdict, used + more, iter_budget)
-    return LPOutcome(SolveStatus.OPTIMAL, x)
+    return LPOutcome(SolveStatus.OPTIMAL, x, duals=basis.y)

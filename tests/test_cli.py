@@ -188,16 +188,14 @@ class TestFlags:
         assert sorted(vars(args)) == ["approach", "format", "input", "validate_denominator"]
 
     def test_numerical_failure_exits_five(self, golden_file, capsys, monkeypatch):
-        from lfpkit import IterationLimitError
-        import lfpkit.cli as cli_module
+        from lfpkit import LPOutcome, SolveStatus, duality
 
-        def explode(problem):
-            raise IterationLimitError("forced for the exit-code contract")
-
-        monkeypatch.setattr(cli_module, "solve_theta_star", explode)
+        stopped = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="forced for the exit-code contract")
+        monkeypatch.setattr(duality, "solve_lp", lambda lp: stopped)
         code, out, _ = run_cli(capsys, "--input", golden_file)
         assert code == 5
         assert "status: numerical_failure" in out
+        assert "the stage-1 solve stopped early: forced for the exit-code contract" in out
 
     def test_stdout_carries_report_only(self, golden_file, capsys):
         code, out, err = run_cli(capsys, "--input", golden_file)

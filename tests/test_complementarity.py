@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lfpkit.duality as duality_module
 import lfpkit.interior as interior_module
 from lfpkit import (
     DegenerateNormalizer,
@@ -21,6 +22,7 @@ from lfpkit import (
     build_dual_interior_lp,
     build_joint_lp,
     build_primal_interior_lp,
+    build_transformed_lp,
     dual_optimal_face,
     evaluate_objective,
     optimal_partitions,
@@ -267,10 +269,43 @@ class TestApproachOne:
         assert sol.primal.x[0] == pytest.approx(1.0, abs=1e-9)
         assert as_sets(optimal_partitions(sol)) == ({1}, set(), set(), {1})
 
-    def test_accepts_precomputed_theta(self, golden):
-        theta = solve_theta_star(golden)
-        sol = approach_one(golden, theta_star=theta)
-        assert sol.theta_star == theta
+    def test_dual_point_is_interior_on_a_dual_optimal_edge(self):
+        # max x over {x <= 1, x <= 1}: both rows are tight at the optimum, so
+        # the dual optimal face is the edge y1 + y2 = 1, y >= 0.  Stage 1's
+        # dual vertex has a zero y_i; the strictly complementary dual needs both
+        # positive, which the primal face LP's row duals supply.
+        problem = LFPProblem(A=[[1.0], [1.0]], b=[1.0, 1.0], c=[1.0], d=[0.0], alpha=0.0, beta=1.0)
+        stage1 = solve_lp(build_transformed_lp(problem))
+        assert (stage1.duals[:2] <= 1e-9).any()
+        sol = approach_one(problem, stage1=stage1)
+        assert sol.dual.y.sum() == pytest.approx(1.0, abs=1e-9)
+        assert as_sets(optimal_partitions(sol)) == ({1}, set(), set(), {1, 2})
+
+    def test_reuses_a_precomputed_stage1_outcome(self, golden, monkeypatch):
+        stage1 = solve_lp(build_transformed_lp(golden))
+        monkeypatch.setattr(duality_module, "solve_lp", None)  # no second stage-1 solve
+        sol = approach_one(golden, stage1=stage1)
+        assert sol.theta_star == stage1.objective
+        assert as_sets(optimal_partitions(sol)) == GOLDEN_PARTITION
+
+    def test_classifies_a_precomputed_stage1_outcome(self, golden):
+        with pytest.raises(UnboundedObjective):
+            approach_one(golden, stage1=LPOutcome(SolveStatus.UNBOUNDED))
+
+    def test_nonzero_scaling_weight_reduced_cost_is_a_breakdown(self, golden, monkeypatch):
+        # The derived dual point needs s_w = yd + theta_star * yc = 0 on the
+        # primal face LP's row duals.  Shift yd off it.
+        solve = interior_module.solve_lp
+
+        def shifted(lp):
+            out = solve(lp)
+            duals = out.duals.copy()
+            duals[golden.num_rows] += 1e-3
+            return LPOutcome(out.status, out.point, out.objective, duals=duals)
+
+        monkeypatch.setattr(interior_module, "solve_lp", shifted)
+        with pytest.raises(DegenerateNormalizer, match=r"s_w = yd \+ theta_star \* yc = 1\.000e-03"):
+            approach_one(golden)
 
     @pytest.mark.parametrize(
         "outcome, message",
@@ -289,7 +324,7 @@ class TestApproachOne:
     def test_face_solve_failure_names_its_cause(self, golden, monkeypatch, outcome, message):
         monkeypatch.setattr(interior_module, "solve_lp", lambda lp: outcome)
         with pytest.raises(IterationLimitError, match=message):
-            approach_one(golden, theta_star=THETA_GOLDEN)
+            approach_one(golden)
 
 
 class TestApproachTwo:

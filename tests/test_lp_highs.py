@@ -75,6 +75,35 @@ def highs(lp, objective=None, **options):
     return run({**options, "presolve": False}) if result.status == 2 else result
 
 
+def assert_duals_certify(lp, out, tol=1e-7):
+    """`out.duals` is an optimal dual point of `lp`, and `out` carries it iff OPTIMAL.
+
+    Each reduced cost of c - A'duals, over the columns and one slack per A_ub
+    row, must have an optimum's sign at the bound its variable sits at (and
+    be 0 strictly between the bounds), and the dual objective, b.duals plus
+    each reduced cost times the bound it points to, must equal the optimum.
+    """
+    if not out.is_optimal:
+        assert out.duals is None
+        return
+    rows = lp.num_rows
+    assert out.duals.shape == (rows,)
+    A = np.vstack([np.hstack([lp.A_ub, np.eye(lp.b_ub.size)]),
+                   np.hstack([lp.A_eq, np.zeros((lp.b_eq.size, lp.b_ub.size))])])
+    b = np.concatenate([lp.b_ub, lp.b_eq])
+    x = np.concatenate([out.point, lp.b_ub - lp.A_ub @ out.point])
+    lo = np.concatenate([lp.lo, np.zeros(lp.b_ub.size)])
+    hi = np.concatenate([lp.hi, np.full(lp.b_ub.size, np.inf)])
+    cost = np.concatenate([lp.objective, np.zeros(lp.b_ub.size)])
+    # In minimization form a reduced cost is >= 0 at a lower bound and <= 0 at an upper one.
+    reduced = (cost - A.T @ out.duals) * (1.0 if lp.sense is Sense.MINIMIZE else -1.0)
+    assert not (reduced > tol)[x > lo + tol].any(), reduced
+    assert not (reduced < -tol)[x < hi - tol].any(), reduced
+    bound = np.where(reduced > tol, lo, np.where(reduced < -tol, hi, 0.0))
+    dual_objective = b @ out.duals + (cost - A.T @ out.duals) @ bound
+    assert dual_objective == pytest.approx(out.objective, abs=tol * (1.0 + abs(out.objective)))
+
+
 @pytest.mark.parametrize("seed", range(200))
 def test_matches_highs(seed):
     lp = random_mixed_lp(seed)
@@ -84,6 +113,15 @@ def test_matches_highs(seed):
     if out.is_optimal:
         expected = -ref.fun if lp.sense is Sense.MAXIMIZE else ref.fun
         assert out.objective == pytest.approx(expected, abs=1e-6 * (1.0 + abs(expected)))
+    assert_duals_certify(lp, out)
+
+
+def test_iteration_limit_carries_no_duals(monkeypatch):
+    # Every program in the sample that reaches phase 2 stops there at once.
+    monkeypatch.setattr(lp_module, "_run_simplex", lambda *args, **kwargs: ("iteration_limit", None, 0, 0))
+    outcomes = [solve_lp(random_mixed_lp(seed)) for seed in range(20)]
+    assert {out.status for out in outcomes} == {SolveStatus.ITERATION_LIMIT}
+    assert all(out.duals is None for out in outcomes)
 
 
 def test_sample_holds_every_status():
@@ -151,6 +189,7 @@ def test_support_lp_dual_path_matches_highs(seed, monkeypatch):
     tol = SolverOptions().feas_tol
     assert (out.point >= lp.lo - tol).all() and (out.point <= lp.hi + tol).all()
     assert np.abs(lp.A_eq @ out.point).max() <= 1e-7
+    assert_duals_certify(lp, out)
 
 
 def test_support_lp_sample_holds_empty_and_free_cases():
@@ -205,6 +244,7 @@ def test_slack_start_skips_phase_one_and_matches_highs(seed, monkeypatch):
     if out.is_optimal:
         expected = -ref.fun if lp.sense is Sense.MAXIMIZE else ref.fun
         assert out.objective == pytest.approx(expected, abs=1e-6 * (1.0 + abs(expected)))
+    assert_duals_certify(lp, out)
 
 
 def test_slack_start_sample_holds_every_column_kind_and_outcome():

@@ -54,7 +54,7 @@ PARAMETERS = {
     "CscReport": ("primal_inner", "dual_inner", "tol", "ok"),
     "DualPoint": ("y", "z", "v"),
     "LFPProblem": ("A", "b", "c", "d", "alpha", "beta"),
-    "LPOutcome": ("status", "point", "objective", "detail"),
+    "LPOutcome": ("status", "point", "objective", "detail", "duals"),
     "LinearProgram": ("sense", "objective", "A_ub", "b_ub", "A_eq", "b_eq", "lo", "hi"),
     "MaximalElement": ("point", "support"),
     "OptimalPartition": ("sigma_x", "sigma_v", "sigma_u", "sigma_y"),
@@ -64,7 +64,7 @@ PARAMETERS = {
     "SolverOptions": ("feas_tol", "opt_tol"),
     "StrictComplementarySolution": ("primal", "t_star", "dual", "theta_star"),
     "TransformedPoint": ("x_bar", "t", "u_bar"),
-    "approach_one": ("problem", "theta_star"),
+    "approach_one": ("problem", "stage1"),
     "approach_two": ("problem",),
     "build_dual_interior_lp": ("problem", "theta_star"),
     "build_dual_lp": ("problem",),

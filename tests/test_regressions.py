@@ -3,7 +3,8 @@
 Each instance comes from the benchmark's own generator, so it is the same
 bytes the benchmark runs.  A change that mends a fault turns its xfail into a
 plain test.  The support-count check also runs on instances that pass, so
-that it is known to hold where the solver works.
+that it is known to hold where the solver works, and approach one's dual
+point is checked against the dual face's own LP on a whole workload.
 """
 
 import importlib.util
@@ -13,7 +14,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lfpkit import LFPProblem, build_joint_lp, cli, interior, load_problem, solve_lp
+from lfpkit import (
+    LFPProblem,
+    approach_one,
+    build_dual_interior_lp,
+    build_joint_lp,
+    cli,
+    interior,
+    load_problem,
+    recover_dual_interior,
+    solve_lp,
+)
+from lfpkit.interior import DEFAULT_POS_TOL
 
 GENERATE = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
 
@@ -47,20 +59,24 @@ def generated(workload, seed, name, directory):
         ),
         pytest.param("joint-medium", 7, "joint-16-26x26"),
         pytest.param("joint-medium", 45, "joint-35-25x25"),
+        # Both once stopped at a broken dual-face LP, which approach one no longer solves.
+        pytest.param("degenerate-mixed", 5, "scaled-a-03"),
+        pytest.param("degenerate-mixed", 31, "scaled-a-14"),
     ],
-    ids=["zero-d-columns-14", "joint-16-26x26", "joint-35-25x25"],
+    ids=["zero-d-columns-14", "joint-16-26x26", "joint-35-25x25", "s5-scaled-a-03", "s31-scaled-a-14"],
 )
 def test_both_approaches_solve_benchmark_instance(tmp_path, capsys, workload, seed, name):
     path = generated(workload, seed, name, tmp_path)
     assert cli.run(["--input", path, "--approach", "both"]) == 0, capsys.readouterr().out
 
 
-def gt_break(workload, seed, name, objectives, size):
+def gt_break(workload, seed, name, counts, size):
     return pytest.param(
         workload, seed, name,
         marks=pytest.mark.xfail(
             strict=True, raises=AssertionError,
-            reason=f"primal / dual / joint face objectives {objectives} with n + m = {size}, yet exit 0",
+            reason=f"primal face objective / derived dual support + 1 / joint face objective "
+            f"{counts} with n + m = {size}, yet exit 0",
         ),
         id=name,
     )
@@ -73,17 +89,19 @@ def gt_break(workload, seed, name, objectives, size):
         *(pytest.param("batch-small", 1, f"small-{k:03d}", id=f"small-{k:03d}") for k in range(50)),
         gt_break("batch-small", 2, "small-057", "6 / 7 / 23", 11),
         pytest.param("degenerate-mixed", 1, "zero-d-columns-16", id="zero-d-columns-16"),
-        gt_break("degenerate-mixed", 1, "scaled-a-03", "18 / 8.000001 / 17.9996", 17),
-        gt_break("degenerate-mixed", 2, "scaled-a-02", "19 / 10.99998 / 37", 18),
-        gt_break("degenerate-mixed", 2, "scaled-a-17", "21 / 21 / 41", 20),
-        gt_break("degenerate-mixed", 3, "scaled-a-16", "10.99999 / 9.99994 / 39", 19),
+        gt_break("degenerate-mixed", 1, "scaled-a-03", "18 / 9 / 17.9996", 17),
+        gt_break("degenerate-mixed", 2, "scaled-a-02", "19 / 11 / 37", 18),
+        gt_break("degenerate-mixed", 2, "scaled-a-17", "21 / 11 / 41", 20),
+        gt_break("degenerate-mixed", 3, "scaled-a-16", "10.99999 / 10 / 39", 19),
     ],
 )
 def test_support_counts_obey_goldman_tucker(tmp_path, capsys, monkeypatch, request, workload, seed, name):
     # A strictly complementary pair has exactly one positive member in each of
-    # the n + m complementary pairs (Goldman-Tucker).  The primal and dual face
-    # LPs count one capped copy per support coordinate plus one w2 each, so
-    # their optimal objectives sum to n + m + 2; the joint LP's is n + m + 1.
+    # the n + m complementary pairs (Goldman-Tucker).  The primal face LP
+    # counts one capped copy per support coordinate plus one w2, and approach
+    # one's dual point, derived from that LP's row duals, is positive on the
+    # rest: primal objective + |supp y| + |supp v| + 1 = n + m + 2.  The joint
+    # LP's objective is n + m + 1.
     if workload is None:
         golden = request.getfixturevalue("golden")
         doc = {key: getattr(golden, key).tolist() for key in ("A", "b", "c", "d")}
@@ -94,20 +112,44 @@ def test_support_counts_obey_goldman_tucker(tmp_path, capsys, monkeypatch, reque
     problem = load_problem(path)
     size = problem.num_vars + problem.num_rows
 
-    objectives = []
-    solve = interior.solve_lp
+    objectives, solutions = [], []
+    solve, approach_one = interior.solve_lp, cli.approach_one
 
     def recording_solve(lp):
         out = solve(lp)
         objectives.append(out.objective)
         return out
 
+    def recording_approach_one(*args, **kwargs):
+        solutions.append(approach_one(*args, **kwargs))
+        return solutions[-1]
+
     monkeypatch.setattr(interior, "solve_lp", recording_solve)
+    monkeypatch.setattr(cli, "approach_one", recording_approach_one)
     assert cli.run(["--input", str(path), "--approach", "both"]) == 0, capsys.readouterr().out
-    assert len(objectives) == 3  # primal face, dual face, joint face
-    primal, dual, joint = objectives
-    assert primal + dual == pytest.approx(size + 2, abs=1e-6), objectives
-    assert joint == pytest.approx(size + 1, abs=1e-6), objectives
+    assert len(objectives) == 2  # primal face, joint face
+    primal, joint = objectives
+    dual = solutions[0].dual
+    dual_count = sum(int((values > DEFAULT_POS_TOL).sum()) for values in (dual.y, dual.v)) + 1
+    assert primal + dual_count == pytest.approx(size + 2, abs=1e-6), (primal, dual_count, joint)
+    assert joint == pytest.approx(size + 1, abs=1e-6), (primal, dual_count, joint)
+
+
+def test_derived_dual_has_the_dual_face_lp_supports():
+    # approach_one takes its dual point from the primal face LP's row duals.
+    # The dual face's own support-maximizing LP, which it no longer solves,
+    # must find the same supports of y and v on every batch-small instance.
+    def supports(dual):
+        return [np.flatnonzero(values > DEFAULT_POS_TOL).tolist() for values in (dual.y, dual.v)]
+
+    differ = []
+    for name, data in load_generate().instances("batch-small", 1):
+        problem = LFPProblem(**data)
+        solution = approach_one(problem)
+        face = solve_lp(build_dual_interior_lp(problem, solution.theta_star))
+        if supports(solution.dual) != supports(recover_dual_interior(problem, face)):
+            differ.append(name)
+    assert differ == []
 
 
 def test_largest_ladder_joint_lp_solves_under_the_cap():

@@ -36,7 +36,8 @@ dumps made before runs were labelled, whose runs are [verdict, pivots].
 
 `ledger` reads a dump and writes, per workload and seed, the instances, the
 failures by exit code, the simplex runs, the total pivots, those of the face
-LPs and those of each LP (denominator, stage 1, primal, dual and joint face),
+LPs and those of each LP (denominator, stage 1, primal and joint face, and the
+dual face of dumps made while approach one still solved it),
 the runs, basis changes, bound flips and verdicts of each method,
 and how many optimal face LPs ended at a fractional objective; each ladder
 instance gets a pivot-only row with the same per-method counts for each of
@@ -70,7 +71,9 @@ from lfpkit import cli, complementarity, duality, lp, problem  # noqa: E402
 CLI_ARGS = ("--approach", "both", "--validate-denominator")
 
 # The LPs of one `lfp-solve` run, in call order, as `recording` labels them.
-LPS = ("denominator", "stage 1", "primal face", "dual face", "joint face")
+# Dumps of older checkouts also hold "dual face" runs, between the primal and
+# the joint face.
+LPS = ("denominator", "stage 1", "primal face", "joint face")
 
 # A face LP's optimum is an integer (the support count plus one); an optimal
 # objective farther than this from every integer is reported as fractional.
@@ -90,8 +93,7 @@ def recording(runs: list, face_optima: list):
     """Record the simplex runs and optimal face-LP objectives of the calls made inside.
 
     Each run is [lp, method, verdict, basis changes, bound flips]: `lp` names
-    the LP whose `solve_lp` call made it ("denominator", "stage 1", "primal
-    face", "dual face" or "joint face"), and `method` is "primal" for a
+    the LP whose `solve_lp` call made it (one of `LPS`), and `method` is "primal" for a
     `lfpkit.lp._run_simplex` run (one per phase) or "dual" for a
     `lfpkit.lp._dual_simplex` run.  Each optimal face LP adds [lp, objective].
     """
@@ -272,7 +274,7 @@ def ledger(records: list) -> list:
             "pivots": sum(map(_run_pivots, runs)),
             "face_lp_pivots": sum(_run_pivots(run) for run in runs if run[0].endswith(" face")),
             "lp_pivots": {label: sum(_run_pivots(run) for run in runs if run[0] == label)
-                          for label in LPS},
+                          for label in dict.fromkeys([*LPS, *(run[0] for run in runs)])},
             "methods": _tally(runs),
             "fractional_face_optima": sum(abs(value - round(value)) > FRACTIONAL for value in optima),
         })
