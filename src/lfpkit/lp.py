@@ -1,6 +1,7 @@
 """Dense simplex solver for small linear programs: a bounded dual simplex
-for homogeneous programs with a dual-feasible start, two phases of the
-primal simplex for the rest, both on one basis kernel.
+from a start that is dual feasible by construction, and two phases of the
+primal simplex for wide-scale programs and the dual simplex's breakdowns,
+both on one basis kernel.
 
 A `LinearProgram` holds its data as arrays in scipy `linprog`'s layout: an
 inequality block `A_ub x <= b_ub`, an equality block `A_eq x = b_eq` and
@@ -12,18 +13,28 @@ builds its optimal faces from it.  Free variables are kept as single columns
 that may move in either direction; box bounds are handled with bound flips
 in the ratio tests instead of extra rows.
 
-`solve_lp` picks the method from the program's structure.  Where b = 0,
-every lo <= 0 <= hi, and every column can park at a bound its cost favours
-(a finite hi for a cost that improves upwards, a finite lo for one that
-improves downwards, cost 0 on a free column), the all-artificial basis is
-dual feasible and the program is feasible (x = 0) and bounded: every
-support-maximizing LP of `interior` is such a program.  It goes to the
-bounded dual simplex: dual steepest edge picks the leaving row, and a
-bound-flipping ratio test with Harris tolerances picks the entering
-column.  Its OPTIMAL verdict comes from a freshly inverted basis on which
-every basic value lies within its bounds +- feas_tol and no reduced cost
-has the wrong sign by more than opt_tol.  Any other ending is a numerical
-breakdown, and the program is solved again by the primal path.
+`solve_lp` tries the bounded dual simplex first on every program whose
+nonzero constraint coefficients span no more than five orders of magnitude,
+the programs whose bases it keeps an inverse of.  Its start is dual feasible
+by construction: the slack is basic in each inequality row and an
+artificial fixed at [0, 0] in each equality row, so the row duals are 0
+and the reduced costs are the costs, and each column is parked at the bound
+its cost favours.  A column whose cost favours an infinite bound parks at
+an artificial bound instead, 1e6 beyond zero or its other bound, whichever
+lies farther out (artificial bounding, the textbook dual phase 1).  Where b = 0, every lo <= 0 <= hi, and every column can park at a
+finite bound its cost favours (cost 0 on a free column), no artificial
+bound is needed and x = 0 shows the program feasible and bounded: every
+support-maximizing LP of `interior` is such a program, with equality rows
+only, so its start is the all-artificial basis, and it takes the dual path
+however widely its coefficients span.  Dual steepest edge picks the leaving
+row, and a bound-flipping ratio test with Harris tolerances picks the
+entering column.  Its OPTIMAL verdict comes from a freshly inverted basis
+on which every basic value lies within its bounds +- feas_tol and no
+reduced cost has the wrong sign by more than opt_tol, and it counts only
+if no column sits nonbasic at an artificial bound.  Any other ending (a
+dual ray, an active artificial bound, a singular basis, the iteration cap
+or a failed final check) hands the program to the primal path, so the
+INFEASIBLE and UNBOUNDED verdicts come from the primal path alone.
 
 The primal path runs phase 1, which minimizes the total artificial
 infeasibility, then phase 2, which optimizes the real objective from the
@@ -31,11 +42,10 @@ feasible basis phase 1 produced.  Where every row is an inequality and the
 residual b - A x at the parking point x (each column at its finite lower
 bound, else its finite upper bound, else 0) is >= 0, the slack basis is
 feasible: phase 2 starts from it and phase 1 does not run.  Programs with
-an equality row or a negative residual, stage 1 and every face LP among
-them, run phase 1 from the all-artificial basis.  Pivoting uses Dantzig's
-rule with a largest-pivot tie-break, switching to Bland's rule once
-2 * (rows + cols) degenerate steps have accumulated, which guarantees
-termination on highly degenerate systems.  Its OPTIMAL verdict comes from
+an equality row or a negative residual run phase 1 from the all-artificial
+basis.  Pivoting uses Dantzig's rule with a largest-pivot tie-break,
+switching to Bland's rule once 2 * (rows + cols) degenerate steps have
+accumulated, which guarantees termination on highly degenerate systems.  Its OPTIMAL verdict comes from
 pricing on a freshly inverted (or freshly solved) basis; the basic values
 are not checked against their bounds afterwards.  Pricing, the ratio test
 and the drive-out of artificials are numpy mask operations over whole
@@ -61,7 +71,8 @@ inversion that fails, or whose condition number exceeds 1e12, ends the
 attempt.  On the primal path the program is then solved again from the
 start on a kernel that makes three fresh solves with B per pivot instead,
 and that outcome counts; programs whose coefficients span more than five
-orders of magnitude take the primal path with fresh solves from the start.
+orders of magnitude, other than the homogeneous ones above, take the primal
+path with fresh solves from the start.
 """
 
 from __future__ import annotations
@@ -233,6 +244,10 @@ _ILL_CONDITIONED = 1e12
 # too poorly conditioned to update.
 _WIDE_SCALE = 1e5
 
+# The dual simplex's start parks a column whose cost favours an infinite
+# bound at an artificial bound this far out instead.
+_BOX = 1e6
+
 
 def _park(lo, hi, cost=None):
     """(side, point) of every column parked at its finite lower bound (side +1),
@@ -343,17 +358,6 @@ def _update_inverse(Binv, pos, w):
     Binv[pos] = row
 
 
-def _artificial_basis(A, b, lo, hi, signs, cap, cost=None, fresh=False):
-    """The basis of one artificial column per row, signs[i] in row i and
-    bounded by [0, cap], appended to A; the other columns are parked by
-    `_park`, with `cost` (covering the artificials too) if it is given."""
-    m, N = A.shape
-    lo = np.concatenate([lo, np.zeros(m)])
-    hi = np.concatenate([hi, np.full(m, cap)])
-    return _Basis(np.hstack([A, np.diag(signs)]), b, lo, hi, np.arange(N, N + m),
-                  _park(lo, hi, cost), fresh)
-
-
 def _choose_entering(reduced, side, free, opt_tol, bland):
     """Return (column, direction) of the entering variable, or (None, 0).
 
@@ -456,9 +460,11 @@ def _run_simplex(basis, cost, opts, iter_budget, phase1_floor=None):
 
 
 def _dual_start(b, lo, hi, cost):
-    """Whether `_dual_simplex` applies: b = 0, lo <= 0 <= hi, and every column
-    can park at a bound its cost favours (cost < 0 at a finite hi, cost > 0 at
-    a finite lo; a free column therefore has cost 0)."""
+    """Whether the dual start needs no artificial bound and x = 0 is feasible,
+    so that the dual simplex applies however widely the coefficients span:
+    b = 0, lo <= 0 <= hi, and every column can park at a bound its cost
+    favours (cost < 0 at a finite hi, cost > 0 at a finite lo; a free column
+    therefore has cost 0)."""
     return not (
         b.any()
         or (lo > 0.0).any()
@@ -471,10 +477,11 @@ def _dual_start(b, lo, hi, cost):
 def _dual_simplex(basis, cost, opts, iter_budget):
     """Bounded dual simplex from a dual-feasible `basis` that keeps B^-1.
 
-    `solve_lp` hands it the all-artificial basis of a `_dual_start` program:
-    one artificial per row is basic and fixed at [0, 0], and each column is
-    parked at the bound its cost favours (by bounds alone where the cost is
-    zero), which makes the start dual feasible, so no phase 1 is needed.
+    `solve_lp` hands it the start `_dual_attempt` builds: a slack basic in
+    each inequality row and an artificial fixed at [0, 0] in each equality
+    row, every column parked at the bound its cost favours (by bounds alone
+    where the cost is zero), an artificial one where that bound is
+    infinite.  So the start is dual feasible, and no phase 1 is needed.
     Each iteration picks the leaving row by dual steepest edge (infeasibility
     squared over the squared norm of its row of B^-1) and the entering column
     by a bound-flipping ratio test with Harris tolerances: boxed columns whose
@@ -626,14 +633,18 @@ def _standard_form(lp: LinearProgram):
 
 
 def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutcome:
-    """Solve `lp` by the bounded dual simplex where its structure allows, else two-phase.
+    """Solve `lp` by the bounded dual simplex, else by the primal two-phase path.
 
     The returned point covers exactly the variables of `lp`, in their original
-    order; ITERATION_LIMIT outcomes carry no point.  The dual simplex answers
-    OPTIMAL only if a fresh inverse puts every basic value within its bounds
+    order; ITERATION_LIMIT outcomes carry no point.  Every program whose
+    coefficients span no more than `_WIDE_SCALE`, and every `_dual_start`
+    program, takes the dual simplex first.  Its answer counts only if it is
+    OPTIMAL on a fresh inverse that puts every basic value within its bounds
     +- `opts.feas_tol` and every reduced cost on the right side of
-    +- `opts.opt_tol`; any other ending hands the program to the primal
-    two-phase path.  Its OPTIMAL verdict checks the reduced costs alone, so
+    +- `opts.opt_tol`, with no column nonbasic at an artificial bound; any
+    other ending hands the program to the primal two-phase path, which also
+    solves every other program and gives every INFEASIBLE and UNBOUNDED
+    verdict.  The primal OPTIMAL verdict checks the reduced costs alone, so
     its point may lie outside the bounds by more than `opts.feas_tol`.  This
     is where a program is routed to the dual simplex and to fresh solves,
     from the start or after the inverse fails.
@@ -645,12 +656,8 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     coefficients = np.abs(A[A != 0.0])
     fresh = coefficients.size > 0 and coefficients.max() > _WIDE_SCALE * coefficients.min()
     outcome = None
-    if _dual_start(b, lo, hi, cost):
-        dual_cost = np.concatenate([cost, np.zeros(m)])
-        basis = _artificial_basis(A, b, lo, hi, np.ones(m), 0.0, dual_cost)
-        verdict, x, _, _ = _dual_simplex(basis, dual_cost, opts, 50 * (m + n))
-        if verdict == "optimal":
-            outcome = LPOutcome(SolveStatus.OPTIMAL, x, duals=basis.y)
+    if not fresh or _dual_start(b, lo, hi, cost):
+        outcome = _dual_attempt(A, b, lo, hi, cost, n, opts)
     if outcome is None:
         outcome = _two_phase(A, b, lo, hi, cost, n, opts, fresh)
     if outcome is None:
@@ -661,6 +668,35 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     # The solver minimizes `cost`, so a maximized objective's duals change sign.
     duals = _frozen(outcome.duals if lp.sense is Sense.MINIMIZE else -outcome.duals)
     return LPOutcome(SolveStatus.OPTIMAL, point, float(lp.objective @ point), duals=duals)
+
+
+def _dual_attempt(A, b, lo, hi, cost, n, opts):
+    """The dual simplex's OPTIMAL outcome on the standard form, with the
+    whole point and the minimization's row duals; None for any other ending.
+
+    The slack is basic in each inequality row and an artificial fixed at
+    [0, 0] in each equality row.  Every basic column has cost 0, so y = 0,
+    the reduced costs are the costs, and parking each column at the bound
+    its cost favours makes the start dual feasible.  A column whose cost
+    favours an infinite bound gets an artificial one, `_BOX` beyond zero or
+    its other bound, whichever is farther out; an optimum with such a
+    column nonbasic at its artificial bound is not accepted.
+    """
+    m, N = A.shape
+    n_eq = m - (N - n)
+    boxed_hi = (cost < 0.0) & (hi == math.inf)
+    boxed_lo = (cost > 0.0) & (lo == -math.inf)
+    lo, hi = (np.where(boxed_lo, np.minimum(hi, 0.0) - _BOX, lo),
+              np.where(boxed_hi, np.maximum(lo, 0.0) + _BOX, hi))
+    zeros = np.zeros(n_eq)
+    lo, hi, cost = (np.concatenate([v, zeros]) for v in (lo, hi, cost))
+    basis = _Basis(np.hstack([A, np.eye(m)[:, m - n_eq:]]), b, lo, hi, np.arange(n, N + n_eq),
+                   _park(lo, hi, cost))
+    verdict, x, _, _ = _dual_simplex(basis, cost, opts, 50 * (m + n))
+    side = basis.side[:N]
+    if verdict != "optimal" or (boxed_hi & (side < 0.0)).any() or (boxed_lo & (side > 0.0)).any():
+        return None
+    return LPOutcome(SolveStatus.OPTIMAL, x, duals=basis.y)
 
 
 def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
@@ -684,8 +720,10 @@ def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
         used = 0
     else:
         # Phase 1: artificial column per row, signed so artificials start >= 0.
-        basis = _artificial_basis(A, b, lo, hi, np.where(resid >= 0, 1.0, -1.0), math.inf,
-                                  fresh=fresh)
+        signs = np.where(resid >= 0, 1.0, -1.0)
+        lo, hi = np.concatenate([lo, np.zeros(m)]), np.concatenate([hi, np.full(m, math.inf)])
+        basis = _Basis(np.hstack([A, np.diag(signs)]), b, lo, hi, np.arange(N, N + m),
+                       _park(lo, hi), fresh)
         cost1 = np.concatenate([np.zeros(N), np.ones(m)])
         verdict, x, used, _ = _run_simplex(
             basis, cost1, opts, iter_budget, phase1_floor=opts.feas_tol * 1e-3,

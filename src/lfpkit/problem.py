@@ -161,6 +161,31 @@ def _as_number(value, where: str) -> float:
     return num
 
 
+def _as_array(raw, key: str) -> np.ndarray:
+    """`raw`, a list of numbers (or, for A, a list of rows of them), as a float array.
+
+    One pass checks the entry types (exactly int or float, as JSON decodes a
+    number) and finiteness; only where that fails are the entries scanned
+    one by one, so that `_as_number` names the first bad one.
+    """
+    rows = raw if key == "A" else [raw]
+    types = set()
+    for row in rows:
+        types.update(map(type, row))
+    if types <= {int, float}:
+        try:
+            array = np.array(raw, dtype=float)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+        else:
+            if np.isfinite(array).all():
+                return array
+    if key == "A":
+        return np.array([[_as_number(v, f"A[{i}][{j}]") for j, v in enumerate(row)]
+                         for i, row in enumerate(raw)], dtype=float)
+    return np.array([_as_number(v, f"{key}[{i}]") for i, v in enumerate(raw)], dtype=float)
+
+
 def _unique_keys(pairs) -> dict:
     # json.loads would keep the last of a repeated key; a problem document must not repeat one.
     doc = {}
@@ -200,19 +225,19 @@ def parse_problem(text: bytes | str) -> LFPProblem:
     widths = {len(r) for r in raw_A}
     if len(widths) != 1:
         raise DimensionError(f"rows of A have differing lengths: {sorted(widths)}")
-    A = [[_as_number(v, f"A[{i}][{j}]") for j, v in enumerate(row)] for i, row in enumerate(raw_A)]
+    A = _as_array(raw_A, "A")
 
     def vector(key):
         raw = doc[key]
         if not isinstance(raw, list):
             raise ParseError(f"{key} must be a list of numbers")
-        return [_as_number(v, f"{key}[{i}]") for i, v in enumerate(raw)]
+        return _as_array(raw, key)
 
     return LFPProblem(
-        A=np.array(A, dtype=float),
-        b=np.array(vector("b"), dtype=float),
-        c=np.array(vector("c"), dtype=float),
-        d=np.array(vector("d"), dtype=float),
+        A=A,
+        b=vector("b"),
+        c=vector("c"),
+        d=vector("d"),
         alpha=_as_number(doc["alpha"], "alpha"),
         beta=_as_number(doc["beta"], "beta"),
     )

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import lfpkit.lp as lp_module
+from lfpkit import SolveStatus
 from lfpkit.cli import build_parser, format_text, run
 
 GOLDEN_DOC = (
@@ -50,6 +52,37 @@ class TestExitCodes:
         assert code == 2
         assert "status: infeasible" in out
         assert err  # diagnostics on stderr
+
+    @pytest.mark.parametrize("flags", [(), ("--validate-denominator",)],
+                             ids=["stage 1", "denominator"])
+    def test_empty_region_exits_two_through_the_fallback(self, tmp_path, capsys, monkeypatch,
+                                                         flags):
+        # The first LP solved, stage 1 or the denominator LP, meets the empty
+        # region on the dual simplex, which gives no verdict on it: the run
+        # breaks down on a dual ray, and the primal path that takes over
+        # finds the region empty.
+        verdicts, attempts = [], []
+        dual_simplex, two_phase = lp_module._dual_simplex, lp_module._two_phase
+
+        def recorded(*args):
+            result = dual_simplex(*args)
+            verdicts.append(result[0])
+            return result
+
+        def counted(*args, **kwargs):
+            outcome = two_phase(*args, **kwargs)
+            attempts.append(outcome.status)
+            return outcome
+
+        monkeypatch.setattr(lp_module, "_dual_simplex", recorded)
+        monkeypatch.setattr(lp_module, "_two_phase", counted)
+        path = tmp_path / "empty.json"
+        path.write_text(EMPTY_DOC, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "--input", str(path), *flags)
+        assert code == 2
+        assert "status: infeasible" in out
+        assert verdicts == ["dual_ray"]
+        assert attempts == [SolveStatus.INFEASIBLE]
 
     def test_unbounded_exits_three(self, tmp_path, capsys):
         path = tmp_path / "unbounded.json"

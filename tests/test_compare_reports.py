@@ -21,12 +21,11 @@ def test_two_dumps_of_one_checkout_do_not_differ(tmp_path):
     records = json.loads((tmp_path / "a.json").read_text())
     assert [r["name"] for r in records] == [f"small-{k:03d}" for k in range(5)]
     assert all("timings" not in r["report"] for r in records)
-    # One run for the denominator LP (phase 2 from the slack basis, as these
-    # instances have b >= 0), two phases for stage 1, one dual run per face
-    # LP; approach one takes its dual point from the primal face LP's duals.
+    # One dual run per LP: the denominator and stage 1 from the slack start,
+    # each face LP from its all-artificial start; approach one takes its dual
+    # point from the primal face LP's duals.
     assert [[run[:3] for run in r["runs"]] for r in records] == [[
-        ["denominator", "primal", "optimal"],
-        ["stage 1", "primal", "optimal"], ["stage 1", "primal", "optimal"],
+        ["denominator", "dual", "optimal"], ["stage 1", "dual", "optimal"],
         ["primal face", "dual", "optimal"], ["joint face", "dual", "optimal"],
     ]] * 5
     assert all(changes >= 0 and flips >= 0 for r in records for *_, changes, flips in r["runs"])
@@ -154,7 +153,7 @@ def test_ledgers_of_two_dumps_of_one_checkout_are_byte_identical(tmp_path):
     [entry] = json.loads(text)
     assert entry["workload"] == "batch-small" and entry["seed"] == 1
     assert entry["instances"] == 5 and entry["failures"] == {}
-    assert entry["simplex_runs"] >= 5 * 5 and entry["pivots"] > 0
+    assert entry["simplex_runs"] >= 5 * 4 and entry["pivots"] > 0
     assert sum(entry["lp_pivots"].values()) == entry["pivots"]
     # Each denominator LP starts and ends at its slack basis.
     assert entry["lp_pivots"]["denominator"] == 0
@@ -225,7 +224,8 @@ def test_ladder_rows_hold_the_runs_of_each_lp(tmp_path):
     assert sorted(row["lps"]) == ["denominator", "joint face", "primal face", "stage 1"]
     assert set(row["lps"]["joint face"]) == {"dual"}
     assert row["lps"]["joint face"]["dual"]["verdicts"] == {"optimal": 1}
-    assert set(row["lps"]["stage 1"]) == {"primal"}
+    assert set(row["lps"]["stage 1"]) == {"dual"}
+    assert row["lps"]["stage 1"]["dual"]["verdicts"] == {"optimal": 1}
 
 
 def test_diff_reads_unlabelled_runs_of_older_dumps():

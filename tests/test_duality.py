@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lfpkit.duality as duality_module
+import lfpkit.lp as lp_module
 from lfpkit import (
     DegenerateT,
     InfeasibleRegion,
@@ -21,6 +22,8 @@ from lfpkit import (
     solve_lp,
     solve_theta_star,
 )
+
+from helpers import random_instance
 
 GOLDEN_VERTICES = [np.array(v, dtype=float) for v in ((0, 0), (3, 0), (0, 2), (1, 4))]
 
@@ -146,6 +149,23 @@ class TestThetaStar:
         problem = LFPProblem(A=[[1.0]], b=[-1.0], c=[1.0], d=[1.0], alpha=0.0, beta=1.0)
         with pytest.raises(InfeasibleRegion):
             solve_theta_star(problem)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dual_breakdown_falls_back_to_the_same_theta(self, monkeypatch, seed):
+        # Stage 1 takes the dual simplex; where it breaks down, the primal
+        # path solves the same LP again and finds the same optimum.
+        problem = random_instance(seed)
+        expected = solve_theta_star(problem)
+        two_phase, attempts = lp_module._two_phase, []
+
+        def counted(*args, **kwargs):
+            attempts.append(None)
+            return two_phase(*args, **kwargs)
+
+        monkeypatch.setattr(lp_module, "_dual_simplex", lambda *args: ("singular", None, 0, 0))
+        monkeypatch.setattr(lp_module, "_two_phase", counted)
+        assert solve_theta_star(problem) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert len(attempts) == 1
 
 
 class TestCorrespondence:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import lfpkit.lp as lp_module
 from lfpkit import (
+    LFPProblem,
     LinearProgram,
     Sense,
     SolveStatus,
@@ -99,14 +100,22 @@ class TestBasics:
         assert out.objective == pytest.approx(1.0)
 
     def test_iteration_limit_returns_no_point(self, monkeypatch):
-        # The >= row puts x = 0 outside the region, so both phases run; a
-        # budget of one pivot per phase stops phase 2 before it reaches the optimum.
-        run_simplex = lp_module._run_simplex
+        # A dual attempt with no budget stops at once, so the primal path takes
+        # over.  The >= row puts x = 0 outside the region, so both phases run;
+        # a budget of one pivot per phase stops phase 2 before it reaches the
+        # optimum.
+        run_simplex, dual_simplex, verdicts = lp_module._run_simplex, lp_module._dual_simplex, []
 
         def one_pivot(basis, cost, opts, iter_budget, **kwargs):
             return run_simplex(basis, cost, opts, 1, **kwargs)
 
+        def no_budget(basis, cost, opts, iter_budget):
+            result = dual_simplex(basis, cost, opts, 0)
+            verdicts.append(result[0])
+            return result
+
         monkeypatch.setattr(lp_module, "_run_simplex", one_pivot)
+        monkeypatch.setattr(lp_module, "_dual_simplex", no_budget)
         lp = LinearProgram(
             Sense.MAXIMIZE,
             [1.0, 2.0, 3.0],
@@ -114,15 +123,17 @@ class TestBasics:
             b_ub=[1.0, -1.0],
         )
         out = solve_lp(lp)
+        assert verdicts == ["iteration_limit"]
         assert out.status is SolveStatus.ITERATION_LIMIT
         assert out.point is None and out.objective is None
         assert out.detail == f"iteration cap of {50 * (2 + 3)} reached"
 
     def test_default_iteration_cap(self, monkeypatch):
-        # 50 * (rows + cols): two inequality rows and three variables.
-        monkeypatch.setattr(
-            lp_module, "_run_simplex", lambda *args, **kwargs: ("iteration_limit", None, 0, 0)
-        )
+        # 50 * (rows + cols): two inequality rows and three variables.  Both
+        # the dual attempt and the primal path that takes over stop at once.
+        stopped = lambda *args, **kwargs: ("iteration_limit", None, 0, 0)  # noqa: E731
+        monkeypatch.setattr(lp_module, "_dual_simplex", stopped)
+        monkeypatch.setattr(lp_module, "_run_simplex", stopped)
         lp = LinearProgram(
             Sense.MAXIMIZE,
             [1.0, 2.0, 3.0],
@@ -134,15 +145,16 @@ class TestBasics:
         assert out.detail == f"iteration cap of {50 * (2 + 3)} reached"
 
     def test_singular_basis_is_named(self, monkeypatch):
-        # Phase 2, started from the slack basis, takes one pivot.  The second
-        # inversion, the fresh one that must confirm its verdict, fails; so
-        # does the fourth solve of the fresh re-solve that follows, the first
-        # of its second pivot.
+        # The dual attempt's first inversion fails, so the primal path takes
+        # over.  Phase 2, started from the slack basis, takes one pivot.  The
+        # third inversion, the fresh one that must confirm its verdict, fails;
+        # so does the fourth solve of the fresh re-solve that follows, the
+        # first of its second pivot.
         real_inv, real_solve, calls = np.linalg.inv, np.linalg.solve, []
 
         def inv_once_singular(a):
             calls.append("inv")
-            if calls.count("inv") == 2:
+            if calls.count("inv") in (1, 3):
                 raise np.linalg.LinAlgError("Singular matrix")
             return real_inv(a)
 
@@ -161,7 +173,7 @@ class TestBasics:
             b_ub=[1.0, 2.0],
         )
         out = solve_lp(lp)
-        assert calls == ["inv", "inv", "solve", "solve", "solve", "solve"]
+        assert calls == ["inv", "inv", "inv", "solve", "solve", "solve", "solve"]
         assert out.status is SolveStatus.ITERATION_LIMIT
         assert out.point is None and out.objective is None
         assert out.detail == "singular basis after 1 pivots"
@@ -395,7 +407,8 @@ class TestBasisInverse:
 
     def test_ill_conditioned_inverse_hands_over_to_fresh_solves(self, monkeypatch):
         # With every inverse counted as ill-conditioned, the first inversion
-        # ends the attempt and fresh solves reach the same outcome.
+        # of each attempt on a kept inverse ends it, the dual one and then the
+        # primal one, and fresh solves reach the same outcome.
         rng = np.random.default_rng(23)
         lps = [random_dense_lp(rng) for _ in range(12)]
         expected = [solve_lp(lp) for lp in lps]
@@ -410,7 +423,7 @@ class TestBasisInverse:
         for lp, want in zip(lps, expected):
             inversions.clear()
             got = solve_lp(lp)
-            assert len(inversions) == 1
+            assert len(inversions) == 2
             assert got.status is want.status
             if want.is_optimal:
                 assert_allclose(got.objective, want.objective, rtol=1e-9)
@@ -459,20 +472,73 @@ class TestDualPath:
         assert objectives == [pytest.approx(4.0), pytest.approx(2.0), pytest.approx(5.0)]
 
     @pytest.mark.parametrize("which", ["stage 1", "denominator", "unbounded column"])
-    def test_other_programs_take_the_primal_path(self, golden, monkeypatch, which):
-        lp = {
-            "stage 1": build_transformed_lp(golden),
-            "denominator": LinearProgram(Sense.MINIMIZE, golden.d, A_ub=golden.A, b_ub=golden.b),
-            # b = 0 and x = 0 is feasible, but the improving column has no
-            # finite upper bound to park at.
-            "unbounded column": LinearProgram(
-                Sense.MAXIMIZE, [1.0, 0.0], A_eq=[[1.0, -1.0]], b_eq=[0.0], hi=[math.inf, 2.0],
+    def test_other_programs_take_the_dual_path(self, golden, monkeypatch, which):
+        # Each starts from the slack start with artificial bounds: b != 0 in
+        # the first two, and an improving column with no finite upper bound
+        # to park at in the last, whose optimum still leaves it basic.
+        lp, optimum = {
+            "stage 1": (build_transformed_lp(golden), 4.0 / 3.0),
+            "denominator": (
+                LinearProgram(Sense.MINIMIZE, golden.d, A_ub=golden.A, b_ub=golden.b), 0.0
             ),
+            "unbounded column": (LinearProgram(
+                Sense.MAXIMIZE, [1.0, 0.0], A_eq=[[1.0, -1.0]], b_eq=[0.0], hi=[math.inf, 2.0],
+            ), 2.0),
         }[which]
         verdicts = dual_verdicts(monkeypatch)
         out = solve_lp(lp)
-        assert verdicts == []
+        assert verdicts == ["optimal"]
         assert out.is_optimal
+        assert out.objective == pytest.approx(optimum, abs=1e-12)
+
+    @pytest.mark.parametrize("sense, lo, hi, optimum", [
+        (Sense.MAXIMIZE, 5e6, math.inf, 1e7),
+        (Sense.MINIMIZE, -math.inf, -5e6, -1e7),
+    ], ids=["upper", "lower"])
+    def test_artificial_bound_lies_beyond_a_large_finite_bound(self, sense, lo, hi, optimum):
+        # |x| <= 1e7 with x at least 5e6 from zero: the artificial bound is
+        # 1e6 beyond the finite one, not at +-1e6, which would leave the
+        # column an empty interval to park in.  x parks there, inside the
+        # region, so the dual run ends at the artificial bound and the primal
+        # path finds the optimum.
+        out = solve_lp(LinearProgram(sense, [1.0], A_ub=[[1.0], [-1.0]], b_ub=[1e7, 1e7],
+                                     lo=[lo], hi=[hi]))
+        assert out.is_optimal
+        assert out.objective == optimum
+
+    def test_wide_scale_stage_1_takes_the_primal_path(self, golden, monkeypatch):
+        # A row of A times 1e6 spans more than _WIDE_SCALE, so the kernel would
+        # keep no inverse: fresh solves on the primal path, with the optimum
+        # unchanged, as scaling a row leaves the region as it is.
+        scaled = LFPProblem(golden.A * [[1e6], [1.0]], golden.b * [1e6, 1.0], golden.c, golden.d,
+                            golden.alpha, golden.beta)
+        verdicts = dual_verdicts(monkeypatch)
+        out = solve_lp(build_transformed_lp(scaled))
+        assert verdicts == []
+        assert out.objective == pytest.approx(4.0 / 3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("sense, objective, lo", [
+        (Sense.MAXIMIZE, [1.0, 1.0], [0.0, 0.0]),
+        (Sense.MINIMIZE, [1.0, 0.0], [-math.inf, 0.0]),
+    ], ids=["upper", "lower"])
+    def test_optimum_at_an_artificial_bound_falls_back(self, monkeypatch, sense, objective, lo):
+        # x0 - x1 <= 1: the dual start parks x0 at an artificial bound its
+        # cost favours, 1e6 above or below zero, where the slack row is met.
+        # The dual simplex so ends "optimal" with x0 nonbasic at that bound,
+        # which is no optimum of the program; the primal path takes over and
+        # finds the ray.
+        two_phase, attempts = lp_module._two_phase, []
+
+        def counted(*args, **kwargs):
+            attempts.append(None)
+            return two_phase(*args, **kwargs)
+
+        monkeypatch.setattr(lp_module, "_two_phase", counted)
+        verdicts = dual_verdicts(monkeypatch)
+        out = solve_lp(LinearProgram(sense, objective, A_ub=[[1.0, -1.0]], b_ub=[1.0], lo=lo))
+        assert verdicts == ["optimal"]
+        assert len(attempts) == 1
+        assert out.status is SolveStatus.UNBOUNDED
 
     @pytest.mark.parametrize("seed", range(8))
     def test_breakdown_falls_back_to_the_primal_path(self, monkeypatch, seed):

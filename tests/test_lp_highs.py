@@ -117,8 +117,11 @@ def test_matches_highs(seed):
 
 
 def test_iteration_limit_carries_no_duals(monkeypatch):
-    # Every program in the sample that reaches phase 2 stops there at once.
-    monkeypatch.setattr(lp_module, "_run_simplex", lambda *args, **kwargs: ("iteration_limit", None, 0, 0))
+    # Every dual attempt stops at once, and so does every program in the
+    # sample that reaches phase 2 on the primal path that takes over.
+    stopped = lambda *args, **kwargs: ("iteration_limit", None, 0, 0)  # noqa: E731
+    monkeypatch.setattr(lp_module, "_dual_simplex", stopped)
+    monkeypatch.setattr(lp_module, "_run_simplex", stopped)
     outcomes = [solve_lp(random_mixed_lp(seed)) for seed in range(20)]
     assert {out.status for out in outcomes} == {SolveStatus.ITERATION_LIMIT}
     assert all(out.duals is None for out in outcomes)
@@ -227,8 +230,8 @@ def random_slack_start_lp(seed):
     )
 
 
-@pytest.mark.parametrize("seed", range(150))
-def test_slack_start_skips_phase_one_and_matches_highs(seed, monkeypatch):
+def record_phases(monkeypatch):
+    """The phase (1 or 2) of every primal `_run_simplex` run made from here on, in order."""
     phases, run_simplex = [], lp_module._run_simplex
 
     def recorded(*args, **kwargs):
@@ -236,10 +239,44 @@ def test_slack_start_skips_phase_one_and_matches_highs(seed, monkeypatch):
         return run_simplex(*args, **kwargs)
 
     monkeypatch.setattr(lp_module, "_run_simplex", recorded)
+    return phases
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_slack_start_skips_phase_one_and_matches_highs(seed, monkeypatch):
+    # Every dual attempt breaks down at once, so the primal path's own slack
+    # start is the one tested.
+    monkeypatch.setattr(lp_module, "_dual_simplex", lambda *args: ("singular", None, 0, 0))
+    phases = record_phases(monkeypatch)
     lp = random_slack_start_lp(seed)
     out = solve_lp(lp)
     ref = highs(lp)
     assert phases and set(phases) == {2}
+    assert out.status is HIGHS_STATUS[ref.status], ref.message
+    if out.is_optimal:
+        expected = -ref.fun if lp.sense is Sense.MAXIMIZE else ref.fun
+        assert out.objective == pytest.approx(expected, abs=1e-6 * (1.0 + abs(expected)))
+    assert_duals_certify(lp, out)
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_slack_start_program_takes_the_dual_path_and_matches_highs(seed, monkeypatch):
+    # On default routing the dual simplex runs first, from its own slack
+    # start; the primal path takes over only for an unbounded program (or a
+    # breakdown), and then from its slack start too, so no phase 1 runs.
+    phases = record_phases(monkeypatch)
+    verdicts, dual_simplex = [], lp_module._dual_simplex
+
+    def recorded(*args, **kwargs):
+        result = dual_simplex(*args, **kwargs)
+        verdicts.append(result[0])
+        return result
+
+    monkeypatch.setattr(lp_module, "_dual_simplex", recorded)
+    lp = random_slack_start_lp(seed)
+    out = solve_lp(lp)
+    ref = highs(lp)
+    assert len(verdicts) == 1 and 1 not in phases
     assert out.status is HIGHS_STATUS[ref.status], ref.message
     if out.is_optimal:
         expected = -ref.fun if lp.sense is Sense.MAXIMIZE else ref.fun

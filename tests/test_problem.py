@@ -85,17 +85,21 @@ class TestValidateDenominator:
 
     def test_slack_basis_is_optimal_at_once(self, monkeypatch):
         # b >= 0 puts x = 0 in the region, and d >= 0 makes it a minimizer:
-        # phase 2 starts from the slack basis, takes no pivot, and the
-        # minimum is d.0 + beta = beta exactly.  (With b = 0 the LP would
-        # take the dual path instead, so b[0] is positive.)
-        runs, run_simplex = [], lp_module._run_simplex
+        # the dual simplex starts from the slack basis with every column at
+        # its lower bound, takes no basis change, and the minimum is
+        # d.0 + beta = beta exactly.  No primal run follows.
+        runs, dual_simplex = [], lp_module._dual_simplex
 
         def recorded(*args, **kwargs):
-            result = run_simplex(*args, **kwargs)
-            runs.append(result[2])
+            result = dual_simplex(*args, **kwargs)
+            runs.append(result[0::2])
             return result
 
-        monkeypatch.setattr(lp_module, "_run_simplex", recorded)
+        def no_primal_run(*args, **kwargs):
+            raise AssertionError("the primal simplex ran")
+
+        monkeypatch.setattr(lp_module, "_dual_simplex", recorded)
+        monkeypatch.setattr(lp_module, "_run_simplex", no_primal_run)
         rng = np.random.default_rng(5)
         for _ in range(20):
             n, m = (int(k) for k in rng.integers(1, 9, size=2))
@@ -108,7 +112,7 @@ class TestValidateDenominator:
             )
             runs.clear()
             assert validate_denominator(problem) == problem.beta
-            assert runs == [0]
+            assert runs == [("optimal", 0)]
 
     def test_iteration_cap_is_named(self, golden, monkeypatch):
         capped = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="iteration cap of 1 reached")
@@ -213,6 +217,47 @@ class TestParseProblem:
         doc[key] = value
         with pytest.raises(ParseError, match="must be a number"):
             parse_problem(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "changes, error, message",
+        [
+            ({("A", 1, 0): True}, ParseError, "A[1][0] must be a number, got True"),
+            ({("b", 1): None}, ParseError, "b[1] must be a number, got None"),
+            ({("c", 0): [6]}, ParseError, "c[0] must be a number, got [6]"),
+            ({("d", 1): float("nan")}, ValueError, "d[1] must be finite, got nan"),
+            ({("A", 0, 1): -float("inf")}, ValueError, "A[0][1] must be finite, got -inf"),
+            ({("b", 0): 10**400}, ValueError, "b[0] must be finite, got inf"),
+            ({("A", 0, 0): "x", ("A", 1, 1): float("nan")}, ParseError,
+             "A[0][0] must be a number, got 'x'"),
+            ({("A", 1, 1): float("nan"), ("b", 0): "x"}, ValueError,
+             "A[1][1] must be finite, got nan"),
+            ({("c", 1): False, ("d", 0): "x"}, ParseError, "c[1] must be a number, got False"),
+        ],
+        ids=["bool", "null", "list", "nan", "minus-inf", "huge-integer", "first-of-two-in-A",
+             "A-before-b", "c-before-d"],
+    )
+    def test_bad_entry_is_named(self, changes, error, message):
+        # Arrays are checked in one pass; the first bad entry, in the order
+        # A (row by row), b, c, d, is named exactly as an entry-by-entry scan names it.
+        doc = json.loads(GOLDEN_DOC)
+        for (key, *index), value in changes.items():
+            target = doc[key]
+            for i in index[:-1]:
+                target = target[i]
+            target[index[-1]] = value
+        with pytest.raises(error) as raised:
+            parse_problem(json.dumps(doc))
+        assert str(raised.value) == message
+
+    def test_integers_convert_as_float_does(self):
+        values = [2**53 + 1, 2**60 + 1, 2**64 + 12345, -(2**70) - 3, 10**300 + 7]
+        doc = json.loads(GOLDEN_DOC)
+        doc["c"], doc["d"] = values[:2], values[2:4]
+        doc["A"][0][0] = values[4]
+        problem = parse_problem(json.dumps(doc))
+        assert problem.c.tolist() == [float(v) for v in values[:2]]
+        assert problem.d.tolist() == [float(v) for v in values[2:4]]
+        assert problem.A[0, 0] == float(values[4])
 
     def test_ragged_matrix(self):
         doc = json.loads(GOLDEN_DOC)

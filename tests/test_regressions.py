@@ -14,11 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lfpkit.duality as duality_module
+import lfpkit.lp as lp_module
 from lfpkit import (
     LFPProblem,
+    SolveStatus,
     approach_one,
     build_dual_interior_lp,
     build_joint_lp,
+    build_transformed_lp,
     cli,
     interior,
     load_problem,
@@ -160,6 +164,68 @@ def test_largest_ladder_joint_lp_solves_under_the_cap():
     out = solve_lp(build_joint_lp(LFPProblem(**data)))
     assert out.is_optimal, out.detail
     assert out.objective == pytest.approx(181.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("n, m", [(40, 40), (80, 60), (100, 80)])
+def test_ladder_instance_takes_a_short_dual_stage1(tmp_path, capsys, monkeypatch, n, m):
+    # The size ladder's instances, end to end.  Stage 1 runs once on the
+    # dual simplex from its slack start, where two primal phases took 632 /
+    # 2,226 / 3,883 pivots, and its optimum is HiGHS's.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    generate = load_generate()
+    data = generate._random(np.random.default_rng(1), n, m)
+    path = tmp_path / f"{n}x{m}.json"
+    path.write_text(generate.to_json(data))
+    stage1, inside, runs = [], [], []
+    solve, dual_simplex, run_simplex = (duality_module.solve_lp, lp_module._dual_simplex,
+                                        lp_module._run_simplex)
+
+    def labelled(lp):
+        stage1.append(lp)
+        inside.append(lp)
+        try:
+            return solve(lp)
+        finally:
+            inside.pop()
+
+    def recorded(method, simplex):
+        def call(*args, **kwargs):
+            result = simplex(*args, **kwargs)
+            if inside:
+                runs.append((method, result[0], result[2]))
+            return result
+        return call
+
+    monkeypatch.setattr(duality_module, "solve_lp", labelled)
+    monkeypatch.setattr(lp_module, "_dual_simplex", recorded("dual", dual_simplex))
+    monkeypatch.setattr(lp_module, "_run_simplex", recorded("primal", run_simplex))
+    code = cli.run(["--input", str(path), "--approach", "both", "--validate-denominator",
+                    "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["cross_check"]
+    [(method, verdict, changes)] = runs
+    assert (method, verdict) == ("dual", "optimal") and changes <= 20
+    [lp] = stage1
+    ref = linprog(-lp.objective, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
+                  bounds=np.column_stack([lp.lo, lp.hi]), method="highs")
+    assert ref.status == 0
+    assert report["theta_star"] == pytest.approx(-ref.fun, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 31])
+def test_wide_scale_stage1_never_reaches_the_dual_simplex(monkeypatch, seed):
+    # `scaled-a` multiplies A by 1e6 and leaves b as it is, so every stage-1
+    # LP of the family spans more than _WIDE_SCALE and stays on the primal
+    # path with fresh solves, whose arithmetic it has always had.
+    def no_dual(*args):
+        raise AssertionError("a wide-scale stage 1 reached the dual simplex")
+
+    monkeypatch.setattr(lp_module, "_dual_simplex", no_dual)
+    scaled = [data for name, data in load_generate().instances("degenerate-mixed", seed)
+              if name.startswith("scaled-a")]
+    assert len(scaled) == 20
+    statuses = {solve_lp(build_transformed_lp(LFPProblem(**data))).status for data in scaled}
+    assert statuses == {SolveStatus.OPTIMAL}
 
 
 def test_zero_pivot_reinverts_without_numpy_warnings(tmp_path, capsys):
