@@ -28,13 +28,14 @@ support-maximizing LP of `interior` is such a program, with equality rows
 only, so its start is the all-artificial basis, and it takes the dual path
 however widely its coefficients span.  Dual steepest edge picks the leaving
 row, and a bound-flipping ratio test with Harris tolerances picks the
-entering column.  Its OPTIMAL verdict comes from a freshly inverted basis
-on which every basic value lies within its bounds +- feas_tol and no
-reduced cost has the wrong sign by more than opt_tol, and it counts only
-if no column sits nonbasic at an artificial bound.  Any other ending (a
-dual ray, an active artificial bound, a singular basis, the iteration cap
-or a failed final check) hands the program to the primal path, so the
-INFEASIBLE and UNBOUNDED verdicts come from the primal path alone.
+entering column.  Its OPTIMAL verdict reads either its untouched start,
+the identity, or a freshly inverted basis, on which every basic value lies
+within its bounds +- feas_tol and no reduced cost has the wrong sign by
+more than opt_tol, and it counts only if no column sits nonbasic at an
+artificial bound.  Any other ending (a dual ray, an active artificial
+bound, a singular basis, the iteration cap or a failed final check) hands
+the program to the primal path, so the INFEASIBLE and UNBOUNDED verdicts
+come from the primal path alone.
 
 The primal path runs phase 1, which minimizes the total artificial
 infeasibility, then phase 2, which optimizes the real objective from the
@@ -63,16 +64,18 @@ parks every other column at a `side`: +1 at its lower bound, -1 at its
 upper one, 0 if fixed or if `free` and parked at zero.  It keeps the
 parked values in `xn` (the basic columns at 0) and b - A xn, which it
 recomputes only after a move that changes the bits of `xn`.  It also keeps
-an explicit inverse of the basis matrix B, inverted at the start, every 10
-basis changes, before any verdict reached after a change, and after a
-zero or non-finite pivot element or a drive-out of artificials; every
-other basis change updates it by a rank-one (product-form) step.  An
-inversion that fails, or whose condition number exceeds 1e12, ends the
-attempt.  On the primal path the program is then solved again from the
-start on a kernel that makes three fresh solves with B per pivot instead,
-and that outcome counts; programs whose coefficients span more than five
-orders of magnitude, other than the homogeneous ones above, take the primal
-path with fresh solves from the start.
+an explicit inverse of the basis matrix B.  The dual simplex's start basis
+is the identity, which is its own inverse, bit for bit; the primal path's
+is inverted at the start.  B is inverted every 10 basis changes, before
+any verdict reached after a change, and after a zero or non-finite pivot
+element or a drive-out of artificials; every other basis change updates
+the inverse by a rank-one (product-form) step.  An inversion that fails,
+or whose condition number exceeds 1e12, ends the attempt.  On the primal
+path the program is then solved again from the start on a kernel that
+makes three fresh solves with B per pivot instead, and that outcome
+counts; programs whose coefficients span more than five orders of
+magnitude, other than the homogeneous ones above, take the primal path
+with fresh solves from the start.
 """
 
 from __future__ import annotations
@@ -265,8 +268,9 @@ class _Basis:
     `cols` lists the basic columns in row order; `side`, `free` and `xn` are
     the module docstring's, taken over from `parked` (a `_park` result), and
     `fixed` marks lo = hi.  Without `fresh` it keeps B^-1 in `Binv`, with
-    `updates` rank-one updates since its inversion.  `y` holds the row
-    duals of the last `solve`.
+    `updates` rank-one updates since its inversion; a caller whose start
+    basis is the identity sets `Binv` to it, and the first `solve` inverts
+    nothing.  `y` holds the row duals of the last `solve`.
     """
 
     def __init__(self, A, b, lo, hi, cols, parked, fresh=False):
@@ -312,8 +316,9 @@ class _Basis:
         return np.linalg.solve(self.B, a) if self.fresh else self.Binv @ a
 
     def settled(self):
-        """Whether the last `solve` read a freshly inverted (or solved) B, as a
-        verdict needs; if not, the next `solve` inverts B to confirm it."""
+        """Whether the last `solve` read a B^-1 not updated since it was
+        inverted or set (or a fresh solve), as a verdict needs; if not, the
+        next `solve` inverts B to confirm it."""
         if self.updates:
             self.Binv = None
         return not self.updates
@@ -354,7 +359,7 @@ def _update_inverse(Binv, pos, w):
     """Turn `Binv` into the inverse of B with column `pos` replaced by a, where
     `w = Binv @ a`: the rank-one (product-form) update."""
     row = Binv[pos] / w[pos]
-    Binv -= np.outer(w, row)
+    Binv -= w[:, None] * row
     Binv[pos] = row
 
 
@@ -490,52 +495,60 @@ def _dual_simplex(basis, cost, opts, iter_budget):
     with the largest |alpha|, the lowest index on ties.
 
     Returns (verdict, point, basis_changes, bound_flips).  "optimal", the one
-    verdict with a point (over the columns of `basis.A`), needs a fresh
-    inverse, every basic value within its bounds +- feas_tol and no reduced
-    cost on the wrong side by more than opt_tol.  The rest are breakdowns:
-    "singular" (as in `_run_simplex`), "dual_ray" (no column can enter),
-    "iteration_limit" (`iter_budget` basis changes) or "dual_infeasible"
-    (the final check failed).
+    verdict with a point (over the columns of `basis.A`), needs B^-1 as set
+    for the identity start or freshly inverted, every basic value within its
+    bounds +- feas_tol and no reduced cost on the wrong side by more than
+    opt_tol.  The rest are breakdowns: "singular" (as in `_run_simplex`),
+    "dual_ray" (no column can enter), "iteration_limit" (`iter_budget` basis
+    changes) or "dual_infeasible" (the final check failed).
     """
     A, lo, hi = basis.A, basis.lo, basis.hi
     width = hi - lo
+    # The bounds of the basic columns in row order, and the nonbasic free columns.
+    basic_lo, basic_hi = lo[basis.cols], hi[basis.cols]
+    free = basis.free.nonzero()[0]
     changes = flips = 0
     while True:
         solved = basis.solve(cost)
         if solved is None:
             return "singular", None, changes, flips
         xb, reduced = solved
-        basic_lo, basic_hi = lo[basis.cols], hi[basis.cols]
         infeasible = np.maximum(basic_lo - xb, xb - basic_hi)
-        rows = np.flatnonzero(infeasible > opts.feas_tol)
+        rows = (infeasible > opts.feas_tol).nonzero()[0]
         if rows.size == 0:
             if not basis.settled():
                 continue
             wrong = -basis.side * reduced  # how far each reduced cost has the wrong sign
-            wrong[basis.free] = np.abs(reduced[basis.free])
+            wrong[free] = np.abs(reduced[free])
             if (wrong > opts.opt_tol).any():
                 return "dual_infeasible", None, changes, flips
             return "optimal", basis.point(xb), changes, flips
         if changes >= iter_budget:
             return "iteration_limit", None, changes, flips
 
-        # Dual steepest edge: the exact row norms of B^-1 come with the inverse.
-        norms = basis.Binv[rows]
-        scores = infeasible[rows] ** 2 / np.einsum("ij,ij->i", norms, norms)
-        r = int(rows[scores.argmax()])
+        r = int(rows[0])
+        if rows.size > 1:
+            # Dual steepest edge: the exact row norms of B^-1 come with the inverse.
+            norms = basis.Binv[rows]
+            scores = infeasible[rows] ** 2 / np.einsum("ij,ij->i", norms, norms)
+            r = int(rows[scores.argmax()])
         to_upper = xb[r] > basic_hi[r]
         alpha = basis.Binv[r] @ A
         if not to_upper:
             alpha = -alpha  # the reduced costs move by -theta * alpha, theta >= 0
         q, flipped = _bound_flipping_ratio_test(
-            reduced, alpha, basis.side, basis.free, width, infeasible[r], opts
+            reduced, alpha, basis.side, free, width, infeasible[r], opts
         )
         if q is None:
             return "dual_ray", None, changes, flips
         if flipped.size:
             basis.flip(flipped)
             flips += flipped.size
+        entered_free = basis.free[q]
         basis.exchange(r, q, basis.column(q), to_upper)
+        basic_lo[r], basic_hi[r] = lo[q], hi[q]
+        if entered_free:
+            free = basis.free.nonzero()[0]
         changes += 1
 
 
@@ -548,7 +561,7 @@ def _bound_flipping_ratio_test(reduced, alpha, side, free, width, slope, opts):
     reduced / alpha (clamped at zero) when alpha has the sign that drives its
     reduced cost towards the wrong sign: side * alpha > 0 for a column at a
     bound (`side` is +1 at a lower, -1 at an upper bound, 0 for basic and
-    fixed columns), either sign for one of the `free` columns at zero.
+    fixed columns), either sign for a free column at zero (`free` lists them).
     Passing a breakpoint flips its column to its other bound and lowers the
     slope by |alpha| * width.  Breakpoints are taken in groups: each group
     holds every remaining one up to the smallest Harris bound
@@ -557,8 +570,9 @@ def _bound_flipping_ratio_test(reduced, alpha, side, free, width, slope, opts):
     |alpha| (lowest index on ties) enters.
     """
     blocks = side * alpha > _PIVOT_TOL
-    blocks[free] = np.abs(alpha[free]) > _PIVOT_TOL
-    cand = np.flatnonzero(blocks)
+    if free.size:
+        blocks[free] = np.abs(alpha[free]) > _PIVOT_TOL
+    cand = blocks.nonzero()[0]
     if cand.size == 0:
         return None, cand
     a = alpha[cand]
@@ -639,15 +653,15 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     order; ITERATION_LIMIT outcomes carry no point.  Every program whose
     coefficients span no more than `_WIDE_SCALE`, and every `_dual_start`
     program, takes the dual simplex first.  Its answer counts only if it is
-    OPTIMAL on a fresh inverse that puts every basic value within its bounds
-    +- `opts.feas_tol` and every reduced cost on the right side of
-    +- `opts.opt_tol`, with no column nonbasic at an artificial bound; any
-    other ending hands the program to the primal two-phase path, which also
-    solves every other program and gives every INFEASIBLE and UNBOUNDED
-    verdict.  The primal OPTIMAL verdict checks the reduced costs alone, so
-    its point may lie outside the bounds by more than `opts.feas_tol`.  This
-    is where a program is routed to the dual simplex and to fresh solves,
-    from the start or after the inverse fails.
+    OPTIMAL on its identity start or a fresh inverse that puts every basic
+    value within its bounds +- `opts.feas_tol` and every reduced cost on the
+    right side of +- `opts.opt_tol`, with no column nonbasic at an
+    artificial bound; any other ending hands the program to the primal
+    two-phase path, which also solves every other program and gives every
+    INFEASIBLE and UNBOUNDED verdict.  The primal OPTIMAL verdict checks the
+    reduced costs alone, so its point may lie outside the bounds by more
+    than `opts.feas_tol`.  This is where a program is routed to the dual
+    simplex and to fresh solves, from the start or after the inverse fails.
     """
     A, b, lo, hi = _standard_form(lp)
     (m, N), n = A.shape, lp.num_vars
@@ -686,12 +700,16 @@ def _dual_attempt(A, b, lo, hi, cost, n, opts):
     n_eq = m - (N - n)
     boxed_hi = (cost < 0.0) & (hi == math.inf)
     boxed_lo = (cost > 0.0) & (lo == -math.inf)
-    lo, hi = (np.where(boxed_lo, np.minimum(hi, 0.0) - _BOX, lo),
-              np.where(boxed_hi, np.maximum(lo, 0.0) + _BOX, hi))
+    if boxed_hi.any() or boxed_lo.any():
+        lo, hi = (np.where(boxed_lo, np.minimum(hi, 0.0) - _BOX, lo),
+                  np.where(boxed_hi, np.maximum(lo, 0.0) + _BOX, hi))
     zeros = np.zeros(n_eq)
     lo, hi, cost = (np.concatenate([v, zeros]) for v in (lo, hi, cost))
-    basis = _Basis(np.hstack([A, np.eye(m)[:, m - n_eq:]]), b, lo, hi, np.arange(n, N + n_eq),
-                   _park(lo, hi, cost))
+    A_start = np.zeros((m, N + n_eq))
+    A_start[:, :N] = A
+    np.fill_diagonal(A_start[m - n_eq:, N:], 1.0)
+    basis = _Basis(A_start, b, lo, hi, np.arange(n, N + n_eq), _park(lo, hi, cost))
+    basis.Binv = np.eye(m)  # the start basis is the identity, so this is its inverse, bit for bit
     verdict, x, _, _ = _dual_simplex(basis, cost, opts, 50 * (m + n))
     side = basis.side[:N]
     if verdict != "optimal" or (boxed_hi & (side < 0.0)).any() or (boxed_lo & (side > 0.0)).any():

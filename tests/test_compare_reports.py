@@ -28,7 +28,11 @@ def test_two_dumps_of_one_checkout_do_not_differ(tmp_path):
         ["denominator", "dual", "optimal"], ["stage 1", "dual", "optimal"],
         ["primal face", "dual", "optimal"], ["joint face", "dual", "optimal"],
     ]] * 5
-    assert all(changes >= 0 and flips >= 0 for r in records for *_, changes, flips in r["runs"])
+    assert all(changes >= 0 and flips >= 0 for r in records for *_, changes, flips, _ in r["runs"])
+    # A run that ends where it starts inverts nothing: the dual start is the
+    # identity, whose inverse needs no call.
+    assert all(inversions == 0 for r in records for *_, changes, _, inversions in r["runs"]
+               if changes == 0)
     assert all([label for label, _ in r["face_optima"]] == ["primal face", "joint face"]
                for r in records)
     assert all(r["text"].endswith("status: ok\n") and r["stderr"] == ["", ""] for r in records)
@@ -226,6 +230,37 @@ def test_ladder_rows_hold_the_runs_of_each_lp(tmp_path):
     assert row["lps"]["joint face"]["dual"]["verdicts"] == {"optimal": 1}
     assert set(row["lps"]["stage 1"]) == {"dual"}
     assert row["lps"]["stage 1"]["dual"]["verdicts"] == {"optimal": 1}
+
+
+def test_diff_compares_inversions_only_where_both_dumps_carry_them():
+    tool = load_tool()
+    old = {"workload": "w", "seed": 1, "name": "a", "code": 0, "report": {"status": "ok"},
+           "runs": [["stage 1", "dual", "optimal", 3, 1]]}
+    new = {**old, "runs": [["stage 1", "dual", "optimal", 3, 1, 1]]}
+    assert tool.diff([old], [new], io.StringIO()) == 0
+    assert tool.diff([new], [old], io.StringIO()) == 0
+    out = io.StringIO()
+    assert tool.diff([new], [{**new, "runs": [["stage 1", "dual", "optimal", 3, 1, 2]]}], out) == 1
+    assert "simplex runs differ: w/1/a" in out.getvalue()
+    moved = {**old, "runs": [["stage 1", "dual", "optimal", 4, 1, 1]]}
+    assert tool.diff([old], [moved], io.StringIO()) == 1
+
+
+def test_ledger_counts_inversions_where_runs_carry_them():
+    tool = load_tool()
+    runs = [["denominator", "dual", "optimal", 0, 0, 0], ["stage 1", "dual", "optimal", 4, 2, 1],
+            ["joint face", "dual", "singular", 12, 0, 2], ["joint face", "primal", "optimal", 9, 3, 3]]
+    record = {"workload": "w", "seed": 1, "name": "a", "code": 0, "runs": runs, "face_optima": []}
+    [entry] = tool.ledger([record])
+    assert entry["pivots"] == 0 + 4 + 12 + 12
+    assert entry["methods"] == {
+        "dual": {"runs": 3, "basis_changes": 16, "bound_flips": 2, "inversions": 3,
+                 "verdicts": {"optimal": 2, "singular": 1}},
+        "primal": {"runs": 1, "basis_changes": 9, "bound_flips": 3, "inversions": 3,
+                   "verdicts": {"optimal": 1}},
+    }
+    [row] = tool.ledger([{**record, "workload": "ladder", "name": "20x15"}])
+    assert row["lps"]["joint face"]["dual"]["inversions"] == 2
 
 
 def test_diff_reads_unlabelled_runs_of_older_dumps():

@@ -12,11 +12,14 @@ from lfpkit import (
     Sense,
     SolveStatus,
     SolverOptions,
+    approach_one,
+    approach_two,
     build_dual_interior_lp,
     build_joint_lp,
     build_primal_interior_lp,
     build_transformed_lp,
     solve_lp,
+    validate_denominator,
 )
 
 from helpers import enumerate_vertices, lp_inequalities, random_box_lp, random_instance
@@ -145,11 +148,13 @@ class TestBasics:
         assert out.detail == f"iteration cap of {50 * (2 + 3)} reached"
 
     def test_singular_basis_is_named(self, monkeypatch):
-        # The dual attempt's first inversion fails, so the primal path takes
-        # over.  Phase 2, started from the slack basis, takes one pivot.  The
-        # third inversion, the fresh one that must confirm its verdict, fails;
-        # so does the fourth solve of the fresh re-solve that follows, the
-        # first of its second pivot.
+        # The dual attempt starts from the identity, which it does not
+        # invert, so its first inversion is the fresh one that must confirm
+        # its verdict; it fails, and the primal path takes over.  Phase 2,
+        # started from the slack basis, takes one pivot.  The third
+        # inversion, the fresh one that must confirm phase 2's verdict,
+        # fails; so does the fourth solve of the fresh re-solve that follows,
+        # the first of its second pivot.
         real_inv, real_solve, calls = np.linalg.inv, np.linalg.solve, []
 
         def inv_once_singular(a):
@@ -404,6 +409,66 @@ class TestBasisInverse:
         # Many runs span several inversion intervals.
         assert sum(used > 3 * lp_module._REFACTOR_INTERVAL for _, used in verdicts) > 10
 
+    def test_every_dual_verdict_reads_the_start_or_a_fresh_inverse(self, monkeypatch):
+        # A dual "optimal" reads either its untouched start, the identity,
+        # which is not inverted, or the basis the last inversion was of.
+        real_inv, dual_simplex = np.linalg.inv, lp_module._dual_simplex
+        inverted, changes = [], []
+
+        def recording_inv(a):
+            inverted.append(np.array(a))
+            return real_inv(a)
+
+        def checked(basis, *args):
+            before = len(inverted)
+            verdict, x, used, flips = dual_simplex(basis, *args)
+            if verdict == "optimal":
+                B = basis.A[:, basis.cols]
+                if len(inverted) == before:
+                    assert used == 0 and np.array_equal(B, np.eye(len(basis.cols)))
+                else:
+                    assert np.array_equal(inverted[-1], B)
+                changes.append(used)
+            return verdict, x, used, flips
+
+        monkeypatch.setattr(lp_module.np.linalg, "inv", recording_inv)
+        monkeypatch.setattr(lp_module, "_dual_simplex", checked)
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            solve_lp(random_dense_lp(rng))
+        for seed in range(4):
+            problem = random_instance(seed)
+            validate_denominator(problem)
+            for lp in face_lps(problem):
+                solve_lp(lp)
+        assert changes.count(0) >= 4
+        # Many runs span an inversion interval.
+        assert sum(used > lp_module._REFACTOR_INTERVAL for used in changes) > 10
+
+    def test_golden_dual_runs_invert_only_for_their_verdicts(self, golden, monkeypatch):
+        # The denominator LP ends at its slack start and inverts nothing.  A
+        # run that ends after 1-9 basis changes inverts once, for its verdict;
+        # the joint LP's run of 12 also inverts after its tenth.
+        real_inv, dual_simplex = np.linalg.inv, lp_module._dual_simplex
+        inversions, runs = [], []
+
+        def counted_inv(a):
+            inversions.append(None)
+            return real_inv(a)
+
+        def counted(*args):
+            before = len(inversions)
+            verdict, x, used, flips = dual_simplex(*args)
+            runs.append((verdict, used, len(inversions) - before))
+            return verdict, x, used, flips
+
+        monkeypatch.setattr(lp_module.np.linalg, "inv", counted_inv)
+        monkeypatch.setattr(lp_module, "_dual_simplex", counted)
+        validate_denominator(golden)
+        assert inversions == [] and runs == [("optimal", 0, 0)]
+        approach_one(golden)
+        approach_two(golden)
+        assert runs[1:] == [("optimal", 3, 1), ("optimal", 5, 1), ("optimal", 12, 2)]
 
     def test_ill_conditioned_inverse_hands_over_to_fresh_solves(self, monkeypatch):
         # With every inverse counted as ill-conditioned, the first inversion
@@ -753,7 +818,7 @@ class TestVectorizedKernelsMatchScans:
     def test_bound_flipping_ratio_test(self):
         # The dual simplex passes each column's parking as a sign (+1 at a
         # lower bound, -1 at an upper one, 0 if basic or fixed) and the free
-        # columns at zero as a mask.
+        # columns at zero as indices.
         rng = np.random.default_rng(14)
         opts = SolverOptions(opt_tol=OPT_TOL)
         entered = flipped = rays = 0
@@ -768,7 +833,7 @@ class TestVectorizedKernelsMatchScans:
                 reduced, alpha, side, free, lo, hi, slope, opts.opt_tol, opts.feas_tol
             )
             q, flips = lp_module._bound_flipping_ratio_test(
-                reduced, alpha, side, free, hi - lo, slope, opts
+                reduced, alpha, side, np.flatnonzero(free), hi - lo, slope, opts
             )
             assert (q, flips.tolist()) == want, trial
             entered += q is not None

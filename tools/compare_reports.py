@@ -12,9 +12,10 @@ workload and seed (the first N of each with `--limit`), runs
 with `--format json` and once with `--format text`, and records the exit code,
 the JSON report minus its `timings`, the text report with the numbers on its
 `timings:` line masked, the standard error of both runs, and, for the JSON
-run in call order, every simplex run and every optimal face LP's objective
-(see `recording`).  `--ladder` adds the size-ladder instances, workload
-"ladder": `generate._random(np.random.default_rng(1), n, m)` for each n x m.
+run in call order, every simplex run with its `np.linalg.inv` calls and every
+optimal face LP's objective (see `recording`).  `--ladder` adds the
+size-ladder instances, workload "ladder":
+`generate._random(np.random.default_rng(1), n, m)` for each n x m.
 The package is imported from the `src/` next to this script, so run the
 script of the checkout you want to measure.
 
@@ -28,17 +29,19 @@ on each side, and how many of the instances that both sides solve have a
 different `partition`.  Then it names each instance whose exit code changed,
 with the error text (or "cross_check false") on each side, whose partition
 differs, whose report differs other than in its `error` text, and whose
-simplex runs, text report or standard error differ.  A last line per workload
-counts these and gives its failures and pivots.  It exits 1 on any
-difference, 0 otherwise; a change that moves pivot paths exits 1, and the
-per-seed lines say whether it changed anything that matters.  It also reads
+simplex runs, text report or standard error differ; a run's inversions count
+only where both dumps carry them.  A last line per workload counts these and
+gives its failures and pivots.  It exits 1 on any difference, 0 otherwise; a
+change that moves pivot paths exits 1, and the per-seed lines say whether it
+changed anything that matters.  It also reads
 dumps made before runs were labelled, whose runs are [verdict, pivots].
 
 `ledger` reads a dump and writes, per workload and seed, the instances, the
 failures by exit code, the simplex runs, the total pivots, those of the face
 LPs and those of each LP (denominator, stage 1, primal and joint face, and the
 dual face of dumps made while approach one still solved it),
-the runs, basis changes, bound flips and verdicts of each method,
+the runs, basis changes, bound flips, verdicts and (where the dump carries
+them) inversions of each method,
 and how many optimal face LPs ended at a fractional objective; each ladder
 instance gets a pivot-only row with the same per-method counts for each of
 its LPs.  Pivot counts are deterministic, so the ledger of a checkout is
@@ -92,16 +95,18 @@ def run_cli(path: Path, fmt: str) -> tuple:
 def recording(runs: list, face_optima: list):
     """Record the simplex runs and optimal face-LP objectives of the calls made inside.
 
-    Each run is [lp, method, verdict, basis changes, bound flips]: `lp` names
-    the LP whose `solve_lp` call made it (one of `LPS`), and `method` is "primal" for a
-    `lfpkit.lp._run_simplex` run (one per phase) or "dual" for a
-    `lfpkit.lp._dual_simplex` run.  Each optimal face LP adds [lp, objective].
+    Each run is [lp, method, verdict, basis changes, bound flips, inversions]:
+    `lp` names the LP whose `solve_lp` call made it (one of `LPS`), `method`
+    is "primal" for a `lfpkit.lp._run_simplex` run (one per phase) or "dual"
+    for a `lfpkit.lp._dual_simplex` run, and `inversions` counts its
+    `np.linalg.inv` calls.  Each optimal face LP adds [lp, objective].
     """
-    lps = []
+    lps, inverted = [], []
     patched = [(lp, "_run_simplex"), (lp, "_dual_simplex"), (problem, "solve_lp"),
-               (duality, "solve_lp"), (complementarity, "_solve_maximal_element_lp")]
+               (duality, "solve_lp"), (complementarity, "_solve_maximal_element_lp"),
+               (np.linalg, "inv")]
     saved = [getattr(module, name) for module, name in patched]
-    run_simplex, dual_simplex, problem_solve, duality_solve, face_solve = saved
+    run_simplex, dual_simplex, problem_solve, duality_solve, face_solve, inv = saved
 
     def labelled(name, solve):
         def call(*args, **kwargs):
@@ -112,14 +117,20 @@ def recording(runs: list, face_optima: list):
                 lps.pop()
         return call
 
+    def counted_inv(a):
+        inverted.append(None)
+        return inv(a)
+
     def primal(*args, **kwargs):
+        before = len(inverted)
         verdict, x, pivots, flips = run_simplex(*args, **kwargs)
-        runs.append([lps[-1], "primal", verdict, pivots - flips, flips])
+        runs.append([lps[-1], "primal", verdict, pivots - flips, flips, len(inverted) - before])
         return verdict, x, pivots, flips
 
     def dual(*args, **kwargs):
+        before = len(inverted)
         verdict, x, changes, flips = dual_simplex(*args, **kwargs)
-        runs.append([lps[-1], "dual", verdict, changes, flips])
+        runs.append([lps[-1], "dual", verdict, changes, flips, len(inverted) - before])
         return verdict, x, changes, flips
 
     def face(lp_, label):
@@ -128,7 +139,7 @@ def recording(runs: list, face_optima: list):
         return out
 
     replacements = [primal, dual, labelled("denominator", problem_solve),
-                    labelled("stage 1", duality_solve), face]
+                    labelled("stage 1", duality_solve), face, counted_inv]
     for (module, name), replacement in zip(patched, replacements):
         setattr(module, name, replacement)
     try:
@@ -206,7 +217,7 @@ def diff(before: list, after: list, out=sys.stdout) -> int:
                     errors_only += 1
                 else:
                     print(f"  report differs: {name}", file=out)
-            if a.get("runs") != b.get("runs"):
+            if _runs(a, b) != _runs(b, a):
                 runs += 1
                 print(f"  simplex runs differ: {name}", file=out)
             if (a.get("text"), a.get("stderr")) != (b.get("text"), b.get("stderr")):
@@ -233,6 +244,14 @@ def _summary(old: dict, new: dict, keys) -> tuple:
     return (f"failures {failed_before} -> {failed_after}",
             f"pivots {_pivots(old, keys)} -> {_pivots(new, keys)}",
             f"partitions differ on {moved} of {len(solved)} solved by both")
+
+
+def _runs(record: dict, other: dict) -> list | None:
+    """The simplex runs of `record`, without their inversions unless `other`'s carry them too."""
+    runs, others = record.get("runs"), other.get("runs")
+    if runs and others and len(runs[0]) != len(others[0]):
+        return [run[:5] for run in runs]
+    return runs
 
 
 def _partition(record: dict) -> str:
@@ -282,15 +301,18 @@ def ledger(records: list) -> list:
 
 
 def _tally(runs: list) -> dict:
-    """Runs, basis changes, bound flips and verdicts of recorded runs, per method."""
+    """Runs, basis changes, bound flips, verdicts and inversions (where the
+    runs carry them) of recorded runs, per method."""
     methods = {}
-    for _, method, verdict, changes, flips in runs:
+    for _, method, verdict, changes, flips, *inversions in runs:
         tally = methods.setdefault(method, {"runs": 0, "basis_changes": 0, "bound_flips": 0,
                                             "verdicts": {}})
         tally["runs"] += 1
         tally["basis_changes"] += changes
         tally["bound_flips"] += flips
         tally["verdicts"][verdict] = tally["verdicts"].get(verdict, 0) + 1
+        if inversions:
+            tally["inversions"] = tally.get("inversions", 0) + inversions[0]
     return methods
 
 
@@ -301,7 +323,7 @@ def _run_pivots(run: list) -> int:
     [verdict, pivots]."""
     if len(run) == 2:
         return run[1]
-    _, method, _, changes, flips = run
+    _, method, _, changes, flips, *_ = run
     return changes + flips if method == "primal" else changes
 
 
