@@ -1,7 +1,7 @@
 """Dense simplex solver for small linear programs: a bounded dual simplex
-from a start that is dual feasible by construction, and two phases of the
-primal simplex for wide-scale programs and the dual simplex's breakdowns,
-both on one basis kernel.
+from a start that is dual feasible by construction, which every program
+enters, and two phases of the primal simplex for every program it leaves
+unsolved, both on one basis kernel.
 
 A `LinearProgram` holds its data as arrays in scipy `linprog`'s layout: an
 inequality block `A_ub x <= b_ub`, an equality block `A_eq x = b_eq` and
@@ -13,45 +13,47 @@ builds its optimal faces from it.  Free variables are kept as single columns
 that may move in either direction; box bounds are handled with bound flips
 in the ratio tests instead of extra rows.
 
-`solve_lp` tries the bounded dual simplex first on every program whose
-nonzero constraint coefficients span no more than five orders of magnitude,
-the programs whose bases it keeps an inverse of.  Its start is dual feasible
-by construction: the slack is basic in each inequality row and an
-artificial fixed at [0, 0] in each equality row, so the row duals are 0
+`solve_lp` starts every program on the bounded dual simplex.  Its start is
+dual feasible by construction: the slack is basic in each inequality row and
+an artificial fixed at [0, 0] in each equality row, so the row duals are 0
 and the reduced costs are the costs, and each column is parked at the bound
-its cost favours.  A column whose cost favours an infinite bound parks at
-an artificial bound instead, 1e6 beyond zero or its other bound, whichever
-lies farther out (artificial bounding, the textbook dual phase 1).  Where b = 0, every lo <= 0 <= hi, and every column can park at a
-finite bound its cost favours (cost 0 on a free column), no artificial
-bound is needed and x = 0 shows the program feasible and bounded: every
-support-maximizing LP of `interior` is such a program, with equality rows
-only, so its start is the all-artificial basis, and it takes the dual path
-however widely its coefficients span.  Dual steepest edge picks the leaving
-row, and a bound-flipping ratio test with Harris tolerances picks the
-entering column.  Its OPTIMAL verdict reads either its untouched start,
-the identity, or a freshly inverted basis, on which every basic value lies
+its cost favours.  A column whose cost favours an infinite bound parks at an
+artificial bound instead, 1e6 beyond zero or its other bound, whichever lies
+farther out (artificial bounding, the textbook dual phase 1).  Dual steepest
+edge picks the leaving row, and a bound-flipping ratio test with Harris
+tolerances picks the entering column.  The run may make 50 * (rows + cols)
+basis changes, except on a wide-scale program, one whose nonzero constraint
+coefficients span more than five orders of magnitude, so that the inverses
+of its bases are too poorly conditioned to update.  Such a program keeps
+that budget only if it is homogeneous: b = 0, every lo <= 0 <= hi, and
+every column can park at a finite bound its cost favours (cost 0 on a free
+column), so no artificial bound is needed and x = 0 shows the program
+feasible and bounded.  Every support-maximizing LP of `interior` is such a
+program, with equality rows only, so its start is the all-artificial basis.
+Any other wide-scale program may make no basis change at all: its start,
+read off the identity without an inversion, counts only if it is already
+optimal.  The dual OPTIMAL verdict reads either the untouched start, the
+identity, or a freshly inverted basis, on which every basic value lies
 within its bounds +- feas_tol and no reduced cost has the wrong sign by
 more than opt_tol, and it counts only if no column sits nonbasic at an
-artificial bound.  Any other ending (a dual ray, an active artificial
-bound, a singular basis, the iteration cap or a failed final check) hands
-the program to the primal path, so the INFEASIBLE and UNBOUNDED verdicts
-come from the primal path alone.
+artificial bound.  Any other ending (a dual ray, an active artificial bound,
+a singular basis, the iteration cap or a failed final check) hands the
+program to the primal path, so the INFEASIBLE and UNBOUNDED verdicts come
+from the primal path alone.
 
-The primal path runs phase 1, which minimizes the total artificial
-infeasibility, then phase 2, which optimizes the real objective from the
-feasible basis phase 1 produced.  Where every row is an inequality and the
-residual b - A x at the parking point x (each column at its finite lower
-bound, else its finite upper bound, else 0) is >= 0, the slack basis is
-feasible: phase 2 starts from it and phase 1 does not run.  Programs with
-an equality row or a negative residual run phase 1 from the all-artificial
-basis.  Pivoting uses Dantzig's rule with a largest-pivot tie-break,
-switching to Bland's rule once 2 * (rows + cols) degenerate steps have
-accumulated, which guarantees termination on highly degenerate systems.  Its OPTIMAL verdict comes from
-pricing on a freshly inverted (or freshly solved) basis; the basic values
-are not checked against their bounds afterwards.  Pricing, the ratio test
-and the drive-out of artificials are numpy mask operations over whole
-columns and basic rows, with the tie-breaks a scan in index order would
-give.
+The primal path runs phase 1 from the all-artificial basis: one artificial
+column per row, signed so that it starts >= 0 with every other column at
+its parking point (its finite lower bound, else its finite upper bound,
+else 0).  Phase 1 minimizes the total artificial infeasibility, then phase
+2 optimizes the real objective from the feasible basis phase 1 produced.
+Pivoting uses Dantzig's rule with a largest-pivot tie-break, switching to
+Bland's rule once 2 * (rows + cols) degenerate steps have accumulated,
+which guarantees termination on highly degenerate systems.  Its OPTIMAL
+verdict comes from pricing on a freshly inverted (or freshly solved) basis;
+the basic values are not checked against their bounds afterwards.  Pricing,
+the ratio test and the drive-out of artificials are numpy mask operations
+over whole columns and basic rows, with the tie-breaks a scan in index
+order would give.
 
 Each method stops after 50 * (rows + cols) iterations (across both phases
 of the primal path, where a bound flip is an iteration of its own); the
@@ -73,9 +75,8 @@ the inverse by a rank-one (product-form) step.  An inversion that fails,
 or whose condition number exceeds 1e12, ends the attempt.  On the primal
 path the program is then solved again from the start on a kernel that
 makes three fresh solves with B per pivot instead, and that outcome
-counts; programs whose coefficients span more than five orders of
-magnitude, other than the homogeneous ones above, take the primal path
-with fresh solves from the start.
+counts; a wide-scale program takes the primal path with fresh solves from
+the start.
 """
 
 from __future__ import annotations
@@ -243,8 +244,9 @@ _REFACTOR_INTERVAL = 10
 _ILL_CONDITIONED = 1e12
 
 # A program whose nonzero constraint coefficients span a wider ratio than this
-# is solved with fresh solves from the start: the inverses of its bases are
-# too poorly conditioned to update.
+# makes its primal attempt with fresh solves from the start, and unless it is
+# homogeneous its dual run makes no basis change: the inverses of its bases
+# are too poorly conditioned to update.
 _WIDE_SCALE = 1e5
 
 # The dual simplex's start parks a column whose cost favours an infinite
@@ -464,35 +466,17 @@ def _run_simplex(basis, cost, opts, iter_budget, phase1_floor=None):
                 bland = True
 
 
-def _dual_start(b, lo, hi, cost):
-    """Whether the dual start needs no artificial bound and x = 0 is feasible,
-    so that the dual simplex applies however widely the coefficients span:
-    b = 0, lo <= 0 <= hi, and every column can park at a bound its cost
-    favours (cost < 0 at a finite hi, cost > 0 at a finite lo; a free column
-    therefore has cost 0)."""
-    return not (
-        b.any()
-        or (lo > 0.0).any()
-        or (hi < 0.0).any()
-        or ((cost < 0.0) & (hi == math.inf)).any()
-        or ((cost > 0.0) & (lo == -math.inf)).any()
-    )
-
-
 def _dual_simplex(basis, cost, opts, iter_budget):
     """Bounded dual simplex from a dual-feasible `basis` that keeps B^-1.
 
-    `solve_lp` hands it the start `_dual_attempt` builds: a slack basic in
-    each inequality row and an artificial fixed at [0, 0] in each equality
-    row, every column parked at the bound its cost favours (by bounds alone
-    where the cost is zero), an artificial one where that bound is
-    infinite.  So the start is dual feasible, and no phase 1 is needed.
-    Each iteration picks the leaving row by dual steepest edge (infeasibility
-    squared over the squared norm of its row of B^-1) and the entering column
-    by a bound-flipping ratio test with Harris tolerances: boxed columns whose
-    breakpoints come first flip to their other bound while the dual slope
-    stays positive, and the entering column is the one of the last group
-    with the largest |alpha|, the lowest index on ties.
+    The start `_dual_attempt` builds is dual feasible by construction, so no
+    phase 1 is needed.  Each iteration picks the leaving row by dual
+    steepest edge (infeasibility squared over the squared norm of its row of
+    B^-1) and the entering column by a bound-flipping ratio test with Harris
+    tolerances: boxed columns whose breakpoints come first flip to their
+    other bound while the dual slope stays positive, and the entering column
+    is the one of the last group with the largest |alpha|, the lowest index
+    on ties.
 
     Returns (verdict, point, basis_changes, bound_flips).  "optimal", the one
     verdict with a point (over the columns of `basis.A`), needs B^-1 as set
@@ -518,9 +502,8 @@ def _dual_simplex(basis, cost, opts, iter_budget):
         if rows.size == 0:
             if not basis.settled():
                 continue
-            wrong = -basis.side * reduced  # how far each reduced cost has the wrong sign
-            wrong[free] = np.abs(reduced[free])
-            if (wrong > opts.opt_tol).any():
+            q, _ = _choose_entering(reduced, basis.side, basis.free, opts.opt_tol, True)
+            if q is not None:
                 return "dual_infeasible", None, changes, flips
             return "optimal", basis.point(xb), changes, flips
         if changes >= iter_budget:
@@ -650,30 +633,29 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     """Solve `lp` by the bounded dual simplex, else by the primal two-phase path.
 
     The returned point covers exactly the variables of `lp`, in their original
-    order; ITERATION_LIMIT outcomes carry no point.  Every program whose
-    coefficients span no more than `_WIDE_SCALE`, and every `_dual_start`
-    program, takes the dual simplex first.  Its answer counts only if it is
-    OPTIMAL on its identity start or a fresh inverse that puts every basic
-    value within its bounds +- `opts.feas_tol` and every reduced cost on the
-    right side of +- `opts.opt_tol`, with no column nonbasic at an
-    artificial bound; any other ending hands the program to the primal
-    two-phase path, which also solves every other program and gives every
-    INFEASIBLE and UNBOUNDED verdict.  The primal OPTIMAL verdict checks the
-    reduced costs alone, so its point may lie outside the bounds by more
-    than `opts.feas_tol`.  This is where a program is routed to the dual
-    simplex and to fresh solves, from the start or after the inverse fails.
+    order; ITERATION_LIMIT outcomes carry no point.  Every program takes the
+    dual simplex first (`_dual_attempt`), with no basis change allowed on a
+    program whose coefficients span more than `_WIDE_SCALE`, unless it is
+    homogeneous.  Its answer counts only if it is OPTIMAL on its identity
+    start or a fresh inverse that puts every basic value within its bounds
+    +- `opts.feas_tol` and every reduced cost on the right side of
+    +- `opts.opt_tol`, with no column nonbasic at an artificial bound; any
+    other ending hands the program to the primal two-phase path, which
+    gives every INFEASIBLE and UNBOUNDED verdict.  The primal OPTIMAL
+    verdict checks the reduced costs alone, so its point may lie outside the
+    bounds by more than `opts.feas_tol`.  This is where a wide-scale program
+    is routed to fresh solves, and any other to them after its kept inverse
+    fails.
     """
     A, b, lo, hi = _standard_form(lp)
     (m, N), n = A.shape, lp.num_vars
     cost = np.zeros(N)
     cost[:n] = lp.objective if lp.sense is Sense.MINIMIZE else -lp.objective
     coefficients = np.abs(A[A != 0.0])
-    fresh = coefficients.size > 0 and coefficients.max() > _WIDE_SCALE * coefficients.min()
-    outcome = None
-    if not fresh or _dual_start(b, lo, hi, cost):
-        outcome = _dual_attempt(A, b, lo, hi, cost, n, opts)
+    wide = coefficients.size > 0 and coefficients.max() > _WIDE_SCALE * coefficients.min()
+    outcome = _dual_attempt(A, b, lo, hi, cost, n, opts, wide)
     if outcome is None:
-        outcome = _two_phase(A, b, lo, hi, cost, n, opts, fresh)
+        outcome = _two_phase(A, b, lo, hi, cost, n, opts, wide)
     if outcome is None:
         outcome = _two_phase(A, b, lo, hi, cost, n, opts, fresh=True)
     if not outcome.is_optimal:
@@ -684,7 +666,7 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     return LPOutcome(SolveStatus.OPTIMAL, point, float(lp.objective @ point), duals=duals)
 
 
-def _dual_attempt(A, b, lo, hi, cost, n, opts):
+def _dual_attempt(A, b, lo, hi, cost, n, opts, wide):
     """The dual simplex's OPTIMAL outcome on the standard form, with the
     whole point and the minimization's row duals; None for any other ending.
 
@@ -695,12 +677,20 @@ def _dual_attempt(A, b, lo, hi, cost, n, opts):
     favours an infinite bound gets an artificial one, `_BOX` beyond zero or
     its other bound, whichever is farther out; an optimum with such a
     column nonbasic at its artificial bound is not accepted.
+
+    The run may make 50 * (rows + cols) basis changes.  A `wide` program may
+    make none unless it is homogeneous: b = 0, lo <= 0 <= hi and no
+    artificial bound, so that x = 0 is feasible and the program bounded.
+    Otherwise its start counts only if it is already optimal.
     """
     m, N = A.shape
     n_eq = m - (N - n)
     boxed_hi = (cost < 0.0) & (hi == math.inf)
     boxed_lo = (cost > 0.0) & (lo == -math.inf)
-    if boxed_hi.any() or boxed_lo.any():
+    boxed = boxed_hi.any() or boxed_lo.any()
+    homogeneous = not (boxed or b.any() or (lo > 0.0).any() or (hi < 0.0).any())
+    iter_budget = 50 * (m + n) if homogeneous or not wide else 0
+    if boxed:
         lo, hi = (np.where(boxed_lo, np.minimum(hi, 0.0) - _BOX, lo),
                   np.where(boxed_hi, np.maximum(lo, 0.0) + _BOX, hi))
     zeros = np.zeros(n_eq)
@@ -710,7 +700,7 @@ def _dual_attempt(A, b, lo, hi, cost, n, opts):
     np.fill_diagonal(A_start[m - n_eq:, N:], 1.0)
     basis = _Basis(A_start, b, lo, hi, np.arange(n, N + n_eq), _park(lo, hi, cost))
     basis.Binv = np.eye(m)  # the start basis is the identity, so this is its inverse, bit for bit
-    verdict, x, _, _ = _dual_simplex(basis, cost, opts, 50 * (m + n))
+    verdict, x, _, _ = _dual_simplex(basis, cost, opts, iter_budget)
     side = basis.side[:N]
     if verdict != "optimal" or (boxed_hi & (side < 0.0)).any() or (boxed_lo & (side > 0.0)).any():
         return None
@@ -722,41 +712,31 @@ def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
     and the minimization's row duals if OPTIMAL; None where the kept inverse
     met a singular basis.
 
-    Where every row is an inequality and the residual b - A x at the parking
-    point x (`_park`) is >= 0, each slack absorbs its row's residual within
-    its bounds, so the slack basis is feasible: phase 2 starts from it and
-    phase 1 does not run.  A program with an equality row or a negative
-    residual runs phase 1 from the all-artificial basis, and phase 2 goes on
-    from the basis phase 1 left.
+    Phase 1 runs from the all-artificial basis, each artificial signed to
+    absorb its row's residual b - A x at the parking point x (`_park`), and
+    phase 2 goes on from the basis phase 1 left.
     """
     m, N = A.shape
     iter_budget = 50 * (m + n)
+    lo, hi = np.concatenate([lo, np.zeros(m)]), np.concatenate([hi, np.full(m, math.inf)])
     parked = _park(lo, hi)
-    resid = b - A @ parked[1]
-    if N - n == m and (resid >= 0.0).all():
-        basis = _Basis(A, b, lo, hi, np.arange(n, N), parked, fresh)
-        used = 0
-    else:
-        # Phase 1: artificial column per row, signed so artificials start >= 0.
-        signs = np.where(resid >= 0, 1.0, -1.0)
-        lo, hi = np.concatenate([lo, np.zeros(m)]), np.concatenate([hi, np.full(m, math.inf)])
-        basis = _Basis(np.hstack([A, np.diag(signs)]), b, lo, hi, np.arange(N, N + m),
-                       _park(lo, hi), fresh)
-        cost1 = np.concatenate([np.zeros(N), np.ones(m)])
-        verdict, x, used, _ = _run_simplex(
-            basis, cost1, opts, iter_budget, phase1_floor=opts.feas_tol * 1e-3,
-        )
-        if verdict == "singular" and not fresh:
-            return None
-        if verdict != "optimal":
-            return _stopped(verdict, used, iter_budget)
-        if float(cost1 @ x) > opts.feas_tol:
-            return LPOutcome(SolveStatus.INFEASIBLE)
+    # Phase 1: artificial column per row, signed so artificials start >= 0.
+    signs = np.where(b - A @ parked[1][:N] >= 0, 1.0, -1.0)
+    basis = _Basis(np.hstack([A, np.diag(signs)]), b, lo, hi, np.arange(N, N + m), parked, fresh)
+    cost1 = np.concatenate([np.zeros(N), np.ones(m)])
+    verdict, x, used, _ = _run_simplex(
+        basis, cost1, opts, iter_budget, phase1_floor=opts.feas_tol * 1e-3,
+    )
+    if verdict == "singular" and not fresh:
+        return None
+    if verdict != "optimal":
+        return _stopped(verdict, used, iter_budget)
+    if float(cost1 @ x) > opts.feas_tol:
+        return LPOutcome(SolveStatus.INFEASIBLE)
 
-        _drive_out_artificials(basis, N)
-        basis.hi[N:], basis.fixed[N:], basis.side[N:] = 0.0, True, 0.0  # frozen out of phase 2
-        cost = np.concatenate([cost, np.zeros(m)])
-
+    _drive_out_artificials(basis, N)
+    basis.hi[N:], basis.fixed[N:], basis.side[N:] = 0.0, True, 0.0  # frozen out of phase 2
+    cost = np.concatenate([cost, np.zeros(m)])
     verdict, x, more, _ = _run_simplex(basis, cost, opts, iter_budget - used)
     if verdict == "singular" and not fresh:
         return None

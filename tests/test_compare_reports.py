@@ -66,9 +66,11 @@ def test_diff_counts_every_kind_of_difference():
 def test_diff_counts_changed_simplex_runs():
     tool = load_tool()
     same = {"workload": "w", "seed": 1, "name": "same", "code": 0, "report": {"status": "ok"},
-            "runs": [["optimal", 0], ["optimal", 7]]}
+            "runs": [["stage 1", "dual", "optimal", 0, 0, 0],
+                     ["joint face", "dual", "optimal", 7, 2, 1]]}
     pivots = {**same, "name": "pivots"}
-    after = [same, {**pivots, "runs": [["optimal", 0], ["optimal", 8]]}]
+    after = [same, {**pivots, "runs": [["stage 1", "dual", "optimal", 0, 0, 0],
+                                       ["joint face", "dual", "optimal", 8, 2, 1]]}]
     out = io.StringIO()
     assert tool.diff([same, pivots], after, out) == 1
     text = out.getvalue()
@@ -102,7 +104,7 @@ def test_diff_summarizes_each_seed_for_moved_pivot_paths():
         report = {"status": "ok" if code == 0 else "numerical_failure", "theta_star": 0.1,
                   "partition": partition, **report}
         return {"workload": "w", "seed": seed, "name": name, "code": code, "report": report,
-                "runs": [["optimal", pivots]]}
+                "runs": [["joint face", "dual", "optimal", pivots, 0, 0]]}
 
     p, q = {"B": [0], "N": [1]}, {"B": [1], "N": [0]}
     before = [
@@ -167,7 +169,8 @@ def test_ledger_counts_failures_by_exit_code():
     tool = load_tool()
     records = [
         {"workload": "w", "seed": s, "name": str(k), "code": code, "face_optima": [],
-         "runs": [["stage 1", "primal", "optimal", 3, 0], ["joint face", "dual", "optimal", k, 1]]}
+         "runs": [["stage 1", "primal", "optimal", 3, 0, 1],
+                  ["joint face", "dual", "optimal", k, 1, 0]]}
         for s, k, code in ((1, 0, 0), (1, 1, 5), (1, 2, 5), (1, 3, 3), (2, 4, 0))
     ]
     entries = tool.ledger(records)
@@ -184,28 +187,28 @@ def test_ledger_counts_failures_by_exit_code():
 
 
 def test_ledger_counts_methods_flips_and_fractional_face_optima():
-    # An older dump's record, with a dual-face LP that the ledger still counts.
     tool = load_tool()
     record = {
         "workload": "w", "seed": 1, "name": "a", "code": 0,
         "runs": [
-            ["stage 1", "primal", "optimal", 5, 2],
-            ["primal face", "dual", "singular", 3, 4],
-            ["primal face", "primal", "optimal", 6, 1],
-            ["primal face", "primal", "optimal", 2, 0],
-            ["dual face", "dual", "optimal", 7, 5],
+            ["stage 1", "primal", "optimal", 5, 2, 0],
+            ["primal face", "dual", "singular", 3, 4, 1],
+            ["primal face", "primal", "optimal", 6, 1, 2],
+            ["primal face", "primal", "optimal", 2, 0, 1],
+            ["joint face", "dual", "optimal", 7, 5, 1],
         ],
-        "face_optima": [["primal face", 9.0000004], ["dual face", 10.5]],
+        "face_optima": [["primal face", 9.0000004], ["joint face", 10.5]],
     }
     [entry] = tool.ledger([record])
     # A primal run's bound flips are iterations of their own; a dual run's ride along.
     assert entry["pivots"] == 7 + 3 + 7 + 2 + 7
     assert entry["face_lp_pivots"] == 3 + 7 + 2 + 7
     assert entry["lp_pivots"] == {"denominator": 0, "stage 1": 7, "primal face": 3 + 7 + 2,
-                                  "dual face": 7, "joint face": 0}
+                                  "joint face": 7}
     assert entry["methods"] == {
-        "primal": {"runs": 3, "basis_changes": 13, "bound_flips": 3, "verdicts": {"optimal": 3}},
-        "dual": {"runs": 2, "basis_changes": 10, "bound_flips": 9,
+        "primal": {"runs": 3, "basis_changes": 13, "bound_flips": 3, "inversions": 3,
+                   "verdicts": {"optimal": 3}},
+        "dual": {"runs": 2, "basis_changes": 10, "bound_flips": 9, "inversions": 2,
                  "verdicts": {"singular": 1, "optimal": 1}},
     }
     assert entry["fractional_face_optima"] == 1
@@ -232,20 +235,6 @@ def test_ladder_rows_hold_the_runs_of_each_lp(tmp_path):
     assert row["lps"]["stage 1"]["dual"]["verdicts"] == {"optimal": 1}
 
 
-def test_diff_compares_inversions_only_where_both_dumps_carry_them():
-    tool = load_tool()
-    old = {"workload": "w", "seed": 1, "name": "a", "code": 0, "report": {"status": "ok"},
-           "runs": [["stage 1", "dual", "optimal", 3, 1]]}
-    new = {**old, "runs": [["stage 1", "dual", "optimal", 3, 1, 1]]}
-    assert tool.diff([old], [new], io.StringIO()) == 0
-    assert tool.diff([new], [old], io.StringIO()) == 0
-    out = io.StringIO()
-    assert tool.diff([new], [{**new, "runs": [["stage 1", "dual", "optimal", 3, 1, 2]]}], out) == 1
-    assert "simplex runs differ: w/1/a" in out.getvalue()
-    moved = {**old, "runs": [["stage 1", "dual", "optimal", 4, 1, 1]]}
-    assert tool.diff([old], [moved], io.StringIO()) == 1
-
-
 def test_ledger_counts_inversions_where_runs_carry_them():
     tool = load_tool()
     runs = [["denominator", "dual", "optimal", 0, 0, 0], ["stage 1", "dual", "optimal", 4, 2, 1],
@@ -262,12 +251,3 @@ def test_ledger_counts_inversions_where_runs_carry_them():
     [row] = tool.ledger([{**record, "workload": "ladder", "name": "20x15"}])
     assert row["lps"]["joint face"]["dual"]["inversions"] == 2
 
-
-def test_diff_reads_unlabelled_runs_of_older_dumps():
-    tool = load_tool()
-    old = {"workload": "w", "seed": 1, "name": "a", "code": 0, "report": {"status": "ok"},
-           "runs": [["optimal", 4], ["optimal", 10]]}
-    new = {**old, "runs": [["stage 1", "primal", "optimal", 3, 1], ["joint face", "dual", "optimal", 5, 9]]}
-    out = io.StringIO()
-    assert tool.diff([old], [new], out) == 1
-    assert "pivots 14 -> 9" in out.getvalue()

@@ -104,9 +104,8 @@ class TestBasics:
 
     def test_iteration_limit_returns_no_point(self, monkeypatch):
         # A dual attempt with no budget stops at once, so the primal path takes
-        # over.  The >= row puts x = 0 outside the region, so both phases run;
-        # a budget of one pivot per phase stops phase 2 before it reaches the
-        # optimum.
+        # over.  Phase 1 reaches a feasible basis in one pivot, and a budget
+        # of one pivot per phase stops phase 2 before it reaches the optimum.
         run_simplex, dual_simplex, verdicts = lp_module._run_simplex, lp_module._dual_simplex, []
 
         def one_pivot(basis, cost, opts, iter_budget, **kwargs):
@@ -150,11 +149,12 @@ class TestBasics:
     def test_singular_basis_is_named(self, monkeypatch):
         # The dual attempt starts from the identity, which it does not
         # invert, so its first inversion is the fresh one that must confirm
-        # its verdict; it fails, and the primal path takes over.  Phase 2,
-        # started from the slack basis, takes one pivot.  The third
-        # inversion, the fresh one that must confirm phase 2's verdict,
-        # fails; so does the fourth solve of the fresh re-solve that follows,
-        # the first of its second pivot.
+        # its verdict after two basis changes; it fails, and the primal path
+        # takes over.  Phase 1 inverts its all-artificial start, the second
+        # inversion, and takes one pivot.  The third inversion, the fresh one
+        # that must confirm phase 1's verdict, fails; so does the fourth
+        # solve of the fresh re-solve that follows, the first of its second
+        # pivot.
         real_inv, real_solve, calls = np.linalg.inv, np.linalg.solve, []
 
         def inv_once_singular(a):
@@ -573,14 +573,61 @@ class TestDualPath:
 
     def test_wide_scale_stage_1_takes_the_primal_path(self, golden, monkeypatch):
         # A row of A times 1e6 spans more than _WIDE_SCALE, so the kernel would
-        # keep no inverse: fresh solves on the primal path, with the optimum
-        # unchanged, as scaling a row leaves the region as it is.
+        # keep no inverse.  The program is not homogeneous (b_eq = 1, and its
+        # improving columns park at artificial bounds), so the dual run may
+        # make no basis change; its start is not optimal, and fresh solves on
+        # the primal path find the optimum, unchanged, as scaling a row leaves
+        # the region as it is.
         scaled = LFPProblem(golden.A * [[1e6], [1.0]], golden.b * [1e6, 1.0], golden.c, golden.d,
                             golden.alpha, golden.beta)
-        verdicts = dual_verdicts(monkeypatch)
+        runs, dual_simplex = [], lp_module._dual_simplex
+
+        def recorded(*args):
+            result = dual_simplex(*args)
+            runs.append((result[0], result[2]))
+            return result
+
+        monkeypatch.setattr(lp_module, "_dual_simplex", recorded)
         out = solve_lp(build_transformed_lp(scaled))
-        assert verdicts == []
+        assert runs == [("iteration_limit", 0)]
         assert out.objective == pytest.approx(4.0 / 3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("b_eq, lo, hi, budget, optimum", [
+        ([0.0], [-1.0, -2e6], [1.0, 2e6], 50 * (1 + 2), 999999.0),
+        ([1e6], [-1.0, -2e6], [1.0, 2e6], 0, -1.0),
+        ([0.0], [0.5, -2e6], [1.0, 2e6], 0, 999999.0),
+        ([0.0], [-1.0, -2e6], [-0.5, 2e6], 0, -499999.5),
+        ([0.0], [-1.0, -2e6], [1.0, math.inf], 0, 999999.0),
+        ([0.0], [-math.inf, -2e6], [1.0, 2e6], 0, 999999.0),
+    ], ids=["homogeneous", "b != 0", "lo > 0", "hi < 0", "cost < 0, hi = inf",
+            "cost > 0, lo = -inf"])
+    def test_wide_scale_program_gets_a_dual_budget_only_if_homogeneous(
+        self, monkeypatch, b_eq, lo, hi, budget, optimum
+    ):
+        # max x1 - x0 subject to 1e6 x0 - x1 = b_eq spans more than
+        # _WIDE_SCALE.  With b = 0, lo <= 0 <= hi and each column's cost
+        # favouring a finite bound, the dual run gets the full budget of
+        # 50 * (rows + cols) basis changes and pivots to the optimum.  Each
+        # other case breaks one of those clauses, so its run may make no
+        # basis change; its start is not optimal, and the primal path solves it.
+        runs, dual_simplex = [], lp_module._dual_simplex
+
+        def recorded(basis, cost, opts, iter_budget):
+            result = dual_simplex(basis, cost, opts, iter_budget)
+            runs.append((iter_budget, result[0], result[2]))
+            return result
+
+        monkeypatch.setattr(lp_module, "_dual_simplex", recorded)
+        out = solve_lp(LinearProgram(Sense.MAXIMIZE, [-1.0, 1.0], A_eq=[[1e6, -1.0]],
+                                     b_eq=b_eq, lo=lo, hi=hi))
+        [(given, verdict, changes)] = runs
+        assert given == budget
+        if budget:
+            assert verdict == "optimal" and changes > 0
+        else:
+            assert (verdict, changes) == ("iteration_limit", 0)
+        assert out.is_optimal
+        assert out.objective == pytest.approx(optimum, rel=1e-12)
 
     @pytest.mark.parametrize("sense, objective, lo", [
         (Sense.MAXIMIZE, [1.0, 1.0], [0.0, 0.0]),

@@ -206,9 +206,9 @@ def random_slack_start_lp(seed):
     """An all-inequality program whose slacks absorb the residual at the parking point.
 
     Columns are nonnegative, free, boxed (some fixed) or upper-bounded, as in
-    `random_mixed_lp`; each parks where `_initial_status` puts it (lo, else
-    hi, else 0), and b_ub is A_ub times that point plus a nonnegative
-    integer, with some entry nonzero so that the dual path does not apply.
+    `random_mixed_lp`; each parks where `lfpkit.lp._park` puts it by its
+    bounds alone (lo, else hi, else 0), and b_ub is A_ub times that point
+    plus a nonnegative integer, with some entry nonzero so that b != 0.
     The parking point is feasible, so the program is optimal or unbounded.
     """
     rng = np.random.default_rng(seed)
@@ -244,14 +244,16 @@ def record_phases(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(150))
 def test_slack_start_skips_phase_one_and_matches_highs(seed, monkeypatch):
-    # Every dual attempt breaks down at once, so the primal path's own slack
-    # start is the one tested.
+    # Every dual attempt breaks down at once, so the primal path solves each
+    # program.  Its slack basis is feasible, but the primal path does not
+    # start from it, whatever the test's name says: phase 1 runs from the
+    # all-artificial basis, then phase 2, once each.
     monkeypatch.setattr(lp_module, "_dual_simplex", lambda *args: ("singular", None, 0, 0))
     phases = record_phases(monkeypatch)
     lp = random_slack_start_lp(seed)
     out = solve_lp(lp)
     ref = highs(lp)
-    assert phases and set(phases) == {2}
+    assert phases == [1, 2]
     assert out.status is HIGHS_STATUS[ref.status], ref.message
     if out.is_optimal:
         expected = -ref.fun if lp.sense is Sense.MAXIMIZE else ref.fun
@@ -261,9 +263,9 @@ def test_slack_start_skips_phase_one_and_matches_highs(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(150))
 def test_slack_start_program_takes_the_dual_path_and_matches_highs(seed, monkeypatch):
-    # On default routing the dual simplex runs first, from its own slack
-    # start; the primal path takes over only for an unbounded program (or a
-    # breakdown), and then from its slack start too, so no phase 1 runs.
+    # On default routing the dual simplex runs first, from its slack start;
+    # the primal path takes over only for an unbounded program (or a
+    # breakdown), and then runs phase 1 and phase 2 once each.
     phases = record_phases(monkeypatch)
     verdicts, dual_simplex = [], lp_module._dual_simplex
 
@@ -276,7 +278,7 @@ def test_slack_start_program_takes_the_dual_path_and_matches_highs(seed, monkeyp
     lp = random_slack_start_lp(seed)
     out = solve_lp(lp)
     ref = highs(lp)
-    assert len(verdicts) == 1 and 1 not in phases
+    assert len(verdicts) == 1 and phases in ([], [1, 2])
     assert out.status is HIGHS_STATUS[ref.status], ref.message
     if out.is_optimal:
         expected = -ref.fun if lp.sense is Sense.MAXIMIZE else ref.fun

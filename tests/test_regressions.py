@@ -18,6 +18,8 @@ import lfpkit.duality as duality_module
 import lfpkit.lp as lp_module
 from lfpkit import (
     LFPProblem,
+    LinearProgram,
+    Sense,
     SolveStatus,
     approach_one,
     build_dual_interior_lp,
@@ -212,20 +214,74 @@ def test_ladder_instance_takes_a_short_dual_stage1(tmp_path, capsys, monkeypatch
     assert report["theta_star"] == pytest.approx(-ref.fun, rel=1e-9)
 
 
-@pytest.mark.parametrize("seed", [1, 31])
-def test_wide_scale_stage1_never_reaches_the_dual_simplex(monkeypatch, seed):
-    # `scaled-a` multiplies A by 1e6 and leaves b as it is, so every stage-1
-    # LP of the family spans more than _WIDE_SCALE and stays on the primal
-    # path with fresh solves, whose arithmetic it has always had.
-    def no_dual(*args):
-        raise AssertionError("a wide-scale stage 1 reached the dual simplex")
+def record_wide_scale_solves(monkeypatch):
+    """(dual runs as (verdict, basis changes), `np.linalg.inv` calls, `_two_phase`
+    calls) of the `solve_lp` calls made from here on."""
+    runs, inversions, attempts = [], [], []
+    dual_simplex, inv, two_phase = lp_module._dual_simplex, np.linalg.inv, lp_module._two_phase
 
-    monkeypatch.setattr(lp_module, "_dual_simplex", no_dual)
-    scaled = [data for name, data in load_generate().instances("degenerate-mixed", seed)
-              if name.startswith("scaled-a")]
-    assert len(scaled) == 20
-    statuses = {solve_lp(build_transformed_lp(LFPProblem(**data))).status for data in scaled}
-    assert statuses == {SolveStatus.OPTIMAL}
+    def dual(*args):
+        result = dual_simplex(*args)
+        runs.append((result[0], result[2]))
+        return result
+
+    def counted_inv(a):
+        inversions.append(None)
+        return inv(a)
+
+    def counted_two_phase(*args, **kwargs):
+        attempts.append(None)
+        return two_phase(*args, **kwargs)
+
+    monkeypatch.setattr(lp_module, "_dual_simplex", dual)
+    monkeypatch.setattr(lp_module.np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(lp_module, "_two_phase", counted_two_phase)
+    return runs, inversions, attempts
+
+
+def outcome_bytes(out):
+    """Every field of an `LPOutcome`, arrays as their bytes."""
+    arrays = [None if v is None else v.tobytes() for v in (out.point, out.duals)]
+    return out.status, repr(out.objective), out.detail, *arrays
+
+
+@pytest.mark.parametrize("seed", [1, 31])
+def test_wide_scale_stage1_keeps_its_primal_arithmetic(monkeypatch, seed):
+    # `scaled-a` multiplies A by 1e6 and leaves b as it is, so every stage-1
+    # LP of the family spans more than _WIDE_SCALE and is not homogeneous.
+    # Its dual run may make no basis change, and its start, read off the
+    # identity without an inversion, is not optimal; fresh solves on the
+    # primal path then give the very outcome they give with no dual attempt.
+    lps = [build_transformed_lp(LFPProblem(**data))
+           for name, data in load_generate().instances("degenerate-mixed", seed)
+           if name.startswith("scaled-a")]
+    assert len(lps) == 20
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_module, "_dual_attempt", lambda *args: None)
+        expected = [solve_lp(lp) for lp in lps]
+    assert {out.status for out in expected} == {SolveStatus.OPTIMAL}
+    runs, inversions, _ = record_wide_scale_solves(monkeypatch)
+    for lp, want in zip(lps, expected):
+        runs.clear()
+        got = solve_lp(lp)
+        assert runs == [("iteration_limit", 0)]
+        assert inversions == []
+        assert outcome_bytes(got) == outcome_bytes(want)
+
+
+def test_wide_scale_denominator_lp_ends_at_its_dual_start(monkeypatch):
+    # The denominator LP of s1 `scaled-a-00` spans more than _WIDE_SCALE.
+    # With d >= 0 and b > 0, x = 0 with every slack basic is its optimum,
+    # and the dual run reads it off its identity start: no basis change, no
+    # inversion and no primal solve.
+    problem = LFPProblem(**dict(load_generate().instances("degenerate-mixed", 1))["scaled-a-00"])
+    assert (problem.d >= 0.0).all() and (problem.b > 0.0).all()
+    runs, inversions, attempts = record_wide_scale_solves(monkeypatch)
+    out = solve_lp(LinearProgram(Sense.MINIMIZE, problem.d, A_ub=problem.A, b_ub=problem.b))
+    assert runs == [("optimal", 0)]
+    assert inversions == [] and attempts == []
+    assert out.is_optimal
+    assert not out.point.any() and not out.duals.any()
 
 
 def test_zero_pivot_reinverts_without_numpy_warnings(tmp_path, capsys):

@@ -29,19 +29,15 @@ on each side, and how many of the instances that both sides solve have a
 different `partition`.  Then it names each instance whose exit code changed,
 with the error text (or "cross_check false") on each side, whose partition
 differs, whose report differs other than in its `error` text, and whose
-simplex runs, text report or standard error differ; a run's inversions count
-only where both dumps carry them.  A last line per workload counts these and
-gives its failures and pivots.  It exits 1 on any difference, 0 otherwise; a
-change that moves pivot paths exits 1, and the per-seed lines say whether it
-changed anything that matters.  It also reads
-dumps made before runs were labelled, whose runs are [verdict, pivots].
+simplex runs, text report or standard error differ.  A last line per
+workload counts these and gives its failures and pivots.  It exits 1 on any
+difference, 0 otherwise; a change that moves pivot paths exits 1, and the
+per-seed lines say whether it changed anything that matters.
 
 `ledger` reads a dump and writes, per workload and seed, the instances, the
 failures by exit code, the simplex runs, the total pivots, those of the face
-LPs and those of each LP (denominator, stage 1, primal and joint face, and the
-dual face of dumps made while approach one still solved it),
-the runs, basis changes, bound flips, verdicts and (where the dump carries
-them) inversions of each method,
+LPs and those of each LP (denominator, stage 1, primal and joint face), the
+runs, basis changes, bound flips, verdicts and inversions of each method,
 and how many optimal face LPs ended at a fractional objective; each ladder
 instance gets a pivot-only row with the same per-method counts for each of
 its LPs.  Pivot counts are deterministic, so the ledger of a checkout is
@@ -74,8 +70,6 @@ from lfpkit import cli, complementarity, duality, lp, problem  # noqa: E402
 CLI_ARGS = ("--approach", "both", "--validate-denominator")
 
 # The LPs of one `lfp-solve` run, in call order, as `recording` labels them.
-# Dumps of older checkouts also hold "dual face" runs, between the primal and
-# the joint face.
 LPS = ("denominator", "stage 1", "primal face", "joint face")
 
 # A face LP's optimum is an integer (the support count plus one); an optimal
@@ -217,7 +211,7 @@ def diff(before: list, after: list, out=sys.stdout) -> int:
                     errors_only += 1
                 else:
                     print(f"  report differs: {name}", file=out)
-            if _runs(a, b) != _runs(b, a):
+            if a.get("runs") != b.get("runs"):
                 runs += 1
                 print(f"  simplex runs differ: {name}", file=out)
             if (a.get("text"), a.get("stderr")) != (b.get("text"), b.get("stderr")):
@@ -244,14 +238,6 @@ def _summary(old: dict, new: dict, keys) -> tuple:
     return (f"failures {failed_before} -> {failed_after}",
             f"pivots {_pivots(old, keys)} -> {_pivots(new, keys)}",
             f"partitions differ on {moved} of {len(solved)} solved by both")
-
-
-def _runs(record: dict, other: dict) -> list | None:
-    """The simplex runs of `record`, without their inversions unless `other`'s carry them too."""
-    runs, others = record.get("runs"), other.get("runs")
-    if runs and others and len(runs[0]) != len(others[0]):
-        return [run[:5] for run in runs]
-    return runs
 
 
 def _partition(record: dict) -> str:
@@ -293,7 +279,7 @@ def ledger(records: list) -> list:
             "pivots": sum(map(_run_pivots, runs)),
             "face_lp_pivots": sum(_run_pivots(run) for run in runs if run[0].endswith(" face")),
             "lp_pivots": {label: sum(_run_pivots(run) for run in runs if run[0] == label)
-                          for label in dict.fromkeys([*LPS, *(run[0] for run in runs)])},
+                          for label in LPS},
             "methods": _tally(runs),
             "fractional_face_optima": sum(abs(value - round(value)) > FRACTIONAL for value in optima),
         })
@@ -301,29 +287,24 @@ def ledger(records: list) -> list:
 
 
 def _tally(runs: list) -> dict:
-    """Runs, basis changes, bound flips, verdicts and inversions (where the
-    runs carry them) of recorded runs, per method."""
+    """Runs, basis changes, bound flips, verdicts and inversions of recorded runs, per method."""
     methods = {}
-    for _, method, verdict, changes, flips, *inversions in runs:
+    for _, method, verdict, changes, flips, inversions in runs:
         tally = methods.setdefault(method, {"runs": 0, "basis_changes": 0, "bound_flips": 0,
-                                            "verdicts": {}})
+                                            "verdicts": {}, "inversions": 0})
         tally["runs"] += 1
         tally["basis_changes"] += changes
         tally["bound_flips"] += flips
         tally["verdicts"][verdict] = tally["verdicts"].get(verdict, 0) + 1
-        if inversions:
-            tally["inversions"] = tally.get("inversions", 0) + inversions[0]
+        tally["inversions"] += inversions
     return methods
 
 
 def _run_pivots(run: list) -> int:
     """The iterations of one recorded run: a primal run's basis changes and
     bound flips, each a step of its own, or a dual run's basis changes, whose
-    bound flips ride along.  Dumps made before runs were labelled hold
-    [verdict, pivots]."""
-    if len(run) == 2:
-        return run[1]
-    _, method, _, changes, flips, *_ = run
+    bound flips ride along."""
+    _, method, _, changes, flips, _ = run
     return changes + flips if method == "primal" else changes
 
 
