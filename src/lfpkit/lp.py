@@ -58,7 +58,9 @@ order would give.
 Each method stops after 50 * (rows + cols) iterations (across both phases
 of the primal path, where a bound flip is an iteration of its own); the
 cap is fixed, not an option.  All choices are index-deterministic: the
-same program and options always produce the same outcome.
+same program and options always produce the same outcome, down to its
+`runs`, the record of each simplex run's verdict, basis changes, bound
+flips and inversions (`_Basis` counts them) that every outcome carries.
 
 Both loops run on one private basis kernel, `_Basis`, and keep only their
 pricing, ratio tests and verdicts.  The kernel holds the basic columns and
@@ -82,7 +84,7 @@ the start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -219,6 +221,12 @@ class LPOutcome:
     attempt that stopped.  It leaves out the basis changes of a dual attempt
     made first, and the pivots of an attempt on the kept inverse that met a
     singular basis before the fresh solves took over.
+
+    `runs` holds one (method, verdict, basis_changes, bound_flips, inversions)
+    tuple per simplex run, in call order: "dual" or "primal" (one run per
+    phase), the run's own verdict, its basis changes (a primal run's leave
+    out its bound flips) and flips, and its attempts to invert a basis
+    matrix, one that raises included.  It is output only.
     """
 
     status: SolveStatus
@@ -226,6 +234,7 @@ class LPOutcome:
     objective: float | None = None
     detail: str | None = None
     duals: np.ndarray | None = None
+    runs: tuple = ()
 
     @property
     def is_optimal(self) -> bool:
@@ -272,7 +281,8 @@ class _Basis:
     `fixed` marks lo = hi.  Without `fresh` it keeps B^-1 in `Binv`, with
     `updates` rank-one updates since its inversion; a caller whose start
     basis is the identity sets `Binv` to it, and the first `solve` inverts
-    nothing.  `y` holds the row duals of the last `solve`.
+    nothing.  `y` holds the row duals of the last `solve`, and `inversions`
+    counts the attempts to invert B, one that raises included.
     """
 
     def __init__(self, A, b, lo, hi, cols, parked, fresh=False):
@@ -283,7 +293,7 @@ class _Basis:
         self.free[cols] = False
         self.side[self.fixed] = 0.0
         self.side[cols] = self.xn[cols] = 0.0
-        self.Binv, self.updates, self.rhs, self.y = None, 0, None, None
+        self.Binv, self.updates, self.rhs, self.y, self.inversions = None, 0, None, None, 0
 
     def point(self, xb):
         """The whole point: `xn` with the basic values `xb` filled in."""
@@ -303,6 +313,7 @@ class _Basis:
             else:
                 if self.Binv is None or self.updates >= _REFACTOR_INTERVAL:
                     B = self.A[:, self.cols]
+                    self.inversions += 1
                     self.Binv, self.updates = np.linalg.inv(B), 0
                     if _norm1(B) * _norm1(self.Binv) > _ILL_CONDITIONED:
                         return None
@@ -645,7 +656,7 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     verdict checks the reduced costs alone, so its point may lie outside the
     bounds by more than `opts.feas_tol`.  This is where a wide-scale program
     is routed to fresh solves, and any other to them after its kept inverse
-    fails.
+    fails.  Every outcome carries the runs of both paths in `runs`.
     """
     A, b, lo, hi = _standard_form(lp)
     (m, N), n = A.shape, lp.num_vars
@@ -653,22 +664,25 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     cost[:n] = lp.objective if lp.sense is Sense.MINIMIZE else -lp.objective
     coefficients = np.abs(A[A != 0.0])
     wide = coefficients.size > 0 and coefficients.max() > _WIDE_SCALE * coefficients.min()
-    outcome = _dual_attempt(A, b, lo, hi, cost, n, opts, wide)
+    runs = []
+    outcome = _dual_attempt(A, b, lo, hi, cost, n, opts, wide, runs)
     if outcome is None:
-        outcome = _two_phase(A, b, lo, hi, cost, n, opts, wide)
+        outcome = _two_phase(A, b, lo, hi, cost, n, opts, runs, wide)
     if outcome is None:
-        outcome = _two_phase(A, b, lo, hi, cost, n, opts, fresh=True)
+        outcome = _two_phase(A, b, lo, hi, cost, n, opts, runs, fresh=True)
     if not outcome.is_optimal:
-        return outcome
+        return replace(outcome, runs=tuple(runs))
     point = _frozen(outcome.point[:n])
     # The solver minimizes `cost`, so a maximized objective's duals change sign.
     duals = _frozen(outcome.duals if lp.sense is Sense.MINIMIZE else -outcome.duals)
-    return LPOutcome(SolveStatus.OPTIMAL, point, float(lp.objective @ point), duals=duals)
+    return LPOutcome(SolveStatus.OPTIMAL, point, float(lp.objective @ point), duals=duals,
+                     runs=tuple(runs))
 
 
-def _dual_attempt(A, b, lo, hi, cost, n, opts, wide):
+def _dual_attempt(A, b, lo, hi, cost, n, opts, wide, runs):
     """The dual simplex's OPTIMAL outcome on the standard form, with the
     whole point and the minimization's row duals; None for any other ending.
+    The run goes onto `runs`.
 
     The slack is basic in each inequality row and an artificial fixed at
     [0, 0] in each equality row.  Every basic column has cost 0, so y = 0,
@@ -700,17 +714,18 @@ def _dual_attempt(A, b, lo, hi, cost, n, opts, wide):
     np.fill_diagonal(A_start[m - n_eq:, N:], 1.0)
     basis = _Basis(A_start, b, lo, hi, np.arange(n, N + n_eq), _park(lo, hi, cost))
     basis.Binv = np.eye(m)  # the start basis is the identity, so this is its inverse, bit for bit
-    verdict, x, _, _ = _dual_simplex(basis, cost, opts, iter_budget)
+    verdict, x, changes, flips = _dual_simplex(basis, cost, opts, iter_budget)
+    runs.append(("dual", verdict, changes, flips, basis.inversions))
     side = basis.side[:N]
     if verdict != "optimal" or (boxed_hi & (side < 0.0)).any() or (boxed_lo & (side > 0.0)).any():
         return None
     return LPOutcome(SolveStatus.OPTIMAL, x, duals=basis.y)
 
 
-def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
+def _two_phase(A, b, lo, hi, cost, n, opts, runs, fresh):
     """The outcome of both phases on the standard form, with the whole point
     and the minimization's row duals if OPTIMAL; None where the kept inverse
-    met a singular basis.
+    met a singular basis.  Each phase's run goes onto `runs`.
 
     Phase 1 runs from the all-artificial basis, each artificial signed to
     absorb its row's residual b - A x at the parking point x (`_park`), and
@@ -724,9 +739,10 @@ def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
     signs = np.where(b - A @ parked[1][:N] >= 0, 1.0, -1.0)
     basis = _Basis(np.hstack([A, np.diag(signs)]), b, lo, hi, np.arange(N, N + m), parked, fresh)
     cost1 = np.concatenate([np.zeros(N), np.ones(m)])
-    verdict, x, used, _ = _run_simplex(
+    verdict, x, used, flips = _run_simplex(
         basis, cost1, opts, iter_budget, phase1_floor=opts.feas_tol * 1e-3,
     )
+    runs.append(("primal", verdict, used - flips, flips, basis.inversions))
     if verdict == "singular" and not fresh:
         return None
     if verdict != "optimal":
@@ -737,7 +753,9 @@ def _two_phase(A, b, lo, hi, cost, n, opts, fresh):
     _drive_out_artificials(basis, N)
     basis.hi[N:], basis.fixed[N:], basis.side[N:] = 0.0, True, 0.0  # frozen out of phase 2
     cost = np.concatenate([cost, np.zeros(m)])
-    verdict, x, more, _ = _run_simplex(basis, cost, opts, iter_budget - used)
+    inverted = basis.inversions
+    verdict, x, more, flips = _run_simplex(basis, cost, opts, iter_budget - used)
+    runs.append(("primal", verdict, more - flips, flips, basis.inversions - inverted))
     if verdict == "singular" and not fresh:
         return None
     if verdict == "unbounded":

@@ -10,7 +10,9 @@ strictly positive constraint matrices with b > 0 keep the region non-empty
 denominator positive everywhere on it.
 """
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 
@@ -22,9 +24,20 @@ from lfpkit import (
     Polyhedron,
     Sense,
     SolveStatus,
+    build_maximal_element_lp,
     solve_lp,
 )
 from lfpkit.interior import DEFAULT_POS_TOL
+
+GENERATE = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
+
+
+def load_generate():
+    """The benchmark's instance generator, `perfbench/generate.py`, as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_generate", GENERATE)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate
 
 
 def random_instance(seed, max_dim=6, total_cap=None, nonneg_objective=False):
@@ -78,6 +91,59 @@ def random_box_lp(seed, max_vars=5, max_rows=4):
         b_ub=np.array([rhs for _, rhs in rows]),
         hi=caps,
     )
+
+
+def random_support_lp(seed):
+    """`build_maximal_element_lp` of a random polyhedron with integer data.
+
+    About a quarter of the coordinates are free, some rows repeat another
+    row (times -1, 1 or 2), and about a third of the polyhedra have a
+    right-hand side drawn at random, which leaves many of them empty.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    m = int(rng.integers(1, 5))
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    anchor = rng.integers(0, 3, size=n) * (rng.random(n) < 0.7)
+    b = A @ anchor if rng.random() < 0.7 else rng.integers(-3, 4, size=m).astype(float)
+    repeats = rng.integers(0, m, size=int(rng.integers(0, 3)))
+    factors = rng.choice([-1.0, 1.0, 2.0], size=repeats.size)
+    A = np.vstack([A, factors[:, None] * A[repeats]])
+    b = np.concatenate([b, factors * b[repeats]])
+    return build_maximal_element_lp(Polyhedron(A, b, rng.random(n) < 0.25))
+
+
+def random_slack_start_lp(seed):
+    """An all-inequality program whose slacks absorb the residual at the parking point.
+
+    Columns are nonnegative, free, boxed (some fixed) or upper-bounded, as in
+    `test_lp_highs.random_mixed_lp`; each parks where `lfpkit.lp._park` puts
+    it by its bounds alone (lo, else hi, else 0), and b_ub is A_ub times that
+    point plus a nonnegative integer, with some entry nonzero so that b != 0.
+    The parking point is feasible, so the program is optimal or unbounded.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(1, 6))
+    kind = rng.integers(0, 4, size=n)  # nonnegative, free, boxed, upper-bounded
+    low = rng.integers(-2, 2, size=n).astype(float)
+    width = rng.integers(0, 4, size=n).astype(float)
+    lo = np.where(kind == 0, 0.0, np.where(kind == 2, low, -np.inf))
+    hi = np.where(kind >= 2, low + width, np.inf)
+    park = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    A_ub = rng.integers(-3, 4, size=(m, n)).astype(float)
+    b_ub = A_ub @ park + rng.integers(0, 3, size=m) * (rng.random(m) < 0.6)
+    if not b_ub.any():
+        b_ub[0] = 1.0
+    return LinearProgram(
+        Sense.MAXIMIZE if rng.random() < 0.5 else Sense.MINIMIZE,
+        rng.integers(-3, 4, size=n).astype(float), A_ub=A_ub, b_ub=b_ub, lo=lo, hi=hi,
+    )
+
+
+def dual_verdicts(out):
+    """The verdict of each dual simplex run of a `solve_lp` outcome, in order."""
+    return [verdict for method, verdict, *_ in out.runs if method == "dual"]
 
 
 def enumerate_vertices(G, h, tol=1e-7):

@@ -78,6 +78,14 @@ def test_diff_counts_changed_simplex_runs():
     assert "simplex runs differ: w/1/same" not in text
     assert "w: 2 compared, 0 reports differ (0 only in error text), 0 exit-code changes, " \
         "1 with different simplex runs, failures 0 -> 0, pivots 14 -> 15" in text
+    # The line names the first run that differs, by index, with both sides' fields.
+    assert '  simplex runs differ: w/1/pivots: run 1 ["joint face", "dual", "optimal", 7, 2, 1] ' \
+        '-> ["joint face", "dual", "optimal", 8, 2, 1]' in text.splitlines()
+    # A run that one side lacks shows as null.
+    out = io.StringIO()
+    assert tool.diff([pivots], [{**pivots, "runs": pivots["runs"][:1]}], out) == 1
+    assert '  simplex runs differ: w/1/pivots: run 1 ["joint face", "dual", "optimal", 7, 2, 1] ' \
+        '-> null' in out.getvalue().splitlines()
 
 
 def test_diff_counts_changed_text_or_stderr():
@@ -121,6 +129,10 @@ def test_diff_summarizes_each_seed_for_moved_pivot_paths():
         record(2, "now-solves", 0, 4, q),
         record(2, "still-fails", 5, 4, error="new text"),
     ]
+    def runs_differ(name, before, after):
+        run = '["joint face", "dual", "optimal", {}, 0, 0]'
+        return f"  simplex runs differ: w/{name}: run 0 {run.format(before)} -> {run.format(after)}"
+
     out = io.StringIO()
     assert tool.diff(before, after, out) > 0  # the exit status stays "any difference"
     assert out.getvalue().splitlines() == [
@@ -130,16 +142,16 @@ def test_diff_summarizes_each_seed_for_moved_pivot_paths():
         "partitions differ on 0 of 0 solved by both",
         "  partition differs: w/1/moved-partition",
         "  report differs: w/1/moved-partition",
-        "  simplex runs differ: w/1/moved-partition",
+        runs_differ("1/moved-partition", 10, 4),
         "  exit code 0 -> 5: w/1/now-fails: ok -> cross_check false",
         "  report differs: w/1/now-fails",
-        "  simplex runs differ: w/1/now-fails",
+        runs_differ("1/now-fails", 10, 4),
         "  report differs: w/1/same-partition",
-        "  simplex runs differ: w/1/same-partition",
+        runs_differ("1/same-partition", 10, 4),
         "  exit code 5 -> 0: w/2/now-solves: singular basis after 3 pivots -> ok",
         "  report differs: w/2/now-solves",
-        "  simplex runs differ: w/2/now-solves",
-        "  simplex runs differ: w/2/still-fails",
+        runs_differ("2/now-solves", 10, 4),
+        runs_differ("2/still-fails", 10, 4),
         "w: 5 compared, 5 reports differ (1 only in error text), 2 exit-code changes, "
         "5 with different simplex runs, failures 2 -> 2, pivots 50 -> 20, "
         "0 with different text or stderr",

@@ -412,6 +412,16 @@ class TestVerifiers:
         )
         assert verify_scsc(sol).ok
 
+    @pytest.mark.parametrize("primal, dual, message", [
+        (PrimalPoint([1.0, 2.0], [2.0]), DualPoint([3.0], 1.0, [4.0]),
+         "x and v must have the same length"),
+        (PrimalPoint([1.0], [2.0]), DualPoint([3.0, 5.0], 1.0, [4.0]),
+         "u and y must have the same length"),
+    ], ids=["x-v", "u-y"])
+    def test_solution_rejects_mismatched_lengths(self, primal, dual, message):
+        with pytest.raises(ValueError, match=message):
+            StrictComplementarySolution(primal, 1.0, dual, 1.0)
+
 
 class TestPartitions:
     def test_golden(self, golden):

@@ -12,6 +12,7 @@ from lfpkit import (
     IterationLimitError,
     LFPProblem,
     LPOutcome,
+    NonpositiveDenominator,
     SolveStatus,
     TransformedPoint,
     build_dual_lp,
@@ -54,6 +55,14 @@ class TestForward:
         tp = charnes_cooper_forward(golden, [1.0, 4.0])
         assert tp.t == pytest.approx(1.0 / 18.0, rel=1e-12)
         assert_allclose(tp.x_bar, [1.0 / 18.0, 4.0 / 18.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("x, value", [([-1.0, 0.0], "0"), ([-2.0, 0.0], "-5")],
+                             ids=["zero", "negative"])
+    def test_nonpositive_denominator_is_rejected(self, golden, x, value):
+        # d = (5, 2) and beta = 5: d.x + beta is 0 at (-1, 0) and -5 at (-2, 0).
+        with pytest.raises(NonpositiveDenominator,
+                           match=f"^denominator {value} is not positive at this point$"):
+            charnes_cooper_forward(golden, x)
 
     def test_scaling_identity_holds(self, golden):
         tp = charnes_cooper_forward(golden, [0.8, 3.6])

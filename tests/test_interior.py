@@ -88,6 +88,12 @@ class TestPolyhedron:
         [
             pytest.param([[1.0, 1.0]], [1.0], [True], "free mask", id="free-mask-length"),
             pytest.param(np.zeros((2, 2, 2)), [0.0, 0.0], None, "A_eq must be a matrix", id="A_eq-axes"),
+            pytest.param([[1.0, 1.0]], [1.0, 2.0], None, "A_eq has 1 rows but b_eq has 2 entries",
+                         id="b_eq-length"),
+            pytest.param([[1.0, np.nan]], [1.0], None, "polyhedron data has a non-finite entry",
+                         id="A_eq-nan"),
+            pytest.param([[1.0, 1.0]], [np.inf], None, "polyhedron data has a non-finite entry",
+                         id="b_eq-inf"),
         ],
     )
     def test_rejects_wrong_shape(self, A_eq, b_eq, free, message):

@@ -22,7 +22,16 @@ from lfpkit import (
     validate_denominator,
 )
 
-from helpers import enumerate_vertices, lp_inequalities, random_box_lp, random_instance
+from helpers import (
+    dual_verdicts,
+    enumerate_vertices,
+    load_generate,
+    lp_inequalities,
+    random_box_lp,
+    random_instance,
+    random_slack_start_lp,
+    random_support_lp,
+)
 
 
 def max_violation(lp, x):
@@ -106,15 +115,13 @@ class TestBasics:
         # A dual attempt with no budget stops at once, so the primal path takes
         # over.  Phase 1 reaches a feasible basis in one pivot, and a budget
         # of one pivot per phase stops phase 2 before it reaches the optimum.
-        run_simplex, dual_simplex, verdicts = lp_module._run_simplex, lp_module._dual_simplex, []
+        run_simplex, dual_simplex = lp_module._run_simplex, lp_module._dual_simplex
 
         def one_pivot(basis, cost, opts, iter_budget, **kwargs):
             return run_simplex(basis, cost, opts, 1, **kwargs)
 
         def no_budget(basis, cost, opts, iter_budget):
-            result = dual_simplex(basis, cost, opts, 0)
-            verdicts.append(result[0])
-            return result
+            return dual_simplex(basis, cost, opts, 0)
 
         monkeypatch.setattr(lp_module, "_run_simplex", one_pivot)
         monkeypatch.setattr(lp_module, "_dual_simplex", no_budget)
@@ -125,7 +132,7 @@ class TestBasics:
             b_ub=[1.0, -1.0],
         )
         out = solve_lp(lp)
-        assert verdicts == ["iteration_limit"]
+        assert dual_verdicts(out) == ["iteration_limit"]
         assert out.status is SolveStatus.ITERATION_LIMIT
         assert out.point is None and out.objective is None
         assert out.detail == f"iteration cap of {50 * (2 + 3)} reached"
@@ -182,6 +189,25 @@ class TestBasics:
         assert out.status is SolveStatus.ITERATION_LIMIT
         assert out.point is None and out.objective is None
         assert out.detail == "singular basis after 1 pivots"
+
+    def test_unbounded_phase_one_ray_is_named(self, monkeypatch):
+        # Phase 1's objective is bounded below by zero, so a ray there is a
+        # numerical breakdown; the stub makes phase 1 report one after three
+        # pivots, one of them a bound flip.
+        run_simplex = lp_module._run_simplex
+
+        def phase1_ray(basis, cost, opts, iter_budget, phase1_floor=None):
+            if phase1_floor is None:
+                return run_simplex(basis, cost, opts, iter_budget)
+            return "unbounded", None, 3, 1
+
+        monkeypatch.setattr(lp_module, "_dual_simplex", lambda *args: ("singular", None, 0, 0))
+        monkeypatch.setattr(lp_module, "_run_simplex", phase1_ray)
+        out = solve_lp(LinearProgram(Sense.MAXIMIZE, [1.0, 2.0], A_ub=[[1.0, 1.0]], b_ub=[1.0]))
+        assert out.status is SolveStatus.ITERATION_LIMIT
+        assert out.point is None and out.duals is None
+        assert out.detail == "unbounded phase-1 ray after 3 pivots"
+        assert out.runs == (("dual", "singular", 0, 0, 0), ("primal", "unbounded", 2, 1, 0))
 
     def test_optimal_outcome_has_no_detail(self):
         out = solve_lp(LinearProgram(Sense.MAXIMIZE, [1.0], A_ub=[[1.0]], b_ub=[1.0]))
@@ -477,48 +503,25 @@ class TestBasisInverse:
         rng = np.random.default_rng(23)
         lps = [random_dense_lp(rng) for _ in range(12)]
         expected = [solve_lp(lp) for lp in lps]
-        real_inv, inversions = np.linalg.inv, []
-
-        def counted_inv(a):
-            inversions.append(None)
-            return real_inv(a)
-
         monkeypatch.setattr(lp_module, "_ILL_CONDITIONED", 0.0)
-        monkeypatch.setattr(lp_module.np.linalg, "inv", counted_inv)
         for lp, want in zip(lps, expected):
-            inversions.clear()
             got = solve_lp(lp)
-            assert len(inversions) == 2
+            assert sum(inversions for *_, inversions in got.runs) == 2
             assert got.status is want.status
             if want.is_optimal:
                 assert_allclose(got.objective, want.objective, rtol=1e-9)
         assert sum(out.is_optimal for out in expected) > 3
 
-    def test_wide_scale_program_is_solved_with_fresh_solves(self, monkeypatch):
-        def no_inverse(a):
-            raise AssertionError("a basis of a wide-scale program was inverted")
-
-        monkeypatch.setattr(lp_module.np.linalg, "inv", no_inverse)
+    def test_wide_scale_program_is_solved_with_fresh_solves(self):
         # Coefficients from 1 to 2e6.
         out = solve_lp(LinearProgram(
             Sense.MAXIMIZE, [1.0, 1.0], A_ub=[[1e6, 2e6], [1.0, 0.0]], b_ub=[4e6, 1.0],
         ))
+        inversions = [inverted for *_, inverted in out.runs]
+        assert inversions and not any(inversions), "a basis of a wide-scale program was inverted"
         assert out.is_optimal
         assert_allclose(out.point, [1.0, 1.5])
         assert_allclose(out.objective, 2.5)
-
-
-def dual_verdicts(monkeypatch):
-    """The verdict of every `_dual_simplex` run made from here on, in order."""
-    verdicts, dual_simplex = [], lp_module._dual_simplex
-
-    def recorded(*args, **kwargs):
-        result = dual_simplex(*args, **kwargs)
-        verdicts.append(result[0])
-        return result
-
-    monkeypatch.setattr(lp_module, "_dual_simplex", recorded)
-    return verdicts
 
 
 def face_lps(problem):
@@ -528,16 +531,15 @@ def face_lps(problem):
 
 
 class TestDualPath:
-    def test_face_lps_take_the_dual_path(self, golden, monkeypatch):
-        lps = face_lps(golden)
-        verdicts = dual_verdicts(monkeypatch)
-        objectives = [solve_lp(lp).objective for lp in lps]
-        assert verdicts == ["optimal"] * 3
+    def test_face_lps_take_the_dual_path(self, golden):
+        outcomes = [solve_lp(lp) for lp in face_lps(golden)]
+        objectives = [out.objective for out in outcomes]
+        assert [dual_verdicts(out) for out in outcomes] == [["optimal"]] * 3
         # The golden partition: x1, x2, u1 and y2 positive (plus w2 in each face LP).
         assert objectives == [pytest.approx(4.0), pytest.approx(2.0), pytest.approx(5.0)]
 
     @pytest.mark.parametrize("which", ["stage 1", "denominator", "unbounded column"])
-    def test_other_programs_take_the_dual_path(self, golden, monkeypatch, which):
+    def test_other_programs_take_the_dual_path(self, golden, which):
         # Each starts from the slack start with artificial bounds: b != 0 in
         # the first two, and an improving column with no finite upper bound
         # to park at in the last, whose optimum still leaves it basic.
@@ -550,9 +552,8 @@ class TestDualPath:
                 Sense.MAXIMIZE, [1.0, 0.0], A_eq=[[1.0, -1.0]], b_eq=[0.0], hi=[math.inf, 2.0],
             ), 2.0),
         }[which]
-        verdicts = dual_verdicts(monkeypatch)
         out = solve_lp(lp)
-        assert verdicts == ["optimal"]
+        assert dual_verdicts(out) == ["optimal"]
         assert out.is_optimal
         assert out.objective == pytest.approx(optimum, abs=1e-12)
 
@@ -571,7 +572,7 @@ class TestDualPath:
         assert out.is_optimal
         assert out.objective == optimum
 
-    def test_wide_scale_stage_1_takes_the_primal_path(self, golden, monkeypatch):
+    def test_wide_scale_stage_1_takes_the_primal_path(self, golden):
         # A row of A times 1e6 spans more than _WIDE_SCALE, so the kernel would
         # keep no inverse.  The program is not homogeneous (b_eq = 1, and its
         # improving columns park at artificial bounds), so the dual run may
@@ -580,16 +581,8 @@ class TestDualPath:
         # the region as it is.
         scaled = LFPProblem(golden.A * [[1e6], [1.0]], golden.b * [1e6, 1.0], golden.c, golden.d,
                             golden.alpha, golden.beta)
-        runs, dual_simplex = [], lp_module._dual_simplex
-
-        def recorded(*args):
-            result = dual_simplex(*args)
-            runs.append((result[0], result[2]))
-            return result
-
-        monkeypatch.setattr(lp_module, "_dual_simplex", recorded)
         out = solve_lp(build_transformed_lp(scaled))
-        assert runs == [("iteration_limit", 0)]
+        assert [run[1:3] for run in out.runs if run[0] == "dual"] == [("iteration_limit", 0)]
         assert out.objective == pytest.approx(4.0 / 3.0, abs=1e-9)
 
     @pytest.mark.parametrize("b_eq, lo, hi, budget, optimum", [
@@ -633,43 +626,31 @@ class TestDualPath:
         (Sense.MAXIMIZE, [1.0, 1.0], [0.0, 0.0]),
         (Sense.MINIMIZE, [1.0, 0.0], [-math.inf, 0.0]),
     ], ids=["upper", "lower"])
-    def test_optimum_at_an_artificial_bound_falls_back(self, monkeypatch, sense, objective, lo):
+    def test_optimum_at_an_artificial_bound_falls_back(self, sense, objective, lo):
         # x0 - x1 <= 1: the dual start parks x0 at an artificial bound its
         # cost favours, 1e6 above or below zero, where the slack row is met.
         # The dual simplex so ends "optimal" with x0 nonbasic at that bound,
-        # which is no optimum of the program; the primal path takes over and
-        # finds the ray.
-        two_phase, attempts = lp_module._two_phase, []
-
-        def counted(*args, **kwargs):
-            attempts.append(None)
-            return two_phase(*args, **kwargs)
-
-        monkeypatch.setattr(lp_module, "_two_phase", counted)
-        verdicts = dual_verdicts(monkeypatch)
+        # which is no optimum of the program; one primal attempt takes over,
+        # and its phase 2 finds the ray.
         out = solve_lp(LinearProgram(sense, objective, A_ub=[[1.0, -1.0]], b_ub=[1.0], lo=lo))
-        assert verdicts == ["optimal"]
-        assert len(attempts) == 1
+        assert dual_verdicts(out) == ["optimal"]
+        assert [run[1] for run in out.runs if run[0] == "primal"] == ["optimal", "unbounded"]
         assert out.status is SolveStatus.UNBOUNDED
 
     @pytest.mark.parametrize("seed", range(8))
     def test_breakdown_falls_back_to_the_primal_path(self, monkeypatch, seed):
         # Every inverse counts as ill-conditioned, so the dual path breaks
-        # down at its first inversion and both primal attempts follow.
+        # down at its first inversion and both primal attempts follow: the
+        # one on the kept inverse stops at the inversion of its phase-1
+        # start, and the one with fresh solves runs both phases.
         lp = build_joint_lp(random_instance(seed))
         expected = solve_lp(lp)
-        two_phase, attempts = lp_module._two_phase, []
-
-        def counted(*args, **kwargs):
-            attempts.append(kwargs.get("fresh", args[-1]))
-            return two_phase(*args, **kwargs)
-
-        verdicts = dual_verdicts(monkeypatch)
         monkeypatch.setattr(lp_module, "_ILL_CONDITIONED", 0.0)
-        monkeypatch.setattr(lp_module, "_two_phase", counted)
         got = solve_lp(lp)
-        assert verdicts == ["singular"]
-        assert attempts == [False, True]
+        assert dual_verdicts(got) == ["singular"]
+        kept, *fresh = [run for run in got.runs if run[0] == "primal"]
+        assert kept == ("primal", "singular", 0, 0, 1)
+        assert len(fresh) == 2 and not any(inversions for *_, inversions in fresh)
         assert expected.is_optimal and got.is_optimal
         assert got.objective == pytest.approx(expected.objective, abs=1e-9)
 
@@ -933,6 +914,78 @@ class TestVectorizedKernelsMatchScans:
         assert state.side.tolist() == [1.0, 0.0, -1.0, 0.0, 0.0]
         assert state.free.tolist() == [False, False, False, True, False]
         assert state.xn.tolist() == [0.0, 0.0, 3.0, 0.0, 0.5]
+
+
+def wrapper_runs(monkeypatch):
+    """The runs of the `solve_lp` calls made from here on, recorded from
+    outside the solver by a wrapper around each simplex loop and a count of
+    the `np.linalg.inv` calls it makes: the reference that `LPOutcome.runs`
+    must match run for run."""
+    runs, inverted = [], []
+    run_simplex, dual_simplex, inv = lp_module._run_simplex, lp_module._dual_simplex, np.linalg.inv
+
+    def counted_inv(a):
+        inverted.append(None)
+        return inv(a)
+
+    def primal(*args, **kwargs):
+        before = len(inverted)
+        verdict, x, pivots, flips = run_simplex(*args, **kwargs)
+        runs.append(("primal", verdict, pivots - flips, flips, len(inverted) - before))
+        return verdict, x, pivots, flips
+
+    def dual(*args, **kwargs):
+        before = len(inverted)
+        verdict, x, changes, flips = dual_simplex(*args, **kwargs)
+        runs.append(("dual", verdict, changes, flips, len(inverted) - before))
+        return verdict, x, changes, flips
+
+    monkeypatch.setattr(lp_module, "_run_simplex", primal)
+    monkeypatch.setattr(lp_module, "_dual_simplex", dual)
+    monkeypatch.setattr(lp_module.np.linalg, "inv", counted_inv)
+    return runs
+
+
+def scaled_a_lps(names):
+    """The stage-1 LPs of the degenerate-mixed seed 1 `scaled-a` instances, or
+    the primal face LPs of those in `names`."""
+    problems = [(name, LFPProblem(**data))
+                for name, data in load_generate().instances("degenerate-mixed", 1)
+                if name.startswith("scaled-a")]
+    if names is None:
+        return [build_transformed_lp(problem) for _, problem in problems]
+    return [build_primal_interior_lp(problem, solve_lp(build_transformed_lp(problem)).objective)
+            for name, problem in problems if name in names]
+
+
+class TestRunsMatchWrappers:
+    @pytest.mark.parametrize("family", [
+        "slack-start", "support", "dense", "dense-ill-conditioned", "scaled-a-stage-1",
+        "scaled-a-primal-face",
+    ])
+    def test_outcome_runs_match_the_wrapped_loops(self, monkeypatch, family):
+        # With every inverse counted as ill-conditioned, a dense program's
+        # dual run breaks down, its primal attempt on the kept inverse meets
+        # a singular basis, and fresh solves follow.  A `scaled-a` stage 1
+        # takes the zero-budget dual run and then fresh solves.  The dual
+        # runs of the three `scaled-a` primal face LPs each meet a basis
+        # whose inversion raises, which still counts as an inversion.
+        rng = np.random.default_rng(22)
+        lps = {
+            "slack-start": lambda: [random_slack_start_lp(seed) for seed in range(150)],
+            "support": lambda: [random_support_lp(seed) for seed in range(150)],
+            "dense": lambda: [random_dense_lp(rng) for _ in range(60)],
+            "scaled-a-stage-1": lambda: scaled_a_lps(None),
+            "scaled-a-primal-face": lambda: scaled_a_lps({"scaled-a-05", "scaled-a-08",
+                                                          "scaled-a-16"}),
+        }[family.removesuffix("-ill-conditioned")]()
+        if family.endswith("-ill-conditioned"):
+            monkeypatch.setattr(lp_module, "_ILL_CONDITIONED", 0.0)
+        recorded = wrapper_runs(monkeypatch)
+        assert lps
+        for k, lp in enumerate(lps):
+            recorded.clear()
+            assert solve_lp(lp).runs == tuple(recorded), k
 
 
 class TestKernelInvariant:

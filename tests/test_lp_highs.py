@@ -12,15 +12,9 @@ import numpy as np
 import pytest
 
 import lfpkit.lp as lp_module
-from lfpkit import (
-    LinearProgram,
-    Polyhedron,
-    Sense,
-    SolverOptions,
-    SolveStatus,
-    build_maximal_element_lp,
-    solve_lp,
-)
+from lfpkit import LinearProgram, Sense, SolverOptions, SolveStatus, solve_lp
+
+from helpers import dual_verdicts, random_slack_start_lp, random_support_lp
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -150,42 +144,14 @@ def test_presolve_disagreement(seed):
     assert ray.status == 0 and ray.fun < -1e-6
 
 
-def random_support_lp(seed):
-    """`build_maximal_element_lp` of a random polyhedron with integer data.
-
-    About a quarter of the coordinates are free, some rows repeat another
-    row (times -1, 1 or 2), and about a third of the polyhedra have a
-    right-hand side drawn at random, which leaves many of them empty.
-    """
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 8))
-    m = int(rng.integers(1, 5))
-    A = rng.integers(-3, 4, size=(m, n)).astype(float)
-    anchor = rng.integers(0, 3, size=n) * (rng.random(n) < 0.7)
-    b = A @ anchor if rng.random() < 0.7 else rng.integers(-3, 4, size=m).astype(float)
-    repeats = rng.integers(0, m, size=int(rng.integers(0, 3)))
-    factors = rng.choice([-1.0, 1.0, 2.0], size=repeats.size)
-    A = np.vstack([A, factors[:, None] * A[repeats]])
-    b = np.concatenate([b, factors * b[repeats]])
-    return build_maximal_element_lp(Polyhedron(A, b, rng.random(n) < 0.25))
-
-
 @pytest.mark.parametrize("seed", range(150))
-def test_support_lp_dual_path_matches_highs(seed, monkeypatch):
+def test_support_lp_dual_path_matches_highs(seed):
     # The support-maximizing LP qualifies for the dual path; its optimum is an
     # integer, the support count plus one (zero for an empty polyhedron).
-    verdicts, dual_simplex = [], lp_module._dual_simplex
-
-    def recorded(*args, **kwargs):
-        result = dual_simplex(*args, **kwargs)
-        verdicts.append(result[0])
-        return result
-
-    monkeypatch.setattr(lp_module, "_dual_simplex", recorded)
     lp = random_support_lp(seed)
     out = solve_lp(lp)
     ref = highs(lp)
-    assert verdicts == ["optimal"]
+    assert dual_verdicts(out) == ["optimal"]
     assert ref.status == 0, ref.message
     assert out.objective == pytest.approx(-ref.fun, abs=1e-6)
     assert out.objective == pytest.approx(round(out.objective), abs=1e-6)
@@ -202,43 +168,19 @@ def test_support_lp_sample_holds_empty_and_free_cases():
     assert sum(np.isinf(lp.lo).any() for lp in polyhedra) >= 40
 
 
-def random_slack_start_lp(seed):
-    """An all-inequality program whose slacks absorb the residual at the parking point.
+def primal_phases(out):
+    """The phase (1 or 2) of each primal run of `out`, in order.
 
-    Columns are nonnegative, free, boxed (some fixed) or upper-bounded, as in
-    `random_mixed_lp`; each parks where `lfpkit.lp._park` puts it by its
-    bounds alone (lo, else hi, else 0), and b_ub is A_ub times that point
-    plus a nonnegative integer, with some entry nonzero so that b != 0.
-    The parking point is feasible, so the program is optimal or unbounded.
+    A primal attempt runs phase 2 only after its phase 1 ends "optimal", and
+    a phase 1 that ends so and is not followed by phase 2 ends the solve
+    (INFEASIBLE); so the primal runs that follow an "optimal" phase 1 are
+    phase 2, and every other is a phase 1.
     """
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 7))
-    m = int(rng.integers(1, 6))
-    kind = rng.integers(0, 4, size=n)  # nonnegative, free, boxed, upper-bounded
-    low = rng.integers(-2, 2, size=n).astype(float)
-    width = rng.integers(0, 4, size=n).astype(float)
-    lo = np.where(kind == 0, 0.0, np.where(kind == 2, low, -np.inf))
-    hi = np.where(kind >= 2, low + width, np.inf)
-    park = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    A_ub = rng.integers(-3, 4, size=(m, n)).astype(float)
-    b_ub = A_ub @ park + rng.integers(0, 3, size=m) * (rng.random(m) < 0.6)
-    if not b_ub.any():
-        b_ub[0] = 1.0
-    return LinearProgram(
-        Sense.MAXIMIZE if rng.random() < 0.5 else Sense.MINIMIZE,
-        rng.integers(-3, 4, size=n).astype(float), A_ub=A_ub, b_ub=b_ub, lo=lo, hi=hi,
-    )
-
-
-def record_phases(monkeypatch):
-    """The phase (1 or 2) of every primal `_run_simplex` run made from here on, in order."""
-    phases, run_simplex = [], lp_module._run_simplex
-
-    def recorded(*args, **kwargs):
-        phases.append(1 if kwargs.get("phase1_floor") is not None else 2)
-        return run_simplex(*args, **kwargs)
-
-    monkeypatch.setattr(lp_module, "_run_simplex", recorded)
+    phases, previous = [], None
+    for method, verdict, *_ in out.runs:
+        if method == "primal":
+            phases.append(2 if previous == (1, "optimal") else 1)
+            previous = (phases[-1], verdict)
     return phases
 
 
@@ -249,11 +191,10 @@ def test_slack_start_skips_phase_one_and_matches_highs(seed, monkeypatch):
     # start from it, whatever the test's name says: phase 1 runs from the
     # all-artificial basis, then phase 2, once each.
     monkeypatch.setattr(lp_module, "_dual_simplex", lambda *args: ("singular", None, 0, 0))
-    phases = record_phases(monkeypatch)
     lp = random_slack_start_lp(seed)
     out = solve_lp(lp)
     ref = highs(lp)
-    assert phases == [1, 2]
+    assert primal_phases(out) == [1, 2]
     assert out.status is HIGHS_STATUS[ref.status], ref.message
     if out.is_optimal:
         expected = -ref.fun if lp.sense is Sense.MAXIMIZE else ref.fun
@@ -262,23 +203,14 @@ def test_slack_start_skips_phase_one_and_matches_highs(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(150))
-def test_slack_start_program_takes_the_dual_path_and_matches_highs(seed, monkeypatch):
+def test_slack_start_program_takes_the_dual_path_and_matches_highs(seed):
     # On default routing the dual simplex runs first, from its slack start;
     # the primal path takes over only for an unbounded program (or a
     # breakdown), and then runs phase 1 and phase 2 once each.
-    phases = record_phases(monkeypatch)
-    verdicts, dual_simplex = [], lp_module._dual_simplex
-
-    def recorded(*args, **kwargs):
-        result = dual_simplex(*args, **kwargs)
-        verdicts.append(result[0])
-        return result
-
-    monkeypatch.setattr(lp_module, "_dual_simplex", recorded)
     lp = random_slack_start_lp(seed)
     out = solve_lp(lp)
     ref = highs(lp)
-    assert len(verdicts) == 1 and phases in ([], [1, 2])
+    assert len(dual_verdicts(out)) == 1 and primal_phases(out) in ([], [1, 2])
     assert out.status is HIGHS_STATUS[ref.status], ref.message
     if out.is_optimal:
         expected = -ref.fun if lp.sense is Sense.MAXIMIZE else ref.fun

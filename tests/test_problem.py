@@ -259,6 +259,20 @@ class TestParseProblem:
         assert problem.d.tolist() == [float(v) for v in values[2:4]]
         assert problem.A[0, 0] == float(values[4])
 
+    def test_bytes_that_are_not_utf8(self):
+        with pytest.raises(ParseError, match="problem file is not UTF-8"):
+            parse_problem(GOLDEN_DOC.encode("utf-16"))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("A", [], "A must be a non-empty list of rows"),
+        ("b", 6, "b must be a list of numbers"),
+    ], ids=["empty-A", "scalar-b"])
+    def test_malformed_array(self, key, value, message):
+        doc = json.loads(GOLDEN_DOC)
+        doc[key] = value
+        with pytest.raises(ParseError, match=message):
+            parse_problem(json.dumps(doc))
+
     def test_ragged_matrix(self):
         doc = json.loads(GOLDEN_DOC)
         doc["A"] = [[2, 1], [-2]]
@@ -274,6 +288,16 @@ class TestTypes:
     def test_problem_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             LFPProblem(A=[[np.inf]], b=[1], c=[1], d=[1], alpha=0, beta=1)
+
+    @pytest.mark.parametrize("c, d", [([1, 1], [1]), ([1], [1, 1])], ids=["c", "d"])
+    def test_problem_rejects_objective_vectors_of_the_wrong_length(self, c, d):
+        with pytest.raises(DimensionError, match="c and d must have 1 entries to match A's columns"):
+            LFPProblem(A=[[1.0]], b=[1], c=c, d=d, alpha=0, beta=1)
+
+    @pytest.mark.parametrize("alpha, beta", [(np.inf, 1.0), (0.0, np.nan)], ids=["alpha", "beta"])
+    def test_problem_rejects_nonfinite_constants(self, alpha, beta):
+        with pytest.raises(ValueError, match="alpha and beta must be finite"):
+            LFPProblem(A=[[1.0]], b=[1], c=[1], d=[1], alpha=alpha, beta=beta)
 
     @given(weights=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=4, max_size=4))
     @settings(max_examples=50, deadline=None)

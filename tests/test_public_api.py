@@ -54,7 +54,7 @@ PARAMETERS = {
     "CscReport": ("primal_inner", "dual_inner", "tol", "ok"),
     "DualPoint": ("y", "z", "v"),
     "LFPProblem": ("A", "b", "c", "d", "alpha", "beta"),
-    "LPOutcome": ("status", "point", "objective", "detail", "duals"),
+    "LPOutcome": ("status", "point", "objective", "detail", "duals", "runs"),
     "LinearProgram": ("sense", "objective", "A_ub", "b_ub", "A_eq", "b_eq", "lo", "hi"),
     "MaximalElement": ("point", "support"),
     "OptimalPartition": ("sigma_x", "sigma_v", "sigma_u", "sigma_y"),

@@ -7,9 +7,7 @@ that it is known to hold where the solver works, and approach one's dual
 point is checked against the dual face's own LP on a whole workload.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,14 +31,7 @@ from lfpkit import (
 )
 from lfpkit.interior import DEFAULT_POS_TOL
 
-GENERATE = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
-
-
-def load_generate():
-    spec = importlib.util.spec_from_file_location("perfbench_generate", GENERATE)
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    return generate
+from helpers import load_generate
 
 
 def generated(workload, seed, name, directory):
@@ -214,29 +205,12 @@ def test_ladder_instance_takes_a_short_dual_stage1(tmp_path, capsys, monkeypatch
     assert report["theta_star"] == pytest.approx(-ref.fun, rel=1e-9)
 
 
-def record_wide_scale_solves(monkeypatch):
-    """(dual runs as (verdict, basis changes), `np.linalg.inv` calls, `_two_phase`
-    calls) of the `solve_lp` calls made from here on."""
-    runs, inversions, attempts = [], [], []
-    dual_simplex, inv, two_phase = lp_module._dual_simplex, np.linalg.inv, lp_module._two_phase
-
-    def dual(*args):
-        result = dual_simplex(*args)
-        runs.append((result[0], result[2]))
-        return result
-
-    def counted_inv(a):
-        inversions.append(None)
-        return inv(a)
-
-    def counted_two_phase(*args, **kwargs):
-        attempts.append(None)
-        return two_phase(*args, **kwargs)
-
-    monkeypatch.setattr(lp_module, "_dual_simplex", dual)
-    monkeypatch.setattr(lp_module.np.linalg, "inv", counted_inv)
-    monkeypatch.setattr(lp_module, "_two_phase", counted_two_phase)
-    return runs, inversions, attempts
+def wide_scale_record(out):
+    """(dual runs as (verdict, basis changes), inversions, primal runs) of a
+    `solve_lp` outcome; each primal attempt makes at least one primal run."""
+    dual = [(verdict, changes) for method, verdict, changes, _, _ in out.runs if method == "dual"]
+    primal = [run for run in out.runs if run[0] == "primal"]
+    return dual, sum(inversions for *_, inversions in out.runs), primal
 
 
 def outcome_bytes(out):
@@ -260,26 +234,25 @@ def test_wide_scale_stage1_keeps_its_primal_arithmetic(monkeypatch, seed):
         patch.setattr(lp_module, "_dual_attempt", lambda *args: None)
         expected = [solve_lp(lp) for lp in lps]
     assert {out.status for out in expected} == {SolveStatus.OPTIMAL}
-    runs, inversions, _ = record_wide_scale_solves(monkeypatch)
     for lp, want in zip(lps, expected):
-        runs.clear()
         got = solve_lp(lp)
-        assert runs == [("iteration_limit", 0)]
-        assert inversions == []
+        dual, inversions, _ = wide_scale_record(got)
+        assert dual == [("iteration_limit", 0)]
+        assert inversions == 0
         assert outcome_bytes(got) == outcome_bytes(want)
 
 
-def test_wide_scale_denominator_lp_ends_at_its_dual_start(monkeypatch):
+def test_wide_scale_denominator_lp_ends_at_its_dual_start():
     # The denominator LP of s1 `scaled-a-00` spans more than _WIDE_SCALE.
     # With d >= 0 and b > 0, x = 0 with every slack basic is its optimum,
     # and the dual run reads it off its identity start: no basis change, no
     # inversion and no primal solve.
     problem = LFPProblem(**dict(load_generate().instances("degenerate-mixed", 1))["scaled-a-00"])
     assert (problem.d >= 0.0).all() and (problem.b > 0.0).all()
-    runs, inversions, attempts = record_wide_scale_solves(monkeypatch)
     out = solve_lp(LinearProgram(Sense.MINIMIZE, problem.d, A_ub=problem.A, b_ub=problem.b))
-    assert runs == [("optimal", 0)]
-    assert inversions == [] and attempts == []
+    dual, inversions, primal = wide_scale_record(out)
+    assert dual == [("optimal", 0)]
+    assert inversions == 0 and primal == []
     assert out.is_optimal
     assert not out.point.any() and not out.duals.any()
 

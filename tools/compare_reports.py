@@ -12,8 +12,9 @@ workload and seed (the first N of each with `--limit`), runs
 with `--format json` and once with `--format text`, and records the exit code,
 the JSON report minus its `timings`, the text report with the numbers on its
 `timings:` line masked, the standard error of both runs, and, for the JSON
-run in call order, every simplex run with its `np.linalg.inv` calls and every
-optimal face LP's objective (see `recording`).  `--ladder` adds the
+run in call order, every simplex run as its LP's `LPOutcome.runs` records it
+(an inversion counts even where `np.linalg.inv` raised) and every optimal
+face LP's objective (see `recording`).  `--ladder` adds the
 size-ladder instances, workload "ladder":
 `generate._random(np.random.default_rng(1), n, m)` for each n x m.
 The package is imported from the `src/` next to this script, so run the
@@ -28,8 +29,9 @@ first prints one line per seed: the failures (nonzero exits) and pivot totals
 on each side, and how many of the instances that both sides solve have a
 different `partition`.  Then it names each instance whose exit code changed,
 with the error text (or "cross_check false") on each side, whose partition
-differs, whose report differs other than in its `error` text, and whose
-simplex runs, text report or standard error differ.  A last line per
+differs, whose report differs other than in its `error` text, whose simplex
+runs differ, with the index and both sides of the first run that differs,
+and whose text report or standard error differs.  A last line per
 workload counts these and gives its failures and pivots.  It exits 1 on any
 difference, 0 otherwise; a change that moves pivot paths exits 1, and the
 per-seed lines say whether it changed anything that matters.
@@ -65,7 +67,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import generate  # noqa: E402
 import numpy as np  # noqa: E402
-from lfpkit import cli, complementarity, duality, lp, problem  # noqa: E402
+from lfpkit import cli, complementarity, duality, interior, problem  # noqa: E402
 
 CLI_ARGS = ("--approach", "both", "--validate-denominator")
 
@@ -90,50 +92,34 @@ def recording(runs: list, face_optima: list):
     """Record the simplex runs and optimal face-LP objectives of the calls made inside.
 
     Each run is [lp, method, verdict, basis changes, bound flips, inversions]:
-    `lp` names the LP whose `solve_lp` call made it (one of `LPS`), `method`
-    is "primal" for a `lfpkit.lp._run_simplex` run (one per phase) or "dual"
-    for a `lfpkit.lp._dual_simplex` run, and `inversions` counts its
-    `np.linalg.inv` calls.  Each optimal face LP adds [lp, objective].
+    `lp` names the LP whose `solve_lp` call made it (one of `LPS`), and the
+    rest is one entry of that call's `LPOutcome.runs` (see `lfpkit.lp`), so
+    an inversion counts even where `np.linalg.inv` raised.  Only the entry
+    points that solve the labelled LPs are wrapped: a face LP's runs come
+    from `interior.solve_lp`, so they are kept where the face solve then
+    raises.  Each optimal face LP adds [lp, objective].
     """
-    lps, inverted = [], []
-    patched = [(lp, "_run_simplex"), (lp, "_dual_simplex"), (problem, "solve_lp"),
-               (duality, "solve_lp"), (complementarity, "_solve_maximal_element_lp"),
-               (np.linalg, "inv")]
+    faces = []
+    patched = [(problem, "solve_lp"), (duality, "solve_lp"), (interior, "solve_lp"),
+               (complementarity, "_solve_maximal_element_lp")]
     saved = [getattr(module, name) for module, name in patched]
-    run_simplex, dual_simplex, problem_solve, duality_solve, face_solve, inv = saved
+    face_solve = saved[-1]
 
-    def labelled(name, solve):
+    def recorded(label, solve):
         def call(*args, **kwargs):
-            lps.append(name)
-            try:
-                return solve(*args, **kwargs)
-            finally:
-                lps.pop()
+            out = solve(*args, **kwargs)
+            runs.extend([label or faces[-1], *run] for run in out.runs)
+            return out
         return call
 
-    def counted_inv(a):
-        inverted.append(None)
-        return inv(a)
-
-    def primal(*args, **kwargs):
-        before = len(inverted)
-        verdict, x, pivots, flips = run_simplex(*args, **kwargs)
-        runs.append([lps[-1], "primal", verdict, pivots - flips, flips, len(inverted) - before])
-        return verdict, x, pivots, flips
-
-    def dual(*args, **kwargs):
-        before = len(inverted)
-        verdict, x, changes, flips = dual_simplex(*args, **kwargs)
-        runs.append([lps[-1], "dual", verdict, changes, flips, len(inverted) - before])
-        return verdict, x, changes, flips
-
     def face(lp_, label):
-        out = labelled(label, face_solve)(lp_, label)
+        faces.append(label)
+        out = face_solve(lp_, label)
         face_optima.append([label, out.objective])
         return out
 
-    replacements = [primal, dual, labelled("denominator", problem_solve),
-                    labelled("stage 1", duality_solve), face, counted_inv]
+    replacements = [recorded("denominator", saved[0]), recorded("stage 1", saved[1]),
+                    recorded(None, saved[2]), face]
     for (module, name), replacement in zip(patched, replacements):
         setattr(module, name, replacement)
     try:
@@ -213,7 +199,7 @@ def diff(before: list, after: list, out=sys.stdout) -> int:
                     print(f"  report differs: {name}", file=out)
             if a.get("runs") != b.get("runs"):
                 runs += 1
-                print(f"  simplex runs differ: {name}", file=out)
+                print(f"  simplex runs differ: {name}: {_first_run_difference(a, b)}", file=out)
             if (a.get("text"), a.get("stderr")) != (b.get("text"), b.get("stderr")):
                 texts += 1
                 print(f"  text or stderr differs: {name}", file=out)
@@ -238,6 +224,17 @@ def _summary(old: dict, new: dict, keys) -> tuple:
     return (f"failures {failed_before} -> {failed_after}",
             f"pivots {_pivots(old, keys)} -> {_pivots(new, keys)}",
             f"partitions differ on {moved} of {len(solved)} solved by both")
+
+
+def _first_run_difference(a: dict, b: dict) -> str:
+    """The index and both sides of the first simplex run in which two records
+    differ; a side that has no run there shows as null."""
+    a_runs, b_runs = a.get("runs") or [], b.get("runs") or []
+    k = 0
+    while k < min(len(a_runs), len(b_runs)) and a_runs[k] == b_runs[k]:
+        k += 1
+    side = lambda runs: json.dumps(runs[k] if k < len(runs) else None)  # noqa: E731
+    return f"run {k} {side(a_runs)} -> {side(b_runs)}"
 
 
 def _partition(record: dict) -> str:
