@@ -232,7 +232,7 @@ def run(argv) -> int:
         doc["error"] = str(exc)
         print(f"lfp-solve: {exc}", file=sys.stderr)
     doc = {key: value for key, value in doc.items() if value is not None or key == "partition"}
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n" if args.format == "json" else format_text(doc))
+    sys.stdout.write(json.dumps(doc) + "\n" if args.format == "json" else format_text(doc))
     return code
 
 

@@ -33,6 +33,7 @@ tolerances:
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -147,15 +148,17 @@ class ScscReport:
 # ---------------------------------------------------------------------------
 
 
-def _optimal_face(lp: LinearProgram, value: float) -> Polyhedron:
-    """`lp`'s standard form plus the row `objective . x = value`; columns with lo = -inf are free.
+def _optimal_face(lp: LinearProgram, value: float) -> tuple:
+    """(A_eq, b_eq, free) of `lp`'s standard form plus the row `objective . x = value`;
+    columns with lo = -inf are free.
 
     Coordinates are the LP's columns and then one slack per inequality row.
     """
     A, b, lo, _ = _standard_form(lp)
-    value_row = np.zeros(A.shape[1])
-    value_row[: lp.num_vars] = lp.objective
-    return Polyhedron(np.vstack([A, value_row]), np.append(b, value), lo == -np.inf)
+    m, N = b.size, lp.num_vars + lp.b_ub.size  # the columns of `lp`, then its slacks
+    face = np.zeros((m + 1, N))
+    face[:m], face[m, : lp.num_vars] = A[:, :N], lp.objective
+    return face, np.concatenate((b, (value,))), lo[:N] == -np.inf
 
 
 def primal_optimal_face(problem: LFPProblem, theta_star: float) -> Polyhedron:
@@ -163,7 +166,7 @@ def primal_optimal_face(problem: LFPProblem, theta_star: float) -> Polyhedron:
 
         A xbar - b t + ubar = 0,  d.xbar + beta t = 1,  c.xbar + alpha t = theta_star.
     """
-    return _optimal_face(build_transformed_lp(problem), theta_star)
+    return Polyhedron(*_optimal_face(build_transformed_lp(problem), theta_star))
 
 
 def dual_optimal_face(problem: LFPProblem, theta_star: float) -> Polyhedron:
@@ -173,7 +176,7 @@ def dual_optimal_face(problem: LFPProblem, theta_star: float) -> Polyhedron:
 
     The first n rows are A'y + d z - v = c negated, as `build_dual_lp` stores them.
     """
-    return _optimal_face(build_dual_lp(problem), theta_star)
+    return Polyhedron(*_optimal_face(build_dual_lp(problem), theta_star))
 
 
 def joint_optimal_face(problem: LFPProblem) -> Polyhedron:
@@ -183,36 +186,36 @@ def joint_optimal_face(problem: LFPProblem) -> Polyhedron:
     theta_star rows are replaced by their difference, the optimality coupling
     c.xbar + alpha t - z = 0; no theta_star is needed.
     """
-    # theta_star enters only the two value rows, which the coupling replaces.
-    primal, dual = primal_optimal_face(problem, 0.0), dual_optimal_face(problem, 0.0)
-    P, D = primal.A_eq, dual.A_eq
-    M = np.vstack([
-        np.hstack([P[:-1], np.zeros((P.shape[0] - 1, D.shape[1]))]),
-        np.hstack([np.zeros((D.shape[0] - 1, P.shape[1])), D[:-1]]),
-        np.hstack([P[-1:], -D[-1:]]),
-    ])
-    rhs = np.concatenate([primal.b_eq[:-1], dual.b_eq[:-1], [0.0]])
-    return Polyhedron(M, rhs, np.concatenate([primal.free, dual.free]))
+    # theta_star enters only the two value rows, which the coupling replaces.  Every
+    # entry of either face is in the joint one, which the Polyhedron checks.
+    (A_p, b_p, free_p), (A_d, b_d, free_d) = (
+        _optimal_face(build(problem), 0.0) for build in (build_transformed_lp, build_dual_lp))
+    (p, P), (d, D) = A_p.shape, A_d.shape
+    M = np.zeros((p + d - 1, P + D))
+    M[: p - 1, :P], M[p - 1 : -1, P:], M[-1, :P], M[-1, P:] = A_p[:-1], A_d[:-1], A_p[-1], -A_d[-1]
+    rhs = np.concatenate((b_p[:-1], b_d[:-1], (0.0,)))
+    return Polyhedron(M, rhs, np.concatenate((free_p, free_d)))
 
 
 def _layout(problem: LFPProblem, face: str) -> tuple:
-    """Block sizes and capped mask of the "primal", "dual" or "joint" face's coordinates.
+    """Block offsets and capped mask of the "primal", "dual" or "joint" face's coordinates.
 
     The primal face is (xbar, t, ubar), the dual face (y, z, v) and the joint
-    face the two side by side.  Every coordinate but each face's middle scalar
-    is capped: t = 1/(d.x + beta) is positive on the whole face and z is free.
+    face the two side by side; block k spans offsets[k]:offsets[k + 1].  Every
+    coordinate but each face's middle scalar is capped: t = 1/(d.x + beta) is
+    positive on the whole face and z is free.
     """
     n, m = problem.num_vars, problem.num_rows
-    sides = {"primal": [(n, 1, m)], "dual": [(m, 1, n)]}
-    sides["joint"] = sides["primal"] + sides["dual"]
-    sizes = [size for side in sides[face] for size in side]
-    capped = np.concatenate([np.arange(a + 1 + b) != a for a, _, b in sides[face]])
-    return sizes, capped
+    sizes = {"primal": (n, 1, m), "dual": (m, 1, n), "joint": (n, 1, m, m, 1, n)}[face]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    capped = np.ones(offsets[-1], dtype=bool)
+    capped[offsets[1::3]] = False
+    return offsets, capped
 
 
 def _face_blocks(problem: LFPProblem, face: str, outcome: LPOutcome, feas_tol: float) -> list:
     """The face point of an optimal builder outcome, cut into the blocks of `_layout`."""
-    sizes, capped = _layout(problem, face)
+    offsets, capped = _layout(problem, face)
     try:
         point = _normalize(outcome, capped, feas_tol)
     except EmptyPolyhedron:
@@ -220,7 +223,7 @@ def _face_blocks(problem: LFPProblem, face: str, outcome: LPOutcome, feas_tol: f
             "zero scaling weight while recovering an interior point of an optimal "
             "face that should be non-empty"
         ) from None
-    return np.split(point, np.cumsum(sizes)[:-1])
+    return [point[start:end] for start, end in itertools.pairwise(offsets)]
 
 
 def build_primal_interior_lp(problem: LFPProblem, theta_star: float) -> LinearProgram:

@@ -81,10 +81,10 @@ def build_transformed_lp(problem: LFPProblem) -> LinearProgram:
     """LP over (xbar_1..xbar_n, t): maximize c.xbar + alpha t on the scaled region."""
     return LinearProgram(
         Sense.MAXIMIZE,
-        np.append(problem.c, problem.alpha),
-        A_ub=np.hstack([problem.A, -problem.b[:, None]]),
+        np.concatenate((problem.c, (problem.alpha,))),
+        A_ub=np.concatenate((problem.A, -problem.b[:, None]), axis=1),
         b_ub=np.zeros(problem.num_rows),
-        A_eq=np.append(problem.d, problem.beta)[None, :],
+        A_eq=np.concatenate((problem.d, (problem.beta,)))[None, :],
         b_eq=[1.0],
     )
 
@@ -98,14 +98,16 @@ def build_dual_lp(problem: LFPProblem) -> LinearProgram:
     would be tight anyway.
     """
     m = problem.num_rows
+    objective, lo = np.zeros(m + 1), np.zeros(m + 1)
+    objective[m], lo[m] = 1.0, -np.inf
     return LinearProgram(
         Sense.MINIMIZE,
-        np.append(np.zeros(m), 1.0),
-        A_ub=-np.hstack([problem.A.T, problem.d[:, None]]),
+        objective,
+        A_ub=-np.concatenate((problem.A.T, problem.d[:, None]), axis=1),
         b_ub=-problem.c,
-        A_eq=np.append(-problem.b, problem.beta)[None, :],
+        A_eq=np.concatenate((-problem.b, (problem.beta,)))[None, :],
         b_eq=[problem.alpha],
-        lo=np.append(np.zeros(m), -np.inf),
+        lo=lo,
     )
 
 

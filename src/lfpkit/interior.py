@@ -53,11 +53,13 @@ class Polyhedron:
     def __post_init__(self):
         A = _frozen(self.A_eq, ndmin=2)
         b = _frozen(self.b_eq).ravel()
-        if A.ndim != 2:
-            raise ValueError(f"A_eq must be a matrix, got an array with {A.ndim} axes")
-        if A.shape[0] != b.size:
-            raise ValueError(f"A_eq has {A.shape[0]} rows but b_eq has {b.size} entries")
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        # One pass over all entries; the checks run one by one only to name a fault.
+        if not (A.ndim == 2 and A.shape[0] == b.size
+                and np.isfinite(np.concatenate((A.ravel(), b))).all()):
+            if A.ndim != 2:
+                raise ValueError(f"A_eq must be a matrix, got an array with {A.ndim} axes")
+            if A.shape[0] != b.size:
+                raise ValueError(f"A_eq has {A.shape[0]} rows but b_eq has {b.size} entries")
             raise ValueError("polyhedron data has a non-finite entry")
         free = np.zeros(A.shape[1], dtype=bool) if self.free is None else np.array(self.free)
         if free.dtype != bool:
@@ -98,17 +100,13 @@ def _support_maximizing_lp(poly: Polyhedron, capped: np.ndarray) -> LinearProgra
     coordinate stays >= 0 but does not count towards the support, which suits
     one known to be positive on all of P.
     """
-    m, n = poly.A_eq.shape
-    half = np.hstack([poly.A_eq, -poly.b_eq.reshape(m, 1)])
-    k = int(capped.sum())
-    return LinearProgram(
-        Sense.MAXIMIZE,
-        np.concatenate([np.zeros(n + 1), np.ones(k + 1)]),
-        A_eq=np.hstack([half, half[:, np.append(capped, True)]]),
-        b_eq=np.zeros(m),
-        lo=np.concatenate([np.where(poly.free, -np.inf, 0.0), np.zeros(k + 2)]),
-        hi=np.concatenate([np.full(n + 1, np.inf), np.ones(k + 1)]),
-    )
+    (m, n), k = poly.A_eq.shape, int(capped.sum())
+    A = np.empty((m, n + k + 2))
+    A[:, :n], A[:, n + 1 : -1] = poly.A_eq, poly.A_eq[:, capped]
+    A[:, n] = A[:, -1] = -poly.b_eq
+    objective, lo, hi = np.zeros(n + k + 2), np.zeros(n + k + 2), np.ones(n + k + 2)
+    objective[n + 1 :], lo[:n][poly.free], hi[: n + 1] = 1.0, -np.inf, np.inf
+    return LinearProgram(Sense.MAXIMIZE, objective, A_eq=A, b_eq=np.zeros(m), lo=lo, hi=hi)
 
 
 def recover_maximal_element(outcome: LPOutcome, poly: Polyhedron) -> MaximalElement:

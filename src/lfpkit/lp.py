@@ -6,12 +6,14 @@ unsolved, both on one basis kernel.
 A `LinearProgram` holds its data as arrays in scipy `linprog`'s layout: an
 inequality block `A_ub x <= b_ub`, an equality block `A_eq x = b_eq` and
 per-variable bounds `lo <= x <= hi` (nonnegative by default; boxed, one-sided
-or free as given).  One private function, `_standard_form`, stacks them
-into `[[A_ub, I], [A_eq, 0]]`, one slack column per inequality row, with
-inequality rows first; `solve_lp` pivots on that form, and `complementarity`
-builds its optimal faces from it.  Free variables are kept as single columns
-that may move in either direction; box bounds are handled with bound flips
-in the ratio tests instead of extra rows.
+or free as given), and checks all its entries in one pass, running its checks
+one by one only to name a fault.  One private function, `_standard_form`,
+lays them out as `[[A_ub, I, 0], [A_eq, 0, I]]`, one slack per inequality
+row and one artificial per equality row, inequality rows first: the dual
+simplex's start.  The primal path and `complementarity`'s optimal faces read
+its columns before the artificials.  Free variables are kept as single
+columns that may move in either direction; box bounds are handled with bound
+flips in the ratio tests instead of extra rows.
 
 `solve_lp` starts every program on the bounded dual simplex.  Its start is
 dual feasible by construction: the slack is basic in each inequality row and
@@ -136,15 +138,24 @@ class LinearProgram:
     hi: np.ndarray | None = None
 
     def __post_init__(self):
+        # One pass over all entries decides whether every check passes; only if not, or if a
+        # conversion raises, do the checks run again one by one, in order, to name the first fault.
+        try:
+            self._check(one_by_one=False)
+        except (TypeError, ValueError, OverflowError):  # what a failed check or conversion raises
+            self._check(one_by_one=True)
+
+    def _check(self, one_by_one: bool):
+        """Store each array frozen, with its default; raise ValueError on a fault."""
         if not isinstance(self.sense, Sense):
             raise ValueError(f"sense must be a Sense member, got {self.sense!r}")
         objective = _frozen(self.objective)
         if objective.ndim != 1 or objective.size == 0:
             raise ValueError("objective must be a non-empty vector")
-        if not np.isfinite(objective).all():
+        if one_by_one and not np.isfinite(objective).all():
             raise ValueError("objective has a non-finite entry")
+        n, entries = objective.size, [objective]
         object.__setattr__(self, "objective", objective)
-        n = objective.size
 
         for block, rhs in (("A_ub", "b_ub"), ("A_eq", "b_eq")):
             A, b = getattr(self, block), getattr(self, rhs)
@@ -156,23 +167,30 @@ class LinearProgram:
                 raise ValueError(f"{block} has shape {A.shape}, expected (rows, {n})")
             if b.shape != (A.shape[0],):
                 raise ValueError(f"{rhs} has shape {b.shape}, expected ({A.shape[0]},)")
-            if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            if one_by_one and not (np.isfinite(A).all() and np.isfinite(b).all()):
                 raise ValueError(f"{block} or {rhs} has a non-finite entry")
+            entries += [A.ravel(), b]
             object.__setattr__(self, block, A)
             object.__setattr__(self, rhs, b)
+        if not (one_by_one or np.isfinite(np.concatenate(entries)).all()):
+            raise ValueError("a non-finite entry")
 
         lo = _frozen(np.zeros(n) if self.lo is None else self.lo)
         hi = _frozen(np.full(n, math.inf) if self.hi is None else self.hi)
         for name, bound in (("lo", lo), ("hi", hi)):
             if bound.shape != (n,):
                 raise ValueError(f"{name} has shape {bound.shape}, expected ({n},)")
-            if np.isnan(bound).any():
+            if one_by_one and np.isnan(bound).any():
                 raise ValueError(f"{name} has a NaN entry")
-        # No real number lies in [inf, inf] or [-inf, -inf] either.
-        empty = np.flatnonzero((lo > hi) | (lo == math.inf) | (hi == -math.inf))
-        if empty.size:
-            j = int(empty[0])
-            raise ValueError(f"empty bound interval [{lo[j]}, {hi[j]}] for variable {j}")
+        if one_by_one:
+            # No real number lies in [inf, inf] or [-inf, -inf] either.
+            empty = np.flatnonzero((lo > hi) | (lo == math.inf) | (hi == -math.inf))
+            if empty.size:
+                j = int(empty[0])
+                raise ValueError(f"empty bound interval [{lo[j]}, {hi[j]}] for variable {j}")
+        elif self.lo is not None or self.hi is not None:  # the default bounds always pass
+            if not ((lo <= hi).all() and lo.max() < math.inf and hi.min() > -math.inf):
+                raise ValueError("a NaN or an empty bound interval")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -628,16 +646,15 @@ def _stopped(verdict, pivots, iter_budget) -> LPOutcome:
 
 
 def _standard_form(lp: LinearProgram):
-    """(A, b, lo, hi) of `lp` as equalities over (x, one [0, inf) slack per A_ub row)."""
-    n, n_slack = lp.num_vars, lp.b_ub.size
-    A = np.zeros((lp.num_rows, n + n_slack))
-    A[:n_slack, :n] = lp.A_ub
-    A[n_slack:, :n] = lp.A_eq
-    A[:n_slack, n:] = np.eye(n_slack)
-    b = np.concatenate([lp.b_ub, lp.b_eq])
-    lo = np.concatenate([lp.lo, np.zeros(n_slack)])
-    hi = np.concatenate([lp.hi, np.full(n_slack, math.inf)])
-    return A, b, lo, hi
+    """(A, b, lo, hi) of `lp` as equalities over (x, one [0, inf) slack per A_ub row,
+    one [0, 0] artificial per A_eq row): A = [[A_ub, I, 0], [A_eq, 0, I]], whose
+    columns before the artificials are `lp` in standard form."""
+    n, m, n_slack = lp.num_vars, lp.num_rows, lp.b_ub.size
+    A, lo, hi = np.zeros((m, n + m)), np.zeros(n + m), np.zeros(n + m)
+    A[:n_slack, :n], A[n_slack:, :n] = lp.A_ub, lp.A_eq
+    np.fill_diagonal(A[:, n:], 1.0)
+    lo[:n], hi[:n], hi[n : n + n_slack] = lp.lo, lp.hi, math.inf
+    return A, np.concatenate((lp.b_ub, lp.b_eq)), lo, hi
 
 
 def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutcome:
@@ -659,14 +676,16 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     fails.  Every outcome carries the runs of both paths in `runs`.
     """
     A, b, lo, hi = _standard_form(lp)
-    (m, N), n = A.shape, lp.num_vars
-    cost = np.zeros(N)
+    n, N = lp.num_vars, lp.num_vars + lp.b_ub.size
+    standard = A[:, :N]  # `lp` in standard form: the columns before the artificials
+    cost = np.zeros(A.shape[1])
     cost[:n] = lp.objective if lp.sense is Sense.MINIMIZE else -lp.objective
-    coefficients = np.abs(A[A != 0.0])
+    coefficients = np.abs(standard[standard != 0.0])
     wide = coefficients.size > 0 and coefficients.max() > _WIDE_SCALE * coefficients.min()
     runs = []
     outcome = _dual_attempt(A, b, lo, hi, cost, n, opts, wide, runs)
     if outcome is None:
+        A, lo, hi, cost = standard, lo[:N], hi[:N], cost[:N]
         outcome = _two_phase(A, b, lo, hi, cost, n, opts, runs, wide)
     if outcome is None:
         outcome = _two_phase(A, b, lo, hi, cost, n, opts, runs, fresh=True)
@@ -684,40 +703,37 @@ def _dual_attempt(A, b, lo, hi, cost, n, opts, wide, runs):
     whole point and the minimization's row duals; None for any other ending.
     The run goes onto `runs`.
 
-    The slack is basic in each inequality row and an artificial fixed at
-    [0, 0] in each equality row.  Every basic column has cost 0, so y = 0,
-    the reduced costs are the costs, and parking each column at the bound
-    its cost favours makes the start dual feasible.  A column whose cost
-    favours an infinite bound gets an artificial one, `_BOX` beyond zero or
-    its other bound, whichever is farther out; an optimum with such a
-    column nonbasic at its artificial bound is not accepted.
+    The start basis is `_standard_form`'s identity: the slack in each
+    inequality row and the [0, 0] artificial in each equality row.  Every
+    basic column has cost 0, so y = 0, the reduced costs are the costs, and
+    parking each column at the bound its cost favours makes the start dual
+    feasible.  A column whose cost favours an infinite bound gets an
+    artificial one, `_BOX` beyond zero or its other bound, whichever is
+    farther out; an optimum with such a column nonbasic at its artificial
+    bound is not accepted.
 
     The run may make 50 * (rows + cols) basis changes.  A `wide` program may
     make none unless it is homogeneous: b = 0, lo <= 0 <= hi and no
     artificial bound, so that x = 0 is feasible and the program bounded.
     Otherwise its start counts only if it is already optimal.
     """
-    m, N = A.shape
-    n_eq = m - (N - n)
-    boxed_hi = (cost < 0.0) & (hi == math.inf)
-    boxed_lo = (cost > 0.0) & (lo == -math.inf)
-    boxed = boxed_hi.any() or boxed_lo.any()
-    homogeneous = not (boxed or b.any() or (lo > 0.0).any() or (hi < 0.0).any())
+    m, W = A.shape
+    parked = _park(lo, hi, cost)
+    boxed = np.isinf(parked[1])  # the columns whose cost favours an infinite bound
+    any_boxed = boxed.any()
+    homogeneous = not (any_boxed or b.any() or lo.max() > 0.0 or hi.min() < 0.0)
     iter_budget = 50 * (m + n) if homogeneous or not wide else 0
-    if boxed:
+    if any_boxed:
+        boxed_hi, boxed_lo = boxed & (cost < 0.0), boxed & (cost > 0.0)
         lo, hi = (np.where(boxed_lo, np.minimum(hi, 0.0) - _BOX, lo),
                   np.where(boxed_hi, np.maximum(lo, 0.0) + _BOX, hi))
-    zeros = np.zeros(n_eq)
-    lo, hi, cost = (np.concatenate([v, zeros]) for v in (lo, hi, cost))
-    A_start = np.zeros((m, N + n_eq))
-    A_start[:, :N] = A
-    np.fill_diagonal(A_start[m - n_eq:, N:], 1.0)
-    basis = _Basis(A_start, b, lo, hi, np.arange(n, N + n_eq), _park(lo, hi, cost))
+        parked = _park(lo, hi, cost)
+    basis = _Basis(A, b, lo, hi, np.arange(n, W), parked)
     basis.Binv = np.eye(m)  # the start basis is the identity, so this is its inverse, bit for bit
     verdict, x, changes, flips = _dual_simplex(basis, cost, opts, iter_budget)
     runs.append(("dual", verdict, changes, flips, basis.inversions))
-    side = basis.side[:N]
-    if verdict != "optimal" or (boxed_hi & (side < 0.0)).any() or (boxed_lo & (side > 0.0)).any():
+    side = basis.side
+    if verdict != "optimal" or any_boxed and (boxed_hi & (side < 0) | boxed_lo & (side > 0)).any():
         return None
     return LPOutcome(SolveStatus.OPTIMAL, x, duals=basis.y)
 

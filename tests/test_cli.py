@@ -190,6 +190,8 @@ class TestJsonFormat:
         exit_code, out, _ = run_cli(capsys, "--input", str(path), "--format", "json", *flags)
         assert exit_code == code
         assert list(json.loads(out)) == keys.split()
+        # One line, as json.dumps writes it with its default separators.
+        assert out.count("\n") == 1 and out == json.dumps(json.loads(out)) + "\n"
 
     def test_error_report_is_json_when_requested(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

@@ -10,21 +10,26 @@ from lfpkit import (
     InfeasibleRegion,
     IterationLimitError,
     LFPProblem,
+    LinearProgram,
     LPOutcome,
     NumericalWarning,
     PartitionViolation,
+    Polyhedron,
     PrimalPoint,
+    Sense,
     SolveStatus,
     StrictComplementarySolution,
     UnboundedObjective,
     approach_one,
     approach_two,
     build_dual_interior_lp,
+    build_dual_lp,
     build_joint_lp,
     build_primal_interior_lp,
     build_transformed_lp,
     dual_optimal_face,
     evaluate_objective,
+    joint_optimal_face,
     optimal_partitions,
     primal_optimal_face,
     recover_dual_interior,
@@ -117,6 +122,124 @@ class TestFacesMatchReference:
         problem = random_instance(seed, nonneg_objective=True)
         assert self.assert_faces_match(problem) > 0
         assert self.assert_faces_match(negated_objective(problem)) < 0
+
+
+# Every builder as it was written with np.hstack, np.vstack and np.append,
+# before each of its matrices became one allocation; kept as the reference
+# the builders must match byte for byte.
+def reference_transformed_lp(problem):
+    return LinearProgram(
+        Sense.MAXIMIZE,
+        np.append(problem.c, problem.alpha),
+        A_ub=np.hstack([problem.A, -problem.b[:, None]]),
+        b_ub=np.zeros(problem.num_rows),
+        A_eq=np.append(problem.d, problem.beta)[None, :],
+        b_eq=[1.0],
+    )
+
+
+def reference_dual_lp(problem):
+    m = problem.num_rows
+    return LinearProgram(
+        Sense.MINIMIZE,
+        np.append(np.zeros(m), 1.0),
+        A_ub=-np.hstack([problem.A.T, problem.d[:, None]]),
+        b_ub=-problem.c,
+        A_eq=np.append(-problem.b, problem.beta)[None, :],
+        b_eq=[problem.alpha],
+        lo=np.append(np.zeros(m), -np.inf),
+    )
+
+
+def reference_face(lp, value):
+    """`lp`'s standard form [[A_ub, I], [A_eq, 0]] plus the row objective . x = value."""
+    n, n_slack = lp.num_vars, lp.b_ub.size
+    A = np.zeros((lp.num_rows, n + n_slack))
+    A[:n_slack, :n] = lp.A_ub
+    A[n_slack:, :n] = lp.A_eq
+    A[:n_slack, n:] = np.eye(n_slack)
+    value_row = np.zeros(A.shape[1])
+    value_row[:n] = lp.objective
+    lo = np.concatenate([lp.lo, np.zeros(n_slack)])
+    return Polyhedron(np.vstack([A, value_row]), np.append(np.concatenate([lp.b_ub, lp.b_eq]), value),
+                      lo == -np.inf)
+
+
+def reference_joint_face(problem):
+    primal = reference_face(reference_transformed_lp(problem), 0.0)
+    dual = reference_face(reference_dual_lp(problem), 0.0)
+    P, D = primal.A_eq, dual.A_eq
+    M = np.vstack([
+        np.hstack([P[:-1], np.zeros((P.shape[0] - 1, D.shape[1]))]),
+        np.hstack([np.zeros((D.shape[0] - 1, P.shape[1])), D[:-1]]),
+        np.hstack([P[-1:], -D[-1:]]),
+    ])
+    rhs = np.concatenate([primal.b_eq[:-1], dual.b_eq[:-1], [0.0]])
+    return Polyhedron(M, rhs, np.concatenate([primal.free, dual.free]))
+
+
+def reference_support_lp(poly, capped):
+    m, n = poly.A_eq.shape
+    half = np.hstack([poly.A_eq, -poly.b_eq.reshape(m, 1)])
+    k = int(capped.sum())
+    return LinearProgram(
+        Sense.MAXIMIZE,
+        np.concatenate([np.zeros(n + 1), np.ones(k + 1)]),
+        A_eq=np.hstack([half, half[:, np.append(capped, True)]]),
+        b_eq=np.zeros(m),
+        lo=np.concatenate([np.where(poly.free, -np.inf, 0.0), np.zeros(k + 2)]),
+        hi=np.concatenate([np.full(n + 1, np.inf), np.ones(k + 1)]),
+    )
+
+
+class TestBuildersMatchReference:
+    """Each array of each builder equals its reference's, dtype, shape and bytes.
+
+    This pins the joint LP's column order too, which the benchmark's pipeline
+    indexes by hand.
+    """
+
+    LP_FIELDS = ("objective", "A_ub", "b_ub", "A_eq", "b_eq", "lo", "hi")
+
+    def assert_same_bytes(self, got, want, fields):
+        for field in fields:
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+        assert getattr(got, "sense", None) is getattr(want, "sense", None)
+
+    def assert_builders_match(self, problem):
+        n, m = problem.num_vars, problem.num_rows
+        theta = solve_theta_star(problem)
+        primal_capped, dual_capped = np.arange(n + 1 + m) != n, np.arange(m + 1 + n) != m
+        pairs = [
+            (build_transformed_lp(problem), reference_transformed_lp(problem)),
+            (build_dual_lp(problem), reference_dual_lp(problem)),
+            (build_primal_interior_lp(problem, theta),
+             reference_support_lp(reference_face(reference_transformed_lp(problem), theta), primal_capped)),
+            (build_dual_interior_lp(problem, theta),
+             reference_support_lp(reference_face(reference_dual_lp(problem), theta), dual_capped)),
+            (build_joint_lp(problem),
+             reference_support_lp(reference_joint_face(problem), np.concatenate([primal_capped, dual_capped]))),
+        ]
+        for got, want in pairs:
+            self.assert_same_bytes(got, want, self.LP_FIELDS)
+        faces = [
+            (primal_optimal_face(problem, theta), reference_face(reference_transformed_lp(problem), theta)),
+            (dual_optimal_face(problem, theta), reference_face(reference_dual_lp(problem), theta)),
+            (joint_optimal_face(problem), reference_joint_face(problem)),
+        ]
+        for got, want in faces:
+            self.assert_same_bytes(got, want, ("A_eq", "b_eq", "free"))
+
+    def test_golden(self, golden):
+        self.assert_builders_match(golden)
+        self.assert_builders_match(negated_objective(golden))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random(self, seed):
+        problem = random_instance(seed, nonneg_objective=True)
+        self.assert_builders_match(problem)
+        self.assert_builders_match(negated_objective(problem))
 
 
 class TestBuilders:

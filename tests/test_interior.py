@@ -94,6 +94,13 @@ class TestPolyhedron:
                          id="A_eq-nan"),
             pytest.param([[1.0, 1.0]], [np.inf], None, "polyhedron data has a non-finite entry",
                          id="b_eq-inf"),
+            # Two faults: the first in the order of the checks is named.
+            pytest.param(np.full((2, 2, 2), np.nan), [0.0, 0.0], None, "A_eq must be a matrix",
+                         id="A_eq-axes-before-nan"),
+            pytest.param([[1.0, np.nan]], [1.0, 2.0], None, "A_eq has 1 rows but b_eq has 2 entries",
+                         id="b_eq-length-before-A_eq-nan"),
+            pytest.param([[1.0, 1.0]], [np.inf], [True], "polyhedron data has a non-finite entry",
+                         id="b_eq-inf-before-free-mask-length"),
         ],
     )
     def test_rejects_wrong_shape(self, A_eq, b_eq, free, message):

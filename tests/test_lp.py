@@ -279,6 +279,17 @@ class TestValidation:
             pytest.param(dict(hi=[1.0, 1.0, 1.0]), "hi has shape", id="hi-wrong-length"),
             pytest.param(dict(objective=[]), "non-empty vector", id="objective-empty"),
             pytest.param(dict(objective=[[1.0, 2.0]]), "non-empty vector", id="objective-not-a-vector"),
+            # Two faults: the first in the order of the checks is named.
+            pytest.param(dict(A_ub=[[1.0, math.nan]], A_eq=[[1.0]]), "A_ub or b_ub has a non-finite",
+                         id="A_ub-nan-before-A_eq-wrong-width"),
+            pytest.param(dict(objective=[math.nan, 2.0], b_ub=[1.0, 2.0]), "objective has a non-finite",
+                         id="objective-nan-before-b_ub-wrong-length"),
+            pytest.param(dict(lo=[math.nan, 2.0], hi=[1.0, 1.0]), "lo has a NaN",
+                         id="lo-nan-before-empty-interval"),
+            pytest.param(dict(hi=[1.0, 1.0, 1.0], A_eq=[[math.inf, 1.0]]), "A_eq or b_eq has a non-finite",
+                         id="A_eq-inf-before-hi-wrong-length"),
+            pytest.param(dict(objective=[math.nan, 2.0], A_eq=[[1.0], [1.0, 2.0]]), "objective has a non-finite",
+                         id="objective-nan-before-A_eq-ragged"),
         ],
     )
     def test_rejects_bad_input(self, change, message):
