@@ -30,7 +30,7 @@ from .errors import (
     NonpositiveDenominator,
     UnboundedObjective,
 )
-from .lp import LinearProgram, LPOutcome, Sense, SolveStatus, SolverOptions, _frozen, solve_lp
+from .lp import LinearProgram, LPOutcome, Sense, SolveStatus, SolverOptions, _frozen, _logged, solve_lp
 from .problem import LFPProblem, PrimalPoint
 
 __all__ = [
@@ -125,7 +125,7 @@ def _stage1(problem: LFPProblem, out: LPOutcome | None = None) -> LPOutcome:
     """The stage-1 outcome `out`, solved here if not given, once it is known to be
     OPTIMAL; raises as `solve_theta_star` does on any other verdict."""
     if out is None:
-        out = solve_lp(build_transformed_lp(problem))
+        out = _logged("stage 1", solve_lp(build_transformed_lp(problem)))
     if out.status is SolveStatus.INFEASIBLE:
         raise InfeasibleRegion(
             "no feasible point with a positive denominator; the region is empty "

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPolyhedron, IterationLimitError
-from .lp import LinearProgram, LPOutcome, Sense, SolverOptions, _frozen, solve_lp
+from .lp import LinearProgram, LPOutcome, Sense, SolverOptions, _frozen, _logged, solve_lp
 
 __all__ = [
     "Polyhedron",
@@ -136,7 +136,7 @@ def _normalize(outcome: LPOutcome, capped: np.ndarray, feas_tol: float) -> np.nd
 
 def _solve_maximal_element_lp(lp: LinearProgram, label: str) -> LPOutcome:
     # Feasible (zero) and bounded (capped objective): any verdict but OPTIMAL is a breakdown.
-    out = solve_lp(lp)
+    out = _logged(label, solve_lp(lp))
     if not out.is_optimal:
         reason = out.detail or "a numerical breakdown, as the LP is feasible and bounded"
         raise IterationLimitError(f"{label} solve ended with status {out.status.value}: {reason}")

@@ -17,31 +17,31 @@ flips in the ratio tests instead of extra rows.
 
 `solve_lp` starts every program on the bounded dual simplex.  Its start is
 dual feasible by construction: the slack is basic in each inequality row and
-an artificial fixed at [0, 0] in each equality row, so the row duals are 0
-and the reduced costs are the costs, and each column is parked at the bound
-its cost favours.  A column whose cost favours an infinite bound parks at an
-artificial bound instead, 1e6 beyond zero or its other bound, whichever lies
-farther out (artificial bounding, the textbook dual phase 1).  Dual steepest
-edge picks the leaving row, and a bound-flipping ratio test with Harris
-tolerances picks the entering column.  The run may make 50 * (rows + cols)
-basis changes, except on a wide-scale program, one whose nonzero constraint
-coefficients span more than five orders of magnitude, so that the inverses
-of its bases are too poorly conditioned to update.  Such a program keeps
-that budget only if it is homogeneous: b = 0, every lo <= 0 <= hi, and
-every column can park at a finite bound its cost favours (cost 0 on a free
-column), so no artificial bound is needed and x = 0 shows the program
-feasible and bounded.  Every support-maximizing LP of `interior` is such a
-program, with equality rows only, so its start is the all-artificial basis.
-Any other wide-scale program may make no basis change at all: its start,
-read off the identity without an inversion, counts only if it is already
-optimal.  The dual OPTIMAL verdict reads either the untouched start, the
-identity, or a freshly inverted basis, on which every basic value lies
-within its bounds +- feas_tol and no reduced cost has the wrong sign by
-more than opt_tol, and it counts only if no column sits nonbasic at an
-artificial bound.  Any other ending (a dual ray, an active artificial bound,
-a singular basis, the iteration cap or a failed final check) hands the
-program to the primal path, so the INFEASIBLE and UNBOUNDED verdicts come
-from the primal path alone.
+an artificial fixed at [0, 0] in each equality row, both of cost 0, so the
+row duals are 0 and the reduced costs are the costs, and each column is
+parked at the bound its cost favours.  A column whose cost favours an
+infinite bound parks at an artificial bound instead, 1e6 beyond zero or its
+other bound, whichever lies farther out (artificial bounding, the textbook
+dual phase 1).  Dual steepest edge picks the leaving row, and a
+bound-flipping ratio test with Harris tolerances picks the entering column.
+The run may make 50 * (rows + cols) basis changes, except on a wide-scale
+program, one whose nonzero constraint coefficients span more than five
+orders of magnitude, so that the inverses of its bases are too poorly
+conditioned to update.  Such a program keeps that budget only if it is
+homogeneous: b = 0, every lo <= 0 <= hi, and every column can park at a
+finite bound its cost favours (cost 0 on a free column), so no artificial
+bound is needed and x = 0 shows the program feasible and bounded.  Every
+support-maximizing LP of `interior` is such a program, with equality rows
+only, so its start is the all-artificial basis.  Any other wide-scale
+program may make no basis change at all: its start, read off the identity
+without an inversion, counts only if it is already optimal.  The dual
+OPTIMAL verdict reads either the untouched start, the identity, or a freshly
+inverted basis, on which every basic value lies within its bounds
++- feas_tol and no reduced cost has the wrong sign by more than opt_tol, and
+it counts only if no column sits nonbasic at an artificial bound.  Any other
+ending (a dual ray, an active artificial bound, a singular basis, the
+iteration cap or a failed final check) hands the program to the primal path,
+so the INFEASIBLE and UNBOUNDED verdicts come from the primal path alone.
 
 The primal path runs phase 1 from the all-artificial basis: one artificial
 column per row, signed so that it starts >= 0 with every other column at
@@ -52,10 +52,11 @@ Pivoting uses Dantzig's rule with a largest-pivot tie-break, switching to
 Bland's rule once 2 * (rows + cols) degenerate steps have accumulated,
 which guarantees termination on highly degenerate systems.  Its OPTIMAL
 verdict comes from pricing on a freshly inverted (or freshly solved) basis;
-the basic values are not checked against their bounds afterwards.  Pricing,
-the ratio test and the drive-out of artificials are numpy mask operations
-over whole columns and basic rows, with the tie-breaks a scan in index
-order would give.
+the basic values are not checked against their bounds afterwards, so its
+point may lie outside them by more than feas_tol.  Pricing, the ratio test
+and the drive-out of artificials are numpy mask operations over whole
+columns and basic rows, with the tie-breaks a scan in index order would
+give.
 
 Each method stops after 50 * (rows + cols) iterations (across both phases
 of the primal path, where a bound flip is an iteration of its own); the
@@ -85,6 +86,7 @@ the start.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -114,6 +116,17 @@ def _frozen(values, ndmin: int = 0) -> np.ndarray:
     array = np.array(values, dtype=float, order="C", ndmin=ndmin)
     array.setflags(write=False)
     return array
+
+
+# Silent by default: the package adds no handler and sets no level.
+_logger = logging.getLogger("lfpkit")
+
+
+def _logged(label: str, out: LPOutcome) -> LPOutcome:
+    """`out`, the outcome of the LP named `label`, once a DEBUG record of it is on `_logger`."""
+    _logger.debug("%s LP: %s, simplex runs: %d", label, out.status.value, len(out.runs),
+                  extra={"lp": label, "outcome": out})
+    return out
 
 
 @dataclass(frozen=True)
@@ -658,22 +671,12 @@ def _standard_form(lp: LinearProgram):
 
 
 def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutcome:
-    """Solve `lp` by the bounded dual simplex, else by the primal two-phase path.
+    """Solve `lp` by the bounded dual simplex, else by the primal two-phase path,
+    routed as the module docstring says.
 
     The returned point covers exactly the variables of `lp`, in their original
-    order; ITERATION_LIMIT outcomes carry no point.  Every program takes the
-    dual simplex first (`_dual_attempt`), with no basis change allowed on a
-    program whose coefficients span more than `_WIDE_SCALE`, unless it is
-    homogeneous.  Its answer counts only if it is OPTIMAL on its identity
-    start or a fresh inverse that puts every basic value within its bounds
-    +- `opts.feas_tol` and every reduced cost on the right side of
-    +- `opts.opt_tol`, with no column nonbasic at an artificial bound; any
-    other ending hands the program to the primal two-phase path, which
-    gives every INFEASIBLE and UNBOUNDED verdict.  The primal OPTIMAL
-    verdict checks the reduced costs alone, so its point may lie outside the
-    bounds by more than `opts.feas_tol`.  This is where a wide-scale program
-    is routed to fresh solves, and any other to them after its kept inverse
-    fails.  Every outcome carries the runs of both paths in `runs`.
+    order, and only an OPTIMAL outcome has one.  `runs` holds the runs of
+    both paths, in call order.
     """
     A, b, lo, hi = _standard_form(lp)
     n, N = lp.num_vars, lp.num_vars + lp.b_ub.size
@@ -701,21 +704,9 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
 def _dual_attempt(A, b, lo, hi, cost, n, opts, wide, runs):
     """The dual simplex's OPTIMAL outcome on the standard form, with the
     whole point and the minimization's row duals; None for any other ending.
-    The run goes onto `runs`.
-
-    The start basis is `_standard_form`'s identity: the slack in each
-    inequality row and the [0, 0] artificial in each equality row.  Every
-    basic column has cost 0, so y = 0, the reduced costs are the costs, and
-    parking each column at the bound its cost favours makes the start dual
-    feasible.  A column whose cost favours an infinite bound gets an
-    artificial one, `_BOX` beyond zero or its other bound, whichever is
-    farther out; an optimum with such a column nonbasic at its artificial
-    bound is not accepted.
-
-    The run may make 50 * (rows + cols) basis changes.  A `wide` program may
-    make none unless it is homogeneous: b = 0, lo <= 0 <= hi and no
-    artificial bound, so that x = 0 is feasible and the program bounded.
-    Otherwise its start counts only if it is already optimal.
+    The run goes onto `runs`.  The module docstring gives its start, its
+    budget (none for a `wide` program that is not homogeneous) and the
+    checks its verdict must pass.
     """
     m, W = A.shape
     parked = _park(lo, hi, cost)

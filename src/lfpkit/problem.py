@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     UnboundedValidation,
 )
-from .lp import LinearProgram, Sense, SolveStatus, SolverOptions, _frozen, solve_lp
+from .lp import LinearProgram, Sense, SolveStatus, SolverOptions, _frozen, _logged, solve_lp
 
 __all__ = [
     "LFPProblem",
@@ -59,9 +59,12 @@ class LFPProblem:
             raise DimensionError(f"b has {b.size} entries, A has {m} rows")
         if c.size != n or d.size != n:
             raise DimensionError(f"c and d must have {n} entries to match A's columns")
-        for name, arr in (("A", A), ("b", b), ("c", c), ("d", d)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} has a non-finite entry")
+        arrays = {"A": A, "b": b, "c": c, "d": d}
+        # One pass over all entries; the arrays are checked one by one only to name a fault.
+        if not np.isfinite(np.concatenate((A.ravel(), b, c, d))).all():
+            bad = next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
+            raise ValueError(f"{bad} has a non-finite entry")
+        for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
         alpha, beta = float(self.alpha), float(self.beta)
         if not math.isfinite(alpha) or not math.isfinite(beta):
@@ -138,7 +141,8 @@ def validate_denominator(problem: LFPProblem, opts: SolverOptions = SolverOption
     InfeasibleRegion when the region is empty and UnboundedValidation when the
     denominator can be driven to -inf.
     """
-    out = solve_lp(LinearProgram(Sense.MINIMIZE, problem.d, A_ub=problem.A, b_ub=problem.b), opts)
+    lp = LinearProgram(Sense.MINIMIZE, problem.d, A_ub=problem.A, b_ub=problem.b)
+    out = _logged("denominator", solve_lp(lp, opts))
     if out.status is SolveStatus.INFEASIBLE:
         raise InfeasibleRegion("the constraint region is empty")
     if out.status is SolveStatus.UNBOUNDED:

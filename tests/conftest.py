@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -25,3 +27,12 @@ def golden():
 def golden_vertices():
     """The four vertices of the golden instance's region."""
     return [np.array(v, dtype=float) for v in ((0, 0), (3, 0), (0, 2), (1, 4))]
+
+
+@pytest.fixture
+def lp_records(caplog):
+    """A function that returns the records logged so far on the `lfpkit` logger:
+    one DEBUG record per labelled LP solve, with its label in `lp` and its
+    `LPOutcome` in `outcome`."""
+    caplog.set_level(logging.DEBUG, logger="lfpkit")
+    return lambda: [record for record in caplog.records if record.name == "lfpkit"]

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -6,8 +7,15 @@ from pathlib import Path
 
 import pytest
 
-import lfpkit.lp as lp_module
-from lfpkit import SolveStatus
+from lfpkit import (
+    LinearProgram,
+    Sense,
+    SolveStatus,
+    build_joint_lp,
+    build_primal_interior_lp,
+    build_transformed_lp,
+    solve_lp,
+)
 from lfpkit.cli import build_parser, format_text, run
 
 GOLDEN_DOC = (
@@ -53,36 +61,24 @@ class TestExitCodes:
         assert "status: infeasible" in out
         assert err  # diagnostics on stderr
 
-    @pytest.mark.parametrize("flags", [(), ("--validate-denominator",)],
+    @pytest.mark.parametrize("flags, label", [((), "stage 1"),
+                                              (("--validate-denominator",), "denominator")],
                              ids=["stage 1", "denominator"])
-    def test_empty_region_exits_two_through_the_fallback(self, tmp_path, capsys, monkeypatch,
-                                                         flags):
+    def test_empty_region_exits_two_through_the_fallback(self, tmp_path, capsys, lp_records,
+                                                         flags, label):
         # The first LP solved, stage 1 or the denominator LP, meets the empty
         # region on the dual simplex, which gives no verdict on it: the run
         # breaks down on a dual ray, and the primal path that takes over
-        # finds the region empty.
-        verdicts, attempts = [], []
-        dual_simplex, two_phase = lp_module._dual_simplex, lp_module._two_phase
-
-        def recorded(*args):
-            result = dual_simplex(*args)
-            verdicts.append(result[0])
-            return result
-
-        def counted(*args, **kwargs):
-            outcome = two_phase(*args, **kwargs)
-            attempts.append(outcome.status)
-            return outcome
-
-        monkeypatch.setattr(lp_module, "_dual_simplex", recorded)
-        monkeypatch.setattr(lp_module, "_two_phase", counted)
+        # finds the region empty in phase 1.
         path = tmp_path / "empty.json"
         path.write_text(EMPTY_DOC, encoding="utf-8")
         code, out, _ = run_cli(capsys, "--input", str(path), *flags)
         assert code == 2
         assert "status: infeasible" in out
-        assert verdicts == ["dual_ray"]
-        assert attempts == [SolveStatus.INFEASIBLE]
+        [record] = lp_records()
+        assert (record.lp, record.outcome.status) == (label, SolveStatus.INFEASIBLE)
+        assert [run[:2] for run in record.outcome.runs] == [("dual", "dual_ray"),
+                                                             ("primal", "optimal")]
 
     def test_unbounded_exits_three(self, tmp_path, capsys):
         path = tmp_path / "unbounded.json"
@@ -126,6 +122,28 @@ class TestExitCodes:
         for flags in (["--frobnicate"], ["--tol", "1e-9"], ["--pos-tol", "1e-7"]):
             code, _, _ = run_cli(capsys, "--input", golden_file, *flags)
             assert code == 4, flags
+
+
+class TestLogRecords:
+    def test_a_run_logs_each_labelled_lp_once(self, golden, golden_file, capsys, lp_records):
+        code, _, err = run_cli(capsys, "--input", golden_file, "--approach", "both",
+                               "--validate-denominator")
+        assert (code, err) == (0, "")
+        records = lp_records()
+        assert [(record.levelno, record.lp) for record in records] == [
+            (logging.DEBUG, "denominator"), (logging.DEBUG, "stage 1"),
+            (logging.DEBUG, "primal face"), (logging.DEBUG, "joint face"),
+        ]
+        assert records[0].getMessage() == "denominator LP: optimal, simplex runs: 1"
+        # Each record holds the outcome that a direct solve of its builder's LP gives.
+        theta_star = solve_lp(build_transformed_lp(golden)).objective
+        lps = [LinearProgram(Sense.MINIMIZE, golden.d, A_ub=golden.A, b_ub=golden.b),
+               build_transformed_lp(golden), build_primal_interior_lp(golden, theta_star),
+               build_joint_lp(golden)]
+        for record, lp in zip(records, lps):
+            direct = solve_lp(lp)
+            assert record.outcome.runs == direct.runs
+            assert record.outcome.point.tobytes() == direct.point.tobytes()
 
 
 class TestJsonFormat:

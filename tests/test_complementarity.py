@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import lfpkit.duality as duality_module
 import lfpkit.interior as interior_module
 from lfpkit import (
     DegenerateNormalizer,
@@ -404,10 +403,10 @@ class TestApproachOne:
         assert sol.dual.y.sum() == pytest.approx(1.0, abs=1e-9)
         assert as_sets(optimal_partitions(sol)) == ({1}, set(), set(), {1, 2})
 
-    def test_reuses_a_precomputed_stage1_outcome(self, golden, monkeypatch):
+    def test_reuses_a_precomputed_stage1_outcome(self, golden, lp_records):
         stage1 = solve_lp(build_transformed_lp(golden))
-        monkeypatch.setattr(duality_module, "solve_lp", None)  # no second stage-1 solve
         sol = approach_one(golden, stage1=stage1)
+        assert [record.lp for record in lp_records()] == ["primal face"]  # no stage-1 solve
         assert sol.theta_star == stage1.objective
         assert as_sets(optimal_partitions(sol)) == GOLDEN_PARTITION
 
@@ -444,10 +443,15 @@ class TestApproachOne:
             ),
         ],
     )
-    def test_face_solve_failure_names_its_cause(self, golden, monkeypatch, outcome, message):
+    def test_face_solve_failure_names_its_cause(self, golden, monkeypatch, lp_records, outcome,
+                                                message):
         monkeypatch.setattr(interior_module, "solve_lp", lambda lp: outcome)
         with pytest.raises(IterationLimitError, match=message):
             approach_one(golden)
+        # The face solve logs its record before its verdict raises.
+        records = lp_records()
+        assert [record.lp for record in records] == ["stage 1", "primal face"]
+        assert records[-1].outcome is outcome
 
 
 class TestApproachTwo:
@@ -479,13 +483,14 @@ class TestApproachTwo:
         with pytest.raises(UnboundedObjective):
             approach_two(problem)
 
-    def test_zero_weight_on_a_solvable_problem_is_degenerate(self, golden, monkeypatch):
+    def test_zero_weight_on_a_solvable_problem_is_degenerate(self, golden, monkeypatch, lp_records):
         def all_zero(lp):
             return LPOutcome(SolveStatus.OPTIMAL, np.zeros(lp.num_vars), 0.0)
 
         monkeypatch.setattr(interior_module, "solve_lp", all_zero)
         with pytest.raises(DegenerateNormalizer, match="although stage 1 proves an optimal pair exists"):
             approach_two(golden)
+        assert [record.lp for record in lp_records()] == ["joint face", "stage 1"]
 
 
 class TestVerifiers:

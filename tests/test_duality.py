@@ -160,21 +160,16 @@ class TestThetaStar:
             solve_theta_star(problem)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_dual_breakdown_falls_back_to_the_same_theta(self, monkeypatch, seed):
-        # Stage 1 takes the dual simplex; where it breaks down, the primal
-        # path solves the same LP again and finds the same optimum.
+    def test_dual_breakdown_falls_back_to_the_same_theta(self, monkeypatch, lp_records, seed):
+        # Stage 1 takes the dual simplex; where it breaks down, one attempt
+        # on the primal path solves the same LP again and finds the same optimum.
         problem = random_instance(seed)
         expected = solve_theta_star(problem)
-        two_phase, attempts = lp_module._two_phase, []
-
-        def counted(*args, **kwargs):
-            attempts.append(None)
-            return two_phase(*args, **kwargs)
-
         monkeypatch.setattr(lp_module, "_dual_simplex", lambda *args: ("singular", None, 0, 0))
-        monkeypatch.setattr(lp_module, "_two_phase", counted)
         assert solve_theta_star(problem) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-        assert len(attempts) == 1
+        [_, record] = lp_records()
+        assert [run[:2] for run in record.outcome.runs] == [
+            ("dual", "singular"), ("primal", "optimal"), ("primal", "optimal")]
 
 
 class TestCorrespondence:

@@ -114,9 +114,11 @@ class TestPolyhedron:
 
 
 class TestRecover:
-    def test_segment_has_full_support(self):
+    def test_segment_has_full_support(self, lp_records):
         element = find_relative_interior_point(SEGMENT)
         assert element.support == {1, 2}
+        [record] = lp_records()
+        assert record.lp == "maximal-element" and record.outcome.is_optimal
         assert element.support == coordinate_support_oracle(SEGMENT)
 
     def test_pinned_coordinate_excluded(self):

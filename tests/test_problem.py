@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-import lfpkit.lp as lp_module
 import lfpkit.problem as problem_module
 from lfpkit import (
     DimensionError,
@@ -83,23 +82,11 @@ class TestValidateDenominator:
         problem = LFPProblem(A=[[1.0]], b=[1.0], c=[1.0], d=[0.0], alpha=0.0, beta=1.0)
         assert validate_denominator(problem) == pytest.approx(1.0)
 
-    def test_slack_basis_is_optimal_at_once(self, monkeypatch):
+    def test_slack_basis_is_optimal_at_once(self, lp_records):
         # b >= 0 puts x = 0 in the region, and d >= 0 makes it a minimizer:
         # the dual simplex starts from the slack basis with every column at
         # its lower bound, takes no basis change, and the minimum is
         # d.0 + beta = beta exactly.  No primal run follows.
-        runs, dual_simplex = [], lp_module._dual_simplex
-
-        def recorded(*args, **kwargs):
-            result = dual_simplex(*args, **kwargs)
-            runs.append(result[0::2])
-            return result
-
-        def no_primal_run(*args, **kwargs):
-            raise AssertionError("the primal simplex ran")
-
-        monkeypatch.setattr(lp_module, "_dual_simplex", recorded)
-        monkeypatch.setattr(lp_module, "_run_simplex", no_primal_run)
         rng = np.random.default_rng(5)
         for _ in range(20):
             n, m = (int(k) for k in rng.integers(1, 9, size=2))
@@ -110,9 +97,10 @@ class TestValidateDenominator:
                 c=rng.normal(size=n), d=rng.random(n) * (rng.random(n) < 0.8),
                 alpha=0.0, beta=float(rng.random()) + 0.5,
             )
-            runs.clear()
             assert validate_denominator(problem) == problem.beta
-            assert runs == [("optimal", 0)]
+        records = lp_records()
+        assert [record.lp for record in records] == ["denominator"] * 20
+        assert [[run[:3] for run in r.outcome.runs] for r in records] == [[("dual", "optimal", 0)]] * 20
 
     def test_iteration_cap_is_named(self, golden, monkeypatch):
         capped = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="iteration cap of 1 reached")
@@ -288,6 +276,21 @@ class TestTypes:
     def test_problem_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             LFPProblem(A=[[np.inf]], b=[1], c=[1], d=[1], alpha=0, beta=1)
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [({"A": np.inf}, "A"), ({"b": np.nan}, "b"), ({"c": -np.inf}, "c"), ({"d": np.nan}, "d"),
+         ({"A": np.nan, "d": np.inf}, "A")],
+        ids=["A", "b", "c", "d", "A-and-d"],
+    )
+    def test_problem_names_the_first_nonfinite_array(self, bad, named):
+        # A, b, c, d order: the first array with a non-finite entry is named.
+        data = {"A": [[1.0, 2.0], [3.0, 4.0]], "b": [1.0, 2.0], "c": [1.0, 2.0], "d": [1.0, 2.0]}
+        for key, value in bad.items():
+            data[key] = np.array(data[key])
+            data[key].flat[-1] = value
+        with pytest.raises(ValueError, match=f"^{named} has a non-finite entry$"):
+            LFPProblem(**data, alpha=0, beta=1)
 
     @pytest.mark.parametrize("c, d", [([1, 1], [1]), ([1], [1, 1])], ids=["c", "d"])
     def test_problem_rejects_objective_vectors_of_the_wrong_length(self, c, d):

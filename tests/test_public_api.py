@@ -1,4 +1,5 @@
 import inspect
+import logging
 import os
 import subprocess
 import sys
@@ -46,6 +47,14 @@ def test_test_dependencies_stay_out_of_the_runtime():
     # scipy and hypothesis serve the tests only; numpy is the one runtime dependency.
     code = "import sys, lfpkit, lfpkit.cli; print(*sorted({'scipy', 'hypothesis'} & set(sys.modules)))"
     assert in_fresh_interpreter(code).split() == []
+
+
+def test_importing_leaves_the_lfpkit_logger_unconfigured():
+    # A library adds no handler and sets no level: its DEBUG records reach
+    # only the handlers an application installs.
+    code = ("import logging, lfpkit, lfpkit.cli; logger = logging.getLogger('lfpkit'); "
+            "print(len(logger.handlers), logger.level)")
+    assert in_fresh_interpreter(code).split() == ["0", str(logging.NOTSET)]
 
 
 # Parameter names of every public function and dataclass, so that a parameter

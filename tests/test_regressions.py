@@ -12,7 +12,6 @@ import json
 import numpy as np
 import pytest
 
-import lfpkit.duality as duality_module
 import lfpkit.lp as lp_module
 from lfpkit import (
     LFPProblem,
@@ -24,7 +23,6 @@ from lfpkit import (
     build_joint_lp,
     build_transformed_lp,
     cli,
-    interior,
     load_problem,
     recover_dual_interior,
     solve_lp,
@@ -92,7 +90,8 @@ def gt_break(workload, seed, name, counts, size):
         gt_break("degenerate-mixed", 3, "scaled-a-16", "10.99999 / 10 / 39", 19),
     ],
 )
-def test_support_counts_obey_goldman_tucker(tmp_path, capsys, monkeypatch, request, workload, seed, name):
+def test_support_counts_obey_goldman_tucker(tmp_path, capsys, lp_records, request, workload, seed,
+                                            name):
     # A strictly complementary pair has exactly one positive member in each of
     # the n + m complementary pairs (Goldman-Tucker).  The primal face LP
     # counts one capped copy per support coordinate plus one w2, and approach
@@ -109,25 +108,14 @@ def test_support_counts_obey_goldman_tucker(tmp_path, capsys, monkeypatch, reque
     problem = load_problem(path)
     size = problem.num_vars + problem.num_rows
 
-    objectives, solutions = [], []
-    solve, approach_one = interior.solve_lp, cli.approach_one
-
-    def recording_solve(lp):
-        out = solve(lp)
-        objectives.append(out.objective)
-        return out
-
-    def recording_approach_one(*args, **kwargs):
-        solutions.append(approach_one(*args, **kwargs))
-        return solutions[-1]
-
-    monkeypatch.setattr(interior, "solve_lp", recording_solve)
-    monkeypatch.setattr(cli, "approach_one", recording_approach_one)
-    assert cli.run(["--input", str(path), "--approach", "both"]) == 0, capsys.readouterr().out
-    assert len(objectives) == 2  # primal face, joint face
-    primal, joint = objectives
-    dual = solutions[0].dual
-    dual_count = sum(int((values > DEFAULT_POS_TOL).sum()) for values in (dual.y, dual.v)) + 1
+    code = cli.run(["--input", str(path), "--approach", "both", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0, report
+    records = lp_records()
+    assert [record.lp for record in records] == ["stage 1", "primal face", "joint face"]
+    primal, joint = (record.outcome.objective for record in records[1:])
+    one = report["approaches"]["one"]
+    dual_count = sum(int((np.array(one[key]) > DEFAULT_POS_TOL).sum()) for key in ("y", "v")) + 1
     assert primal + dual_count == pytest.approx(size + 2, abs=1e-6), (primal, dual_count, joint)
     assert joint == pytest.approx(size + 1, abs=1e-6), (primal, dual_count, joint)
 
@@ -160,7 +148,7 @@ def test_largest_ladder_joint_lp_solves_under_the_cap():
 
 
 @pytest.mark.parametrize("n, m", [(40, 40), (80, 60), (100, 80)])
-def test_ladder_instance_takes_a_short_dual_stage1(tmp_path, capsys, monkeypatch, n, m):
+def test_ladder_instance_takes_a_short_dual_stage1(tmp_path, capsys, lp_records, n, m):
     # The size ladder's instances, end to end.  Stage 1 runs once on the
     # dual simplex from its slack start, where two primal phases took 632 /
     # 2,226 / 3,883 pivots, and its optimum is HiGHS's.
@@ -169,36 +157,14 @@ def test_ladder_instance_takes_a_short_dual_stage1(tmp_path, capsys, monkeypatch
     data = generate._random(np.random.default_rng(1), n, m)
     path = tmp_path / f"{n}x{m}.json"
     path.write_text(generate.to_json(data))
-    stage1, inside, runs = [], [], []
-    solve, dual_simplex, run_simplex = (duality_module.solve_lp, lp_module._dual_simplex,
-                                        lp_module._run_simplex)
-
-    def labelled(lp):
-        stage1.append(lp)
-        inside.append(lp)
-        try:
-            return solve(lp)
-        finally:
-            inside.pop()
-
-    def recorded(method, simplex):
-        def call(*args, **kwargs):
-            result = simplex(*args, **kwargs)
-            if inside:
-                runs.append((method, result[0], result[2]))
-            return result
-        return call
-
-    monkeypatch.setattr(duality_module, "solve_lp", labelled)
-    monkeypatch.setattr(lp_module, "_dual_simplex", recorded("dual", dual_simplex))
-    monkeypatch.setattr(lp_module, "_run_simplex", recorded("primal", run_simplex))
     code = cli.run(["--input", str(path), "--approach", "both", "--validate-denominator",
                     "--format", "json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["cross_check"]
-    [(method, verdict, changes)] = runs
+    [stage1] = [record.outcome for record in lp_records() if record.lp == "stage 1"]
+    [(method, verdict, changes, _, _)] = stage1.runs
     assert (method, verdict) == ("dual", "optimal") and changes <= 20
-    [lp] = stage1
+    lp = build_transformed_lp(load_problem(path))
     ref = linprog(-lp.objective, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
                   bounds=np.column_stack([lp.lo, lp.hi]), method="highs")
     assert ref.status == 0

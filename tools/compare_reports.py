@@ -14,8 +14,8 @@ the JSON report minus its `timings`, the text report with the numbers on its
 `timings:` line masked, the standard error of both runs, and, for the JSON
 run in call order, every simplex run as its LP's `LPOutcome.runs` records it
 (an inversion counts even where `np.linalg.inv` raised) and every optimal
-face LP's objective (see `recording`).  `--ladder` adds the
-size-ladder instances, workload "ladder":
+face LP's objective, both read off the `lfpkit` logger (see `Recording`).
+`--ladder` adds the size-ladder instances, workload "ladder":
 `generate._random(np.random.default_rng(1), n, m)` for each n x m.
 The package is imported from the `src/` next to this script, so run the
 script of the checkout you want to measure.
@@ -57,6 +57,7 @@ import collections  # noqa: E402
 import contextlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import logging  # noqa: E402
 import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -67,11 +68,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import generate  # noqa: E402
 import numpy as np  # noqa: E402
-from lfpkit import cli, complementarity, duality, interior, problem  # noqa: E402
+from lfpkit import cli  # noqa: E402
 
 CLI_ARGS = ("--approach", "both", "--validate-denominator")
 
-# The LPs of one `lfp-solve` run, in call order, as `recording` labels them.
+# The LPs of one `lfp-solve` run, in call order, as the package's log records label them.
 LPS = ("denominator", "stage 1", "primal face", "joint face")
 
 # A face LP's optimum is an integer (the support count plus one); an optimal
@@ -87,59 +88,48 @@ def run_cli(path: Path, fmt: str) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-@contextlib.contextmanager
-def recording(runs: list, face_optima: list):
-    """Record the simplex runs and optimal face-LP objectives of the calls made inside.
+class Recording(logging.Handler):
+    """While entered, the simplex runs and optimal face-LP objectives of every
+    labelled LP, from the DEBUG record that the package logs on the `lfpkit`
+    logger as soon as the LP's solve returns, so also where the solve then raises.
 
-    Each run is [lp, method, verdict, basis changes, bound flips, inversions]:
-    `lp` names the LP whose `solve_lp` call made it (one of `LPS`), and the
-    rest is one entry of that call's `LPOutcome.runs` (see `lfpkit.lp`), so
-    an inversion counts even where `np.linalg.inv` raised.  Only the entry
-    points that solve the labelled LPs are wrapped: a face LP's runs come
-    from `interior.solve_lp`, so they are kept where the face solve then
-    raises.  Each optimal face LP adds [lp, objective].
+    Each run goes onto `runs` as [lp, method, verdict, basis changes, bound
+    flips, inversions]: the record's label (one of `LPS`), then one entry of
+    its outcome's `runs` (see `lfpkit.lp`), where an inversion counts even if
+    `np.linalg.inv` raised.  Each optimal face LP adds [lp, objective] to
+    `face_optima`.
     """
-    faces = []
-    patched = [(problem, "solve_lp"), (duality, "solve_lp"), (interior, "solve_lp"),
-               (complementarity, "_solve_maximal_element_lp")]
-    saved = [getattr(module, name) for module, name in patched]
-    face_solve = saved[-1]
 
-    def recorded(label, solve):
-        def call(*args, **kwargs):
-            out = solve(*args, **kwargs)
-            runs.extend([label or faces[-1], *run] for run in out.runs)
-            return out
-        return call
+    def __init__(self):
+        super().__init__()
+        self.runs, self.face_optima, self.logger = [], [], logging.getLogger("lfpkit")
 
-    def face(lp_, label):
-        faces.append(label)
-        out = face_solve(lp_, label)
-        face_optima.append([label, out.objective])
-        return out
+    def emit(self, record):
+        self.runs.extend([record.lp, *run] for run in record.outcome.runs)
+        if record.lp.endswith(" face") and record.outcome.is_optimal:
+            self.face_optima.append([record.lp, record.outcome.objective])
 
-    replacements = [recorded("denominator", saved[0]), recorded("stage 1", saved[1]),
-                    recorded(None, saved[2]), face]
-    for (module, name), replacement in zip(patched, replacements):
-        setattr(module, name, replacement)
-    try:
-        yield
-    finally:
-        for (module, name), original in zip(patched, saved):
-            setattr(module, name, original)
+    def __enter__(self):
+        self.saved_level = self.logger.level
+        self.logger.setLevel(logging.DEBUG)
+        self.logger.addHandler(self)
+        return self
+
+    def __exit__(self, *exc_info):
+        self.logger.removeHandler(self)
+        self.logger.setLevel(self.saved_level)
 
 
 def run_instance(path: Path) -> dict:
     """Exit code, reports, standard error, simplex runs and face optima of one instance."""
-    runs, face_optima = [], []
-    with recording(runs, face_optima):
+    with Recording() as recorded:
         code, out, err = run_cli(path, "json")
     report = json.loads(out)
     report.pop("timings", None)
     _, text, text_err = run_cli(path, "text")
     text = re.sub(r"(?m)^timings: .*$", lambda line: re.sub(r"\d+\.\d+", "#", line.group()), text)
-    return {"code": code, "report": report, "runs": runs, "face_optima": face_optima,
-            "text": text, "stderr": [err, text_err]}
+    return {"code": code, "report": report, "runs": recorded.runs,
+            "face_optima": recorded.face_optima, "text": text, "stderr": [err, text_err]}
 
 
 def ladder_instances(sizes) -> list:
