@@ -1,8 +1,9 @@
-"""Shared test utilities: instance generators and two oracles.
+"""Shared test utilities: instance generators, two oracles and exact transformations.
 
 The oracles are vertex enumeration and `coordinate_support_oracle`, which
 finds a polyhedron's support one LP per coordinate, the slow way that the
-library's single support-maximizing LP replaces.
+library's single support-maximizing LP replaces.  `transformations` makes
+the exact copies of an instance that must keep its optimal partition.
 
 The generators honor the guarantees the random-instance suites rely on:
 strictly positive constraint matrices with b > 0 keep the region non-empty
@@ -12,6 +13,7 @@ denominator positive everywhere on it.
 
 import importlib.util
 import itertools
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -216,3 +218,38 @@ def coordinate_support_oracle(poly):
                 f"coordinate {j + 1} probe ended with status {out.status.value}: {out.detail}"
             )
     return frozenset(support)
+
+
+def transformations(name, data):
+    """The three exact transformed copies of an instance, by letter.
+
+    `data` holds A, b, c, d, alpha and beta, as `perfbench/generate.py`
+    makes them.  P permutes the rows and the columns, R multiplies each row
+    of (A, b) by 2^k and C each column of (A, c, d) by 2^k, with k in
+    [-3, 3].  The permutations and the k come from a generator seeded by the
+    CRC-32 of `name`.  Reordering and multiplying by a power of two are exact
+    in binary floating point, so each copy has the original's optimal
+    partition once `partition_back` maps it through the copy's reordering.
+    Each value is (data, rows, cols): row i of the copy is row rows[i] of the
+    original and column j is column cols[j] (0-based); R and C keep the order.
+    """
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    A, b, c, d = (np.asarray(data[key], dtype=float) for key in ("A", "b", "c", "d"))
+    m, n = A.shape
+    rows, cols = rng.permutation(m), rng.permutation(n)
+    row_scale = 2.0 ** rng.integers(-3, 4, size=m)
+    col_scale = 2.0 ** rng.integers(-3, 4, size=n)
+    keep = np.arange(m), np.arange(n)
+    return {
+        "P": ({**data, "A": A[rows][:, cols], "b": b[rows], "c": c[cols], "d": d[cols]}, rows, cols),
+        "R": ({**data, "A": A * row_scale[:, None], "b": b * row_scale}, *keep),
+        "C": ({**data, "A": A * col_scale, "c": c * col_scale, "d": d * col_scale}, *keep),
+    }
+
+
+def partition_back(partition, rows, cols):
+    """A copy's optimal partition (a report's `partition`, 1-based) in the
+    original's indices, for the copy's `rows` and `cols` of `transformations`."""
+    order = {"sigma_x": cols, "sigma_v": cols, "sigma_u": rows, "sigma_y": rows}
+    return {key: sorted(int(order[key][k - 1]) + 1 for k in members)
+            for key, members in partition.items()}

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,12 +9,17 @@ from pathlib import Path
 import pytest
 
 from lfpkit import (
+    DualPoint,
     LinearProgram,
+    LPOutcome,
+    PrimalPoint,
     Sense,
     SolveStatus,
+    StrictComplementarySolution,
     build_joint_lp,
     build_primal_interior_lp,
     build_transformed_lp,
+    duality,
     solve_lp,
 )
 from lfpkit.cli import build_parser, format_text, run
@@ -26,6 +32,7 @@ EMPTY_DOC = '{"A": [[1]], "b": [-1], "c": [1], "d": [0], "alpha": 0, "beta": 1}'
 UNBOUNDED_DOC = '{"A": [[-1]], "b": [0], "c": [1], "d": [0], "alpha": 0, "beta": 1}'
 # Denominator 1 - x hits zero at the vertex x = 1.
 VIOLATES_DOC = '{"A": [[1]], "b": [1], "c": [1], "d": [-1], "alpha": 0, "beta": 1}'
+MALFORMED_DOC = '{"A": [[1]], "b": [1, 2], "c": [1], "d": [1], "alpha": 0, "beta": 1}'
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -34,6 +41,30 @@ def golden_file(tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(GOLDEN_DOC, encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture
+def stage1_fails(monkeypatch):
+    """Every stage-1 solve stops early."""
+    stopped = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="forced for the exit-code contract")
+    monkeypatch.setattr(duality, "solve_lp", lambda lp: stopped)
+
+
+@pytest.fixture
+def approach_two_not_strict(monkeypatch, golden):
+    """Approach two returns the golden instance's non-strict vertex solution
+    x = (0, 2), y = (0, 1/3), z = 4/3, where x_1 = v_1 = 0."""
+    x = [0.0, 2.0]
+    solution = StrictComplementarySolution(
+        PrimalPoint.from_x(golden, x), 1.0 / float(golden.d @ x + golden.beta),
+        DualPoint.from_yz(golden, [0.0, 1.0 / 3.0], 4.0 / 3.0), 4.0 / 3.0,
+    )
+    monkeypatch.setattr("lfpkit.cli.approach_two", lambda problem: solution)
+
+
+def masked(text):
+    """A text report with the numbers on its `timings:` line masked."""
+    return re.sub(r"(?m)^timings: .*$", lambda line: re.sub(r"\d+\.\d+", "#", line.group()), text)
 
 
 def run_cli(capsys, *argv):
@@ -89,7 +120,7 @@ class TestExitCodes:
 
     def test_input_error_exits_four(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text('{"A": [[1]], "b": [1, 2], "c": [1], "d": [1], "alpha": 0, "beta": 1}')
+        path.write_text(MALFORMED_DOC)
         code, out, _ = run_cli(capsys, "--input", str(path))
         assert code == 4
         assert "status: input_error" in out
@@ -116,6 +147,18 @@ class TestExitCodes:
     def test_missing_file_exits_four(self, capsys):
         code, _, _ = run_cli(capsys, "--input", "does-not-exist.json")
         assert code == 4
+
+    def test_failed_verification_exits_five(self, golden_file, capsys, approach_two_not_strict):
+        code, out, _ = run_cli(capsys, "--input", golden_file, "--format", "json")
+        assert code == 5
+        doc = json.loads(out)
+        assert (doc["status"], doc["cross_check"]) == ("verification_failed", False)
+        assert "approach two: x/v cover misses [1]" in doc["warnings"]
+        code, out, _ = run_cli(capsys, "--input", golden_file)
+        assert code == 5
+        lines = out.splitlines()
+        assert "warning: approach two: x/v cover misses [1]" in lines
+        assert "cross_check: FAIL (partitions differ)" in lines
 
     def test_unknown_flag_exits_four(self, golden_file, capsys):
         # The tolerances are fixed, so --tol and --pos-tol are unknown flags too.
@@ -177,6 +220,29 @@ class TestJsonFormat:
             assert f"z = {block['z']:.6g}" in text_out
             for value in block["x"] + block["y"]:
                 assert f"{value:.6g}" in text_out
+
+    @pytest.mark.parametrize(
+        "doc, fault, code",
+        [(GOLDEN_DOC, None, 0), (EMPTY_DOC, None, 2), (UNBOUNDED_DOC, None, 3),
+         (MALFORMED_DOC, None, 4), (GOLDEN_DOC, "stage1_fails", 5),
+         (GOLDEN_DOC, "approach_two_not_strict", 5)],
+        ids=["golden", "empty-region", "unbounded", "malformed", "stage-1-failure",
+             "verification-failure"],
+    )
+    def test_text_is_format_text_of_the_json_report(self, tmp_path, capsys, request, doc, fault,
+                                                    code):
+        # tools/compare_reports.py records a text report without a text run on
+        # this premise: text mode writes the document that JSON mode writes.
+        if fault:
+            request.getfixturevalue(fault)
+        path = tmp_path / "problem.json"
+        path.write_text(doc, encoding="utf-8")
+        argv = ("--input", str(path), "--approach", "both", "--validate-denominator")
+        json_code, json_out, json_err = run_cli(capsys, *argv, "--format", "json")
+        text_code, text_out, text_err = run_cli(capsys, *argv, "--format", "text")
+        assert json_code == text_code == code
+        assert masked(text_out) == masked(format_text(json.loads(json_out)))
+        assert text_err == json_err
 
     def test_single_approach_runs(self, golden_file, capsys):
         code, out, _ = run_cli(
@@ -240,11 +306,7 @@ class TestFlags:
         args = build_parser().parse_args(["--input", "p.json"])
         assert sorted(vars(args)) == ["approach", "format", "input", "validate_denominator"]
 
-    def test_numerical_failure_exits_five(self, golden_file, capsys, monkeypatch):
-        from lfpkit import LPOutcome, SolveStatus, duality
-
-        stopped = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="forced for the exit-code contract")
-        monkeypatch.setattr(duality, "solve_lp", lambda lp: stopped)
+    def test_numerical_failure_exits_five(self, golden_file, capsys, stage1_fails):
         code, out, _ = run_cli(capsys, "--input", golden_file)
         assert code == 5
         assert "status: numerical_failure" in out

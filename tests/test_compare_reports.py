@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
+WORKLOADS = ("batch-small", "joint-medium", "degenerate-mixed")
 
 
 def load_tool():
@@ -13,13 +14,22 @@ def load_tool():
     return module
 
 
-def test_two_dumps_of_one_checkout_do_not_differ(tmp_path):
+def test_two_dumps_of_one_checkout_do_not_differ(tmp_path, monkeypatch):
     tool = load_tool()
+    # One JSON run per instance: its text report is `format_text` of the same
+    # document, as tests/test_cli.py pins for every exit code that writes one.
+    calls, run = [], tool.cli.run
+    monkeypatch.setattr(tool.cli, "run", lambda argv: calls.append(argv[-1]) or run(argv))
     for name in ("a.json", "b.json"):
-        args = ["dump", "--workloads", "batch-small", "--seeds", "1", "--limit", "5"]
+        args = ["dump", "--workloads", *WORKLOADS, "--seeds", "1", "--limit", "3"]
         assert tool.main([*args, "--out", str(tmp_path / name)]) == 0
+    assert calls == ["json"] * 2 * 9
     records = json.loads((tmp_path / "a.json").read_text())
-    assert [r["name"] for r in records] == [f"small-{k:03d}" for k in range(5)]
+    assert [(r["workload"], r["name"]) for r in records] == [
+        *(("batch-small", f"small-{k:03d}") for k in range(3)),
+        *(("joint-medium", f"joint-{k:02d}-{20 + k}x{20 + k}") for k in range(3)),
+        *(("degenerate-mixed", f"duplicated-rows-{k:02d}") for k in range(3)),
+    ]
     assert all("timings" not in r["report"] for r in records)
     # One dual run per LP: the denominator and stage 1 from the slack start,
     # each face LP from its all-artificial start; approach one takes its dual
@@ -27,7 +37,7 @@ def test_two_dumps_of_one_checkout_do_not_differ(tmp_path):
     assert [[run[:3] for run in r["runs"]] for r in records] == [[
         ["denominator", "dual", "optimal"], ["stage 1", "dual", "optimal"],
         ["primal face", "dual", "optimal"], ["joint face", "dual", "optimal"],
-    ]] * 5
+    ]] * 9
     assert all(changes >= 0 and flips >= 0 for r in records for *_, changes, flips, _ in r["runs"])
     # A run that ends where it starts inverts nothing: the dual start is the
     # identity, whose inverse needs no call.
@@ -35,7 +45,7 @@ def test_two_dumps_of_one_checkout_do_not_differ(tmp_path):
                if changes == 0)
     assert all([label for label, _ in r["face_optima"]] == ["primal face", "joint face"]
                for r in records)
-    assert all(r["text"].endswith("status: ok\n") and r["stderr"] == ["", ""] for r in records)
+    assert all(r["text"].endswith("status: ok\n") and r["stderr"] == "" for r in records)
     assert all("timings: stage1 #s, approach_one #s, approach_two #s\n" in r["text"] for r in records)
     assert tool.main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 0
 
@@ -91,10 +101,10 @@ def test_diff_counts_changed_simplex_runs():
 def test_diff_counts_changed_text_or_stderr():
     tool = load_tool()
     same = {"workload": "w", "seed": 1, "name": "same", "code": 0, "report": {"status": "ok"},
-            "text": "status: ok\n", "stderr": ["", ""]}
+            "text": "status: ok\n", "stderr": ""}
     text = {**same, "name": "text"}
     stderr = {**same, "name": "stderr"}
-    after = [same, {**text, "text": "theta_star = 1\nstatus: ok\n"}, {**stderr, "stderr": ["", "x"]}]
+    after = [same, {**text, "text": "theta_star = 1\nstatus: ok\n"}, {**stderr, "stderr": "x"}]
     out = io.StringIO()
     assert tool.diff([same, text, stderr], after, out) == 2
     printed = out.getvalue()

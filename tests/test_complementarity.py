@@ -561,6 +561,19 @@ class TestPartitions:
         with pytest.raises(PartitionViolation, match=r"x/v cover misses \[1\]"):
             optimal_partitions(sol)
 
+    @pytest.mark.parametrize(
+        "x, u, y, v, message",
+        [([1.0], [1.0], [0.0], [1.0], "x/v overlap at [1]"),
+         ([1.0], [1.0], [1.0], [0.0], "u/y overlap at [1]"),
+         ([1.0], [0.0], [0.0], [0.0], "u/y cover misses [1]")],
+        ids=["xv-overlap", "uy-overlap", "uy-cover"],
+    )
+    def test_violation_names_its_fault(self, x, u, y, v, message):
+        sol = StrictComplementarySolution(PrimalPoint(x, u), 1.0, DualPoint(y, 1.0, v), 1.0)
+        with pytest.raises(PartitionViolation) as raised:
+            optimal_partitions(sol)
+        assert str(raised.value) == message
+
     def test_guard_band_warns(self):
         sol = StrictComplementarySolution(
             PrimalPoint([5e-8], [1.0]), 1.0, DualPoint([0.0], 1.0, [1.0]), 1.0

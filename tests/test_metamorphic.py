@@ -1,0 +1,92 @@
+"""Metamorphic invariance: exact transformed copies keep the exit code and the partition.
+
+Each instance runs through `lfp-solve --approach both --validate-denominator`
+as it is and as its three copies from `helpers.transformations`: P permutes
+the rows and the columns, R scales each row of (A, b) and C each column of
+(A, c, d) by a power of two.  These are exact in binary floating point and
+leave the optimal partition as it is up to P's reordering, so the exit code
+must not move and, where both runs exit 0, the copy's partition mapped back
+must equal the original's.  No oracle is needed.
+
+The instances are the golden one and a few of each benchmark workload's
+seed 1, from `perfbench/generate.py`.  The `scaled-a` family (A times 1e6)
+is left out: its instances flip exit codes under these copies because the
+solver's answer there is not yet settled, and that is a matter for the
+exact certificates, not for this test.  Each copy that fails today is a
+strict xfail keyed by (workload, seed, instance, transformation), as in
+`test_regressions.py`, so a change that mends it must say so.
+"""
+
+import functools
+import json
+
+import pytest
+
+from lfpkit import cli
+
+from helpers import load_generate, partition_back, transformations
+
+FLAGS = ("--approach", "both", "--validate-denominator", "--format", "json")
+GOLDEN = {"A": [[2, 1], [-2, 1]], "b": [6, 2], "c": [6, 3], "d": [5, 2], "alpha": 6, "beta": 5}
+FAMILIES = ("duplicated-rows", "flat-objective", "partly-flat", "zero-d-columns",
+            "negative-theta", "integer-ties")
+INSTANCES = [
+    (None, None, "golden"),
+    *(("batch-small", 1, f"small-{k:03d}") for k in range(5)),
+    *(("joint-medium", 1, f"joint-{k:02d}-{20 + k}x{20 + k}") for k in range(2)),
+    *(("degenerate-mixed", 1, f"{family}-{k:02d}") for family in FAMILIES for k in range(2)),
+    ("degenerate-mixed", 1, "zero-d-columns-14"),
+    ("degenerate-mixed", 1, "zero-d-columns-16"),
+]
+# (workload, seed, instance, transformation) -> why the copy's exit code moves today.
+KNOWN_FAILURES = {
+    ("degenerate-mixed", 1, "zero-d-columns-14", "R"): "the original's joint-face LP reaches "
+    "the iteration cap (exit 5); the copy solves (exit 0)",
+    ("degenerate-mixed", 1, "zero-d-columns-14", "C"): "the original's joint-face LP reaches "
+    "the iteration cap (exit 5); the copy solves (exit 0)",
+    ("degenerate-mixed", 1, "zero-d-columns-16", "R"): "the original solves (exit 0); the copy's "
+    "joint-face LP ends on a singular basis after 108 pivots (exit 5)",
+}
+generator = functools.cache(load_generate)
+
+
+def case(workload, seed, name, letter):
+    reason = KNOWN_FAILURES.get((workload, seed, name, letter))
+    marks = [pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)] if reason else []
+    return pytest.param(workload, seed, name, letter, marks=marks, id=f"{name}-{letter}")
+
+
+@functools.cache
+def workload_data(workload, seed):
+    """Instance data by name, of one workload and seed; GOLDEN alone for workload None."""
+    return {"golden": GOLDEN} if workload is None else dict(generator().instances(workload, seed))
+
+
+def solve(data, path, capsys):
+    """Exit code and reported partition of one `lfp-solve` run on `data`."""
+    path.write_text(generator().to_json(data))
+    code = cli.run(["--input", str(path), *FLAGS])
+    return code, json.loads(capsys.readouterr().out)["partition"]
+
+
+@pytest.fixture(scope="module")
+def originals():
+    """Exit code and partition of each original instance, solved once for its three copies."""
+    return {}
+
+
+@pytest.mark.parametrize(
+    "workload, seed, name, letter",
+    [case(*instance, letter) for instance in INSTANCES for letter in "PRC"],
+)
+def test_transformed_copy_keeps_exit_code_and_partition(tmp_path, capsys, originals, workload,
+                                                       seed, name, letter):
+    data = workload_data(workload, seed)[name]
+    if (workload, seed, name) not in originals:
+        originals[workload, seed, name] = solve(data, tmp_path / "original.json", capsys)
+    code, partition = originals[workload, seed, name]
+    copy, rows, cols = transformations(name, data)[letter]
+    copy_code, copy_partition = solve(copy, tmp_path / f"{letter}.json", capsys)
+    assert copy_code == code
+    if code == 0:
+        assert partition_back(copy_partition, rows, cols) == partition

@@ -8,13 +8,13 @@
 
 `dump` writes the instances that `perfbench/generate.py` makes for each
 workload and seed (the first N of each with `--limit`), runs
-`lfpkit.cli.run` on each with `--approach both --validate-denominator`, once
-with `--format json` and once with `--format text`, and records the exit code,
-the JSON report minus its `timings`, the text report with the numbers on its
-`timings:` line masked, the standard error of both runs, and, for the JSON
-run in call order, every simplex run as its LP's `LPOutcome.runs` records it
-(an inversion counts even where `np.linalg.inv` raised) and every optimal
-face LP's objective, both read off the `lfpkit` logger (see `Recording`).
+`lfpkit.cli.run` once on each with `--approach both --validate-denominator
+--format json`, and records the exit code, the JSON report minus its
+`timings`, the text report (`cli.format_text` of that report, as text mode
+prints it) with the numbers on its `timings:` line masked, the run's standard
+error, and, in call order, every simplex run as its LP's `LPOutcome.runs`
+records it (an inversion counts even where `np.linalg.inv` raised) and every
+optimal face LP's objective, both read off the `lfpkit` logger (see `Recording`).
 `--ladder` adds the size-ladder instances, workload "ladder":
 `generate._random(np.random.default_rng(1), n, m)` for each n x m.
 The package is imported from the `src/` next to this script, so run the
@@ -80,11 +80,11 @@ LPS = ("denominator", "stage 1", "primal face", "joint face")
 FRACTIONAL = 1e-6
 
 
-def run_cli(path: Path, fmt: str) -> tuple:
-    """Exit code, standard output and standard error of one `lfp-solve` call."""
+def run_cli(path: Path) -> tuple:
+    """Exit code, standard output and standard error of one `lfp-solve --format json` call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(["--input", str(path), *CLI_ARGS, "--format", fmt])
+        code = cli.run(["--input", str(path), *CLI_ARGS, "--format", "json"])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -123,13 +123,13 @@ class Recording(logging.Handler):
 def run_instance(path: Path) -> dict:
     """Exit code, reports, standard error, simplex runs and face optima of one instance."""
     with Recording() as recorded:
-        code, out, err = run_cli(path, "json")
+        code, out, err = run_cli(path)
     report = json.loads(out)
+    text = re.sub(r"(?m)^timings: .*$", lambda line: re.sub(r"\d+\.\d+", "#", line.group()),
+                  cli.format_text(report))
     report.pop("timings", None)
-    _, text, text_err = run_cli(path, "text")
-    text = re.sub(r"(?m)^timings: .*$", lambda line: re.sub(r"\d+\.\d+", "#", line.group()), text)
     return {"code": code, "report": report, "runs": recorded.runs,
-            "face_optima": recorded.face_optima, "text": text, "stderr": [err, text_err]}
+            "face_optima": recorded.face_optima, "text": text, "stderr": err}
 
 
 def ladder_instances(sizes) -> list:
