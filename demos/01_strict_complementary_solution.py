@@ -4,6 +4,7 @@ The instance maximizes (6 x1 + 3 x2 + 6) / (5 x1 + 2 x2 + 5) over the
 polygon {2 x1 + x2 <= 6, -2 x1 + x2 <= 2, x >= 0}.  Its optimal value is
 4/3, attained on a whole edge of the polygon, so most optimal points are
 NOT strictly complementary -- only the relative interior of that edge is.
+The script exits nonzero if a verdict fails or the two routes disagree.
 """
 
 import numpy as np
@@ -36,8 +37,9 @@ print("  y =", solution.dual.y, "  z =", solution.dual.z, "  v =", solution.dual
 
 # Complementarity holds (the inner products vanish) *and* every complementary
 # pair has a positive member -- that second part is the strictness.
-print("  x.v and y.u   :", verify_csc(solution))
-print("  min pair sums :", verify_scsc(solution))
+csc, scsc = verify_csc(solution), verify_scsc(solution)
+print("  x.v and y.u   :", csc)
+print("  min pair sums :", scsc)
 
 # The supports of (x, v) and (u, y) split the index sets; this partition is
 # the same for every strict complementary solution of the instance.
@@ -49,4 +51,6 @@ print("  partition     : x", sorted(partition.sigma_x), " v", sorted(partition.s
 solution2 = approach_two(problem)
 print("\nroute 2 (single joint LP)")
 print("  recovered value:", solution2.dual.z)
-print("  same partition :", optimal_partitions(solution2) == partition)
+same = optimal_partitions(solution2) == partition
+print("  same partition :", same)
+raise SystemExit(0 if csc.ok and scsc.ok and same else 1)

@@ -7,7 +7,9 @@ The report is one JSON document in both modes; text mode renders it.
 Every run uses the same tolerances: `SolverOptions`' defaults for the LP
 solves and `DEFAULT_POS_TOL` for strictness and the partition.
 
-Exit codes: 0 success, 2 empty region, 3 unbounded objective or failed
+Exit codes: 0 success, 2 no feasible point with a positive denominator (the
+region is empty, or the denominator assumption fails everywhere on it; with
+`--validate-denominator` the latter exits 3), 3 unbounded objective or failed
 denominator assumption, 4 input error, 5 numerical failure (iteration cap or
 other simplex breakdown, degenerate recovery, failed verification).
 """

@@ -1,32 +1,17 @@
 import logging
 
-import numpy as np
 import pytest
 
+import lfpkit.lp as lp_module
 from lfpkit import LFPProblem
+
+from helpers import GOLDEN
 
 
 @pytest.fixture
 def golden():
-    """The small two-variable instance used as the golden fixture everywhere.
-
-    Its exact optimal value is 4/3, the dual optimum is y = (0, 1/3), z = 4/3,
-    v = (0, 0), and the optimal partition is ({1, 2}, {}, {1}, {2}).
-    """
-    return LFPProblem(
-        A=np.array([[2.0, 1.0], [-2.0, 1.0]]),
-        b=np.array([6.0, 2.0]),
-        c=np.array([6.0, 3.0]),
-        d=np.array([5.0, 2.0]),
-        alpha=6.0,
-        beta=5.0,
-    )
-
-
-@pytest.fixture
-def golden_vertices():
-    """The four vertices of the golden instance's region."""
-    return [np.array(v, dtype=float) for v in ((0, 0), (3, 0), (0, 2), (1, 4))]
+    """The golden instance, `helpers.GOLDEN`, as a problem."""
+    return LFPProblem(**GOLDEN)
 
 
 @pytest.fixture
@@ -36,3 +21,18 @@ def lp_records(caplog):
     `LPOutcome` in `outcome`."""
     caplog.set_level(logging.DEBUG, logger="lfpkit")
     return lambda: [record for record in caplog.records if record.name == "lfpkit"]
+
+
+@pytest.fixture
+def dual_run_breaks_down(monkeypatch):
+    """Every dual simplex run breaks down at once on a singular basis, so the
+    primal path solves each program."""
+    monkeypatch.setattr(lp_module, "_dual_simplex", lambda *args: ("singular", None, 0, 0))
+
+
+@pytest.fixture
+def every_run_stops(monkeypatch):
+    """Every dual and primal simplex run stops at once at its iteration budget."""
+    stopped = lambda *args, **kwargs: ("iteration_limit", None, 0, 0)  # noqa: E731
+    monkeypatch.setattr(lp_module, "_dual_simplex", stopped)
+    monkeypatch.setattr(lp_module, "_run_simplex", stopped)

@@ -1,5 +1,9 @@
-"""Shared test utilities: instance generators, two oracles and exact transformations.
+"""Shared test utilities: the golden instance, the benchmark's instances,
+instance generators, two oracles and exact transformations.
 
+`GOLDEN` is the small two-variable instance that README and the suites use
+everywhere; `instances`, `ladder` and `problem_file` fetch and write the
+instances of `perfbench/generate.py`, which is loaded once per session.
 The oracles are vertex enumeration and `coordinate_support_oracle`, which
 finds a polyhedron's support one LP per coordinate, the slow way that the
 library's single support-maximizing LP replaces.  `transformations` makes
@@ -11,6 +15,7 @@ strictly positive constraint matrices with b > 0 keep the region non-empty
 denominator positive everywhere on it.
 """
 
+import functools
 import importlib.util
 import itertools
 import zlib
@@ -31,15 +36,56 @@ from lfpkit import (
 )
 from lfpkit.interior import DEFAULT_POS_TOL
 
-GENERATE = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
+ROOT = Path(__file__).resolve().parent.parent
+
+# The golden instance's problem document, integer entries as README and CI
+# write it.  Its exact optimal value is 4/3, the dual optimum is y = (0, 1/3),
+# z = 4/3, v = (0, 0), and the optimal partition is ({1, 2}, {}, {1}, {2}).
+GOLDEN = {"A": [[2, 1], [-2, 1]], "b": [6, 2], "c": [6, 3], "d": [5, 2], "alpha": 6, "beta": 5}
+# The four vertices of the golden instance's region.
+GOLDEN_VERTICES = [np.array(v, dtype=float) for v in ((0, 0), (3, 0), (0, 2), (1, 4))]
 
 
-def load_generate():
-    """The benchmark's instance generator, `perfbench/generate.py`, as a module."""
-    spec = importlib.util.spec_from_file_location("perfbench_generate", GENERATE)
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    return generate
+def golden_point(weights):
+    """The point of the golden region that combines its vertices with `weights`,
+    scaled to sum to one."""
+    weights = np.asarray(weights, dtype=float)
+    weights = weights / weights.sum()
+    return sum(w * v for w, v in zip(weights, GOLDEN_VERTICES))
+
+
+def load_module(path):
+    """The Python file at `path`, relative to the repository root, as a module."""
+    path = ROOT / path
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def generator():
+    """The benchmark's instance generator, `perfbench/generate.py`, loaded once."""
+    return load_module("perfbench/generate.py")
+
+
+@functools.cache
+def instances(workload, seed):
+    """Instance data by name, in run order, of one benchmark workload and seed."""
+    return dict(generator().instances(workload, seed))
+
+
+def ladder(n, m):
+    """The size ladder's n x m instance, `_random(default_rng(1), n, m)` of
+    `perfbench/generate.py`, as `tools/compare_reports.py --ladder` makes it."""
+    return generator()._random(np.random.default_rng(1), n, m)
+
+
+def problem_file(data, path):
+    """Write `data` to `path` as the benchmark writes an instance; returns the path
+    as a string, ready for `lfp-solve --input`."""
+    path.write_text(generator().to_json(data))
+    return str(path)
 
 
 def random_instance(seed, max_dim=6, total_cap=None, nonneg_objective=False):
@@ -221,17 +267,20 @@ def coordinate_support_oracle(poly):
 
 
 def transformations(name, data):
-    """The three exact transformed copies of an instance, by letter.
+    """The six exact transformed copies of an instance, by letter.
 
     `data` holds A, b, c, d, alpha and beta, as `perfbench/generate.py`
     makes them.  P permutes the rows and the columns, R multiplies each row
-    of (A, b) by 2^k and C each column of (A, c, d) by 2^k, with k in
-    [-3, 3].  The permutations and the k come from a generator seeded by the
-    CRC-32 of `name`.  Reordering and multiplying by a power of two are exact
-    in binary floating point, so each copy has the original's optimal
-    partition once `partition_back` maps it through the copy's reordering.
-    Each value is (data, rows, cols): row i of the copy is row rows[i] of the
-    original and column j is column cols[j] (0-based); R and C keep the order.
+    of (A, b) by 2^k and C each column of (A, c, d) by 2^k, N multiplies
+    (c, alpha) and D (d, beta) by 2^k, and U appends a copy of row i of
+    (A, b); k lies in [-3, 3].  The permutations, the k and i come from a
+    generator seeded by the CRC-32 of `name`, in that order.  Reordering,
+    repeating a row and multiplying by a power of two are exact in binary
+    floating point, so each copy has the original's optimal partition once
+    `partition_back` maps it through the copy's rows and columns, with U's
+    copied row on row i's side, and its optimal value times `scale`.
+    Each value is (data, rows, cols, scale): row r of the copy is row
+    rows[r] of the original and column j is column cols[j] (0-based).
     """
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     A, b, c, d = (np.asarray(data[key], dtype=float) for key in ("A", "b", "c", "d"))
@@ -239,17 +288,26 @@ def transformations(name, data):
     rows, cols = rng.permutation(m), rng.permutation(n)
     row_scale = 2.0 ** rng.integers(-3, 4, size=m)
     col_scale = 2.0 ** rng.integers(-3, 4, size=n)
+    num_scale, den_scale = 2.0 ** rng.integers(-3, 4, size=2)
     keep = np.arange(m), np.arange(n)
+    repeat = np.append(keep[0], rng.integers(m))
     return {
-        "P": ({**data, "A": A[rows][:, cols], "b": b[rows], "c": c[cols], "d": d[cols]}, rows, cols),
-        "R": ({**data, "A": A * row_scale[:, None], "b": b * row_scale}, *keep),
-        "C": ({**data, "A": A * col_scale, "c": c * col_scale, "d": d * col_scale}, *keep),
+        "P": ({**data, "A": A[rows][:, cols], "b": b[rows], "c": c[cols], "d": d[cols]},
+              rows, cols, 1.0),
+        "R": ({**data, "A": A * row_scale[:, None], "b": b * row_scale}, *keep, 1.0),
+        "C": ({**data, "A": A * col_scale, "c": c * col_scale, "d": d * col_scale}, *keep, 1.0),
+        "N": ({**data, "c": c * num_scale, "alpha": data["alpha"] * num_scale}, *keep,
+              num_scale),
+        "D": ({**data, "d": d * den_scale, "beta": data["beta"] * den_scale}, *keep,
+              1.0 / den_scale),
+        "U": ({**data, "A": A[repeat], "b": b[repeat]}, repeat, keep[1], 1.0),
     }
 
 
 def partition_back(partition, rows, cols):
     """A copy's optimal partition (a report's `partition`, 1-based) in the
-    original's indices, for the copy's `rows` and `cols` of `transformations`."""
+    original's indices, for the copy's `rows` and `cols` of `transformations`;
+    a row that the copy repeats is listed once per copy."""
     order = {"sigma_x": cols, "sigma_v": cols, "sigma_u": rows, "sigma_y": rows}
     return {key: sorted(int(order[key][k - 1]) + 1 for k in members)
             for key, members in partition.items()}

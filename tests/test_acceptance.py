@@ -37,7 +37,7 @@ from lfpkit import (
     verify_scsc,
 )
 
-from helpers import coordinate_support_oracle, random_instance, region_vertices
+from helpers import GOLDEN, coordinate_support_oracle, random_instance, region_vertices
 
 THETA_EXACT = 4.0 / 3.0
 
@@ -52,13 +52,9 @@ def criterion(name):
     print(f"[acceptance] {name}: PASS")
 
 
-def golden_problem():
-    return LFPProblem(A=[[2, 1], [-2, 1]], b=[6, 2], c=[6, 3], d=[5, 2], alpha=6, beta=5)
-
-
 def test_criterion_1_golden_instance():
     with criterion("1 golden instance"):
-        problem = golden_problem()
+        problem = LFPProblem(**GOLDEN)
         started = time.perf_counter()
         one = approach_one(problem)
         two = approach_two(problem)
@@ -89,7 +85,7 @@ def test_criterion_1_golden_instance():
 
 def test_criterion_2_non_strict_vertices_rejected():
     with criterion("2 non-strict vertices rejected"):
-        problem = golden_problem()
+        problem = LFPProblem(**GOLDEN)
         dual = DualPoint.from_yz(problem, [0.0, 1.0 / 3.0], THETA_EXACT)
         for x, side, index in (([0.0, 2.0], "primal", 1), ([1.0, 4.0], "dual", 1)):
             primal = PrimalPoint.from_x(problem, x)
@@ -222,11 +218,7 @@ def test_criterion_7_cli_contract(tmp_path, capsys):
         from lfpkit.cli import run
 
         golden_path = tmp_path / "problem.json"
-        golden_path.write_text(
-            '{"A": [[2, 1], [-2, 1]], "b": [6, 2], "c": [6, 3],'
-            ' "d": [5, 2], "alpha": 6, "beta": 5}',
-            encoding="utf-8",
-        )
+        golden_path.write_text(json.dumps(GOLDEN), encoding="utf-8")
         empty_path = tmp_path / "empty.json"
         empty_path.write_text(
             '{"A": [[1]], "b": [-1], "c": [1], "d": [0], "alpha": 0, "beta": 1}',

@@ -24,15 +24,16 @@ from lfpkit import (
 )
 from lfpkit.cli import build_parser, format_text, run
 
-GOLDEN_DOC = (
-    '{"A": [[2, 1], [-2, 1]], "b": [6, 2], "c": [6, 3],'
-    ' "d": [5, 2], "alpha": 6, "beta": 5}'
-)
+from helpers import GOLDEN
+
+GOLDEN_DOC = json.dumps(GOLDEN)
 EMPTY_DOC = '{"A": [[1]], "b": [-1], "c": [1], "d": [0], "alpha": 0, "beta": 1}'
 UNBOUNDED_DOC = '{"A": [[-1]], "b": [0], "c": [1], "d": [0], "alpha": 0, "beta": 1}'
 # Denominator 1 - x hits zero at the vertex x = 1.
 VIOLATES_DOC = '{"A": [[1]], "b": [1], "c": [1], "d": [-1], "alpha": 0, "beta": 1}'
 MALFORMED_DOC = '{"A": [[1]], "b": [1, 2], "c": [1], "d": [1], "alpha": 0, "beta": 1}'
+# A non-empty region on which the denominator is 0 everywhere.
+ZERO_DENOMINATOR_DOC = '{"A": [[1, 2]], "b": [1], "c": [1, 2], "d": [0, 0], "alpha": 0, "beta": 0}'
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -118,6 +119,23 @@ class TestExitCodes:
         assert code == 3
         assert "status: unbounded_or_denominator" in out
 
+    @pytest.mark.parametrize("approach", ["one", "two", "both"])
+    @pytest.mark.parametrize(
+        "flags, code, status",
+        [([], 2, "infeasible"), (["--validate-denominator"], 3, "denominator_nonpositive")],
+        ids=["plain", "validate-denominator"],
+    )
+    def test_zero_denominator_region_exits_two_or_three(self, tmp_path, capsys, approach, flags,
+                                                        code, status):
+        # Stage 1 finds no feasible point with a positive denominator, which
+        # exit 2 reports; the denominator check, run first, names the fault.
+        path = tmp_path / "zero.json"
+        path.write_text(ZERO_DENOMINATOR_DOC)
+        exit_code, out, _ = run_cli(capsys, "--input", str(path), "--approach", approach,
+                                    "--format", "json", *flags)
+        assert exit_code == code
+        assert json.loads(out)["status"] == status
+
     def test_input_error_exits_four(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text(MALFORMED_DOC)
@@ -138,7 +156,7 @@ class TestExitCodes:
     def test_deeply_nested_document_exits_four(self, tmp_path, capsys):
         depth = 200_000
         path = tmp_path / "deep.json"
-        path.write_text(GOLDEN_DOC.replace("[[2, 1], [-2, 1]]", "[" * depth + "]" * depth))
+        path.write_text(GOLDEN_DOC.replace(json.dumps(GOLDEN["A"]), "[" * depth + "]" * depth))
         code, out, err = run_cli(capsys, "--input", str(path), "--format", "json")
         assert code == 4
         assert json.loads(out)["status"] == "input_error"

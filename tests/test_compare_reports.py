@@ -1,17 +1,13 @@
-import importlib.util
 import io
 import json
-from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
+from helpers import load_module
+
 WORKLOADS = ("batch-small", "joint-medium", "degenerate-mixed")
 
 
 def load_tool():
-    spec = importlib.util.spec_from_file_location("compare_reports", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("tools/compare_reports.py")
 
 
 def test_two_dumps_of_one_checkout_do_not_differ(tmp_path, monkeypatch):

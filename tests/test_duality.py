@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lfpkit.duality as duality_module
-import lfpkit.lp as lp_module
 from lfpkit import (
     DegenerateT,
     InfeasibleRegion,
@@ -24,19 +23,7 @@ from lfpkit import (
     solve_theta_star,
 )
 
-from helpers import random_instance
-
-GOLDEN_VERTICES = [np.array(v, dtype=float) for v in ((0, 0), (3, 0), (0, 2), (1, 4))]
-
-
-def golden_problem():
-    return LFPProblem(A=[[2, 1], [-2, 1]], b=[6, 2], c=[6, 3], d=[5, 2], alpha=6, beta=5)
-
-
-def feasible_combination(weights):
-    weights = np.asarray(weights, dtype=float)
-    weights = weights / weights.sum()
-    return sum(w * v for w, v in zip(weights, GOLDEN_VERTICES))
+from helpers import GOLDEN, golden_point, random_instance
 
 
 class TestForward:
@@ -160,12 +147,12 @@ class TestThetaStar:
             solve_theta_star(problem)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_dual_breakdown_falls_back_to_the_same_theta(self, monkeypatch, lp_records, seed):
+    def test_dual_breakdown_falls_back_to_the_same_theta(self, request, lp_records, seed):
         # Stage 1 takes the dual simplex; where it breaks down, one attempt
         # on the primal path solves the same LP again and finds the same optimum.
         problem = random_instance(seed)
         expected = solve_theta_star(problem)
-        monkeypatch.setattr(lp_module, "_dual_simplex", lambda *args: ("singular", None, 0, 0))
+        request.getfixturevalue("dual_run_breaks_down")
         assert solve_theta_star(problem) == pytest.approx(expected, rel=1e-12, abs=1e-12)
         [_, record] = lp_records()
         assert [run[:2] for run in record.outcome.runs] == [
@@ -176,8 +163,8 @@ class TestCorrespondence:
     @given(weights=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=4, max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, weights):
-        problem = golden_problem()
-        x = feasible_combination(weights)
+        problem = LFPProblem(**GOLDEN)
+        x = golden_point(weights)
         point = charnes_cooper_inverse(charnes_cooper_forward(problem, x))
         assert_allclose(point.x, x, rtol=1e-9, atol=1e-12)
 
@@ -185,8 +172,8 @@ class TestCorrespondence:
     @settings(max_examples=200, deadline=None)
     def test_objective_equivalence(self, weights):
         # Ratio value at x equals the linear value at the scaled image of x.
-        problem = golden_problem()
-        x = feasible_combination(weights)
+        problem = LFPProblem(**GOLDEN)
+        x = golden_point(weights)
         tp = charnes_cooper_forward(problem, x)
         linear = float(problem.c @ tp.x_bar + problem.alpha * tp.t)
         assert linear == pytest.approx(evaluate_objective(problem, x), rel=1e-9)
@@ -198,11 +185,11 @@ class TestCorrespondence:
     @settings(max_examples=300, deadline=None)
     def test_weak_duality(self, weights, y):
         # Any feasible ratio value is dominated by any dual-feasible z.
-        problem = golden_problem()
+        problem = LFPProblem(**GOLDEN)
         y = np.asarray(y)
         z = float(problem.alpha + problem.b @ y) / problem.beta  # equality row pins z
         assume(np.all(problem.A.T @ y + problem.d * z - problem.c >= 0.0))
-        x = feasible_combination(weights)
+        x = golden_point(weights)
         assert evaluate_objective(problem, x) <= z + 1e-7
 
     def test_strong_duality_golden(self, golden):

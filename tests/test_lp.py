@@ -25,7 +25,7 @@ from lfpkit import (
 from helpers import (
     dual_verdicts,
     enumerate_vertices,
-    load_generate,
+    instances,
     lp_inequalities,
     random_box_lp,
     random_instance,
@@ -137,12 +137,9 @@ class TestBasics:
         assert out.point is None and out.objective is None
         assert out.detail == f"iteration cap of {50 * (2 + 3)} reached"
 
-    def test_default_iteration_cap(self, monkeypatch):
+    def test_default_iteration_cap(self, every_run_stops):
         # 50 * (rows + cols): two inequality rows and three variables.  Both
         # the dual attempt and the primal path that takes over stop at once.
-        stopped = lambda *args, **kwargs: ("iteration_limit", None, 0, 0)  # noqa: E731
-        monkeypatch.setattr(lp_module, "_dual_simplex", stopped)
-        monkeypatch.setattr(lp_module, "_run_simplex", stopped)
         lp = LinearProgram(
             Sense.MAXIMIZE,
             [1.0, 2.0, 3.0],
@@ -190,7 +187,7 @@ class TestBasics:
         assert out.point is None and out.objective is None
         assert out.detail == "singular basis after 1 pivots"
 
-    def test_unbounded_phase_one_ray_is_named(self, monkeypatch):
+    def test_unbounded_phase_one_ray_is_named(self, monkeypatch, dual_run_breaks_down):
         # Phase 1's objective is bounded below by zero, so a ray there is a
         # numerical breakdown; the stub makes phase 1 report one after three
         # pivots, one of them a bound flip.
@@ -201,7 +198,6 @@ class TestBasics:
                 return run_simplex(basis, cost, opts, iter_budget)
             return "unbounded", None, 3, 1
 
-        monkeypatch.setattr(lp_module, "_dual_simplex", lambda *args: ("singular", None, 0, 0))
         monkeypatch.setattr(lp_module, "_run_simplex", phase1_ray)
         out = solve_lp(LinearProgram(Sense.MAXIMIZE, [1.0, 2.0], A_ub=[[1.0, 1.0]], b_ub=[1.0]))
         assert out.status is SolveStatus.ITERATION_LIMIT
@@ -961,7 +957,7 @@ def scaled_a_lps(names):
     """The stage-1 LPs of the degenerate-mixed seed 1 `scaled-a` instances, or
     the primal face LPs of those in `names`."""
     problems = [(name, LFPProblem(**data))
-                for name, data in load_generate().instances("degenerate-mixed", 1)
+                for name, data in instances("degenerate-mixed", 1).items()
                 if name.startswith("scaled-a")]
     if names is None:
         return [build_transformed_lp(problem) for _, problem in problems]

@@ -11,7 +11,6 @@ import collections
 import numpy as np
 import pytest
 
-import lfpkit.lp as lp_module
 from lfpkit import LinearProgram, Sense, SolverOptions, SolveStatus, solve_lp
 
 from helpers import dual_verdicts, random_slack_start_lp, random_support_lp
@@ -110,12 +109,9 @@ def test_matches_highs(seed):
     assert_duals_certify(lp, out)
 
 
-def test_iteration_limit_carries_no_duals(monkeypatch):
+def test_iteration_limit_carries_no_duals(every_run_stops):
     # Every dual attempt stops at once, and so does every program in the
     # sample that reaches phase 2 on the primal path that takes over.
-    stopped = lambda *args, **kwargs: ("iteration_limit", None, 0, 0)  # noqa: E731
-    monkeypatch.setattr(lp_module, "_dual_simplex", stopped)
-    monkeypatch.setattr(lp_module, "_run_simplex", stopped)
     outcomes = [solve_lp(random_mixed_lp(seed)) for seed in range(20)]
     assert {out.status for out in outcomes} == {SolveStatus.ITERATION_LIMIT}
     assert all(out.duals is None for out in outcomes)
@@ -185,12 +181,11 @@ def primal_phases(out):
 
 
 @pytest.mark.parametrize("seed", range(150))
-def test_slack_start_skips_phase_one_and_matches_highs(seed, monkeypatch):
+def test_slack_start_skips_phase_one_and_matches_highs(seed, dual_run_breaks_down):
     # Every dual attempt breaks down at once, so the primal path solves each
     # program.  Its slack basis is feasible, but the primal path does not
     # start from it, whatever the test's name says: phase 1 runs from the
     # all-artificial basis, then phase 2, once each.
-    monkeypatch.setattr(lp_module, "_dual_simplex", lambda *args: ("singular", None, 0, 0))
     lp = random_slack_start_lp(seed)
     out = solve_lp(lp)
     ref = highs(lp)

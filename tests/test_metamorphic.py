@@ -1,12 +1,16 @@
 """Metamorphic invariance: exact transformed copies keep the exit code and the partition.
 
 Each instance runs through `lfp-solve --approach both --validate-denominator`
-as it is and as its three copies from `helpers.transformations`: P permutes
+as it is and as its six copies from `helpers.transformations`: P permutes
 the rows and the columns, R scales each row of (A, b) and C each column of
-(A, c, d) by a power of two.  These are exact in binary floating point and
-leave the optimal partition as it is up to P's reordering, so the exit code
-must not move and, where both runs exit 0, the copy's partition mapped back
-must equal the original's.  No oracle is needed.
+(A, c, d) by a power of two, N (c, alpha) and D (d, beta) likewise, and U
+repeats a row of (A, b).  These are exact in binary floating point.  They
+leave the optimal partition as it is up to P's reordering and U's repeated
+row, which takes its original's side, and N and D scale the optimal value
+by the power of two and its inverse.  So the exit code must not move and,
+where both runs exit 0, the copy's partition mapped back must equal the
+original's and its optimal value the original's times the copy's scale.
+No oracle is needed.
 
 The instances are the golden one and a few of each benchmark workload's
 seed 1, from `perfbench/generate.py`.  The `scaled-a` family (A times 1e6)
@@ -17,17 +21,15 @@ strict xfail keyed by (workload, seed, instance, transformation), as in
 `test_regressions.py`, so a change that mends it must say so.
 """
 
-import functools
 import json
 
 import pytest
 
 from lfpkit import cli
 
-from helpers import load_generate, partition_back, transformations
+from helpers import GOLDEN, instances, partition_back, problem_file, transformations
 
 FLAGS = ("--approach", "both", "--validate-denominator", "--format", "json")
-GOLDEN = {"A": [[2, 1], [-2, 1]], "b": [6, 2], "c": [6, 3], "d": [5, 2], "alpha": 6, "beta": 5}
 FAMILIES = ("duplicated-rows", "flat-objective", "partly-flat", "zero-d-columns",
             "negative-theta", "integer-ties")
 INSTANCES = [
@@ -46,8 +48,11 @@ KNOWN_FAILURES = {
     "the iteration cap (exit 5); the copy solves (exit 0)",
     ("degenerate-mixed", 1, "zero-d-columns-16", "R"): "the original solves (exit 0); the copy's "
     "joint-face LP ends on a singular basis after 108 pivots (exit 5)",
+    ("degenerate-mixed", 1, "zero-d-columns-14", "D"): "the original's joint-face LP reaches "
+    "the iteration cap (exit 5); the copy solves (exit 0)",
+    ("degenerate-mixed", 1, "zero-d-columns-16", "D"): "the original solves (exit 0); the copy's "
+    "approach two fails verification with `u/y overlap at [11]` (exit 5)",
 }
-generator = functools.cache(load_generate)
 
 
 def case(workload, seed, name, letter):
@@ -56,37 +61,40 @@ def case(workload, seed, name, letter):
     return pytest.param(workload, seed, name, letter, marks=marks, id=f"{name}-{letter}")
 
 
-@functools.cache
-def workload_data(workload, seed):
-    """Instance data by name, of one workload and seed; GOLDEN alone for workload None."""
-    return {"golden": GOLDEN} if workload is None else dict(generator().instances(workload, seed))
-
-
 def solve(data, path, capsys):
-    """Exit code and reported partition of one `lfp-solve` run on `data`."""
-    path.write_text(generator().to_json(data))
-    code = cli.run(["--input", str(path), *FLAGS])
-    return code, json.loads(capsys.readouterr().out)["partition"]
+    """Exit code, optimal value and partition of one `lfp-solve` run on `data`."""
+    code = cli.run(["--input", problem_file(data, path), *FLAGS])
+    report = json.loads(capsys.readouterr().out)
+    return code, report.get("theta_star"), report["partition"]
 
 
 @pytest.fixture(scope="module")
 def originals():
-    """Exit code and partition of each original instance, solved once for its three copies."""
+    """Exit code, optimal value and partition of each original instance, solved once
+    for all its copies."""
     return {}
 
 
 @pytest.mark.parametrize(
     "workload, seed, name, letter",
-    [case(*instance, letter) for instance in INSTANCES for letter in "PRC"],
+    [case(*instance, letter) for instance in INSTANCES for letter in "PRCNDU"],
 )
 def test_transformed_copy_keeps_exit_code_and_partition(tmp_path, capsys, originals, workload,
                                                        seed, name, letter):
-    data = workload_data(workload, seed)[name]
+    data = GOLDEN if workload is None else instances(workload, seed)[name]
     if (workload, seed, name) not in originals:
         originals[workload, seed, name] = solve(data, tmp_path / "original.json", capsys)
-    code, partition = originals[workload, seed, name]
-    copy, rows, cols = transformations(name, data)[letter]
-    copy_code, copy_partition = solve(copy, tmp_path / f"{letter}.json", capsys)
+    code, theta, partition = originals[workload, seed, name]
+    copy, rows, cols, scale = transformations(name, data)[letter]
+    copy_code, copy_theta, copy_partition = solve(copy, tmp_path / f"{letter}.json", capsys)
     assert copy_code == code
     if code == 0:
+        assert copy_theta == pytest.approx(scale * theta, rel=1e-9)
+        if letter == "U":
+            # The appended row maps back to the row it repeats, which is then
+            # listed twice, both times on that row's side.
+            row = int(rows[-1]) + 1
+            for key in ("sigma_u", "sigma_y"):
+                if row in partition[key]:
+                    partition = {**partition, key: sorted(partition[key] + [row])}
         assert partition_back(copy_partition, rows, cols) == partition

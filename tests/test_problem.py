@@ -23,18 +23,9 @@ from lfpkit import (
     validate_denominator,
 )
 
-from helpers import region_vertices
+from helpers import GOLDEN, golden_point, region_vertices
 
-GOLDEN_DOC = (
-    '{"A": [[2, 1], [-2, 1]], "b": [6, 2], "c": [6, 3],'
-    ' "d": [5, 2], "alpha": 6, "beta": 5}'
-)
-
-
-def combination(vertices, weights):
-    weights = np.asarray(weights, dtype=float)
-    weights = weights / weights.sum()
-    return sum(w * v for w, v in zip(weights, vertices))
+GOLDEN_DOC = json.dumps(GOLDEN)
 
 
 class TestEvaluateObjective:
@@ -59,12 +50,12 @@ class TestEvaluateObjective:
     @settings(max_examples=100, deadline=None)
     def test_scaling_numerator_scales_value(self, k, weights):
         # Multiplying (c, alpha) by k > 0 multiplies the value by k.
-        problem = LFPProblem(A=[[2, 1], [-2, 1]], b=[6, 2], c=[6, 3], d=[5, 2], alpha=6, beta=5)
+        problem = LFPProblem(**GOLDEN)
         scaled = LFPProblem(
             A=problem.A, b=problem.b, c=k * problem.c, d=problem.d,
             alpha=k * problem.alpha, beta=problem.beta,
         )
-        x = combination([np.array(v, float) for v in ((0, 0), (3, 0), (0, 2), (1, 4))], weights)
+        x = golden_point(weights)
         assert evaluate_objective(scaled, x) == pytest.approx(
             k * evaluate_objective(problem, x), rel=1e-9
         )
@@ -175,7 +166,7 @@ class TestParseProblem:
 
     def test_deeply_nested_document(self):
         depth = 200_000
-        text = GOLDEN_DOC.replace("[[2, 1], [-2, 1]]", "[" * depth + "]" * depth)
+        text = GOLDEN_DOC.replace(json.dumps(GOLDEN["A"]), "[" * depth + "]" * depth)
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_problem(text)
 
@@ -305,9 +296,8 @@ class TestTypes:
     @given(weights=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=4, max_size=4))
     @settings(max_examples=50, deadline=None)
     def test_primal_point_slack_roundtrip(self, weights):
-        problem = LFPProblem(A=[[2, 1], [-2, 1]], b=[6, 2], c=[6, 3], d=[5, 2], alpha=6, beta=5)
-        vertices = [np.array(v, float) for v in ((0, 0), (3, 0), (0, 2), (1, 4))]
-        x = combination(vertices, weights)
+        problem = LFPProblem(**GOLDEN)
+        x = golden_point(weights)
         point = PrimalPoint.from_x(problem, x)
         assert_allclose(point.u, problem.b - problem.A @ point.x, atol=1e-9)
         assert np.all(point.u >= -1e-9)

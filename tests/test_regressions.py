@@ -29,15 +29,7 @@ from lfpkit import (
 )
 from lfpkit.interior import DEFAULT_POS_TOL
 
-from helpers import load_generate
-
-
-def generated(workload, seed, name, directory):
-    generate = load_generate()
-    data = dict(generate.instances(workload, seed))[name]
-    path = directory / f"{name}.json"
-    path.write_text(generate.to_json(data))
-    return str(path)
+from helpers import GOLDEN, instances, ladder, problem_file
 
 
 @pytest.mark.parametrize(
@@ -61,7 +53,7 @@ def generated(workload, seed, name, directory):
     ids=["zero-d-columns-14", "joint-16-26x26", "joint-35-25x25", "s5-scaled-a-03", "s31-scaled-a-14"],
 )
 def test_both_approaches_solve_benchmark_instance(tmp_path, capsys, workload, seed, name):
-    path = generated(workload, seed, name, tmp_path)
+    path = problem_file(instances(workload, seed)[name], tmp_path / f"{name}.json")
     assert cli.run(["--input", path, "--approach", "both"]) == 0, capsys.readouterr().out
 
 
@@ -90,25 +82,19 @@ def gt_break(workload, seed, name, counts, size):
         gt_break("degenerate-mixed", 3, "scaled-a-16", "10.99999 / 10 / 39", 19),
     ],
 )
-def test_support_counts_obey_goldman_tucker(tmp_path, capsys, lp_records, request, workload, seed,
-                                            name):
+def test_support_counts_obey_goldman_tucker(tmp_path, capsys, lp_records, workload, seed, name):
     # A strictly complementary pair has exactly one positive member in each of
     # the n + m complementary pairs (Goldman-Tucker).  The primal face LP
     # counts one capped copy per support coordinate plus one w2, and approach
     # one's dual point, derived from that LP's row duals, is positive on the
     # rest: primal objective + |supp y| + |supp v| + 1 = n + m + 2.  The joint
     # LP's objective is n + m + 1.
-    if workload is None:
-        golden = request.getfixturevalue("golden")
-        doc = {key: getattr(golden, key).tolist() for key in ("A", "b", "c", "d")}
-        path = tmp_path / "golden.json"
-        path.write_text(json.dumps({**doc, "alpha": golden.alpha, "beta": golden.beta}))
-    else:
-        path = generated(workload, seed, name, tmp_path)
+    data = GOLDEN if workload is None else instances(workload, seed)[name]
+    path = problem_file(data, tmp_path / f"{name}.json")
     problem = load_problem(path)
     size = problem.num_vars + problem.num_rows
 
-    code = cli.run(["--input", str(path), "--approach", "both", "--format", "json"])
+    code = cli.run(["--input", path, "--approach", "both", "--format", "json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0, report
     records = lp_records()
@@ -128,7 +114,7 @@ def test_derived_dual_has_the_dual_face_lp_supports():
         return [np.flatnonzero(values > DEFAULT_POS_TOL).tolist() for values in (dual.y, dual.v)]
 
     differ = []
-    for name, data in load_generate().instances("batch-small", 1):
+    for name, data in instances("batch-small", 1).items():
         problem = LFPProblem(**data)
         solution = approach_one(problem)
         face = solve_lp(build_dual_interior_lp(problem, solution.theta_star))
@@ -141,8 +127,7 @@ def test_largest_ladder_joint_lp_solves_under_the_cap():
     # The 100x80 size-ladder instance: its joint LP once ended at the cap
     # of 50 * (rows + cols) pivots.  Goldman-Tucker fixes its optimum at
     # n + m + 1.
-    data = load_generate()._random(np.random.default_rng(1), 100, 80)
-    out = solve_lp(build_joint_lp(LFPProblem(**data)))
+    out = solve_lp(build_joint_lp(LFPProblem(**ladder(100, 80))))
     assert out.is_optimal, out.detail
     assert out.objective == pytest.approx(181.0, abs=1e-6)
 
@@ -153,11 +138,8 @@ def test_ladder_instance_takes_a_short_dual_stage1(tmp_path, capsys, lp_records,
     # dual simplex from its slack start, where two primal phases took 632 /
     # 2,226 / 3,883 pivots, and its optimum is HiGHS's.
     linprog = pytest.importorskip("scipy.optimize").linprog
-    generate = load_generate()
-    data = generate._random(np.random.default_rng(1), n, m)
-    path = tmp_path / f"{n}x{m}.json"
-    path.write_text(generate.to_json(data))
-    code = cli.run(["--input", str(path), "--approach", "both", "--validate-denominator",
+    path = problem_file(ladder(n, m), tmp_path / f"{n}x{m}.json")
+    code = cli.run(["--input", path, "--approach", "both", "--validate-denominator",
                     "--format", "json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["cross_check"]
@@ -193,7 +175,7 @@ def test_wide_scale_stage1_keeps_its_primal_arithmetic(monkeypatch, seed):
     # identity without an inversion, is not optimal; fresh solves on the
     # primal path then give the very outcome they give with no dual attempt.
     lps = [build_transformed_lp(LFPProblem(**data))
-           for name, data in load_generate().instances("degenerate-mixed", seed)
+           for name, data in instances("degenerate-mixed", seed).items()
            if name.startswith("scaled-a")]
     assert len(lps) == 20
     with monkeypatch.context() as patch:
@@ -213,7 +195,7 @@ def test_wide_scale_denominator_lp_ends_at_its_dual_start():
     # With d >= 0 and b > 0, x = 0 with every slack basic is its optimum,
     # and the dual run reads it off its identity start: no basis change, no
     # inversion and no primal solve.
-    problem = LFPProblem(**dict(load_generate().instances("degenerate-mixed", 1))["scaled-a-00"])
+    problem = LFPProblem(**instances("degenerate-mixed", 1)["scaled-a-00"])
     assert (problem.d >= 0.0).all() and (problem.b > 0.0).all()
     out = solve_lp(LinearProgram(Sense.MINIMIZE, problem.d, A_ub=problem.A, b_ub=problem.b))
     dual, inversions, primal = wide_scale_record(out)
@@ -229,6 +211,7 @@ def test_zero_pivot_reinverts_without_numpy_warnings(tmp_path, capsys):
     # would divide by it and fill B^-1 with inf and NaN, so the run inverts
     # the new basis instead.  The suite turns every RuntimeWarning into an
     # error.
-    path = generated("degenerate-mixed", 1, "scaled-a-05", tmp_path)
+    data = instances("degenerate-mixed", 1)["scaled-a-05"]
+    path = problem_file(data, tmp_path / "scaled-a-05.json")
     assert cli.run(["--input", path, "--approach", "both", "--validate-denominator"]) in (0, 5)
     assert "RuntimeWarning" not in capsys.readouterr().err

@@ -15,6 +15,8 @@ from lfpkit import (
     TransformedPoint,
 )
 
+from helpers import GOLDEN
+
 # Type -> (constructor over the array fields, array fields).  Values are those
 # of the golden instance where the type carries one of its points.
 VALUE_TYPES = {
@@ -30,8 +32,8 @@ VALUE_TYPES = {
         lambda arrays: MaximalElement(support={1, 2}, **arrays), {"point": [0.5, 0.5]},
     ),
     "LFPProblem": (
-        lambda arrays: LFPProblem(alpha=6.0, beta=5.0, **arrays),
-        {"A": [[2.0, 1.0], [-2.0, 1.0]], "b": [6.0, 2.0], "c": [6.0, 3.0], "d": [5.0, 2.0]},
+        lambda arrays: LFPProblem(alpha=GOLDEN["alpha"], beta=GOLDEN["beta"], **arrays),
+        {key: GOLDEN[key] for key in ("A", "b", "c", "d")},
     ),
     "PrimalPoint": (lambda arrays: PrimalPoint(**arrays), {"x": [1.0, 4.0], "u": [0.0, 0.0]}),
     "DualPoint": (lambda arrays: DualPoint(z=4.0 / 3.0, **arrays), {"y": [0.0, 1.0 / 3.0], "v": [0.0, 0.0]}),
