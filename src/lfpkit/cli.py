@@ -4,6 +4,9 @@ Loads a problem file, runs stage 1 (the optimal value) and the selected
 approach(es), verifies complementarity and strictness, and writes one report
 to standard output, as text or as JSON.  Diagnostics go to standard error.
 The report is one JSON document in both modes; text mode renders it.
+An approach whose supports fail to partition adds one entry to the report's
+`warnings`: its `PartitionViolation` message, which gives both members'
+values at each index it names.
 Every run uses the same tolerances: `SolverOptions`' defaults for the LP
 solves and `DEFAULT_POS_TOL` for strictness and the partition.
 
@@ -21,7 +24,6 @@ import functools
 import json
 import sys
 import time
-import warnings
 from dataclasses import fields
 
 from .complementarity import (
@@ -167,16 +169,12 @@ def _run_approach(runner, problem, doc, name, **kwargs):
         "csc": _fields(verify_csc(solution)),
         "scsc": _fields(verify_scsc(solution)),
     }
-    partition = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            sets = _fields(optimal_partitions(solution))
-            partition = {key: sorted(members) for key, members in sets.items()}
-        except PartitionViolation as exc:
-            doc["warnings"].append(f"approach {name}: {exc}")
-        doc["warnings"].extend(str(w.message) for w in caught)
-    return solution, partition
+    try:
+        sets = _fields(optimal_partitions(solution))
+    except PartitionViolation as exc:
+        doc["warnings"].append(f"approach {name}: {exc}")
+        return solution, None
+    return solution, {key: sorted(members) for key, members in sets.items()}
 
 
 def _solve(args, doc: dict) -> int:

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class LfpError(Exception):
@@ -51,8 +51,3 @@ class PartitionViolation(LfpError):
 class IterationLimitError(LfpError):
     """An internal LP solve stopped without a verdict: it hit its iteration cap,
     met a singular basis, or otherwise broke down numerically."""
-
-
-class NumericalWarning(UserWarning):
-    """A support classification fell inside the guard band just below the
-    positivity threshold; the reported partition may be sensitive to noise."""

@@ -171,11 +171,15 @@ class TestExitCodes:
         assert code == 5
         doc = json.loads(out)
         assert (doc["status"], doc["cross_check"]) == ("verification_failed", False)
-        assert "approach two: x/v cover misses [1]" in doc["warnings"]
+        # The one warning names the approach, the uncovered index and both of its
+        # values: x_1 = 0 and v_1 = 0 up to rounding.
+        [warning] = doc["warnings"]
+        assert re.fullmatch(r"approach two: x/v cover misses \[1\] "
+                            r"\(x = 0\.000e\+00, v = (-?\d\.\d{3}e-1\d|0\.000e\+00)\)", warning)
         code, out, _ = run_cli(capsys, "--input", golden_file)
         assert code == 5
         lines = out.splitlines()
-        assert "warning: approach two: x/v cover misses [1]" in lines
+        assert [line for line in lines if line.startswith("warning: ")] == [f"warning: {warning}"]
         assert "cross_check: FAIL (partitions differ)" in lines
 
     def test_unknown_flag_exits_four(self, golden_file, capsys):

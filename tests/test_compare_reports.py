@@ -53,20 +53,27 @@ def test_diff_counts_every_kind_of_difference():
         {"workload": "w", "seed": 1, "name": "same", "code": 0, "report": report},
         {"workload": "w", "seed": 1, "name": "error", "code": 5,
          "report": {"status": "numerical_failure", "error": "old"}},
+        {"workload": "w", "seed": 1, "name": "warning", "code": 5,
+         "report": {"status": "verification_failed", "warnings": ["approach one: x/v cover misses [4]"]}},
         {"workload": "w", "seed": 1, "name": "value", "code": 0, "report": report},
         {"workload": "w", "seed": 1, "name": "gone", "code": 0, "report": report},
     ]
     after = [
         before[0],
         {**before[1], "report": {"status": "numerical_failure", "error": "new"}},
-        {**before[2], "code": 5, "report": {**report, "theta_star": 2.0}},
+        {**before[2], "report": {"status": "verification_failed", "warnings": [
+            "approach one: x/v cover misses [4] (x = 8.230e-08, v = 2.715e-11)"]}},
+        {**before[3], "code": 5, "report": {**report, "theta_star": 2.0}},
     ]
     out = io.StringIO()
-    assert tool.diff(before, after, out) == 4
+    assert tool.diff(before, after, out) == 5
     text = out.getvalue()
     assert "only in before: w/1/gone" in text
-    assert "w: 3 compared, 2 reports differ (1 only in error text), 1 exit-code changes" in text
-    assert "failures 1 -> 2" in text
+    # Reworded diagnostics are counted apart from a changed result, which is named.
+    assert "report differs: w/1/value" in text
+    assert "report differs: w/1/error" not in text and "report differs: w/1/warning" not in text
+    assert "w: 4 compared, 3 reports differ (2 only in error or warning text), 1 exit-code changes" in text
+    assert "failures 2 -> 3" in text
 
 
 def test_diff_counts_changed_simplex_runs():
@@ -82,7 +89,7 @@ def test_diff_counts_changed_simplex_runs():
     text = out.getvalue()
     assert "simplex runs differ: w/1/pivots" in text
     assert "simplex runs differ: w/1/same" not in text
-    assert "w: 2 compared, 0 reports differ (0 only in error text), 0 exit-code changes, " \
+    assert "w: 2 compared, 0 reports differ (0 only in error or warning text), 0 exit-code changes, " \
         "1 with different simplex runs, failures 0 -> 0, pivots 14 -> 15" in text
     # The line names the first run that differs, by index, with both sides' fields.
     assert '  simplex runs differ: w/1/pivots: run 1 ["joint face", "dual", "optimal", 7, 2, 1] ' \
@@ -158,7 +165,7 @@ def test_diff_summarizes_each_seed_for_moved_pivot_paths():
         "  report differs: w/2/now-solves",
         runs_differ("2/now-solves", 10, 4),
         runs_differ("2/still-fails", 10, 4),
-        "w: 5 compared, 5 reports differ (1 only in error text), 2 exit-code changes, "
+        "w: 5 compared, 5 reports differ (1 only in error or warning text), 2 exit-code changes, "
         "5 with different simplex runs, failures 2 -> 2, pivots 50 -> 20, "
         "0 with different text or stderr",
     ]

@@ -11,7 +11,6 @@ from lfpkit import (
     LFPProblem,
     LinearProgram,
     LPOutcome,
-    NumericalWarning,
     PartitionViolation,
     Polyhedron,
     PrimalPoint,
@@ -563,10 +562,13 @@ class TestPartitions:
 
     @pytest.mark.parametrize(
         "x, u, y, v, message",
-        [([1.0], [1.0], [0.0], [1.0], "x/v overlap at [1]"),
-         ([1.0], [1.0], [1.0], [0.0], "u/y overlap at [1]"),
-         ([1.0], [0.0], [0.0], [0.0], "u/y cover misses [1]")],
-        ids=["xv-overlap", "uy-overlap", "uy-cover"],
+        [([1.0], [1.0], [0.0], [1.0], "x/v overlap at [1] (x = 1.000e+00, v = 1.000e+00)"),
+         ([1.0], [1.0], [1.0], [0.0], "u/y overlap at [1] (u = 1.000e+00, y = 1.000e+00)"),
+         ([1.0], [0.0], [0.0], [0.0], "u/y cover misses [1] (u = 0.000e+00, y = 0.000e+00)"),
+         ([0.0, 1.0, 2e-8], [0.0], [3.0], [0.0, 1.0, 0.0],
+          "x/v overlap at [2] (x = 1.000e+00, v = 1.000e+00); "
+          "x/v cover misses [1, 3] (x = 0.000e+00, v = 0.000e+00; x = 2.000e-08, v = 0.000e+00)")],
+        ids=["xv-overlap", "uy-overlap", "uy-cover", "two-faults"],
     )
     def test_violation_names_its_fault(self, x, u, y, v, message):
         sol = StrictComplementarySolution(PrimalPoint(x, u), 1.0, DualPoint(y, 1.0, v), 1.0)
@@ -574,13 +576,14 @@ class TestPartitions:
             optimal_partitions(sol)
         assert str(raised.value) == message
 
-    def test_guard_band_warns(self):
+    def test_near_miss_reports_both_values(self):
+        # x_1 sits just under pos_tol = 1e-7 and v_1 is 0, so index 1 is uncovered.
         sol = StrictComplementarySolution(
-            PrimalPoint([5e-8], [1.0]), 1.0, DualPoint([0.0], 1.0, [1.0]), 1.0
+            PrimalPoint([5e-8], [1.0]), 1.0, DualPoint([0.0], 1.0, [0.0]), 1.0
         )
-        with pytest.warns(NumericalWarning):
-            partition = optimal_partitions(sol)
-        assert as_sets(partition) == (set(), {1}, {1}, set())
+        with pytest.raises(PartitionViolation) as raised:
+            optimal_partitions(sol)
+        assert str(raised.value) == "x/v cover misses [1] (x = 5.000e-08, v = 0.000e+00)"
 
 
 class TestRandomInstances:

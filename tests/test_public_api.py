@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PUBLIC_NAMES = [
     "CscReport", "DegenerateNormalizer", "DegenerateT", "DimensionError", "DualPoint",
     "EmptyPolyhedron", "InfeasibleRegion", "IterationLimitError", "LFPProblem", "LPOutcome",
-    "LfpError", "LinearProgram", "MaximalElement", "NonpositiveDenominator", "NumericalWarning",
+    "LfpError", "LinearProgram", "MaximalElement", "NonpositiveDenominator",
     "OptimalPartition", "ParseError", "PartitionViolation", "Polyhedron", "PrimalPoint",
     "ScscReport", "Sense", "SolveStatus", "SolverOptions", "StrictComplementarySolution",
     "TransformedPoint", "UnboundedObjective", "UnboundedValidation", "approach_one",

@@ -29,10 +29,11 @@ first prints one line per seed: the failures (nonzero exits) and pivot totals
 on each side, and how many of the instances that both sides solve have a
 different `partition`.  Then it names each instance whose exit code changed,
 with the error text (or "cross_check false") on each side, whose partition
-differs, whose report differs other than in its `error` text, whose simplex
-runs differ, with the index and both sides of the first run that differs,
-and whose text report or standard error differs.  A last line per
-workload counts these and gives its failures and pivots.  It exits 1 on any
+differs, whose report differs other than in its `error` or `warnings` text,
+whose simplex runs differ, with the index and both sides of the first run
+that differs, and whose text report or standard error differs.  A last line
+per workload counts these, the reports that differ only in that diagnostic
+text among them, and gives its failures and pivots.  It exits 1 on any
 difference, 0 otherwise; a change that moves pivot paths exits 1, and the
 per-seed lines say whether it changed anything that matters.
 
@@ -74,6 +75,10 @@ CLI_ARGS = ("--approach", "both", "--validate-denominator")
 
 # The LPs of one `lfp-solve` run, in call order, as the package's log records label them.
 LPS = ("denominator", "stage 1", "primal face", "joint face")
+
+# The report fields that hold diagnostic text; a report that differs only in
+# these differs in wording, not in a result.
+DIAGNOSTICS = ("error", "warnings")
 
 # A face LP's optimum is an integer (the support count plus one); an optimal
 # objective farther than this from every integer is reported as fractional.
@@ -170,7 +175,7 @@ def diff(before: list, after: list, out=sys.stdout) -> int:
             failed, pivots, moved = _summary(old, new, keys)
             print(f"{workload} seed {seed}: {len(keys)} compared, {failed}, {pivots}, {moved}",
                   file=out)
-        reports = errors_only = codes = runs = texts = 0
+        reports = diagnostics_only = codes = runs = texts = 0
         for k in shared:
             a, b, name = old[k], new[k], "/".join(map(str, k))
             if a["code"] != b["code"]:
@@ -181,10 +186,10 @@ def diff(before: list, after: list, out=sys.stdout) -> int:
                 print(f"  partition differs: {name}", file=out)
             if _canonical(a["report"]) != _canonical(b["report"]):
                 reports += 1
-                a_rest = {f: v for f, v in a["report"].items() if f != "error"}
-                b_rest = {f: v for f, v in b["report"].items() if f != "error"}
+                a_rest = {f: v for f, v in a["report"].items() if f not in DIAGNOSTICS}
+                b_rest = {f: v for f, v in b["report"].items() if f not in DIAGNOSTICS}
                 if _canonical(a_rest) == _canonical(b_rest):
-                    errors_only += 1
+                    diagnostics_only += 1
                 else:
                     print(f"  report differs: {name}", file=out)
             if a.get("runs") != b.get("runs"):
@@ -196,7 +201,7 @@ def diff(before: list, after: list, out=sys.stdout) -> int:
         failed, pivots, _ = _summary(old, new, shared)
         print(
             f"{workload}: {len(shared)} compared, {reports} reports differ "
-            f"({errors_only} only in error text), {codes} exit-code changes, "
+            f"({diagnostics_only} only in error or warning text), {codes} exit-code changes, "
             f"{runs} with different simplex runs, {failed}, {pivots}, "
             f"{texts} with different text or stderr",
             file=out,
