@@ -10,7 +10,7 @@ sets: sigma_x / sigma_v split {1..n}, sigma_u / sigma_y split {1..m}.
 
 Finding one reduces to finding relative interior points of the optimal faces
 of the transformed LP and its dual.  Each face is the LP that `duality` builds,
-in the standard form `solve_lp` pivots on, plus one row objective . x =
+in `lp`'s standard form (`_standard_form`), plus one row objective . x =
 theta_star.  The one support-maximizing LP of `interior` is built over a face
 (`build_primal_interior_lp`, `build_dual_interior_lp`, `build_joint_lp`), its
 optimum is normalized back onto the face by `interior`, and the face point is
@@ -55,11 +55,10 @@ from .interior import (
     DEFAULT_POS_TOL,
     Polyhedron,
     _normalize,
-    _solve_maximal_element_lp,
     _support_maximizing_lp,
     build_maximal_element_lp,
 )
-from .lp import LinearProgram, LPOutcome, SolverOptions, _standard_form
+from .lp import LinearProgram, LPOutcome, SolverOptions, _solved, _standard_form
 from .problem import DualPoint, LFPProblem, PrimalPoint
 
 __all__ = [
@@ -274,8 +273,8 @@ def recover_dual_interior(
 def approach_one(problem: LFPProblem, stage1: LPOutcome | None = None) -> StrictComplementarySolution:
     """Stage 1, then one support-maximizing LP over the primal optimal face.
 
-    Pass `stage1`, the outcome of `solve_lp(build_transformed_lp(problem))`,
-    to reuse a stage-1 solve already made; otherwise it is solved here first.
+    Pass `stage1`, the outcome of solving `build_transformed_lp(problem)`, to
+    reuse a stage-1 solve already made; otherwise it is solved here first.
 
     The dual point comes from the row duals (yA, yd, yc) of the face LP on
     its A, d and value rows, and the stage-1 duals y0 on its A rows.  At the
@@ -292,7 +291,7 @@ def approach_one(problem: LFPProblem, stage1: LPOutcome | None = None) -> Strict
     """
     stage1 = _stage1(problem, stage1)
     theta_star = stage1.objective
-    out = _solve_maximal_element_lp(build_primal_interior_lp(problem, theta_star), "primal face")
+    out = _solved("primal face", build_primal_interior_lp(problem, theta_star))
     transformed = recover_primal_interior(problem, out)
     m, tol = problem.num_rows, SolverOptions.feas_tol
     yA, (yd, yc) = out.duals[:m], out.duals[m:]
@@ -310,7 +309,7 @@ def approach_one(problem: LFPProblem, stage1: LPOutcome | None = None) -> Strict
 
 def approach_two(problem: LFPProblem) -> StrictComplementarySolution:
     """Single-LP route over the coupled faces; theta_star falls out as z."""
-    out = _solve_maximal_element_lp(build_joint_lp(problem), "joint face")
+    out = _solved("joint face", build_joint_lp(problem))
     try:
         x_bar, (t,), u_bar, y, (z,), v = _face_blocks(problem, "joint", out, SolverOptions.feas_tol)
     except DegenerateNormalizer:

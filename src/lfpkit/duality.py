@@ -23,14 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateT,
-    InfeasibleRegion,
-    IterationLimitError,
-    NonpositiveDenominator,
-    UnboundedObjective,
-)
-from .lp import LinearProgram, LPOutcome, Sense, SolveStatus, SolverOptions, _frozen, _logged, solve_lp
+from .errors import DegenerateT, InfeasibleRegion, NonpositiveDenominator, UnboundedObjective
+from .lp import LinearProgram, LPOutcome, Sense, SolveStatus, SolverOptions, _frozen, _judged, _solved
 from .problem import LFPProblem, PrimalPoint
 
 __all__ = [
@@ -124,15 +118,13 @@ def solve_theta_star(problem: LFPProblem) -> float:
 def _stage1(problem: LFPProblem, out: LPOutcome | None = None) -> LPOutcome:
     """The stage-1 outcome `out`, solved here if not given, once it is known to be
     OPTIMAL; raises as `solve_theta_star` does on any other verdict."""
-    if out is None:
-        out = _logged("stage 1", solve_lp(build_transformed_lp(problem)))
-    if out.status is SolveStatus.INFEASIBLE:
-        raise InfeasibleRegion(
+    faults = {
+        SolveStatus.INFEASIBLE: InfeasibleRegion(
             "no feasible point with a positive denominator; the region is empty "
             "or the denominator assumption fails everywhere on it"
-        )
-    if out.status is SolveStatus.UNBOUNDED:
-        raise UnboundedObjective("the ratio objective grows without bound")
-    if out.status is SolveStatus.ITERATION_LIMIT:
-        raise IterationLimitError(f"the stage-1 solve stopped early: {out.detail}")
-    return out
+        ),
+        SolveStatus.UNBOUNDED: UnboundedObjective("the ratio objective grows without bound"),
+    }
+    if out is None:
+        return _solved("stage 1", build_transformed_lp(problem), faults=faults)
+    return _judged("stage 1", out, faults)

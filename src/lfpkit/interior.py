@@ -13,7 +13,9 @@ Free coordinates (a Polyhedron's `free` mask) have a free x1 column, no
 capped copy and are never in a support.
 
 The homogenized system always admits zero, so the LP is feasible and (being
-capped) bounded.  When P is non-empty the optimal w1 + w2 is positive and
+capped) bounded: `lp._solved` reports any verdict but OPTIMAL of this
+"maximal-element" LP as a breakdown.  When P is non-empty the optimal w1 + w2
+is positive and
 
     x_max = (x1 + x2) / (w1 + w2)
 
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPolyhedron, IterationLimitError
-from .lp import LinearProgram, LPOutcome, Sense, SolverOptions, _frozen, _logged, solve_lp
+from .errors import EmptyPolyhedron
+from .lp import LinearProgram, LPOutcome, Sense, SolverOptions, _frozen, _solved
 
 __all__ = [
     "Polyhedron",
@@ -134,16 +136,7 @@ def _normalize(outcome: LPOutcome, capped: np.ndarray, feas_tol: float) -> np.nd
     return point
 
 
-def _solve_maximal_element_lp(lp: LinearProgram, label: str) -> LPOutcome:
-    # Feasible (zero) and bounded (capped objective): any verdict but OPTIMAL is a breakdown.
-    out = _logged(label, solve_lp(lp))
-    if not out.is_optimal:
-        reason = out.detail or "a numerical breakdown, as the LP is feasible and bounded"
-        raise IterationLimitError(f"{label} solve ended with status {out.status.value}: {reason}")
-    return out
-
-
 def find_relative_interior_point(poly: Polyhedron) -> MaximalElement:
     """Build, solve and normalize in one call."""
-    out = _solve_maximal_element_lp(build_maximal_element_lp(poly), "maximal-element")
+    out = _solved("maximal-element", build_maximal_element_lp(poly))
     return recover_maximal_element(out, poly)

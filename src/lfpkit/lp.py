@@ -82,6 +82,11 @@ path the program is then solved again from the start on a kernel that
 makes three fresh solves with B per pivot instead, and that outcome
 counts; a wide-scale program takes the primal path with fresh solves from
 the start.
+
+The private `_solved` solves each labelled LP of the package (denominator,
+stage 1, the primal and joint faces, maximal-element): it logs the outcome
+on the `lfpkit` logger, returns it if OPTIMAL, raises the caller's error for
+an INFEASIBLE or UNBOUNDED verdict the caller names, else IterationLimitError.
 """
 
 from __future__ import annotations
@@ -92,6 +97,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
+
+from .errors import IterationLimitError
 
 __all__ = [
     "Sense",
@@ -120,13 +127,6 @@ def _frozen(values, ndmin: int = 0) -> np.ndarray:
 
 # Silent by default: the package adds no handler and sets no level.
 _logger = logging.getLogger("lfpkit")
-
-
-def _logged(label: str, out: LPOutcome) -> LPOutcome:
-    """`out`, the outcome of the LP named `label`, once a DEBUG record of it is on `_logger`."""
-    _logger.debug("%s LP: %s, simplex runs: %d", label, out.status.value, len(out.runs),
-                  extra={"lp": label, "outcome": out})
-    return out
 
 
 @dataclass(frozen=True)
@@ -699,6 +699,28 @@ def solve_lp(lp: LinearProgram, opts: SolverOptions = SolverOptions()) -> LPOutc
     duals = _frozen(outcome.duals if lp.sense is Sense.MINIMIZE else -outcome.duals)
     return LPOutcome(SolveStatus.OPTIMAL, point, float(lp.objective @ point), duals=duals,
                      runs=tuple(runs))
+
+
+def _solved(label: str, lp: LinearProgram, opts: SolverOptions = SolverOptions(),
+            faults: dict | None = None) -> LPOutcome:
+    """The OPTIMAL outcome of `lp`, the LP named `label`, judged by `_judged` once
+    a DEBUG record of it is on `_logger`, so a solve that then raises is logged too."""
+    out = solve_lp(lp, opts)
+    _logger.debug("%s LP: %s, simplex runs: %d", label, out.status.value, len(out.runs),
+                  extra={"lp": label, "outcome": out})
+    return _judged(label, out, faults)
+
+
+def _judged(label: str, out: LPOutcome, faults: dict | None) -> LPOutcome:
+    """`out`, the outcome of the LP named `label`, if OPTIMAL.  Otherwise raises
+    `faults[out.status]` where the caller says what that verdict means for its
+    LP, and IterationLimitError for any other verdict: a breakdown."""
+    if out.is_optimal:
+        return out
+    if out.status in (faults or {}):
+        raise faults[out.status]
+    reason = out.detail or "a numerical breakdown, as the LP is feasible and bounded"
+    raise IterationLimitError(f"{label} solve ended with status {out.status.value}: {reason}")
 
 
 def _dual_attempt(A, b, lo, hi, cost, n, opts, wide, runs):

@@ -17,15 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InfeasibleRegion,
-    IterationLimitError,
-    NonpositiveDenominator,
-    ParseError,
-    UnboundedValidation,
-)
-from .lp import LinearProgram, Sense, SolveStatus, SolverOptions, _frozen, _logged, solve_lp
+from .errors import (DimensionError, InfeasibleRegion, NonpositiveDenominator, ParseError,
+                     UnboundedValidation)
+from .lp import LinearProgram, Sense, SolveStatus, SolverOptions, _frozen, _solved
 
 __all__ = [
     "LFPProblem",
@@ -142,13 +136,10 @@ def validate_denominator(problem: LFPProblem, opts: SolverOptions = SolverOption
     denominator can be driven to -inf.
     """
     lp = LinearProgram(Sense.MINIMIZE, problem.d, A_ub=problem.A, b_ub=problem.b)
-    out = _logged("denominator", solve_lp(lp, opts))
-    if out.status is SolveStatus.INFEASIBLE:
-        raise InfeasibleRegion("the constraint region is empty")
-    if out.status is SolveStatus.UNBOUNDED:
-        raise UnboundedValidation("the denominator has no lower bound on the region")
-    if out.status is SolveStatus.ITERATION_LIMIT:
-        raise IterationLimitError(f"denominator validation stopped early: {out.detail}")
+    out = _solved("denominator", lp, opts, {
+        SolveStatus.INFEASIBLE: InfeasibleRegion("the constraint region is empty"),
+        SolveStatus.UNBOUNDED: UnboundedValidation("the denominator has no lower bound on the region"),
+    })
     return float(out.objective + problem.beta)
 
 

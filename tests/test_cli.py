@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import lfpkit.lp as lp_module
 from lfpkit import (
     DualPoint,
     LinearProgram,
@@ -19,7 +20,6 @@ from lfpkit import (
     build_joint_lp,
     build_primal_interior_lp,
     build_transformed_lp,
-    duality,
     solve_lp,
 )
 from lfpkit.cli import build_parser, format_text, run
@@ -46,9 +46,9 @@ def golden_file(tmp_path):
 
 @pytest.fixture
 def stage1_fails(monkeypatch):
-    """Every stage-1 solve stops early."""
+    """Every LP solve stops early, so stage 1, the first, does."""
     stopped = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="forced for the exit-code contract")
-    monkeypatch.setattr(duality, "solve_lp", lambda lp: stopped)
+    monkeypatch.setattr(lp_module, "solve_lp", lambda lp, opts: stopped)
 
 
 @pytest.fixture
@@ -332,7 +332,7 @@ class TestFlags:
         code, out, _ = run_cli(capsys, "--input", golden_file)
         assert code == 5
         assert "status: numerical_failure" in out
-        assert "the stage-1 solve stopped early: forced for the exit-code contract" in out
+        assert "stage 1 solve ended with status iteration_limit: forced for the exit-code contract" in out
 
     def test_stdout_carries_report_only(self, golden_file, capsys):
         code, out, err = run_cli(capsys, "--input", golden_file)

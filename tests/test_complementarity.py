@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import lfpkit.interior as interior_module
+import lfpkit.lp as lp_module
 from lfpkit import (
     DegenerateNormalizer,
     DualPoint,
     InfeasibleRegion,
-    IterationLimitError,
     LFPProblem,
     LinearProgram,
     LPOutcome,
@@ -416,41 +415,17 @@ class TestApproachOne:
     def test_nonzero_scaling_weight_reduced_cost_is_a_breakdown(self, golden, monkeypatch):
         # The derived dual point needs s_w = yd + theta_star * yc = 0 on the
         # primal face LP's row duals.  Shift yd off it.
-        solve = interior_module.solve_lp
+        stage1 = solve_lp(build_transformed_lp(golden))
 
-        def shifted(lp):
-            out = solve(lp)
+        def shifted(lp, opts):
+            out = solve_lp(lp, opts)
             duals = out.duals.copy()
             duals[golden.num_rows] += 1e-3
             return LPOutcome(out.status, out.point, out.objective, duals=duals)
 
-        monkeypatch.setattr(interior_module, "solve_lp", shifted)
+        monkeypatch.setattr(lp_module, "solve_lp", shifted)
         with pytest.raises(DegenerateNormalizer, match=r"s_w = yd \+ theta_star \* yc = 1\.000e-03"):
-            approach_one(golden)
-
-    @pytest.mark.parametrize(
-        "outcome, message",
-        [
-            (
-                LPOutcome(SolveStatus.ITERATION_LIMIT, detail="singular basis after 7 pivots"),
-                "primal face solve ended with status iteration_limit: "
-                "singular basis after 7 pivots",
-            ),
-            (
-                LPOutcome(SolveStatus.UNBOUNDED),
-                "primal face solve ended with status unbounded: a numerical breakdown",
-            ),
-        ],
-    )
-    def test_face_solve_failure_names_its_cause(self, golden, monkeypatch, lp_records, outcome,
-                                                message):
-        monkeypatch.setattr(interior_module, "solve_lp", lambda lp: outcome)
-        with pytest.raises(IterationLimitError, match=message):
-            approach_one(golden)
-        # The face solve logs its record before its verdict raises.
-        records = lp_records()
-        assert [record.lp for record in records] == ["stage 1", "primal face"]
-        assert records[-1].outcome is outcome
+            approach_one(golden, stage1=stage1)
 
 
 class TestApproachTwo:
@@ -483,10 +458,10 @@ class TestApproachTwo:
             approach_two(problem)
 
     def test_zero_weight_on_a_solvable_problem_is_degenerate(self, golden, monkeypatch, lp_records):
-        def all_zero(lp):
+        def all_zero(lp, opts):
             return LPOutcome(SolveStatus.OPTIMAL, np.zeros(lp.num_vars), 0.0)
 
-        monkeypatch.setattr(interior_module, "solve_lp", all_zero)
+        monkeypatch.setattr(lp_module, "solve_lp", all_zero)
         with pytest.raises(DegenerateNormalizer, match="although stage 1 proves an optimal pair exists"):
             approach_two(golden)
         assert [record.lp for record in lp_records()] == ["joint face", "stage 1"]

@@ -4,15 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-import lfpkit.duality as duality_module
 from lfpkit import (
     DegenerateT,
     InfeasibleRegion,
-    IterationLimitError,
     LFPProblem,
-    LPOutcome,
     NonpositiveDenominator,
-    SolveStatus,
     TransformedPoint,
     build_dual_lp,
     build_transformed_lp,
@@ -133,13 +129,6 @@ class TestThetaStar:
             alpha=golden.beta, beta=golden.beta,
         )
         assert solve_theta_star(problem) == pytest.approx(1.0, abs=1e-9)
-
-    def test_iteration_cap_is_named(self, golden, monkeypatch):
-        capped = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="iteration cap of 1 reached")
-        monkeypatch.setattr(duality_module, "solve_lp", lambda lp: capped)
-        message = "stage-1 solve stopped early: iteration cap of 1 reached"
-        with pytest.raises(IterationLimitError, match=message):
-            solve_theta_star(golden)
 
     def test_empty_region(self):
         problem = LFPProblem(A=[[1.0]], b=[-1.0], c=[1.0], d=[1.0], alpha=0.0, beta=1.0)

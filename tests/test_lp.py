@@ -7,8 +7,11 @@ from numpy.testing import assert_allclose
 
 import lfpkit.lp as lp_module
 from lfpkit import (
+    IterationLimitError,
     LFPProblem,
     LinearProgram,
+    LPOutcome,
+    Polyhedron,
     Sense,
     SolveStatus,
     SolverOptions,
@@ -18,7 +21,9 @@ from lfpkit import (
     build_joint_lp,
     build_primal_interior_lp,
     build_transformed_lp,
+    find_relative_interior_point,
     solve_lp,
+    solve_theta_star,
     validate_denominator,
 )
 
@@ -1061,3 +1066,58 @@ class TestKernelInvariant:
         assert state.rhs is kept
         state.exchange(0, 1, state.column(1), False)
         assert state.rhs is None
+
+
+def labelled_entry_points(problem):
+    """The public call that first solves each labelled LP, keyed by label.
+    Approach one gets a precomputed stage 1, so its face LP is its first solve."""
+    stage1 = solve_lp(build_transformed_lp(problem))
+    return {
+        "denominator": lambda: validate_denominator(problem),
+        "stage 1": lambda: solve_theta_star(problem),
+        "primal face": lambda: approach_one(problem, stage1=stage1),
+        "joint face": lambda: approach_two(problem),
+        "maximal-element": lambda: find_relative_interior_point(Polyhedron([[1.0, 1.0]], [1.0])),
+    }
+
+
+CAP_1 = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="iteration cap of 1 reached")
+CAP_9 = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="iteration cap of 9 reached")
+SINGULAR = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="singular basis after 7 pivots")
+BREAKDOWN = "a numerical breakdown, as the LP is feasible and bounded"
+
+
+class TestLabelledSolves:
+    @pytest.mark.parametrize(
+        "label, outcome, message",
+        [
+            ("denominator", CAP_1, "denominator solve ended with status iteration_limit: "
+                                   "iteration cap of 1 reached"),
+            ("stage 1", CAP_1, "stage 1 solve ended with status iteration_limit: iteration cap of 1 reached"),
+            ("primal face", SINGULAR, "primal face solve ended with status iteration_limit: "
+                                      "singular basis after 7 pivots"),
+            ("primal face", LPOutcome(SolveStatus.UNBOUNDED),
+             f"primal face solve ended with status unbounded: {BREAKDOWN}"),
+            ("joint face", SINGULAR, "joint face solve ended with status iteration_limit: "
+                                     "singular basis after 7 pivots"),
+            ("maximal-element", CAP_9, "maximal-element solve ended with status iteration_limit: "
+                                       "iteration cap of 9 reached"),
+            ("maximal-element", LPOutcome(SolveStatus.UNBOUNDED),
+             f"maximal-element solve ended with status unbounded: {BREAKDOWN}"),
+            ("maximal-element", LPOutcome(SolveStatus.INFEASIBLE),
+             f"maximal-element solve ended with status infeasible: {BREAKDOWN}"),
+        ],
+        ids=["denominator-iteration_limit", "stage_1-iteration_limit", "primal_face-iteration_limit",
+             "primal_face-unbounded", "joint_face-iteration_limit", "maximal_element-iteration_limit",
+             "maximal_element-unbounded", "maximal_element-infeasible"],
+    )
+    def test_a_breakdown_names_its_lp(self, golden, monkeypatch, lp_records, label, outcome, message):
+        call = labelled_entry_points(golden)[label]
+        monkeypatch.setattr(lp_module, "solve_lp", lambda lp, opts: outcome)
+        with pytest.raises(IterationLimitError) as raised:
+            call()
+        assert str(raised.value) == message
+        # The solve logs its record before its verdict raises.
+        records = lp_records()
+        assert [record.lp for record in records] == [label]
+        assert records[0].outcome is outcome

@@ -6,17 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-import lfpkit.problem as problem_module
 from lfpkit import (
     DimensionError,
     InfeasibleRegion,
-    IterationLimitError,
     LFPProblem,
-    LPOutcome,
     NonpositiveDenominator,
     ParseError,
     PrimalPoint,
-    SolveStatus,
     UnboundedValidation,
     evaluate_objective,
     parse_problem,
@@ -92,13 +88,6 @@ class TestValidateDenominator:
         records = lp_records()
         assert [record.lp for record in records] == ["denominator"] * 20
         assert [[run[:3] for run in r.outcome.runs] for r in records] == [[("dual", "optimal", 0)]] * 20
-
-    def test_iteration_cap_is_named(self, golden, monkeypatch):
-        capped = LPOutcome(SolveStatus.ITERATION_LIMIT, detail="iteration cap of 1 reached")
-        monkeypatch.setattr(problem_module, "solve_lp", lambda lp, opts: capped)
-        message = "validation stopped early: iteration cap of 1 reached"
-        with pytest.raises(IterationLimitError, match=message):
-            validate_denominator(golden)
 
     def test_empty_region(self):
         problem = LFPProblem(A=[[1.0]], b=[-1.0], c=[1.0], d=[1.0], alpha=0.0, beta=1.0)
