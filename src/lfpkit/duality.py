@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateT, InfeasibleRegion, NonpositiveDenominator, UnboundedObjective
-from .lp import LinearProgram, LPOutcome, Sense, SolveStatus, SolverOptions, _frozen, _judged, _solved
+from .lp import LinearProgram, LPOutcome, Sense, SolveStatus, SolverOptions, _judged, _solved, _vector
 from .problem import LFPProblem, PrimalPoint
 
 __all__ = [
@@ -46,8 +46,8 @@ class TransformedPoint:
     u_bar: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x_bar", _frozen(self.x_bar))
-        object.__setattr__(self, "u_bar", _frozen(self.u_bar))
+        for name in ("x_bar", "u_bar"):
+            object.__setattr__(self, name, _vector(name, getattr(self, name)))
         object.__setattr__(self, "t", float(self.t))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPolyhedron
-from .lp import LinearProgram, LPOutcome, Sense, SolverOptions, _frozen, _solved
+from .lp import LinearProgram, LPOutcome, Sense, SolverOptions, _check_finite, _frozen, _solved, _vector
 
 __all__ = [
     "Polyhedron",
@@ -54,20 +54,17 @@ class Polyhedron:
 
     def __post_init__(self):
         A = _frozen(self.A_eq, ndmin=2)
-        b = _frozen(self.b_eq).ravel()
-        # One pass over all entries; the checks run one by one only to name a fault.
-        if not (A.ndim == 2 and A.shape[0] == b.size
-                and np.isfinite(np.concatenate((A.ravel(), b))).all()):
-            if A.ndim != 2:
-                raise ValueError(f"A_eq must be a matrix, got an array with {A.ndim} axes")
-            if A.shape[0] != b.size:
-                raise ValueError(f"A_eq has {A.shape[0]} rows but b_eq has {b.size} entries")
-            raise ValueError("polyhedron data has a non-finite entry")
+        if A.ndim != 2:
+            raise ValueError(f"A_eq must be a matrix, got an array with {A.ndim} axes")
+        b = _vector("b_eq", self.b_eq)
+        if A.shape[0] != b.size:
+            raise ValueError(f"A_eq has {A.shape[0]} rows but b_eq has {b.size} entries")
         free = np.zeros(A.shape[1], dtype=bool) if self.free is None else np.array(self.free)
         if free.dtype != bool:
             raise ValueError(f"free mask must hold booleans, got dtype {free.dtype}")
         if free.shape != (A.shape[1],):
             raise ValueError(f"free mask has shape {free.shape}, expected ({A.shape[1]},)")
+        _check_finite({"A_eq": A, "b_eq": b})
         free.setflags(write=False)
         object.__setattr__(self, "A_eq", A)
         object.__setattr__(self, "b_eq", b)
@@ -86,7 +83,7 @@ class MaximalElement:
     support: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "point", _frozen(self.point))
+        object.__setattr__(self, "point", _vector("point", self.point))
         object.__setattr__(self, "support", frozenset(int(j) for j in self.support))
 
 

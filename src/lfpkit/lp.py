@@ -6,14 +6,17 @@ unsolved, both on one basis kernel.
 A `LinearProgram` holds its data as arrays in scipy `linprog`'s layout: an
 inequality block `A_ub x <= b_ub`, an equality block `A_eq x = b_eq` and
 per-variable bounds `lo <= x <= hi` (nonnegative by default; boxed, one-sided
-or free as given), and checks all its entries in one pass, running its checks
-one by one only to name a fault.  One private function, `_standard_form`,
-lays them out as `[[A_ub, I, 0], [A_eq, 0, I]]`, one slack per inequality
-row and one artificial per equality row, inequality rows first: the dual
-simplex's start.  The primal path and `complementarity`'s optimal faces read
-its columns before the artificials.  Free variables are kept as single
-columns that may move in either direction; box bounds are handled with bound
-flips in the ratio tests instead of extra rows.
+or free as given).  Like `LFPProblem` and `Polyhedron`, it checks its shapes
+in field order, a vector field with exactly one axis, and then its values:
+all entries but the bounds in one pass, `_check_finite`, which names the
+first field with a non-finite entry, then the bounds for a NaN or an empty
+interval.  One private function, `_standard_form`, lays them out as
+`[[A_ub, I, 0], [A_eq, 0, I]]`, one slack per inequality row and one
+artificial per equality row, inequality rows first: the dual simplex's
+start.  The primal path and `complementarity`'s optimal faces read its
+columns before the artificials.  Free variables are kept as single columns
+that may move in either direction; box bounds are handled with bound flips
+in the ratio tests instead of extra rows.
 
 `solve_lp` starts every program on the bounded dual simplex.  Its start is
 dual feasible by construction: the slack is basic in each inequality row and
@@ -125,6 +128,24 @@ def _frozen(values, ndmin: int = 0) -> np.ndarray:
     return array
 
 
+def _vector(name: str, values, error=ValueError) -> np.ndarray:
+    """`values` as `_frozen` stores them; raises `error` naming `name` unless they have one axis."""
+    array = _frozen(values)
+    if array.ndim != 1:
+        raise error(f"{name} must be a vector, got an array with {array.ndim} axes")
+    return array
+
+
+def _check_finite(arrays: dict) -> None:
+    """Raise ValueError naming the first of `arrays` (name -> array) with a non-finite entry.
+
+    One pass over all entries; the arrays are looked at one by one only to name the fault.
+    """
+    if not np.isfinite(np.concatenate([array.ravel() for array in arrays.values()])).all():
+        bad = next(name for name, array in arrays.items() if not np.isfinite(array).all())
+        raise ValueError(f"{bad} has a non-finite entry")
+
+
 # Silent by default: the package adds no handler and sets no level.
 _logger = logging.getLogger("lfpkit")
 
@@ -151,61 +172,39 @@ class LinearProgram:
     hi: np.ndarray | None = None
 
     def __post_init__(self):
-        # One pass over all entries decides whether every check passes; only if not, or if a
-        # conversion raises, do the checks run again one by one, in order, to name the first fault.
-        try:
-            self._check(one_by_one=False)
-        except (TypeError, ValueError, OverflowError):  # what a failed check or conversion raises
-            self._check(one_by_one=True)
-
-    def _check(self, one_by_one: bool):
-        """Store each array frozen, with its default; raise ValueError on a fault."""
+        # The shapes in field order, then the values: all but the bounds in one pass.
         if not isinstance(self.sense, Sense):
             raise ValueError(f"sense must be a Sense member, got {self.sense!r}")
         objective = _frozen(self.objective)
         if objective.ndim != 1 or objective.size == 0:
             raise ValueError("objective must be a non-empty vector")
-        if one_by_one and not np.isfinite(objective).all():
-            raise ValueError("objective has a non-finite entry")
-        n, entries = objective.size, [objective]
-        object.__setattr__(self, "objective", objective)
-
+        n, arrays = objective.size, {"objective": objective}
         for block, rhs in (("A_ub", "b_ub"), ("A_eq", "b_eq")):
             A, b = getattr(self, block), getattr(self, rhs)
             if b is None and A is not None:
                 raise ValueError(f"{block} is given without {rhs}")
-            A = _frozen(np.empty((0, n)) if A is None else A)
-            b = _frozen(() if b is None else b)
+            arrays[block] = A = _frozen(np.empty((0, n)) if A is None else A)
+            arrays[rhs] = b = _frozen(() if b is None else b)
             if A.ndim != 2 or A.shape[1] != n:
                 raise ValueError(f"{block} has shape {A.shape}, expected (rows, {n})")
             if b.shape != (A.shape[0],):
                 raise ValueError(f"{rhs} has shape {b.shape}, expected ({A.shape[0]},)")
-            if one_by_one and not (np.isfinite(A).all() and np.isfinite(b).all()):
-                raise ValueError(f"{block} or {rhs} has a non-finite entry")
-            entries += [A.ravel(), b]
-            object.__setattr__(self, block, A)
-            object.__setattr__(self, rhs, b)
-        if not (one_by_one or np.isfinite(np.concatenate(entries)).all()):
-            raise ValueError("a non-finite entry")
-
         lo = _frozen(np.zeros(n) if self.lo is None else self.lo)
         hi = _frozen(np.full(n, math.inf) if self.hi is None else self.hi)
         for name, bound in (("lo", lo), ("hi", hi)):
             if bound.shape != (n,):
                 raise ValueError(f"{name} has shape {bound.shape}, expected ({n},)")
-            if one_by_one and np.isnan(bound).any():
-                raise ValueError(f"{name} has a NaN entry")
-        if one_by_one:
-            # No real number lies in [inf, inf] or [-inf, -inf] either.
-            empty = np.flatnonzero((lo > hi) | (lo == math.inf) | (hi == -math.inf))
-            if empty.size:
-                j = int(empty[0])
-                raise ValueError(f"empty bound interval [{lo[j]}, {hi[j]}] for variable {j}")
-        elif self.lo is not None or self.hi is not None:  # the default bounds always pass
-            if not ((lo <= hi).all() and lo.max() < math.inf and hi.min() > -math.inf):
-                raise ValueError("a NaN or an empty bound interval")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _check_finite(arrays)
+        # A bound may be infinite but not NaN; no real lies in [inf, inf] or [-inf, -inf].
+        if (self.lo is not None or self.hi is not None) and not (
+                (lo <= hi).all() and lo.max() < math.inf and hi.min() > -math.inf):
+            for name, bound in (("lo", lo), ("hi", hi)):
+                if np.isnan(bound).any():
+                    raise ValueError(f"{name} has a NaN entry")
+            j = int(np.flatnonzero((lo > hi) | (lo == math.inf) | (hi == -math.inf))[0])
+            raise ValueError(f"empty bound interval [{lo[j]}, {hi[j]}] for variable {j}")
+        for name, array in {**arrays, "lo": lo, "hi": hi}.items():
+            object.__setattr__(self, name, array)
 
     @property
     def num_vars(self) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DimensionError, InfeasibleRegion, NonpositiveDenominator, ParseError,
                      UnboundedValidation)
-from .lp import LinearProgram, Sense, SolveStatus, SolverOptions, _frozen, _solved
+from .lp import LinearProgram, Sense, SolveStatus, SolverOptions, _check_finite, _frozen, _solved, _vector
 
 __all__ = [
     "LFPProblem",
@@ -45,19 +45,16 @@ class LFPProblem:
 
     def __post_init__(self):
         A = _frozen(self.A, ndmin=2)
-        b, c, d = (_frozen(v).ravel() for v in (self.b, self.c, self.d))
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
             raise DimensionError("A must be a matrix with at least one row and one column")
         m, n = A.shape
+        b, c, d = (_vector(name, getattr(self, name), DimensionError) for name in ("b", "c", "d"))
         if b.size != m:
             raise DimensionError(f"b has {b.size} entries, A has {m} rows")
         if c.size != n or d.size != n:
             raise DimensionError(f"c and d must have {n} entries to match A's columns")
         arrays = {"A": A, "b": b, "c": c, "d": d}
-        # One pass over all entries; the arrays are checked one by one only to name a fault.
-        if not np.isfinite(np.concatenate((A.ravel(), b, c, d))).all():
-            bad = next(name for name, arr in arrays.items() if not np.isfinite(arr).all())
-            raise ValueError(f"{bad} has a non-finite entry")
+        _check_finite(arrays)
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
         alpha, beta = float(self.alpha), float(self.beta)
@@ -83,8 +80,8 @@ class PrimalPoint:
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _frozen(self.x))
-        object.__setattr__(self, "u", _frozen(self.u))
+        for name in ("x", "u"):
+            object.__setattr__(self, name, _vector(name, getattr(self, name)))
 
     @classmethod
     def from_x(cls, problem: LFPProblem, x) -> "PrimalPoint":
@@ -104,9 +101,9 @@ class DualPoint:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _frozen(self.y))
+        for name in ("y", "v"):
+            object.__setattr__(self, name, _vector(name, getattr(self, name)))
         object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "v", _frozen(self.v))
 
     @classmethod
     def from_yz(cls, problem: LFPProblem, y, z: float) -> "DualPoint":

@@ -89,16 +89,16 @@ class TestPolyhedron:
             pytest.param(np.zeros((2, 2, 2)), [0.0, 0.0], None, "A_eq must be a matrix", id="A_eq-axes"),
             pytest.param([[1.0, 1.0]], [1.0, 2.0], None, "A_eq has 1 rows but b_eq has 2 entries",
                          id="b_eq-length"),
-            pytest.param([[1.0, np.nan]], [1.0], None, "polyhedron data has a non-finite entry",
-                         id="A_eq-nan"),
-            pytest.param([[1.0, 1.0]], [np.inf], None, "polyhedron data has a non-finite entry",
-                         id="b_eq-inf"),
-            # Two faults: the first in the order of the checks is named.
+            pytest.param([[1.0, 1.0]], [[1.0]], None, "b_eq must be a vector, got an array with 2 axes",
+                         id="b_eq-axes"),
+            pytest.param([[1.0, np.nan]], [1.0], None, "^A_eq has a non-finite entry$", id="A_eq-nan"),
+            pytest.param([[1.0, 1.0]], [np.inf], None, "^b_eq has a non-finite entry$", id="b_eq-inf"),
+            # Two faults: a shape is checked before any value, whichever field comes first.
             pytest.param(np.full((2, 2, 2), np.nan), [0.0, 0.0], None, "A_eq must be a matrix",
                          id="A_eq-axes-before-nan"),
             pytest.param([[1.0, np.nan]], [1.0, 2.0], None, "A_eq has 1 rows but b_eq has 2 entries",
                          id="b_eq-length-before-A_eq-nan"),
-            pytest.param([[1.0, 1.0]], [np.inf], [True], "polyhedron data has a non-finite entry",
+            pytest.param([[1.0, 1.0]], [np.inf], [True], "free mask has shape",
                          id="b_eq-inf-before-free-mask-length"),
         ],
     )

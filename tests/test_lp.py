@@ -280,17 +280,20 @@ class TestValidation:
             pytest.param(dict(hi=[1.0, 1.0, 1.0]), "hi has shape", id="hi-wrong-length"),
             pytest.param(dict(objective=[]), "non-empty vector", id="objective-empty"),
             pytest.param(dict(objective=[[1.0, 2.0]]), "non-empty vector", id="objective-not-a-vector"),
-            # Two faults: the first in the order of the checks is named.
-            pytest.param(dict(A_ub=[[1.0, math.nan]], A_eq=[[1.0]]), "A_ub or b_ub has a non-finite",
+            # Two faults: a shape is checked before any value, whichever field comes first.
+            pytest.param(dict(A_ub=[[1.0, math.nan]], A_eq=[[1.0]]), "A_eq has shape",
                          id="A_ub-nan-before-A_eq-wrong-width"),
-            pytest.param(dict(objective=[math.nan, 2.0], b_ub=[1.0, 2.0]), "objective has a non-finite",
+            pytest.param(dict(objective=[math.nan, 2.0], b_ub=[1.0, 2.0]), "b_ub has shape",
                          id="objective-nan-before-b_ub-wrong-length"),
             pytest.param(dict(lo=[math.nan, 2.0], hi=[1.0, 1.0]), "lo has a NaN",
                          id="lo-nan-before-empty-interval"),
-            pytest.param(dict(hi=[1.0, 1.0, 1.0], A_eq=[[math.inf, 1.0]]), "A_eq or b_eq has a non-finite",
+            pytest.param(dict(hi=[1.0, 1.0, 1.0], A_eq=[[math.inf, 1.0]]), "hi has shape",
                          id="A_eq-inf-before-hi-wrong-length"),
-            pytest.param(dict(objective=[math.nan, 2.0], A_eq=[[1.0], [1.0, 2.0]]), "objective has a non-finite",
-                         id="objective-nan-before-A_eq-ragged"),
+            pytest.param(dict(objective=[math.nan, 2.0], A_eq=[[1.0], [1.0, 2.0]]),
+                         "setting an array element with a sequence", id="objective-nan-before-A_eq-ragged"),
+            # Two non-finite entries: the first field in field order is named.
+            pytest.param(dict(b_eq=[math.nan], A_ub=[[math.inf, 1.0]]), "^A_ub has a non-finite entry$",
+                         id="A_ub-inf-and-b_eq-nan"),
         ],
     )
     def test_rejects_bad_input(self, change, message):
@@ -483,30 +486,18 @@ class TestBasisInverse:
         # Many runs span an inversion interval.
         assert sum(used > lp_module._REFACTOR_INTERVAL for used in changes) > 10
 
-    def test_golden_dual_runs_invert_only_for_their_verdicts(self, golden, monkeypatch):
+    def test_golden_dual_runs_invert_only_for_their_verdicts(self, golden, lp_records):
         # The denominator LP ends at its slack start and inverts nothing.  A
         # run that ends after 1-9 basis changes inverts once, for its verdict;
         # the joint LP's run of 12 also inverts after its tenth.
-        real_inv, dual_simplex = np.linalg.inv, lp_module._dual_simplex
-        inversions, runs = [], []
-
-        def counted_inv(a):
-            inversions.append(None)
-            return real_inv(a)
-
-        def counted(*args):
-            before = len(inversions)
-            verdict, x, used, flips = dual_simplex(*args)
-            runs.append((verdict, used, len(inversions) - before))
-            return verdict, x, used, flips
-
-        monkeypatch.setattr(lp_module.np.linalg, "inv", counted_inv)
-        monkeypatch.setattr(lp_module, "_dual_simplex", counted)
         validate_denominator(golden)
-        assert inversions == [] and runs == [("optimal", 0, 0)]
         approach_one(golden)
         approach_two(golden)
-        assert runs[1:] == [("optimal", 3, 1), ("optimal", 5, 1), ("optimal", 12, 2)]
+        records = lp_records()
+        assert records[0].lp == "denominator" and records[0].outcome.runs == (("dual", "optimal", 0, 0, 0),)
+        runs = [(verdict, changes, inversions) for record in records
+                for method, verdict, changes, _, inversions in record.outcome.runs if method == "dual"]
+        assert runs == [("optimal", 0, 0), ("optimal", 3, 1), ("optimal", 5, 1), ("optimal", 12, 2)]
 
     def test_ill_conditioned_inverse_hands_over_to_fresh_solves(self, monkeypatch):
         # With every inverse counted as ill-conditioned, the first inversion

@@ -277,6 +277,17 @@ class TestTypes:
         with pytest.raises(DimensionError, match="c and d must have 1 entries to match A's columns"):
             LFPProblem(A=[[1.0]], b=[1], c=c, d=d, alpha=0, beta=1)
 
+    @pytest.mark.parametrize("name, A_entry", [("b", 1.0), ("c", 1.0), ("d", 1.0), ("b", np.nan)],
+                             ids=["b", "c", "d", "b-before-A-nan"])
+    def test_problem_rejects_a_vector_with_two_axes(self, name, A_entry):
+        # Not flattened: b = [[1, 2], [3, 4]] would pass as the vector (1, 2, 3, 4).  A shape
+        # is checked before any value, so a NaN in A, the earlier field, is not the one named.
+        data = {"A": np.ones((4, 4)), "b": np.ones(4), "c": np.ones(4), "d": np.ones(4)}
+        data["A"][0, 0] = A_entry
+        data[name] = data[name].reshape(2, 2)
+        with pytest.raises(DimensionError, match=f"^{name} must be a vector, got an array with 2 axes$"):
+            LFPProblem(**data, alpha=0, beta=1)
+
     @pytest.mark.parametrize("alpha, beta", [(np.inf, 1.0), (0.0, np.nan)], ids=["alpha", "beta"])
     def test_problem_rejects_nonfinite_constants(self, alpha, beta):
         with pytest.raises(ValueError, match="alpha and beta must be finite"):

@@ -1,4 +1,4 @@
-"""Every value type stores its arrays as read-only float copies."""
+"""Every value type stores its arrays as read-only float copies, and a point type holds vectors."""
 
 import numpy as np
 import pytest
@@ -54,3 +54,15 @@ def test_arrays_are_read_only_float_copies(name):
         assert not np.shares_memory(stored, array), key
         assert_array_equal(stored, array)
         assert array.flags.writeable, key  # the caller's array is untouched
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [(name, field) for name in ("PrimalPoint", "DualPoint", "TransformedPoint", "MaximalElement")
+     for field in VALUE_TYPES[name][1]],
+)
+def test_point_fields_are_vectors(name, field):
+    # A field with two axes would pass construction and fail far from it, in optimal_partitions.
+    build, fields = VALUE_TYPES[name]
+    with pytest.raises(ValueError, match=f"^{field} must be a vector, got an array with 2 axes$"):
+        build({**fields, field: [fields[field]]})
