@@ -20,9 +20,12 @@ serves `recover_primal_interior`, `recover_dual_interior` and `approach_two`.
 Both routes solve the LPs these builders return at `SolverOptions`' default
 tolerances:
 
-* `approach_one` pins the optimal value theta_star first (one stage-1 solve),
-  then solves the primal face's support-maximizing LP, two LPs in total.  The
-  dual face's relative interior point comes from the row duals of those two
+* `approach_one` pins the optimal value theta_star first (one stage-1 solve).
+  Where stage 1's optimal vertex and its row duals already are a strictly
+  complementary pair, that pair is the answer, one LP in total: the face LP
+  could only find the same supports (Goldman-Tucker).  Otherwise it solves
+  the primal face's support-maximizing LP, two LPs in total.  The dual
+  face's relative interior point then comes from the row duals of those two
   LPs (the Goldman-Tucker alternative), so its own LP is not solved;
   `build_dual_interior_lp` and `recover_dual_interior` remain as an
   independent way to the same supports.
@@ -271,16 +274,24 @@ def recover_dual_interior(
 
 
 def approach_one(problem: LFPProblem, stage1: LPOutcome | None = None) -> StrictComplementarySolution:
-    """Stage 1, then one support-maximizing LP over the primal optimal face.
+    """Stage 1, then, unless its own pair is strictly complementary, one
+    support-maximizing LP over the primal optimal face.
 
     Pass `stage1`, the outcome of solving `build_transformed_lp(problem)`, to
     reuse a stage-1 solve already made; otherwise it is solved here first.
 
-    The dual point comes from the row duals (yA, yd, yc) of the face LP on
-    its A, d and value rows, and the stage-1 duals y0 on its A rows.  At the
-    face LP's optimum s = F'(yA, yd, yc) is 0 on the primal support and >= 1
-    off it (Freund, Roundy & Todd 1985), and s_w = yd + theta_star yc, the
-    reduced cost of the positive scaling weight, is 0.  Then, for any
+    Stage 1's pair is its vertex (xbar, t), mapped back by
+    `charnes_cooper_inverse`, with y its row duals on the A rows and
+    z = theta_star.  It is returned when t is positive and the pair passes
+    `verify_csc`, `verify_scsc` and `optimal_partitions` at their defaults,
+    the checks `cli` applies to an approach's pair; no face LP is solved.
+
+    Otherwise the dual point comes from the row duals (yA, yd, yc) of the
+    face LP on its A, d and value rows, and the stage-1 duals y0 on its A
+    rows.  At the face LP's optimum s = F'(yA, yd, yc) is 0 on the primal
+    support and >= 1 off it (Freund, Roundy & Todd 1985), and
+    s_w = yd + theta_star yc, the reduced cost of the positive scaling
+    weight, is 0.  Then, for any
     kappa > max(0, yc),
 
         y = (kappa y0 + yA) / (kappa - yc),  z = theta_star,  v = A'y + theta_star d - c
@@ -291,9 +302,16 @@ def approach_one(problem: LFPProblem, stage1: LPOutcome | None = None) -> Strict
     """
     stage1 = _stage1(problem, stage1)
     theta_star = stage1.objective
+    m, tol = problem.num_rows, SolverOptions.feas_tol
+    x_bar, t = stage1.point[:-1], stage1.point[-1]
+    if t > tol:
+        vertex = TransformedPoint(x_bar, t, problem.b * t - problem.A @ x_bar)
+        dual = DualPoint.from_yz(problem, stage1.duals[:m], theta_star)
+        candidate = StrictComplementarySolution(charnes_cooper_inverse(vertex), t, dual, theta_star)
+        if _passes_checks(candidate):
+            return candidate
     out = _solved("primal face", build_primal_interior_lp(problem, theta_star))
     transformed = recover_primal_interior(problem, out)
-    m, tol = problem.num_rows, SolverOptions.feas_tol
     yA, (yd, yc) = out.duals[:m], out.duals[m:]
     s_w = yd + theta_star * yc
     if abs(s_w) > tol * (1.0 + abs(yd) + abs(theta_star * yc)):
@@ -351,6 +369,18 @@ def verify_scsc(sol: StrictComplementarySolution, pos_tol: float = DEFAULT_POS_T
         pos_tol,
         not failing_primal and not failing_dual,
     )
+
+
+def _passes_checks(sol: StrictComplementarySolution) -> bool:
+    """Whether `sol` passes what `cli` checks of an approach's pair: both
+    complementarity checks at their defaults, and supports that partition."""
+    if not (verify_csc(sol).ok and verify_scsc(sol).ok):
+        return False
+    try:
+        optimal_partitions(sol)
+    except PartitionViolation:
+        return False
+    return True
 
 
 def optimal_partitions(

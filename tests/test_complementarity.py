@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lfpkit.complementarity as complementarity
 import lfpkit.lp as lp_module
 from lfpkit import (
     DegenerateNormalizer,
@@ -400,6 +401,29 @@ class TestApproachOne:
         sol = approach_one(problem, stage1=stage1)
         assert sol.dual.y.sum() == pytest.approx(1.0, abs=1e-9)
         assert as_sets(optimal_partitions(sol)) == ({1}, set(), set(), {1, 2})
+
+    def test_golden_is_degenerate_at_stage1_and_solves_the_face_lp(self, golden, lp_records):
+        # Stage 1 ends at the vertex x = (1, 4), where row 1 is tight with a
+        # zero dual: u_1 = y_1 = 0.  Its pair is not strictly complementary,
+        # so approach one solves the primal face LP.
+        stage1 = solve_lp(build_transformed_lp(golden))
+        x_bar, t = stage1.point[:-1], stage1.point[-1]
+        assert_allclose(x_bar / t, [1.0, 4.0], atol=1e-9)
+        assert (golden.b * t - golden.A @ x_bar)[0] == pytest.approx(0.0, abs=1e-12)
+        assert stage1.duals[0] == pytest.approx(0.0, abs=1e-12)
+        sol = approach_one(golden)
+        assert [record.lp for record in lp_records()] == ["stage 1", "primal face"]
+        assert as_sets(optimal_partitions(sol)) == GOLDEN_PARTITION
+
+    def test_stage1_pair_must_also_partition(self, golden):
+        # x.v = 1e-8 passes verify_csc and each sum passes verify_scsc, yet x_1
+        # and v_1 both exceed pos_tol, so the supports overlap and `cli` would
+        # reject the pair: approach one must not return such a stage-1 pair.
+        overlap = StrictComplementarySolution(
+            PrimalPoint([1e-3], [1.0]), 1.0, DualPoint([0.0], 1.0, [1e-5]), 1.0)
+        assert verify_csc(overlap).ok and verify_scsc(overlap).ok
+        assert not complementarity._passes_checks(overlap)
+        assert complementarity._passes_checks(approach_two(golden))
 
     def test_reuses_a_precomputed_stage1_outcome(self, golden, lp_records):
         stage1 = solve_lp(build_transformed_lp(golden))

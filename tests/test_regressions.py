@@ -3,8 +3,9 @@
 Each instance comes from the benchmark's own generator, so it is the same
 bytes the benchmark runs.  A change that mends a fault turns its xfail into a
 plain test.  The support-count check also runs on instances that pass, so
-that it is known to hold where the solver works, and approach one's dual
-point is checked against the dual face's own LP on a whole workload.
+that it is known to hold where the solver works.  On a whole workload,
+approach one's stage-1 pair is checked against the primal face's LP and its
+derived dual point against the dual face's own LP.
 """
 
 import json
@@ -12,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+import lfpkit.complementarity as complementarity
 import lfpkit.lp as lp_module
 from lfpkit import (
     LFPProblem,
@@ -21,15 +23,19 @@ from lfpkit import (
     approach_one,
     build_dual_interior_lp,
     build_joint_lp,
+    build_primal_interior_lp,
     build_transformed_lp,
+    charnes_cooper_inverse,
     cli,
     load_problem,
+    optimal_partitions,
     recover_dual_interior,
+    recover_primal_interior,
     solve_lp,
 )
 from lfpkit.interior import DEFAULT_POS_TOL
 
-from helpers import GOLDEN, instances, ladder, problem_file
+from helpers import GOLDEN, instances, ladder, load_module, problem_file
 
 
 @pytest.mark.parametrize(
@@ -57,16 +63,20 @@ def test_both_approaches_solve_benchmark_instance(tmp_path, capsys, workload, se
     assert cli.run(["--input", path, "--approach", "both"]) == 0, capsys.readouterr().out
 
 
-def gt_break(workload, seed, name, counts, size):
+def gt_break(workload, seed, name, joint, size):
     return pytest.param(
         workload, seed, name,
         marks=pytest.mark.xfail(
             strict=True, raises=AssertionError,
-            reason=f"primal face objective / derived dual support + 1 / joint face objective "
-            f"{counts} with n + m = {size}, yet exit 0",
+            reason=f"joint face objective {joint}, not n + m + 1 = {size + 1}, yet exit 0",
         ),
         id=name,
     )
+
+
+def support_count(result, keys):
+    """How many entries of the named vectors of an approach's report exceed DEFAULT_POS_TOL."""
+    return sum(int((np.array(result[key]) > DEFAULT_POS_TOL).sum()) for key in keys)
 
 
 @pytest.mark.parametrize(
@@ -74,21 +84,18 @@ def gt_break(workload, seed, name, counts, size):
     [
         pytest.param(None, None, "golden", id="golden"),
         *(pytest.param("batch-small", 1, f"small-{k:03d}", id=f"small-{k:03d}") for k in range(50)),
-        gt_break("batch-small", 2, "small-057", "6 / 7 / 23", 11),
+        gt_break("batch-small", 2, "small-057", "23", 11),
         pytest.param("degenerate-mixed", 1, "zero-d-columns-16", id="zero-d-columns-16"),
-        gt_break("degenerate-mixed", 1, "scaled-a-03", "18 / 9 / 17.9996", 17),
-        gt_break("degenerate-mixed", 2, "scaled-a-02", "19 / 11 / 37", 18),
-        gt_break("degenerate-mixed", 2, "scaled-a-17", "21 / 11 / 41", 20),
-        gt_break("degenerate-mixed", 3, "scaled-a-16", "10.99999 / 10 / 39", 19),
+        gt_break("degenerate-mixed", 1, "scaled-a-03", "17.9996", 17),
+        gt_break("degenerate-mixed", 2, "scaled-a-02", "37", 18),
+        gt_break("degenerate-mixed", 2, "scaled-a-17", "41", 20),
+        gt_break("degenerate-mixed", 3, "scaled-a-16", "39", 19),
     ],
 )
 def test_support_counts_obey_goldman_tucker(tmp_path, capsys, lp_records, workload, seed, name):
     # A strictly complementary pair has exactly one positive member in each of
-    # the n + m complementary pairs (Goldman-Tucker).  The primal face LP
-    # counts one capped copy per support coordinate plus one w2, and approach
-    # one's dual point, derived from that LP's row duals, is positive on the
-    # rest: primal objective + |supp y| + |supp v| + 1 = n + m + 2.  The joint
-    # LP's objective is n + m + 1.
+    # the n + m complementary pairs (Goldman-Tucker), and the joint LP's
+    # objective is n + m + 1.
     data = GOLDEN if workload is None else instances(workload, seed)[name]
     path = problem_file(data, tmp_path / f"{name}.json")
     problem = load_problem(path)
@@ -98,21 +105,67 @@ def test_support_counts_obey_goldman_tucker(tmp_path, capsys, lp_records, worklo
     report = json.loads(capsys.readouterr().out)
     assert code == 0, report
     records = lp_records()
-    assert [record.lp for record in records] == ["stage 1", "primal face", "joint face"]
-    primal, joint = (record.outcome.objective for record in records[1:])
-    one = report["approaches"]["one"]
-    dual_count = sum(int((np.array(one[key]) > DEFAULT_POS_TOL).sum()) for key in ("y", "v")) + 1
-    assert primal + dual_count == pytest.approx(size + 2, abs=1e-6), (primal, dual_count, joint)
-    assert joint == pytest.approx(size + 1, abs=1e-6), (primal, dual_count, joint)
+    one, joint = report["approaches"]["one"], records[-1].outcome.objective
+    if workload is None:
+        # The golden instance is degenerate at stage 1, so approach one solves
+        # the primal face LP.  That LP counts one capped copy per support
+        # coordinate plus one w2, and approach one's dual point, derived from
+        # its row duals, is positive on the rest: primal objective + |supp y|
+        # + |supp v| + 1 = n + m + 2.
+        assert [record.lp for record in records] == ["stage 1", "primal face", "joint face"]
+        primal = records[1].outcome.objective
+        dual_count = support_count(one, ("y", "v")) + 1
+        assert primal + dual_count == pytest.approx(size + 2, abs=1e-6), (primal, dual_count, joint)
+    else:
+        # Stage 1's own pair is strictly complementary, so approach one returns it.
+        assert [record.lp for record in records] == ["stage 1", "joint face"]
+        assert support_count(one, ("x", "u", "y", "v")) == size, one
+    assert joint == pytest.approx(size + 1, abs=1e-6), joint
 
 
-def test_derived_dual_has_the_dual_face_lp_supports():
-    # approach_one takes its dual point from the primal face LP's row duals.
-    # The dual face's own support-maximizing LP, which it no longer solves,
-    # must find the same supports of y and v on every batch-small instance.
+def test_stage1_pair_is_the_primal_face_lps_partition(lp_records):
+    # Stage 1's own pair is strictly complementary on every batch-small
+    # instance, so approach one returns it and solves no primal face LP.  That
+    # LP's interior point has the same supports of x and u.
+    differ = []
+    for name, data in instances("batch-small", 1).items():
+        problem = LFPProblem(**data)
+        solution = approach_one(problem)
+        partition = optimal_partitions(solution)
+        face = solve_lp(build_primal_interior_lp(problem, solution.theta_star))
+        primal = charnes_cooper_inverse(recover_primal_interior(problem, face))
+        supports = [set(np.flatnonzero(values > DEFAULT_POS_TOL) + 1) for values in (primal.x, primal.u)]
+        if [partition.sigma_x, partition.sigma_u] != supports:
+            differ.append(name)
+    assert "primal face" not in [record.lp for record in lp_records()]
+    assert differ == []
+
+
+@pytest.mark.parametrize("name", ["scaled-a-06", "scaled-a-11", "scaled-a-14"])
+def test_stage1_pair_solves_scaled_a_instance(tmp_path, capsys, name):
+    # The primal face LP breaks down on these `scaled-a` instances, where
+    # stage 1's own pair is already strictly complementary; approach one
+    # returns that pair, and the partition is HiGHS's.
+    pytest.importorskip("scipy")
+    oracle = load_module("perfbench/oracle.py")
+    data = instances("degenerate-mixed", 1)[name]
+    path = problem_file(data, tmp_path / f"{name}.json")
+    code = cli.run(["--input", path, "--approach", "both", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0, report
+    assert report["partition"] == oracle.partition(data, oracle.theta_star(data))
+
+
+def test_derived_dual_has_the_dual_face_lp_supports(monkeypatch):
+    # Where stage 1's own pair is not strictly complementary, approach_one
+    # takes its dual point from the primal face LP's row duals.  With that
+    # route forced, the dual face's own support-maximizing LP, which it never
+    # solves, must find the same supports of y and v on every batch-small
+    # instance.
     def supports(dual):
         return [np.flatnonzero(values > DEFAULT_POS_TOL).tolist() for values in (dual.y, dual.v)]
 
+    monkeypatch.setattr(complementarity, "_passes_checks", lambda sol: False)
     differ = []
     for name, data in instances("batch-small", 1).items():
         problem = LFPProblem(**data)
