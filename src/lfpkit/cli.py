@@ -4,9 +4,11 @@ Loads a problem file, runs stage 1 (the optimal value) and the selected
 approach(es), verifies complementarity and strictness, and writes one report
 to standard output, as text or as JSON.  Diagnostics go to standard error.
 The report is one JSON document in both modes; text mode renders it.
-An approach whose supports fail to partition adds one entry to the report's
-`warnings`: its `PartitionViolation` message, which gives both members'
-values at each index it names.
+Each approach's pair is judged once by `complementarity._judge`, the rule by
+which approach one's stage-1 route also accepts a pair.  An approach whose
+supports fail to partition adds one entry to the report's `warnings`: its
+`PartitionViolation` message, which gives both members' values at each index
+it names.
 Every run uses the same tolerances: `SolverOptions`' defaults for the LP
 solves and `DEFAULT_POS_TOL` for strictness and the partition.
 
@@ -26,13 +28,7 @@ import sys
 import time
 from dataclasses import fields
 
-from .complementarity import (
-    approach_one,
-    approach_two,
-    optimal_partitions,
-    verify_csc,
-    verify_scsc,
-)
+from .complementarity import _judge, approach_one, approach_two
 from .duality import _stage1
 from .errors import (
     DegenerateNormalizer,
@@ -42,7 +38,6 @@ from .errors import (
     IterationLimitError,
     NonpositiveDenominator,
     ParseError,
-    PartitionViolation,
     UnboundedObjective,
     UnboundedValidation,
 )
@@ -154,11 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_approach(runner, problem, doc, name, **kwargs):
-    """Add one approach's block to `doc`; returns its solution and its partition
-    (None when the supports fail to partition)."""
+    """Add one approach's block to `doc`, and its theta_star where stage 1 set none;
+    returns its partition (None when the supports fail to partition) and whether
+    `_judge` accepts its pair."""
     started = time.perf_counter()
     solution = runner(problem, **kwargs)
     doc["timings"][f"approach_{name}"] = time.perf_counter() - started
+    csc, scsc, partition, accepted = _judge(solution)
+    if doc["theta_star"] is None:
+        doc["theta_star"] = solution.theta_star
     doc["approaches"][name] = {
         "x": solution.primal.x.tolist(),
         "u": solution.primal.u.tolist(),
@@ -166,15 +165,13 @@ def _run_approach(runner, problem, doc, name, **kwargs):
         "y": solution.dual.y.tolist(),
         "z": solution.dual.z,
         "v": solution.dual.v.tolist(),
-        "csc": _fields(verify_csc(solution)),
-        "scsc": _fields(verify_scsc(solution)),
+        "csc": _fields(csc),
+        "scsc": _fields(scsc),
     }
-    try:
-        sets = _fields(optimal_partitions(solution))
-    except PartitionViolation as exc:
-        doc["warnings"].append(f"approach {name}: {exc}")
-        return solution, None
-    return solution, {key: sorted(members) for key, members in sets.items()}
+    if isinstance(partition, str):
+        doc["warnings"].append(f"approach {name}: {partition}")
+        return None, accepted
+    return {key: sorted(members) for key, members in _fields(partition).items()}, accepted
 
 
 def _solve(args, doc: dict) -> int:
@@ -191,25 +188,21 @@ def _solve(args, doc: dict) -> int:
             doc["error"] = f"min denominator over the region is {doc['denominator_min']:g}"
             return EXIT_UNBOUNDED
 
-    partitions = []
+    verdicts = []
     if args.approach in ("one", "both"):
         started = time.perf_counter()
         stage1 = _stage1(problem)
         doc["theta_star"] = stage1.objective
         doc["timings"]["stage1"] = time.perf_counter() - started
-        _, partition = _run_approach(approach_one, problem, doc, "one", stage1=stage1)
-        partitions.append(partition)
+        verdicts.append(_run_approach(approach_one, problem, doc, "one", stage1=stage1))
     if args.approach in ("two", "both"):
-        solution, partition = _run_approach(approach_two, problem, doc, "two")
-        partitions.append(partition)
-        if doc["theta_star"] is None:
-            doc["theta_star"] = solution.theta_star
+        verdicts.append(_run_approach(approach_two, problem, doc, "two"))
 
+    partitions, accepted = zip(*verdicts)
     doc["partition"] = partitions[0]
     if len(partitions) == 2:
         doc["cross_check"] = partitions[0] is not None and partitions[0] == partitions[1]
-    verified = all(r["csc"]["ok"] and r["scsc"]["ok"] for r in doc["approaches"].values())
-    if not verified or None in partitions or doc["cross_check"] is False:
+    if not all(accepted) or doc["cross_check"] is False:
         doc["status"] = "verification_failed"
         return EXIT_NUMERICAL
     return EXIT_OK

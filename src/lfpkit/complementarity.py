@@ -22,9 +22,10 @@ tolerances:
 
 * `approach_one` pins the optimal value theta_star first (one stage-1 solve).
   Where stage 1's optimal vertex and its row duals already are a strictly
-  complementary pair, that pair is the answer, one LP in total: the face LP
-  could only find the same supports (Goldman-Tucker).  Otherwise it solves
-  the primal face's support-maximizing LP, two LPs in total.  The dual
+  complementary pair, one that `_judge` accepts, that pair is the answer, one
+  LP in total: the face LP could only find the same supports
+  (Goldman-Tucker).  Otherwise it solves the primal face's
+  support-maximizing LP, two LPs in total.  The dual
   face's relative interior point then comes from the row duals of those two
   LPs (the Goldman-Tucker alternative), so its own LP is not solved;
   `build_dual_interior_lp` and `recover_dual_interior` remain as an
@@ -36,6 +37,8 @@ tolerances:
 `optimal_partitions` reads each support with the one threshold pos_tol; a
 pair that fails to partition raises PartitionViolation, whose message carries
 the values of every index it names, so a near miss shows how near it was.
+Approach one's stage-1 route and `lfp-solve` accept a pair through `_judge`
+alone: both checks and the partition at their defaults, all three passing.
 """
 
 from __future__ import annotations
@@ -282,9 +285,9 @@ def approach_one(problem: LFPProblem, stage1: LPOutcome | None = None) -> Strict
 
     Stage 1's pair is its vertex (xbar, t), mapped back by
     `charnes_cooper_inverse`, with y its row duals on the A rows and
-    z = theta_star.  It is returned when t is positive and the pair passes
-    `verify_csc`, `verify_scsc` and `optimal_partitions` at their defaults,
-    the checks `cli` applies to an approach's pair; no face LP is solved.
+    z = theta_star.  It is returned when t is positive and `_judge`, by which
+    `lfp-solve` also accepts an approach's pair, accepts it; no face LP is
+    solved.
 
     Otherwise the dual point comes from the row duals (yA, yd, yc) of the
     face LP on its A, d and value rows, and the stage-1 duals y0 on its A
@@ -308,7 +311,7 @@ def approach_one(problem: LFPProblem, stage1: LPOutcome | None = None) -> Strict
         vertex = TransformedPoint(x_bar, t, problem.b * t - problem.A @ x_bar)
         dual = DualPoint.from_yz(problem, stage1.duals[:m], theta_star)
         candidate = StrictComplementarySolution(charnes_cooper_inverse(vertex), t, dual, theta_star)
-        if _passes_checks(candidate):
+        if _judge(candidate)[-1]:
             return candidate
     out = _solved("primal face", build_primal_interior_lp(problem, theta_star))
     transformed = recover_primal_interior(problem, out)
@@ -371,18 +374,6 @@ def verify_scsc(sol: StrictComplementarySolution, pos_tol: float = DEFAULT_POS_T
     )
 
 
-def _passes_checks(sol: StrictComplementarySolution) -> bool:
-    """Whether `sol` passes what `cli` checks of an approach's pair: both
-    complementarity checks at their defaults, and supports that partition."""
-    if not (verify_csc(sol).ok and verify_scsc(sol).ok):
-        return False
-    try:
-        optimal_partitions(sol)
-    except PartitionViolation:
-        return False
-    return True
-
-
 def optimal_partitions(
     sol: StrictComplementarySolution, pos_tol: float = DEFAULT_POS_TOL
 ) -> OptimalPartition:
@@ -407,3 +398,16 @@ def optimal_partitions(
     if problems:
         raise PartitionViolation("; ".join(problems))
     return OptimalPartition(*(np.nonzero(support)[0] + 1 for support in supports))
+
+
+def _judge(sol: StrictComplementarySolution) -> tuple:
+    """(csc, scsc, partition, accepted): `verify_csc`, `verify_scsc` and
+    `optimal_partitions` (or its PartitionViolation message) of `sol` at their
+    defaults, and whether all three hold.  Approach one's stage-1 route and
+    `lfp-solve` accept an approach's pair by this one rule."""
+    csc, scsc = verify_csc(sol), verify_scsc(sol)
+    try:
+        partition = optimal_partitions(sol)
+    except PartitionViolation as exc:
+        return csc, scsc, str(exc), False
+    return csc, scsc, partition, csc.ok and scsc.ok

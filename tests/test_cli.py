@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import lfpkit.complementarity as complementarity
 import lfpkit.lp as lp_module
 from lfpkit import (
     DualPoint,
@@ -22,7 +23,7 @@ from lfpkit import (
     build_transformed_lp,
     solve_lp,
 )
-from lfpkit.cli import build_parser, format_text, run
+from lfpkit.cli import build_parser, format_text, main, run
 
 from helpers import GOLDEN
 
@@ -34,6 +35,8 @@ VIOLATES_DOC = '{"A": [[1]], "b": [1], "c": [1], "d": [-1], "alpha": 0, "beta": 
 MALFORMED_DOC = '{"A": [[1]], "b": [1, 2], "c": [1], "d": [1], "alpha": 0, "beta": 1}'
 # A non-empty region on which the denominator is 0 everywhere.
 ZERO_DENOMINATOR_DOC = '{"A": [[1, 2]], "b": [1], "c": [1, 2], "d": [0, 0], "alpha": 0, "beta": 0}'
+# max (x + 1)/(x + 2) on [0, 1]: stage 1's own pair is strictly complementary.
+ONE_ROW_DOC = '{"A": [[1]], "b": [1], "c": [1], "d": [1], "alpha": 1, "beta": 2}'
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -181,6 +184,25 @@ class TestExitCodes:
         lines = out.splitlines()
         assert [line for line in lines if line.startswith("warning: ")] == [f"warning: {warning}"]
         assert "cross_check: FAIL (partitions differ)" in lines
+
+    def test_a_rejected_pair_takes_the_face_lp_and_exits_five(self, tmp_path, capsys, lp_records,
+                                                               monkeypatch):
+        # One judge decides both approach one's stage-1 route and the run's
+        # verdict.  Here it accepts stage 1's pair; forced to reject every pair,
+        # approach one solves its primal face LP and the run fails although both
+        # checks pass and the partitions agree.
+        path = tmp_path / "problem.json"
+        path.write_text(ONE_ROW_DOC, encoding="utf-8")
+        assert run_cli(capsys, "--input", str(path))[0] == 0
+        assert [record.lp for record in lp_records()] == ["stage 1", "joint face"]
+        judge = complementarity._judge
+        monkeypatch.setattr(complementarity, "_judge", lambda sol: (*judge(sol)[:3], False))
+        monkeypatch.setattr("lfpkit.cli._judge", complementarity._judge)
+        code, out, _ = run_cli(capsys, "--input", str(path), "--approach", "both", "--format", "json")
+        assert [record.lp for record in lp_records()][2:] == ["stage 1", "primal face", "joint face"]
+        doc = json.loads(out)
+        assert (code, doc["status"], doc["cross_check"]) == (5, "verification_failed", True)
+        assert all(r["csc"]["ok"] and r["scsc"]["ok"] for r in doc["approaches"].values())
 
     def test_unknown_flag_exits_four(self, golden_file, capsys):
         # The tolerances are fixed, so --tol and --pos-tol are unknown flags too.
@@ -352,6 +374,18 @@ def test_python_dash_m_entry_point(tmp_path, doc, code):
     )
     assert result.returncode == code, result.stderr
     assert json.loads(result.stdout)["status"] == ("ok" if code == 0 else "infeasible")
+
+
+@pytest.mark.parametrize("doc, code", [(GOLDEN_DOC, 0), (MALFORMED_DOC, 4)], ids=["golden", "malformed"])
+def test_main_exits_with_the_run_code(tmp_path, capsys, monkeypatch, doc, code):
+    # The console script's entry point reads sys.argv and exits with run's code.
+    path = tmp_path / "problem.json"
+    path.write_text(doc, encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["lfp-solve", "--input", str(path), "--format", "json"])
+    with pytest.raises(SystemExit) as exited:
+        main()
+    assert exited.value.code == code
+    assert json.loads(capsys.readouterr().out)["status"] == ("ok" if code == 0 else "input_error")
 
 
 def test_format_text_flags_scsc_failure():

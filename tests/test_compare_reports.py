@@ -226,6 +226,8 @@ def test_ledger_counts_methods_flips_and_fractional_face_optima():
             ["joint face", "dual", "optimal", 7, 5, 1],
         ],
         "face_optima": [["primal face", 9.0000004], ["joint face", 10.5]],
+        "report": {"partition": {"sigma_x": [1, 2, 3], "sigma_v": [4], "sigma_u": [1, 2, 3, 4, 5],
+                                 "sigma_y": [6]}},
     }
     [entry] = tool.ledger([record])
     # A primal run's bound flips are iterations of their own; a dual run's ride along.
@@ -240,6 +242,32 @@ def test_ledger_counts_methods_flips_and_fractional_face_optima():
                  "verdicts": {"singular": 1, "optimal": 1}},
     }
     assert entry["fractional_face_optima"] == 1
+    assert entry["goldman_tucker_breaks"] == 1  # the joint LP's 10.5, not n + m + 1 = 11
+
+
+def test_ledger_counts_goldman_tucker_breaks_of_exit_0_runs():
+    # n = 3 and m = 2 in every run: the joint LP's optimum must be 6 and the
+    # primal face LP's |sigma_x| + |sigma_u| + 1, each within FRACTIONAL.
+    tool = load_tool()
+    partition = {"sigma_x": [1, 2], "sigma_v": [3], "sigma_u": [1], "sigma_y": [2]}
+
+    def record(name, code, *face_optima):
+        return {"workload": "w", "seed": 1, "name": name, "code": code, "runs": [],
+                "face_optima": [list(optimum) for optimum in face_optima],
+                "report": {"partition": partition if code == 0 else None}}
+
+    records = [
+        record("holds", 0, ("joint face", 6.0)),
+        record("holds-within-fractional", 0, ("primal face", 4.0000004), ("joint face", 5.9999996)),
+        record("joint-at-all-caps", 0, ("joint face", 2 * 5 + 1.0)),
+        record("primal-off", 0, ("primal face", 3.0), ("joint face", 6.0)),
+        record("both-off-counts-once", 0, ("primal face", 5.0), ("joint face", 7.0)),
+        record("failed", 5, ("joint face", 11.0)),
+        record("no-face-lp", 0),
+    ]
+    [entry] = tool.ledger(records)
+    assert entry["goldman_tucker_breaks"] == 3
+    assert entry["fractional_face_optima"] == 0
 
 
 def test_ladder_rows_hold_the_runs_of_each_lp(tmp_path):

@@ -417,13 +417,17 @@ class TestApproachOne:
 
     def test_stage1_pair_must_also_partition(self, golden):
         # x.v = 1e-8 passes verify_csc and each sum passes verify_scsc, yet x_1
-        # and v_1 both exceed pos_tol, so the supports overlap and `cli` would
-        # reject the pair: approach one must not return such a stage-1 pair.
+        # and v_1 both exceed pos_tol, so the supports overlap and `_judge`,
+        # which `cli` also applies, rejects the pair: approach one must not
+        # return such a stage-1 pair.
         overlap = StrictComplementarySolution(
             PrimalPoint([1e-3], [1.0]), 1.0, DualPoint([0.0], 1.0, [1e-5]), 1.0)
-        assert verify_csc(overlap).ok and verify_scsc(overlap).ok
-        assert not complementarity._passes_checks(overlap)
-        assert complementarity._passes_checks(approach_two(golden))
+        csc, scsc, partition, accepted = complementarity._judge(overlap)
+        assert csc == verify_csc(overlap) and scsc == verify_scsc(overlap)
+        assert csc.ok and scsc.ok and not accepted
+        assert partition == "x/v overlap at [1] (x = 1.000e-03, v = 1.000e-05)"
+        csc, scsc, partition, accepted = complementarity._judge(approach_two(golden))
+        assert accepted and as_sets(partition) == GOLDEN_PARTITION
 
     def test_reuses_a_precomputed_stage1_outcome(self, golden, lp_records):
         stage1 = solve_lp(build_transformed_lp(golden))

@@ -165,7 +165,8 @@ def test_derived_dual_has_the_dual_face_lp_supports(monkeypatch):
     def supports(dual):
         return [np.flatnonzero(values > DEFAULT_POS_TOL).tolist() for values in (dual.y, dual.v)]
 
-    monkeypatch.setattr(complementarity, "_passes_checks", lambda sol: False)
+    judge = complementarity._judge
+    monkeypatch.setattr(complementarity, "_judge", lambda sol: (*judge(sol)[:3], False))
     differ = []
     for name, data in instances("batch-small", 1).items():
         problem = LFPProblem(**data)

@@ -41,10 +41,13 @@ per-seed lines say whether it changed anything that matters.
 failures by exit code, the simplex runs, the total pivots, those of the face
 LPs and those of each LP (denominator, stage 1, primal and joint face), the
 runs, basis changes, bound flips, verdicts and inversions of each method,
-and how many optimal face LPs ended at a fractional objective; each ladder
-instance gets a pivot-only row with the same per-method counts for each of
-its LPs.  Pivot counts are deterministic, so the ledger of a checkout is
-byte-stable and a change to it is a change in behaviour.
+how many optimal face LPs ended at a fractional objective, and how many
+exit-0 runs break the Goldman-Tucker count: a face LP whose optimum is not
+its support count plus one, n + m + 1 for the joint LP and |sigma_x| +
+|sigma_u| + 1 for the primal face LP, off by more than FRACTIONAL.  Each
+ladder instance gets a pivot-only row with the same per-method counts for
+each of its LPs.  Pivot counts are deterministic, so the ledger of a
+checkout is byte-stable and a change to it is a change in behaviour.
 """
 
 import os
@@ -274,8 +277,21 @@ def ledger(records: list) -> list:
                           for label in LPS},
             "methods": _tally(runs),
             "fractional_face_optima": sum(abs(value - round(value)) > FRACTIONAL for value in optima),
+            "goldman_tucker_breaks": sum(_breaks_goldman_tucker(r) for r in group if r["code"] == 0),
         })
     return entries
+
+
+def _breaks_goldman_tucker(record: dict) -> bool:
+    """Whether a solved run has a face LP whose optimum is off its support count plus one
+    by more than FRACTIONAL: n + m + 1 for the joint LP, |sigma_x| + |sigma_u| + 1 for the
+    primal face's, the supports those of the run's partition."""
+    for lp, value in record["face_optima"]:
+        partition = record["report"]["partition"]
+        counted = ("sigma_x", "sigma_u") if lp == "primal face" else partition
+        if abs(value - sum(len(partition[name]) for name in counted) - 1) > FRACTIONAL:
+            return True
+    return False
 
 
 def _tally(runs: list) -> dict:
